@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .latentcodec import FRAME_HOP, FRAME_LEN, hann_periodic, frame_count
+from .latentcodec import FRAME_LEN, windowed_frames
 from .stringsynth import AudioBuffer
 
 EMBED_DIMS = 64
@@ -91,12 +91,8 @@ def _filterbank(sample_rate: int) -> np.ndarray:
 
 
 def embed(audio: AudioBuffer, source_label: str = "") -> EmbeddingSet:
-    """Per-frame log filterbank embedding; framing matches the latent codec."""
-    x = np.asarray(audio.samples, dtype=np.float64)
-    n_frames = frame_count(len(x))  # raises for audio under one frame
-    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(n_frames)[:, None]
-    frames = x[idx] * hann_periodic(FRAME_LEN)[None, :]
-    mags = np.abs(np.fft.rfft(frames, axis=1))
+    """Per-frame log filterbank embedding over the latent codec's frames."""
+    mags = np.abs(np.fft.rfft(windowed_frames(audio), axis=1))
     feats = np.log(mags @ _filterbank(audio.sample_rate).T + LOG_FLOOR)
     return EmbeddingSet(feats, source_label)
 

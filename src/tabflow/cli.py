@@ -106,24 +106,12 @@ def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
 
 # -------------------------------------------------------------------- train
 
-def _encode_cached(cfg: PipelineConfig, style: str, stem: str) -> list[latentcodec.LatentSeq]:
+def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> list[latentcodec.LatentSeq]:
     wav = _audio_dir(cfg, style) / f"{stem}.wav"
     if not wav.is_file():
         raise DataError(f"missing audio file {wav}")
-    audio = _load_audio(wav)
-    n_chunks = max(1, -(-len(audio.samples) // int(round(cfg.chunk_seconds * audio.sample_rate))))
-    cache_dir = cfg.workdir / "cache" / style
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    paths = [cache_dir / f"{stem}.chunk{k}.lat" for k in range(n_chunks)]
-    if all(p.is_file() for p in paths):
-        latents = [latentcodec.load_latent(p) for p in paths]
-        if all(l.dims == cfg.dims for l in latents):
-            return latents
-    latents = [latentcodec.encode(c, cfg.dims) for c in
-               latentcodec.chunk(audio, cfg.chunk_seconds)]
-    for p, lat in zip(paths, latents):
-        latentcodec.save_latent(p, lat)
-    return latents
+    return [latentcodec.encode(c, cfg.dims) for c in
+            latentcodec.chunk(_load_audio(wav), cfg.chunk_seconds)]
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -149,9 +137,9 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
         raise DataError(f"stems missing in {tgt_dir}: {', '.join(missing)}")
 
     train_stems, test_stems = _train_test_split(cfg, stems)
-    src_latents = _pmap(lambda s: _encode_cached(cfg, SOURCE_STYLE, s), train_stems,
+    src_latents = _pmap(lambda s: _encode_stem(cfg, SOURCE_STYLE, s), train_stems,
                         cfg.workers)
-    tgt_latents = _pmap(lambda s: _encode_cached(cfg, TARGET_STYLE, s), train_stems,
+    tgt_latents = _pmap(lambda s: _encode_stem(cfg, TARGET_STYLE, s), train_stems,
                         cfg.workers)
     pairs = []
     for stem, src, tgt in zip(train_stems, src_latents, tgt_latents):
@@ -196,6 +184,9 @@ def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
     base = int(echo.get("base_channels", 32))
     net = nn.VelocityNet(dims, base_channels=base, seed=int(echo.get("seed", 0)),
                          input_gain=float(echo.get("input_gain", 1.0)))
+    missing = [name for name in net.params if name not in params]
+    if missing:
+        raise DataError(f"{checkpoint}: checkpoint lacks parameters {', '.join(missing)}")
     for name, arr in params.items():
         if name not in net.params:
             raise DataError(f"checkpoint parameter {name} not in model")
@@ -301,6 +292,11 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
                 return audiodist.embed(audio, source_label=f"{label}/{stem}")
             embeds = _pmap(one, stems, cfg.workers)
             per_stem[label] = dict(zip(stems, embeds))
+        for system in _SYSTEMS:
+            for s in stems:
+                a, b = per_stem[system][s].vectors.shape, per_stem["real"][s].vectors.shape
+                if a != b:
+                    raise DataError(f"stem {s}: embeddings not frame-aligned ({a} vs {b})")
 
         pooled = {label: audiodist.EmbeddingSet(
             np.vstack([per_stem[label][s].vectors for s in stems]), label)
@@ -313,10 +309,9 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
                 _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j))
             rows.append((condition, "kad", system, kad_val))
         for system in _SYSTEMS:
-            diffs = [np.linalg.norm(per_stem["real"][s].vectors
-                                    - _aligned(per_stem[system][s], per_stem["real"][s], s).vectors,
-                                    axis=1) for s in stems]
-            rows.append((condition, "recon", system, float(np.mean(np.concatenate(diffs)))))
+            # pooled frames, so each stem weighs by its frame count
+            rows.append((condition, "recon", system,
+                         audiodist.recon_distance(pooled["real"], pooled[system])))
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.workdir / "metrics.csv"
@@ -334,14 +329,6 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
     for (c, m), vals in table.items():
         print(f"{c:<10} {m:<7} {vals['render']:>14.6f} {vals['guitarflow']:>14.6f}")
     return rows
-
-
-def _aligned(e: audiodist.EmbeddingSet, ref: audiodist.EmbeddingSet,
-             stem: str) -> audiodist.EmbeddingSet:
-    if e.vectors.shape != ref.vectors.shape:
-        raise DataError(f"stem {stem}: embeddings not frame-aligned "
-                        f"({e.vectors.shape} vs {ref.vectors.shape})")
-    return e
 
 
 # -------------------------------------------------------------------- stats

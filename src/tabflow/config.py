@@ -1,101 +1,82 @@
 """Pipeline configuration: flat INI-style key = value file, one section per
 module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
+
+_TABLE is the one listing of the keys: each row is (section, key, type,
+default text). The defaults, the PipelineConfig fields and the parsing in
+load_config all derive from it. Defaults stay text exactly as written (for
+example "0.0001"), because the canonical text, and so the hash, is built
+from the raw strings.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 from pathlib import Path
 
 from . import odesolve
 from .errors import UsageError
 from .flowmatch import TrainConfig
 
+_TABLE: tuple[tuple[str, str, type, str], ...] = (
+    ("paths", "scores_dir", Path, "scores"),
+    ("paths", "audio_dir", Path, "audio"),
+    ("paths", "workdir", Path, "work"),
+    ("latentcodec", "dims", int, "64"),
+    ("latentcodec", "chunk_seconds", float, "4.0"),
+    ("latentcodec", "residual_high_bands", bool, "true"),
+    ("flowmatch", "batch_size", int, "64"),
+    ("flowmatch", "lr", float, "0.0001"),
+    ("flowmatch", "epochs", int, "50"),
+    ("flowmatch", "base_channels", int, "32"),
+    ("odesolve", "solver", str, "dopri5"),
+    ("odesolve", "steps", int, "100"),
+    ("odesolve", "rtol", float, "0.0001"),
+    ("odesolve", "atol", float, "0.0001"),
+    ("odesolve", "max_steps", int, "10000"),
+    ("stringsynth", "sample_rate", int, "44100"),
+    ("stringsynth", "amp_drive", float, "6.0"),
+    ("stringsynth", "amp_tone_cutoff", float, "5000.0"),
+    ("stringsynth", "normalize_db", float, "-9.0"),
+    ("audiodist", "kad_max_frames", int, "2048"),
+    ("synthdata", "n_scores", int, "10"),
+    ("synthdata", "score_seconds", float, "60.0"),
+    ("cli", "seed", int, "0"),
+    ("cli", "workers", int, "1"),
+    ("cli", "train_split", float, "0.9"),
+)
+
 _DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {
-        "scores_dir": "scores",
-        "audio_dir": "audio",
-        "workdir": "work",
-    },
-    "latentcodec": {
-        "dims": "64",
-        "chunk_seconds": "4.0",
-        "residual_high_bands": "true",
-    },
-    "flowmatch": {
-        "batch_size": "64",
-        "lr": "0.0001",
-        "epochs": "50",
-        "base_channels": "32",
-    },
-    "odesolve": {
-        "solver": "dopri5",
-        "steps": "100",
-        "rtol": "0.0001",
-        "atol": "0.0001",
-        "max_steps": "10000",
-    },
-    "stringsynth": {
-        "sample_rate": "44100",
-        "amp_drive": "6.0",
-        "amp_tone_cutoff": "5000.0",
-        "normalize_db": "-9.0",
-    },
-    "audiodist": {
-        "kad_max_frames": "2048",
-    },
-    "synthdata": {
-        "n_scores": "10",
-        "score_seconds": "60.0",
-    },
-    "cli": {
-        "seed": "0",
-        "workers": "1",
-        "train_split": "0.9",
-    },
+    section: {key: default for s, key, _, default in _TABLE if s == section}
+    for section in dict.fromkeys(row[0] for row in _TABLE)
 }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    scores_dir: Path
-    audio_dir: Path
-    workdir: Path
-    dims: int
-    chunk_seconds: float
-    residual_high_bands: bool
-    batch_size: int
-    lr: float
-    epochs: int
-    base_channels: int
-    solver_name: str
-    steps: int
-    rtol: float
-    atol: float
-    max_steps: int
-    sample_rate: int
-    amp_drive: float
-    amp_tone_cutoff: float
-    normalize_db: float
-    kad_max_frames: int
-    n_scores: int
-    score_seconds: float
-    seed: int
-    workers: int
-    train_split: float
-    raw: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
+def _field_name(key: str) -> str:
+    # the `solver` key would shadow the PipelineConfig.solver() method
+    return "solver_name" if key == "solver" else key
+
+
+def _parse(typ: type, text: str):
+    if typ is bool:
+        return text.lower() in ("1", "true", "yes")
+    return typ(text)
+
+
+_SOLVERS = {
+    "euler": lambda cfg: odesolve.Euler(cfg.steps),
+    "rk4": lambda cfg: odesolve.RK4(cfg.steps),
+    "dopri5": lambda cfg: odesolve.Dopri5(cfg.rtol, cfg.atol, cfg.max_steps),
+}
+
+
+class _PipelineMethods:
+    """Methods of PipelineConfig, whose fields come from _TABLE."""
 
     def solver(self) -> odesolve.SolverKind:
-        if self.solver_name == "euler":
-            return odesolve.Euler(self.steps)
-        if self.solver_name == "rk4":
-            return odesolve.RK4(self.steps)
-        if self.solver_name == "dopri5":
-            return odesolve.Dopri5(self.rtol, self.atol, self.max_steps)
-        raise UsageError(f"unknown solver {self.solver_name!r}")
+        return _SOLVERS[self.solver_name](self)  # load_config checked the name
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(batch_size=self.batch_size, lr=self.lr, epochs=self.epochs,
@@ -113,6 +94,13 @@ class PipelineConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
+
+
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(_field_name(key), typ) for _, key, typ, _ in _TABLE]
+    + [("raw", dict, field(default_factory=dict, compare=False))],
+    bases=(_PipelineMethods,), frozen=True)
 
 
 def _merge(base: dict[str, dict[str, str]], override: dict[str, dict[str, str]]):
@@ -142,38 +130,11 @@ def load_config(path: str | Path | None = None,
         raw = _merge(raw, overrides)
 
     try:
-        cfg = PipelineConfig(
-            scores_dir=Path(raw["paths"]["scores_dir"]),
-            audio_dir=Path(raw["paths"]["audio_dir"]),
-            workdir=Path(raw["paths"]["workdir"]),
-            dims=int(raw["latentcodec"]["dims"]),
-            chunk_seconds=float(raw["latentcodec"]["chunk_seconds"]),
-            residual_high_bands=raw["latentcodec"]["residual_high_bands"].lower()
-            in ("1", "true", "yes"),
-            batch_size=int(raw["flowmatch"]["batch_size"]),
-            lr=float(raw["flowmatch"]["lr"]),
-            epochs=int(raw["flowmatch"]["epochs"]),
-            base_channels=int(raw["flowmatch"]["base_channels"]),
-            solver_name=raw["odesolve"]["solver"],
-            steps=int(raw["odesolve"]["steps"]),
-            rtol=float(raw["odesolve"]["rtol"]),
-            atol=float(raw["odesolve"]["atol"]),
-            max_steps=int(raw["odesolve"]["max_steps"]),
-            sample_rate=int(raw["stringsynth"]["sample_rate"]),
-            amp_drive=float(raw["stringsynth"]["amp_drive"]),
-            amp_tone_cutoff=float(raw["stringsynth"]["amp_tone_cutoff"]),
-            normalize_db=float(raw["stringsynth"]["normalize_db"]),
-            kad_max_frames=int(raw["audiodist"]["kad_max_frames"]),
-            n_scores=int(raw["synthdata"]["n_scores"]),
-            score_seconds=float(raw["synthdata"]["score_seconds"]),
-            seed=int(raw["cli"]["seed"]),
-            workers=int(raw["cli"]["workers"]),
-            train_split=float(raw["cli"]["train_split"]),
-            raw=raw,
-        )
+        cfg = PipelineConfig(**{_field_name(key): _parse(typ, raw[section][key])
+                                for section, key, typ, _ in _TABLE}, raw=raw)
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
-    if cfg.solver_name not in ("euler", "rk4", "dopri5"):
+    if cfg.solver_name not in _SOLVERS:
         raise UsageError(f"unknown solver {cfg.solver_name!r}")
     return cfg
 

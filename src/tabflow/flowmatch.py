@@ -8,7 +8,7 @@ dx/dt = v(t, x) from t=0 to t=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,14 +87,24 @@ def _stack_pairs(pairs: list[ChunkPair]) -> tuple[np.ndarray, np.ndarray]:
     return x0, x1
 
 
+def _pad_frame_axis(x: np.ndarray) -> np.ndarray:
+    """Zero-pad the frame axis of an [N, D, F] array to the next multiple of
+    the UNet's DOWN_FACTOR. Arrays of any other rank have no frame axis and
+    pass through unchanged."""
+    if x.ndim != 3:
+        return x
+    f = x.shape[-1]
+    target = -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR
+    return np.pad(x, ((0, 0), (0, 0), (0, target - f)))
+
+
 def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: TrainConfig,
-                 pad_to_16: bool = True,
                  state: nn.AdamState | None = None) -> list[tuple[int, int, float]]:
     """Core loop over endpoint arrays [N, ...]; returns (step, epoch, loss) rows.
 
     Batches are reshuffled every epoch; an epoch runs ceil(n / batch) steps
     with a ragged final batch (batch size is clamped when the dataset is
-    smaller than one batch).
+    smaller than one batch). [N, D, F] arrays are padded by _pad_frame_axis.
     """
     if x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
@@ -107,12 +117,7 @@ def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: TrainConfig,
     params = net.parameters()
     dtype = net.dtype if hasattr(net, "dtype") else np.float32
 
-    if pad_to_16:
-        f = x0.shape[-1]
-        target = -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR
-        widths = [(0, 0)] * (x0.ndim - 1) + [(0, target - f)]
-        x0 = np.pad(x0, widths)
-        x1 = np.pad(x1, widths)
+    x0, x1 = _pad_frame_axis(x0), _pad_frame_axis(x1)
 
     history: list[tuple[int, int, float]] = []
     step = 0
@@ -164,13 +169,10 @@ def input_gain_for(x0: np.ndarray, x1: np.ndarray) -> float:
     return 1.0 / rms if rms > 0 else 1.0
 
 
-def transfer(net, x0: LatentSeq, solver: odesolve.SolverKind | None = None,
-             steps: int | None = None) -> LatentSeq:
+def transfer(net, x0: LatentSeq, solver: odesolve.SolverKind | None = None) -> LatentSeq:
     """Transport one latent sequence through the learned flow ODE."""
     if solver is None:
         solver = odesolve.Dopri5()
-    if steps is not None:
-        solver = replace(solver, steps=steps) if hasattr(solver, "steps") else solver
     frames = transfer_batch(net, x0.frames.T[None, ...], solver)[0]
     return LatentSeq(frames.T, frame_hop=x0.frame_hop, frame_len=x0.frame_len,
                      sample_rate=x0.sample_rate)
@@ -183,8 +185,8 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.n
     boundary, so a zero velocity field transports exactly.
     """
     b, d, f = states.shape
-    target = -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR
-    padded = np.pad(states, ((0, 0), (0, 0), (0, target - f)))
+    padded = _pad_frame_axis(states)
+    target = padded.shape[-1]
     net_dtype = net.dtype if hasattr(net, "dtype") else np.float32
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:

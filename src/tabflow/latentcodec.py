@@ -4,7 +4,9 @@ Frames of 1024 samples at hop 512 are Hann windowed (periodic window, so the
 50% overlap-add sums to one) and transformed with an orthonormal DCT-II.
 Keeping all 1024 coefficients gives perfect interior reconstruction; keeping
 the first 64 gives the compact space the flow model trains in. The codec also
-owns fixed-length chunking of long audio.
+owns fixed-length chunking of long audio, and the analysis framing:
+windowed_frames slices and windows the frames for both encode and
+audiodist.embed, so the latent and embedding frame grids always match.
 """
 
 from __future__ import annotations
@@ -79,15 +81,20 @@ def frame_count(n_samples: int) -> int:
     return (n_samples - FRAME_LEN) // FRAME_HOP + 1
 
 
+def windowed_frames(audio: AudioBuffer) -> np.ndarray:
+    """[F, FRAME_LEN] float64 frames at FRAME_HOP, each times the Hann window;
+    raises for audio shorter than one frame."""
+    x = np.asarray(audio.samples, dtype=np.float64)
+    n_frames = frame_count(len(x))
+    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(n_frames)[:, None]
+    return x[idx] * _WINDOW[None, :]
+
+
 def encode(audio: AudioBuffer, dims: int = 64) -> LatentSeq:
     """Windowed orthonormal DCT-II per frame, truncated to the first dims."""
     if dims not in LATENT_DIMS:
         raise DataError(f"dims must be one of {LATENT_DIMS}, got {dims}")
-    x = np.asarray(audio.samples, dtype=np.float64)
-    n_frames = frame_count(len(x))
-    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(n_frames)[:, None]
-    frames = x[idx] * _WINDOW[None, :]
-    coeffs = dct(frames, type=2, norm="ortho", axis=1)
+    coeffs = dct(windowed_frames(audio), type=2, norm="ortho", axis=1)
     return LatentSeq(coeffs[:, :dims], sample_rate=audio.sample_rate)
 
 
@@ -139,7 +146,7 @@ def dechunk(chunks: list[AudioBuffer], original_samples: int) -> AudioBuffer:
 
 
 def save_latent(path, latent: LatentSeq) -> None:
-    """Binary cache record: 5 uint32 LE header, then float32 LE coefficients."""
+    """Binary latent record: 5 uint32 LE header, then float32 LE coefficients."""
     header = struct.pack("<5I", latent.n_frames, latent.dims, latent.frame_hop,
                          latent.frame_len, latent.sample_rate)
     with open(path, "wb") as fh:

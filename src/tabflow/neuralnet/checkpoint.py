@@ -33,7 +33,7 @@ def _read_array(fh) -> np.ndarray:
     count = int(np.prod(shape)) if ndim else 1
     data = np.frombuffer(fh.read(4 * count), dtype="<f4")
     if data.size != count:
-        raise DataError("truncated checkpoint array")
+        raise ValueError("truncated array")
     return data.reshape(shape).copy()
 
 
@@ -65,21 +65,26 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: bad checkpoint magic (expected {MAGIC!r})")
-        (json_len,) = struct.unpack("<I", fh.read(4))
-        config = json.loads(fh.read(json_len).decode("utf-8"))
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            params[name] = _read_array(fh)
-        (has_state,) = struct.unpack("<B", fh.read(1))
-        state = None
-        if has_state:
-            (step,) = struct.unpack("<Q", fh.read(8))
-            lr, b1, b2, eps = struct.unpack("<4d", fh.read(32))
-            state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
-            for name in params:
-                state.m[name] = _read_array(fh)
-                state.v[name] = _read_array(fh)
+        try:
+            (json_len,) = struct.unpack("<I", fh.read(4))
+            config = json.loads(fh.read(json_len).decode("utf-8"))
+            if not isinstance(config, dict):
+                raise ValueError("config echo is not a JSON object")
+            (n_params,) = struct.unpack("<I", fh.read(4))
+            params: dict[str, np.ndarray] = {}
+            for _ in range(n_params):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                params[name] = _read_array(fh)
+            (has_state,) = struct.unpack("<B", fh.read(1))
+            state = None
+            if has_state:
+                (step,) = struct.unpack("<Q", fh.read(8))
+                lr, b1, b2, eps = struct.unpack("<4d", fh.read(32))
+                state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
+                for name in params:
+                    state.m[name] = _read_array(fh)
+                    state.v[name] = _read_array(fh)
+        except (struct.error, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+            raise DataError(f"{path}: truncated or corrupt checkpoint ({exc})") from None
     return params, state, config

@@ -2,8 +2,8 @@
 
 Covers exactly the operator set the velocity networks need: elementwise
 arithmetic, ReLU, matmul, 1-D convolution, stride-2 down/upsampling, channel
-concatenation, frame padding, and scalar reductions. Every op output is
-checked for NaN/Inf and aborts naming the op when one appears.
+concatenation, and scalar reductions. Every op output is checked for NaN/Inf
+and aborts naming the op when one appears.
 """
 
 from __future__ import annotations
@@ -242,22 +242,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         return tuple(zip(tensors, np.split(g, splits, axis=axis)))
     return _result(np.concatenate([t.data for t in tensors], axis=axis),
                    "concat", tuple(tensors), backward)
-
-
-def pad_last(x: Tensor, before: int, after: int) -> Tensor:
-    widths = [(0, 0)] * (x.data.ndim - 1) + [(before, after)]
-
-    def backward(g):
-        sl = [slice(None)] * (g.ndim - 1) + [slice(before, g.shape[-1] - after)]
-        return ((x, g[tuple(sl)]),)
-    return _result(np.pad(x.data, widths), "pad_last", (x,), backward)
-
-
-def crop_last(x: Tensor, length: int) -> Tensor:
-    def backward(g):
-        widths = [(0, 0)] * (g.ndim - 1) + [(0, x.data.shape[-1] - length)]
-        return ((x, np.pad(g, widths)),)
-    return _result(np.ascontiguousarray(x.data[..., :length]), "crop_last", (x,), backward)
 
 
 def mean(a: Tensor) -> Tensor:

@@ -16,21 +16,6 @@ from . import tensor as T
 DOWN_FACTOR = 16  # 2**4 resolution levels
 
 
-def pad_frames(x: T.Tensor) -> tuple[T.Tensor, int]:
-    """Zero-pad the frame axis to the next multiple of 16; returns (padded, F)."""
-    f = x.shape[-1]
-    target = -(-f // DOWN_FACTOR) * DOWN_FACTOR
-    if target == f:
-        return x, f
-    return T.pad_last(x, 0, target - f), f
-
-
-def crop_frames(x: T.Tensor, original: int) -> T.Tensor:
-    if x.shape[-1] == original:
-        return x
-    return T.crop_last(x, original)
-
-
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)

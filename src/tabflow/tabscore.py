@@ -121,17 +121,20 @@ class Score:
         return 60.0 / (self.tempo_bpm * self.ticks_per_quarter)
 
 
-def _check_no_overlap(events: tuple[NoteEvent, ...]) -> None:
-    last_offset: dict[int, tuple[int, NoteEvent]] = {}
-    for ev in events:
-        prev = last_offset.get(ev.string)
-        if prev is not None and ev.onset_ticks < prev[0]:
-            raise DataError(
-                f"overlapping events on string {ev.string}: "
-                f"onset {ev.onset_ticks} < previous offset {prev[0]}"
-            )
-        if prev is None or ev.offset_ticks > prev[0]:
-            last_offset[ev.string] = (ev.offset_ticks, ev)
+def _check_no_overlap(events, lines: list[int] | None = None) -> None:
+    """Reject a note that starts before the previous note on its string ends.
+
+    events must be in (onset, string) order. With lines (the source line of
+    each event) the error is a ParseError naming the offending line.
+    """
+    last_offset: dict[int, int] = {}
+    for k, ev in enumerate(events):
+        prev = last_offset.get(ev.string, -1)
+        if ev.onset_ticks < prev:
+            msg = (f"overlapping events on string {ev.string}: "
+                   f"onset {ev.onset_ticks} < previous offset {prev}")
+            raise DataError(msg) if lines is None else ParseError(msg, lines[k])
+        last_offset[ev.string] = max(prev, ev.offset_ticks)
 
 
 def event_pitch(score: Score, ev: NoteEvent) -> float:
@@ -248,16 +251,7 @@ def parse_score(text: str) -> Score:
 
     # events may appear in any line order; overlap is judged on the sorted view
     tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
-    per_string_offsets: dict[int, int] = {}
-    for ln, ev in tagged:
-        prev = per_string_offsets.get(ev.string, -1)
-        if ev.onset_ticks < prev:
-            raise ParseError(
-                f"overlapping events on string {ev.string}: "
-                f"onset {ev.onset_ticks} < previous offset {prev}",
-                ln,
-            )
-        per_string_offsets[ev.string] = max(prev, ev.offset_ticks)
+    _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
 
     try:
         return Score(tempo_bpm=tempo, tuning=tuning, events=tuple(e for _, e in tagged))

@@ -79,6 +79,8 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
         size = struct.unpack_from("<I", blob, pos + 4)[0]
         payload = blob[pos + 8:pos + 8 + size]
         if tag == b"fmt ":
+            if len(payload) < 16:
+                raise DataError(f"{path}: fmt chunk has {len(payload)} bytes, need 16")
             fmt = struct.unpack_from("<HHIIHH", payload)
         elif tag == b"data":
             data = payload
@@ -87,7 +89,10 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
             while p + 8 <= len(payload):
                 sub, sublen = payload[p:p + 4], struct.unpack_from("<I", payload, p + 4)[0]
                 if sub == b"ICMT":
-                    comment = payload[p + 8:p + 8 + sublen].rstrip(b"\x00").decode("utf-8")
+                    try:
+                        comment = payload[p + 8:p + 8 + sublen].rstrip(b"\x00").decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise DataError(f"{path}: ICMT comment is not UTF-8") from None
                 p += 8 + sublen + (sublen % 2)
         pos += 8 + size + (size % 2)
 

@@ -1,10 +1,12 @@
 import csv
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from tabflow import cli, wavio
-from tabflow.config import load_config
+from tabflow import audiodist, cli, wavio
+from tabflow.config import load_config, with_updates
 from tabflow.neuralnet import VelocityNet, AdamState, save_checkpoint
 from tabflow.tabscore import parse_score
 
@@ -73,8 +75,7 @@ def test_train_writes_checkpoint_cache_and_loss_history(tiny_cfg, capsys):
     ckpt, history = cli.cmd_train(tiny_cfg)
     assert ckpt.is_file()
     assert ckpt.read_bytes()[:7] == b"GFCKPT1"
-    cache = sorted((tiny_cfg.workdir / "cache" / "synthetic").glob("*.lat"))
-    assert cache and all(".chunk" in p.name for p in cache)
+    assert not (tiny_cfg.workdir / "cache").exists()
     loss_csv = tiny_cfg.workdir / "loss_history.csv"
     lines = loss_csv.read_text().splitlines()
     assert lines[0].startswith("# config ")
@@ -82,6 +83,18 @@ def test_train_writes_checkpoint_cache_and_loss_history(tiny_cfg, capsys):
     assert len(lines) == 2 + len(history)
     out = capsys.readouterr().out
     assert "steps/s" in out
+
+
+def test_train_after_chunk_length_change_matches_fresh_workdir(tiny_cfg):
+    cli.cmd_synthdata(tiny_cfg)
+    cli.cmd_train(tiny_cfg)
+    eight = with_updates(tiny_cfg, latentcodec={"chunk_seconds": "8.0"})
+    cli.cmd_train(eight)
+    reused = (eight.workdir / "loss_history.csv").read_bytes()
+    shutil.rmtree(eight.workdir)
+    cli.cmd_synthdata(eight)
+    cli.cmd_train(eight)
+    assert (eight.workdir / "loss_history.csv").read_bytes() == reused
 
 
 def test_train_missing_audio_dir_names_it(tiny_cfg):
@@ -157,6 +170,33 @@ def test_eval_self_distance_zero(tiny_cfg, capsys):
     assert "guitarflow" in table and "fad" in table
 
 
+def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
+    rng = np.random.default_rng(12)
+    dirs = {label: tmp_path / label for label in ("real", "render", "guitarflow")}
+    for d in dirs.values():
+        d.mkdir()
+    for stem, seconds, noise in (("short", 0.5, 0.5), ("long", 2.0, 0.01)):
+        x = rng.uniform(-0.5, 0.5, int(seconds * 44100)).astype(np.float32)
+        wavio.write_wav(dirs["real"] / f"{stem}.wav", x, 44100)
+        for label in ("render", "guitarflow"):
+            y = x + noise * rng.standard_normal(len(x)).astype(np.float32)
+            wavio.write_wav(dirs[label] / f"{stem}.wav", y, 44100)
+    rows = cli.cmd_eval(tiny_cfg, dirs["real"], dirs["render"], dirs["guitarflow"],
+                        conditions=("di",))
+    recon = {s: v for c, m, s, v in rows if m == "recon"}
+
+    def norms(label, stem):
+        a = audiodist.embed(cli._load_audio(dirs["real"] / f"{stem}.wav")).vectors
+        b = audiodist.embed(cli._load_audio(dirs[label] / f"{stem}.wav")).vectors
+        return np.linalg.norm(a - b, axis=1)
+
+    for label in ("render", "guitarflow"):
+        per_stem = [norms(label, stem) for stem in ("long", "short")]
+        assert recon[label] == np.mean(np.concatenate(per_stem))
+        assert abs(recon[label] - np.mean([n.mean() for n in per_stem])) > 0.1
+    assert recon["render"] == pytest.approx(1.5033360427318092, rel=1e-9)
+
+
 def test_eval_missing_stem_listed(tiny_cfg, tmp_path):
     from tabflow.errors import DataError
     cli.cmd_synthdata(tiny_cfg)
@@ -222,6 +262,53 @@ def test_main_usage_error_is_exit_1(tmp_path):
 
 def test_main_data_error_is_exit_2(tmp_path):
     assert cli.main(["--workdir", str(tmp_path), "train"]) == 2
+
+
+def _short_fmt_wav(path):
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", 4) + b"\x03\x00\x01\x00"
+            + b"data" + struct.pack("<I", 8) + bytes(8))
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+def _transfer_argv(cfg, ckpt, src, out):
+    return ["--workdir", str(cfg.workdir), "transfer", str(ckpt), str(src), str(out)]
+
+
+def test_main_transfer_malformed_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    bad = _short_fmt_wav(tmp_path / "short_fmt.wav")
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, bad, tmp_path / "o.wav")) == 2
+    assert "fmt chunk" in capsys.readouterr().err
+
+
+def _noise_wav(path):
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, 44100).astype(np.float32)
+    wavio.write_wav(path, x, 44100)
+    return path
+
+
+def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
+    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
+    ckpt = tmp_path / "headless.ckpt"
+    params = {name: p for name, p in net.params.items() if name != "out.w"}
+    save_checkpoint(ckpt, params, None,
+                    {"dims": tiny_cfg.dims, "base_channels": tiny_cfg.base_channels})
+    src = _noise_wav(tmp_path / "in.wav")
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    err = capsys.readouterr().err
+    assert "lacks parameters out.w" in err and str(ckpt) in err
+    assert not out.exists()
+
+
+def test_main_transfer_truncated_checkpoint_is_exit_2(tiny_cfg, tmp_path, capsys):
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    ckpt.write_bytes(ckpt.read_bytes()[:20])
+    src = _noise_wav(tmp_path / "in.wav")
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, tmp_path / "o.wav")) == 2
+    err = capsys.readouterr().err
+    assert "truncated or corrupt checkpoint" in err and str(ckpt) in err
 
 
 def test_main_success_is_exit_0(tmp_path, capsys):

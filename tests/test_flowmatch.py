@@ -115,14 +115,14 @@ def test_cfm_loss_rejects_empty_batch():
 def test_step_arithmetic_single_pair():
     net = nn.DenseVelocityNet(2, hidden=4, seed=0)
     cfg = TrainConfig(batch_size=64, lr=1e-4, epochs=50, seed=0, dims=2)
-    hist = train_arrays(net, np.zeros((1, 2)), np.ones((1, 2)), cfg, pad_to_16=False)
+    hist = train_arrays(net, np.zeros((1, 2)), np.ones((1, 2)), cfg)
     assert len(hist) == 50
 
 
 def test_step_arithmetic_ceil_batches():
     net = nn.DenseVelocityNet(2, hidden=4, seed=0)
     cfg = TrainConfig(batch_size=4, lr=1e-4, epochs=3, seed=0, dims=2)
-    hist = train_arrays(net, np.zeros((10, 2)), np.ones((10, 2)), cfg, pad_to_16=False)
+    hist = train_arrays(net, np.zeros((10, 2)), np.ones((10, 2)), cfg)
     assert len(hist) == 3 * 3  # ceil(10 / 4) = 3 steps per epoch
 
 
@@ -137,7 +137,7 @@ def test_training_is_deterministic():
     runs = []
     for _ in range(2):
         net = nn.DenseVelocityNet(2, hidden=8, seed=1)
-        runs.append(train_arrays(net, x0, x1, cfg, pad_to_16=False))
+        runs.append(train_arrays(net, x0, x1, cfg))
     assert runs[0] == runs[1]
 
 
@@ -179,7 +179,7 @@ def test_transfer_solver_agreement_on_trained_toy_net():
     x0, x1 = gaussian_2d_pairs(256, seed=10)
     net = nn.DenseVelocityNet(2, hidden=16, seed=2)
     cfg = TrainConfig(batch_size=64, lr=5e-3, epochs=40, seed=3, dims=2)
-    train_arrays(net, x0, x1, cfg, pad_to_16=False)
+    train_arrays(net, x0, x1, cfg)
 
     def velocity(t, y):
         with nn.no_grad():
@@ -197,7 +197,7 @@ def test_loss_history_decreases_on_learnable_problem():
     x0, x1 = gaussian_2d_pairs(512, seed=11)
     net = nn.DenseVelocityNet(2, hidden=32, seed=4)
     cfg = TrainConfig(batch_size=128, lr=3e-3, epochs=60, seed=5, dims=2)
-    hist = train_arrays(net, x0, x1, cfg, pad_to_16=False)
+    hist = train_arrays(net, x0, x1, cfg)
     first = np.mean([h[2] for h in hist[:5]])
     last = np.mean([h[2] for h in hist[-5:]])
     assert last < first
@@ -207,7 +207,7 @@ def test_two_dimensional_transport_sanity():
     x0, x1 = gaussian_2d_pairs(2000, seed=42)
     net = nn.DenseVelocityNet(2, hidden=64, seed=0)
     cfg = TrainConfig(batch_size=256, lr=3e-3, epochs=250, seed=1, dims=2)
-    hist = train_arrays(net, x0, x1, cfg, pad_to_16=False)
+    hist = train_arrays(net, x0, x1, cfg)
     assert len(hist) <= 2000
 
     def velocity(t, y):

@@ -50,7 +50,7 @@ def test_gradient_accumulates_for_shared_input():
 
 
 @pytest.mark.parametrize("op_name", ["conv1d", "relu", "downsample2", "upsample2",
-                                     "concat", "mse", "matmul", "pad_crop"])
+                                     "concat", "mse", "matmul"])
 def test_per_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2 ** 31)
     x_data = rng.standard_normal((2, 3, 8))
@@ -84,17 +84,13 @@ def test_per_op_gradients_match_finite_differences(op_name):
 
         def loss_fn():
             return T.mse(params["x"], params["y"])
-    elif op_name == "matmul":
+    else:
         params = {"a": T.Tensor(rng.standard_normal((4, 3)), requires_grad=True),
                   "b": T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)}
 
         def loss_fn():
             z = T.matmul(params["a"], params["b"])
             return T.mean(T.mul(z, z))
-    else:
-        def loss_fn():
-            y = T.crop_last(T.pad_last(params["x"], 2, 3), 9)
-            return T.mean(T.mul(y, y))
 
     worst = nn.finite_difference_check(loss_fn, params, n_coords=25, seed=1)
     assert worst < 1e-4
@@ -158,22 +154,6 @@ def test_unet_forward_deterministic_across_instances():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_pad_frames_round_trip():
-    x = T.Tensor(np.arange(2 * 3 * 343, dtype=np.float64).reshape(2, 3, 343))
-    padded, original = nn.pad_frames(x)
-    assert padded.shape == (2, 3, 352)
-    assert original == 343
-    assert np.array_equal(padded.data[..., 343:], np.zeros((2, 3, 9)))
-    back = nn.crop_frames(padded, original)
-    assert np.array_equal(back.data, x.data)
-
-
-def test_pad_frames_already_aligned_is_identity():
-    x = T.Tensor(np.zeros((1, 2, 352)))
-    padded, original = nn.pad_frames(x)
-    assert padded is x and original == 352
-
-
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     p = T.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     state = nn.AdamState(lr=0.1)
@@ -227,6 +207,22 @@ def test_checkpoint_magic_validated(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(DataError, match="magic"):
         nn.load_checkpoint(path)
+
+
+def test_truncated_or_garbled_checkpoint_names_path(tmp_path):
+    net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
+    good = tmp_path / "good.ckpt"
+    nn.save_checkpoint(good, net.params, nn.AdamState(), {"dims": 4})
+    blob = good.read_bytes()
+    cases = {"head.ckpt": blob[:20], "body.ckpt": blob[:len(blob) // 2],
+             "json.ckpt": blob[:11] + b"\xff" * (len(blob) - 11),
+             "list.ckpt": nn.checkpoint.MAGIC + b"\x02\x00\x00\x00[]"}
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="truncated or corrupt") as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 def test_no_grad_disables_graph():

@@ -75,8 +75,12 @@ def test_missing_header_rejected():
 
 
 def test_same_string_overlap_rejected():
-    with pytest.raises(ParseError, match="overlap"):
+    with pytest.raises(ParseError, match="overlap") as info:
         parse_score(HEADER + "0 6 0 960\n480 6 2 960\n")
+    assert info.value.line == 5
+    with pytest.raises(ParseError, match="overlap") as info:  # line order is not time order
+        parse_score(HEADER + "480 6 2 960\n0 6 0 960\n")
+    assert info.value.line == 4
 
 
 def test_adjacent_events_on_same_string_ok():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,23 @@ def test_rejects_stereo_and_garbage(tmp_path):
 def test_unknown_encoding_rejected(tmp_path):
     with pytest.raises(DataError, match="encoding"):
         write_wav(tmp_path / "x.wav", np.zeros(4), 44100, encoding="mp3")
+
+
+def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    body = b"WAVE" + b"".join(tag + struct.pack("<I", len(p)) + p for tag, p in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_short_fmt_chunk_is_data_error(tmp_path):
+    path = tmp_path / "short.wav"
+    path.write_bytes(_riff((b"fmt ", b"\x03\x00\x01\x00"), (b"data", b"\x00" * 8)))
+    with pytest.raises(DataError, match="fmt chunk"):
+        read_wav_with_comment(path)
+
+
+def test_non_utf8_comment_is_data_error(tmp_path):
+    path = tmp_path / "latin1.wav"
+    write_wav(path, np.zeros(8, dtype=np.float32), 44100, comment="cfg=caf")
+    path.write_bytes(path.read_bytes().replace(b"cfg=caf", b"cfg=ca\xe9"))
+    with pytest.raises(DataError, match="ICMT comment is not UTF-8"):
+        read_wav_with_comment(path)
