@@ -14,7 +14,7 @@ from .tabscore import (NoteEvent, Score, Technique, TechniqueKind, event_pitch,
 from .stringsynth import (AudioBuffer, RenderStyle, STYLE_PRESETS, amp_process,
                           normalize_rms, render)
 from .latentcodec import ChunkPair, LatentSeq, chunk, dechunk, decode, encode
-from .flowmatch import FlowSample, TrainConfig, cfm_loss, make_sample, train, transfer
+from .flowmatch import FlowSample, cfm_loss, make_sample, train
 from .odesolve import Dopri5, Euler, OdeTrace, RK4, convergence_order, integrate
 from .audiodist import EmbeddingSet, embed, fad, kad, recon_distance
 from .mosstats import (RatingTable, TestResult, bonferroni, friedman,
@@ -26,10 +26,10 @@ __all__ = [
     "AudioBuffer", "ChunkPair", "DataError", "Dopri5", "EmbeddingSet", "Euler",
     "FlowSample", "LatentSeq", "NoteEvent", "NumericError", "OdeTrace",
     "RatingTable", "RenderStyle", "RK4", "Score", "STYLE_PRESETS",
-    "TabflowError", "Technique", "TechniqueKind", "TestResult", "TrainConfig",
-    "UsageError", "amp_process", "bonferroni", "cfm_loss", "chunk",
-    "convergence_order", "dechunk", "decode", "embed", "encode", "event_pitch",
-    "fad", "friedman", "integrate", "kad", "make_sample", "mos_summary",
-    "normalize_rms", "parse_score", "recon_distance", "render",
-    "serialize_score", "train", "transfer", "wilcoxon_signed_rank",
+    "TabflowError", "Technique", "TechniqueKind", "TestResult", "UsageError",
+    "amp_process", "bonferroni", "cfm_loss", "chunk", "convergence_order",
+    "dechunk", "decode", "embed", "encode", "event_pitch", "fad", "friedman",
+    "integrate", "kad", "make_sample", "mos_summary", "normalize_rms",
+    "parse_score", "recon_distance", "render", "serialize_score", "train",
+    "wilcoxon_signed_rank",
 ]

@@ -64,10 +64,6 @@ def band_edges(n_bands: int = EMBED_DIMS, fmin: float = FMIN_HZ,
     return _mel_inv(np.linspace(_mel(fmin), _mel(fmax), n_bands + 2))
 
 
-def band_centers(n_bands: int = EMBED_DIMS) -> np.ndarray:
-    return band_edges(n_bands)[1:-1]
-
-
 def band_of(freq: float, n_bands: int = EMBED_DIMS) -> int:
     """Index of the band with the strongest triangle response at freq."""
     edges = band_edges(n_bands)

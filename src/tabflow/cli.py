@@ -13,7 +13,6 @@ import csv
 import itertools
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +42,11 @@ def _audio_dir(cfg, style: str) -> Path:
     return _resolve(cfg, cfg.audio_dir) / style
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _load_audio(path: Path) -> AudioBuffer:
+def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
     samples, rate = wavio.read_wav(path)
+    if rate != cfg.sample_rate:
+        raise DataError(f"{path}: sample rate {rate} Hz does not match "
+                        f"config sample_rate {cfg.sample_rate} Hz")
     return AudioBuffer(samples, rate)
 
 
@@ -111,7 +106,7 @@ def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> list[latentcodec
     if not wav.is_file():
         raise DataError(f"missing audio file {wav}")
     return [latentcodec.encode(c, cfg.dims) for c in
-            latentcodec.chunk(_load_audio(wav), cfg.chunk_seconds)]
+            latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds)]
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -137,19 +132,17 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
         raise DataError(f"stems missing in {tgt_dir}: {', '.join(missing)}")
 
     train_stems, test_stems = _train_test_split(cfg, stems)
-    src_latents = _pmap(lambda s: _encode_stem(cfg, SOURCE_STYLE, s), train_stems,
-                        cfg.workers)
-    tgt_latents = _pmap(lambda s: _encode_stem(cfg, TARGET_STYLE, s), train_stems,
-                        cfg.workers)
     pairs = []
-    for stem, src, tgt in zip(train_stems, src_latents, tgt_latents):
+    for stem in train_stems:
+        src = _encode_stem(cfg, SOURCE_STYLE, stem)
+        tgt = _encode_stem(cfg, TARGET_STYLE, stem)
         if len(src) != len(tgt):
             raise DataError(f"chunk count mismatch for {stem}: {len(src)} vs {len(tgt)}")
         pairs.extend(latentcodec.ChunkPair(a, b) for a, b in zip(src, tgt))
 
     t0 = time.perf_counter()
     state = nn.AdamState(lr=cfg.lr)
-    net, history = flowmatch.train(pairs, cfg.train_config(), state=state)
+    net, history = flowmatch.train(pairs, cfg, state=state)
     elapsed = time.perf_counter() - t0
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
@@ -212,24 +205,21 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
         audio = render(parse_score(input_path.read_text()),
                        STYLE_PRESETS[SOURCE_STYLE], cfg.sample_rate)
     else:
-        audio = _load_audio(input_path)
+        audio = _load_audio(cfg, input_path)
 
     chunk_samples = int(round(cfg.chunk_seconds * audio.sample_rate))
     chunks = latentcodec.chunk(audio, cfg.chunk_seconds)
     # full-band analysis; the flow transports the first cfg.dims coefficients
-    # and, unless disabled, the remaining bands pass through from the source
+    # and the remaining high bands pass through from the source unchanged
     full = [latentcodec.encode(c, 1024) for c in chunks]
     states = np.stack([l.frames.T[:cfg.dims] for l in full])
     moved = flowmatch.transfer_batch(net, states, cfg.solver())
 
     pieces = []
     for k in range(moved.shape[0]):
-        if cfg.residual_high_bands:
-            frames = full[k].frames.copy()
-            frames[:, :cfg.dims] = moved[k].T
-            lat = latentcodec.LatentSeq(frames, sample_rate=audio.sample_rate)
-        else:
-            lat = latentcodec.LatentSeq(moved[k].T, sample_rate=audio.sample_rate)
+        frames = full[k].frames.copy()
+        frames[:, :cfg.dims] = moved[k].T
+        lat = latentcodec.LatentSeq(frames, sample_rate=audio.sample_rate)
         decoded = latentcodec.decode(lat).samples
         padded = np.zeros(chunk_samples, dtype=decoded.dtype)
         padded[:len(decoded)] = decoded
@@ -249,12 +239,11 @@ _SYSTEMS = ("render", "guitarflow")
 
 
 def _condition_audio(cfg: PipelineConfig, audio: AudioBuffer, condition: str) -> AudioBuffer:
+    """condition is one of _CONDITIONS, which cmd_eval checks."""
     if condition == "di":
         return audio
-    if condition == "amp":
-        normalized = normalize_rms(audio, cfg.normalize_db)
-        return amp_process(normalized, cfg.amp_drive, cfg.amp_tone_cutoff)
-    raise UsageError(f"unknown condition {condition!r}")
+    normalized = normalize_rms(audio, cfg.normalize_db)
+    return amp_process(normalized, cfg.amp_drive, cfg.amp_tone_cutoff)
 
 
 def _subsample(e: audiodist.EmbeddingSet, limit: int, seed_key: int) -> audiodist.EmbeddingSet:
@@ -287,11 +276,10 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
             raise UsageError(f"unknown condition {condition!r}")
         per_stem: dict[str, dict[str, audiodist.EmbeddingSet]] = {}
         for label, d in dirs.items():
-            def one(stem, d=d, label=label):
-                audio = _condition_audio(cfg, _load_audio(d / f"{stem}.wav"), condition)
-                return audiodist.embed(audio, source_label=f"{label}/{stem}")
-            embeds = _pmap(one, stems, cfg.workers)
-            per_stem[label] = dict(zip(stems, embeds))
+            per_stem[label] = {}
+            for stem in stems:
+                audio = _condition_audio(cfg, _load_audio(cfg, d / f"{stem}.wav"), condition)
+                per_stem[label][stem] = audiodist.embed(audio, source_label=f"{label}/{stem}")
         for system in _SYSTEMS:
             for s in stems:
                 a, b = per_stem[system][s].vectors.shape, per_stem["real"][s].vectors.shape
@@ -355,11 +343,10 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
         raise DataError(f"{ratings_csv}: no rating rows")
 
     alpha_corr = mosstats.bonferroni(alpha, m)
+    tables = {cond: mosstats.RatingTable.from_rows(by_condition[cond])
+              for cond in sorted(by_condition)}
     results = []  # (condition, comparison, TestResult)
-    mos_lines = [f"# config {cfg.hash()}", "# quartiles: inclusive (Tukey hinges)",
-                 "condition,system,mean,median,q1,q3,min,max,n"]
-    for cond in sorted(by_condition):
-        table = mosstats.RatingTable.from_rows(by_condition[cond])
+    for cond, table in tables.items():
         results.append((cond, "all-systems", mosstats.friedman(table)))
         for a, b in itertools.combinations(table.systems, 2):
             res = mosstats.wilcoxon_signed_rank(table.column(a), table.column(b))
@@ -367,10 +354,6 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
                                       df=res.df, alpha_corrected=alpha_corr,
                                       zeros_dropped=res.zeros_dropped)
             results.append((cond, f"{a}-vs-{b}", res))
-        for system, row in mosstats.mos_summary(table).items():
-            mos_lines.append(f"{cond},{system},{row['mean']},{row['median']},"
-                             f"{row['q1']},{row['q3']},{row['min']},{row['max']},"
-                             f"{int(row['n'])}")
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     tests_csv = cfg.workdir / "stats_tests.csv"
@@ -385,7 +368,8 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
                              "" if r.df is None else r.df, repr(r.p_value),
                              "" if r.alpha_corrected is None else f"{r.alpha_corrected:.4f}",
                              r.zeros_dropped, str(r.p_value < threshold).lower()])
-    (cfg.workdir / "mos_summary.csv").write_text("\n".join(mos_lines) + "\n")
+    (cfg.workdir / "mos_summary.csv").write_text(
+        f"# config {cfg.hash()}\n" + mosstats.mos_summary_csv(tables))
 
     print(f"bonferroni: alpha {alpha} / m {m} -> {alpha_corr:.4f}")
     for cond, comp, r in results:

@@ -2,8 +2,9 @@
 module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
 
-_TABLE is the one listing of the keys: each row is (section, key, type,
-default text). The defaults, the PipelineConfig fields and the parsing in
+_TABLE is the one listing of the 23 keys: each row is (section, key, type,
+default text), the type being Path, int, float or str, applied to the text
+as typ(text). The defaults, the PipelineConfig fields and the parsing in
 load_config all derive from it. Defaults stay text exactly as written (for
 example "0.0001"), because the canonical text, and so the hash, is built
 from the raw strings.
@@ -18,7 +19,6 @@ from pathlib import Path
 
 from . import odesolve
 from .errors import UsageError
-from .flowmatch import TrainConfig
 
 _TABLE: tuple[tuple[str, str, type, str], ...] = (
     ("paths", "scores_dir", Path, "scores"),
@@ -26,7 +26,6 @@ _TABLE: tuple[tuple[str, str, type, str], ...] = (
     ("paths", "workdir", Path, "work"),
     ("latentcodec", "dims", int, "64"),
     ("latentcodec", "chunk_seconds", float, "4.0"),
-    ("latentcodec", "residual_high_bands", bool, "true"),
     ("flowmatch", "batch_size", int, "64"),
     ("flowmatch", "lr", float, "0.0001"),
     ("flowmatch", "epochs", int, "50"),
@@ -44,7 +43,6 @@ _TABLE: tuple[tuple[str, str, type, str], ...] = (
     ("synthdata", "n_scores", int, "10"),
     ("synthdata", "score_seconds", float, "60.0"),
     ("cli", "seed", int, "0"),
-    ("cli", "workers", int, "1"),
     ("cli", "train_split", float, "0.9"),
 )
 
@@ -59,12 +57,6 @@ def _field_name(key: str) -> str:
     return "solver_name" if key == "solver" else key
 
 
-def _parse(typ: type, text: str):
-    if typ is bool:
-        return text.lower() in ("1", "true", "yes")
-    return typ(text)
-
-
 _SOLVERS = {
     "euler": lambda cfg: odesolve.Euler(cfg.steps),
     "rk4": lambda cfg: odesolve.RK4(cfg.steps),
@@ -77,12 +69,6 @@ class _PipelineMethods:
 
     def solver(self) -> odesolve.SolverKind:
         return _SOLVERS[self.solver_name](self)  # load_config checked the name
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, lr=self.lr, epochs=self.epochs,
-                           seed=self.seed, dims=self.dims,
-                           chunk_seconds=self.chunk_seconds,
-                           base_channels=self.base_channels)
 
     def canonical_text(self) -> str:
         lines = []
@@ -130,7 +116,7 @@ def load_config(path: str | Path | None = None,
         raw = _merge(raw, overrides)
 
     try:
-        cfg = PipelineConfig(**{_field_name(key): _parse(typ, raw[section][key])
+        cfg = PipelineConfig(**{_field_name(key): typ(raw[section][key])
                                 for section, key, typ, _ in _TABLE}, raw=raw)
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import neuralnet as nn
 from . import odesolve
+from .config import PipelineConfig
 from .errors import DataError, NumericError
-from .latentcodec import ChunkPair, LatentSeq
+from .latentcodec import ChunkPair
 from .neuralnet import tensor as T
 
 
@@ -28,22 +29,6 @@ class FlowSample:
     t: float
     x_t: np.ndarray
     u: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 64
-    lr: float = 1e-4
-    epochs: int = 50
-    seed: int = 0
-    dims: int = 64
-    chunk_seconds: float = 4.0
-    base_channels: int = 32
-
-    def __post_init__(self):
-        if min(self.batch_size, self.epochs, self.dims) < 1 or self.lr <= 0 \
-                or self.chunk_seconds <= 0:
-            raise DataError("train config values must be positive")
 
 
 def make_sample(x0, x1, t: float | None = None,
@@ -98,14 +83,17 @@ def _pad_frame_axis(x: np.ndarray) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (0, target - f)))
 
 
-def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: TrainConfig,
+def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig,
                  state: nn.AdamState | None = None) -> list[tuple[int, int, float]]:
     """Core loop over endpoint arrays [N, ...]; returns (step, epoch, loss) rows.
 
-    Batches are reshuffled every epoch; an epoch runs ceil(n / batch) steps
-    with a ragged final batch (batch size is clamped when the dataset is
-    smaller than one batch). [N, D, F] arrays are padded by _pad_frame_axis.
+    Reads batch_size, lr, epochs and seed from cfg. Batches are reshuffled
+    every epoch; an epoch runs ceil(n / batch) steps with a ragged final
+    batch (batch size is clamped when the dataset is smaller than one batch).
+    [N, D, F] arrays are padded by _pad_frame_axis.
     """
+    if min(cfg.batch_size, cfg.epochs) < 1 or cfg.lr <= 0:
+        raise DataError("train config values must be positive")
     if x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
     n = len(x0)
@@ -140,10 +128,11 @@ def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: TrainConfig,
     return history
 
 
-def train(pairs: list[ChunkPair], cfg: TrainConfig,
+def train(pairs: list[ChunkPair], cfg: PipelineConfig,
           net: nn.VelocityNet | None = None, state: nn.AdamState | None = None):
     """Train a UNet velocity field on content-aligned chunk pairs.
 
+    Reads dims and base_channels from cfg, and train_arrays reads the rest.
     Returns (net, history). Deterministic for a fixed cfg.seed. Pass an
     AdamState to keep the optimizer state after training (checkpointing).
     """
@@ -167,15 +156,6 @@ def input_gain_for(x0: np.ndarray, x1: np.ndarray) -> float:
     """Standardization gain: 1 / pooled RMS of the endpoint latents."""
     rms = float(np.sqrt((np.square(x0).mean() + np.square(x1).mean()) / 2.0))
     return 1.0 / rms if rms > 0 else 1.0
-
-
-def transfer(net, x0: LatentSeq, solver: odesolve.SolverKind | None = None) -> LatentSeq:
-    """Transport one latent sequence through the learned flow ODE."""
-    if solver is None:
-        solver = odesolve.Dopri5()
-    frames = transfer_batch(net, x0.frames.T[None, ...], solver)[0]
-    return LatentSeq(frames.T, frame_hop=x0.frame_hop, frame_len=x0.frame_len,
-                     sample_rate=x0.sample_rate)
 
 
 def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.ndarray:

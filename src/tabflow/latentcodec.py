@@ -34,11 +34,13 @@ _WINDOW = hann_periodic(FRAME_LEN)
 
 @dataclass(frozen=True)
 class LatentSeq:
-    """F x D matrix of per-frame transform coefficients."""
+    """F x D matrix of per-frame transform coefficients.
+
+    The framing is fixed: row k holds the frame of FRAME_LEN samples that
+    starts at sample k * FRAME_HOP.
+    """
 
     frames: np.ndarray
-    frame_hop: int = FRAME_HOP
-    frame_len: int = FRAME_LEN
     sample_rate: int = 44100
 
     def __post_init__(self):
@@ -106,16 +108,16 @@ def decode(latent: LatentSeq) -> AudioBuffer:
     been modified: it tapers frame edges instead of letting the edge
     normalization amplify content the analysis window never produced.
     """
-    coeffs = np.zeros((latent.n_frames, latent.frame_len))
+    coeffs = np.zeros((latent.n_frames, FRAME_LEN))
     coeffs[:, :latent.dims] = latent.frames
     frames = idct(coeffs, type=2, norm="ortho", axis=1) * _WINDOW[None, :]
-    n = (latent.n_frames - 1) * latent.frame_hop + latent.frame_len
+    n = (latent.n_frames - 1) * FRAME_HOP + FRAME_LEN
     out = np.zeros(n)
     weight = np.zeros(n)
     for k in range(latent.n_frames):
-        s = k * latent.frame_hop
-        out[s:s + latent.frame_len] += frames[k]
-        weight[s:s + latent.frame_len] += _WINDOW * _WINDOW
+        s = k * FRAME_HOP
+        out[s:s + FRAME_LEN] += frames[k]
+        weight[s:s + FRAME_LEN] += _WINDOW * _WINDOW
     # interior double coverage keeps sum(w^2) >= 0.5; the floor only tapers
     # the half-frame chunk edges
     out /= np.maximum(weight, 0.25)
@@ -147,8 +149,8 @@ def dechunk(chunks: list[AudioBuffer], original_samples: int) -> AudioBuffer:
 
 def save_latent(path, latent: LatentSeq) -> None:
     """Binary latent record: 5 uint32 LE header, then float32 LE coefficients."""
-    header = struct.pack("<5I", latent.n_frames, latent.dims, latent.frame_hop,
-                         latent.frame_len, latent.sample_rate)
+    header = struct.pack("<5I", latent.n_frames, latent.dims, FRAME_HOP, FRAME_LEN,
+                         latent.sample_rate)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(latent.frames.astype("<f4").tobytes())
@@ -161,7 +163,9 @@ def load_latent(path) -> LatentSeq:
             raise DataError(f"{path}: truncated latent header")
         f, d, hop, flen, rate = struct.unpack("<5I", header)
         data = np.frombuffer(fh.read(), dtype="<f4")
+    if (hop, flen) != (FRAME_HOP, FRAME_LEN):
+        raise DataError(f"{path}: framing hop {hop}, length {flen}; "
+                        f"the codec uses hop {FRAME_HOP}, length {FRAME_LEN}")
     if data.size != f * d:
         raise DataError(f"{path}: expected {f * d} coefficients, found {data.size}")
-    return LatentSeq(data.reshape(f, d).astype(np.float64), frame_hop=hop,
-                     frame_len=flen, sample_rate=rate)
+    return LatentSeq(data.reshape(f, d).astype(np.float64), sample_rate=rate)

@@ -192,13 +192,15 @@ def mos_summary(table: RatingTable) -> dict[str, dict[str, float]]:
     return out
 
 
-def mos_summary_csv(table: RatingTable) -> str:
-    """CSV export for boxplot rendering; quartile convention in the header."""
+def mos_summary_csv(tables: dict[str, RatingTable]) -> str:
+    """CSV export for boxplot rendering: one row per condition and system, in
+    the order of tables; quartile convention in the header."""
     buf = io.StringIO()
     buf.write("# quartiles: inclusive (Tukey hinges)\n")
-    writer = csv.writer(buf)
-    writer.writerow(["system", "mean", "median", "q1", "q3", "min", "max", "n"])
-    for s, row in mos_summary(table).items():
-        writer.writerow([s, row["mean"], row["median"], row["q1"], row["q3"],
-                         row["min"], row["max"], int(row["n"])])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["condition", "system", "mean", "median", "q1", "q3", "min", "max", "n"])
+    for cond, table in tables.items():
+        for s, row in mos_summary(table).items():
+            writer.writerow([cond, s, row["mean"], row["median"], row["q1"], row["q3"],
+                             row["min"], row["max"], int(row["n"])])
     return buf.getvalue()

@@ -135,10 +135,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))

@@ -16,7 +16,7 @@ Modifiers are ``bend:<semitones>``, ``hammer``, ``pull``, ``slide:<fret>``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DataError
@@ -249,14 +249,15 @@ def parse_score(text: str) -> Score:
         except DataError as exc:
             raise ParseError(str(exc), ln) from None
 
-    # events may appear in any line order; overlap is judged on the sorted view
-    tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
-    _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
-
     try:
         return Score(tempo_bpm=tempo, tuning=tuning, events=tuple(e for _, e in tagged))
     except DataError as exc:
-        raise ParseError(str(exc), len(text.splitlines()) or 1) from None
+        message = str(exc)
+    # rerun the overlap check with source lines, so an overlap names its line;
+    # events may appear in any line order, overlap is judged on the sorted view
+    tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
+    _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
+    raise ParseError(message, len(text.splitlines()) or 1)
 
 
 def serialize_score(score: Score) -> str:
@@ -276,7 +277,3 @@ def serialize_score(score: Score) -> str:
             toks.append(t.kind.value)
         out.append(" ".join(toks))
     return "\n".join(out) + "\n"
-
-
-def with_events(score: Score, events) -> Score:
-    return replace(score, events=tuple(events))

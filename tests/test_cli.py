@@ -186,8 +186,8 @@ def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
     recon = {s: v for c, m, s, v in rows if m == "recon"}
 
     def norms(label, stem):
-        a = audiodist.embed(cli._load_audio(dirs["real"] / f"{stem}.wav")).vectors
-        b = audiodist.embed(cli._load_audio(dirs[label] / f"{stem}.wav")).vectors
+        a = audiodist.embed(cli._load_audio(tiny_cfg, dirs["real"] / f"{stem}.wav")).vectors
+        b = audiodist.embed(cli._load_audio(tiny_cfg, dirs[label] / f"{stem}.wav")).vectors
         return np.linalg.norm(a - b, axis=1)
 
     for label in ("render", "guitarflow"):
@@ -243,6 +243,14 @@ def test_stats_condition_column_split(tiny_cfg, tmp_path):
     ratings = _ratings_csv(tmp_path / "r2.csv", with_condition=True)
     results = cli.cmd_stats(tiny_cfg, ratings, m=3)
     assert all(cond == "di" for cond, _, _ in results)
+    lines = (tiny_cfg.workdir / "mos_summary.csv").read_text().split("\n")
+    assert lines[0] == f"# config {tiny_cfg.hash()}"
+    assert "\n".join(lines[1:]) == (
+        "# quartiles: inclusive (Tukey hinges)\n"
+        "condition,system,mean,median,q1,q3,min,max,n\n"
+        "di,guitarflow,3.125,3.0,2.5,4.0,2.0,4.0,24\n"
+        "di,real,4.75,5.0,4.5,5.0,4.0,5.0,24\n"
+        "di,render,1.2916666666666667,1.0,1.0,2.0,1.0,2.0,24\n")
 
 
 def test_stats_empty_csv_rejected(tiny_cfg, tmp_path):
@@ -262,6 +270,16 @@ def test_main_usage_error_is_exit_1(tmp_path):
 
 def test_main_data_error_is_exit_2(tmp_path):
     assert cli.main(["--workdir", str(tmp_path), "train"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "0"), ("lr", "0")])
+def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, key, value):
+    cli.cmd_synthdata(tiny_cfg)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[flowmatch]\n{key} = {value}\n")
+    argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), "train"]
+    assert cli.main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def _short_fmt_wav(path):
@@ -286,6 +304,35 @@ def _noise_wav(path):
     x = np.random.default_rng(3).uniform(-0.5, 0.5, 44100).astype(np.float32)
     wavio.write_wav(path, x, 44100)
     return path
+
+
+def _wav_22050(path):
+    x = np.random.default_rng(4).uniform(-0.5, 0.5, 22050).astype(np.float32)
+    wavio.write_wav(path, x, 22050)
+    return path
+
+
+def test_main_transfer_wrong_sample_rate_is_exit_2(tiny_cfg, tmp_path, capsys):
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    src = _wav_22050(tmp_path / "in.wav")
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    err = capsys.readouterr().err
+    assert f"{src}: sample rate 22050 Hz does not match config sample_rate 44100 Hz" in err
+    assert not out.exists()
+
+
+def test_main_eval_wrong_sample_rate_is_exit_2(tmp_path, capsys):
+    dirs = {label: tmp_path / label for label in ("real", "render", "guitarflow")}
+    for d in dirs.values():
+        d.mkdir()
+        _noise_wav(d / "a.wav")
+    bad = _wav_22050(dirs["guitarflow"] / "a.wav")
+    argv = ["--workdir", str(tmp_path / "work"), "eval", "--real", str(dirs["real"]),
+            "--render", str(dirs["render"]), "--guitarflow", str(dirs["guitarflow"])]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: sample rate 22050 Hz does not match config sample_rate 44100 Hz" in err
 
 
 def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):

@@ -20,19 +20,17 @@ def test_defaults_match_pipeline_settings():
     assert isinstance(cfg.solver(), Dopri5)
     expected = {
         "scores_dir": Path("scores"), "audio_dir": Path("audio"), "workdir": Path("work"),
-        "dims": 64, "chunk_seconds": 4.0, "residual_high_bands": True,
+        "dims": 64, "chunk_seconds": 4.0,
         "batch_size": 64, "lr": 0.0001, "epochs": 50, "base_channels": 32,
         "solver_name": "dopri5", "steps": 100, "rtol": 0.0001, "atol": 0.0001,
         "max_steps": 10000, "sample_rate": 44100, "amp_drive": 6.0,
         "amp_tone_cutoff": 5000.0, "normalize_db": -9.0, "kad_max_frames": 2048,
-        "n_scores": 10, "score_seconds": 60.0, "seed": 0, "workers": 1,
-        "train_split": 0.9,
+        "n_scores": 10, "score_seconds": 60.0, "seed": 0, "train_split": 0.9,
     }
-    assert len(expected) == 25
+    assert len(expected) == 23
     for name, value in expected.items():
         got = getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
-    assert cfg.residual_high_bands is True
 
 
 def test_config_file_overlays_defaults(tmp_path):
@@ -81,7 +79,7 @@ def test_hash_stable_and_sensitive():
     c = load_config(None, {"flowmatch": {"epochs": "49"}})
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
-    assert load_config().hash() == "aa64ef3f360ebb0d"
+    assert load_config().hash() == "454bd2fc9f41682b"
 
 
 def test_with_updates_rederives():
@@ -90,9 +88,3 @@ def test_with_updates_rederives():
     assert cfg2.seed == 7
     assert cfg2.hash() != cfg.hash()
 
-
-def test_train_config_reflects_settings():
-    cfg = load_config(None, {"flowmatch": {"batch_size": "8", "lr": "0.001"}})
-    tc = cfg.train_config()
-    assert tc.batch_size == 8 and tc.lr == pytest.approx(1e-3)
-    assert tc.epochs == 50 and tc.chunk_seconds == 4.0

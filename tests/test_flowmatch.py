@@ -3,12 +3,19 @@ import pytest
 
 import tabflow.neuralnet as nn
 from tabflow import flowmatch, odesolve
+from tabflow.config import load_config
 from tabflow.errors import DataError
 from tabflow.fixtures import gaussian_2d_pairs
-from tabflow.flowmatch import (FlowSample, TrainConfig, cfm_loss, make_sample,
-                               train, train_arrays, transfer, transfer_batch)
+from tabflow.flowmatch import cfm_loss, make_sample, train, train_arrays, transfer_batch
 from tabflow.latentcodec import ChunkPair, LatentSeq
 from tabflow.neuralnet import tensor as T
+
+
+def _cfg(batch_size, lr, epochs, seed):
+    """Pipeline settings with the given training values."""
+    return load_config(None, {
+        "flowmatch": {"batch_size": str(batch_size), "lr": str(lr), "epochs": str(epochs)},
+        "cli": {"seed": str(seed)}})
 
 
 class OracleNet:
@@ -114,14 +121,14 @@ def test_cfm_loss_rejects_empty_batch():
 
 def test_step_arithmetic_single_pair():
     net = nn.DenseVelocityNet(2, hidden=4, seed=0)
-    cfg = TrainConfig(batch_size=64, lr=1e-4, epochs=50, seed=0, dims=2)
+    cfg = _cfg(64, 1e-4, 50, 0)
     hist = train_arrays(net, np.zeros((1, 2)), np.ones((1, 2)), cfg)
     assert len(hist) == 50
 
 
 def test_step_arithmetic_ceil_batches():
     net = nn.DenseVelocityNet(2, hidden=4, seed=0)
-    cfg = TrainConfig(batch_size=4, lr=1e-4, epochs=3, seed=0, dims=2)
+    cfg = _cfg(4, 1e-4, 3, 0)
     hist = train_arrays(net, np.zeros((10, 2)), np.ones((10, 2)), cfg)
     assert len(hist) == 3 * 3  # ceil(10 / 4) = 3 steps per epoch
 
@@ -133,7 +140,7 @@ def test_paper_step_budget_consistency():
 
 def test_training_is_deterministic():
     x0, x1 = gaussian_2d_pairs(64, seed=5)
-    cfg = TrainConfig(batch_size=32, lr=1e-3, epochs=3, seed=9, dims=2)
+    cfg = _cfg(32, 1e-3, 3, 9)
     runs = []
     for _ in range(2):
         net = nn.DenseVelocityNet(2, hidden=8, seed=1)
@@ -142,7 +149,7 @@ def test_training_is_deterministic():
 
 
 def test_train_requires_consistent_pairs():
-    cfg = TrainConfig(dims=64)
+    cfg = load_config()
     with pytest.raises(DataError, match="no training pairs"):
         train([], cfg)
     a = LatentSeq(np.zeros((4, 64)))
@@ -154,11 +161,11 @@ def test_train_requires_consistent_pairs():
 def test_transfer_identity_with_zero_net():
     net = nn.VelocityNet(dims=64, base_channels=4, seed=0)
     rng = np.random.default_rng(6)
-    lat = LatentSeq(rng.standard_normal((40, 64)))
+    states = rng.standard_normal((1, 64, 40))
     for solver in (odesolve.Euler(10), odesolve.Dopri5()):
-        out = transfer(net, lat, solver)
-        np.testing.assert_array_equal(out.frames, lat.frames)
-        assert out.frames.shape == lat.frames.shape
+        out = transfer_batch(net, states, solver)
+        assert out.shape == states.shape
+        np.testing.assert_array_equal(out, states)
 
 
 def test_transfer_constant_velocity_closed_form():
@@ -178,7 +185,7 @@ def test_transfer_constant_velocity_closed_form():
 def test_transfer_solver_agreement_on_trained_toy_net():
     x0, x1 = gaussian_2d_pairs(256, seed=10)
     net = nn.DenseVelocityNet(2, hidden=16, seed=2)
-    cfg = TrainConfig(batch_size=64, lr=5e-3, epochs=40, seed=3, dims=2)
+    cfg = _cfg(64, 5e-3, 40, 3)
     train_arrays(net, x0, x1, cfg)
 
     def velocity(t, y):
@@ -196,7 +203,7 @@ def test_transfer_solver_agreement_on_trained_toy_net():
 def test_loss_history_decreases_on_learnable_problem():
     x0, x1 = gaussian_2d_pairs(512, seed=11)
     net = nn.DenseVelocityNet(2, hidden=32, seed=4)
-    cfg = TrainConfig(batch_size=128, lr=3e-3, epochs=60, seed=5, dims=2)
+    cfg = _cfg(128, 3e-3, 60, 5)
     hist = train_arrays(net, x0, x1, cfg)
     first = np.mean([h[2] for h in hist[:5]])
     last = np.mean([h[2] for h in hist[-5:]])
@@ -206,7 +213,7 @@ def test_loss_history_decreases_on_learnable_problem():
 def test_two_dimensional_transport_sanity():
     x0, x1 = gaussian_2d_pairs(2000, seed=42)
     net = nn.DenseVelocityNet(2, hidden=64, seed=0)
-    cfg = TrainConfig(batch_size=256, lr=3e-3, epochs=250, seed=1, dims=2)
+    cfg = _cfg(256, 3e-3, 250, 1)
     hist = train_arrays(net, x0, x1, cfg)
     assert len(hist) <= 2000
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,9 +152,18 @@ def test_latent_cache_round_trip(tmp_path):
     save_latent(path, lat)
     back = load_latent(path)
     assert back.n_frames == lat.n_frames and back.dims == 64
-    assert back.frame_hop == 512 and back.frame_len == 1024
     assert back.sample_rate == FS
     np.testing.assert_allclose(back.frames, lat.frames.astype(np.float32), rtol=0, atol=0)
+
+
+def test_latent_file_with_other_framing_rejected(tmp_path):
+    path = tmp_path / "x.chunk0.lat"
+    save_latent(path, encode(_noise(8192), 64))
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 256)  # header hop field
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match="hop 256"):
+        load_latent(path)
 
 
 def test_latent_cache_rejects_truncation(tmp_path):

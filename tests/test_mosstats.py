@@ -202,5 +202,5 @@ def test_mos_summary_invariant_to_rater_permutation():
 
 def test_mos_csv_header_documents_quartile_method():
     rows = [("r", "i", "s", 3.0), ("r2", "i", "s", 4.0)]
-    text = mos_summary_csv(RatingTable.from_rows(rows))
+    text = mos_summary_csv({"all": RatingTable.from_rows(rows)})
     assert "Tukey" in text.splitlines()[0]

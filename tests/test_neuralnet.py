@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_gradient_accumulates_for_shared_input():
 @pytest.mark.parametrize("op_name", ["conv1d", "relu", "downsample2", "upsample2",
                                      "concat", "mse", "matmul"])
 def test_per_op_gradients_match_finite_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))  # stable across processes
     x_data = rng.standard_normal((2, 3, 8))
     params = {"x": T.Tensor(x_data, requires_grad=True)}
     if op_name == "conv1d":
