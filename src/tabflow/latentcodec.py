@@ -111,17 +111,23 @@ def decode(latent: LatentSeq) -> AudioBuffer:
     coeffs = np.zeros((latent.n_frames, FRAME_LEN))
     coeffs[:, :latent.dims] = latent.frames
     frames = idct(coeffs, type=2, norm="ortho", axis=1) * _WINDOW[None, :]
-    n = (latent.n_frames - 1) * FRAME_HOP + FRAME_LEN
-    out = np.zeros(n)
-    weight = np.zeros(n)
-    for k in range(latent.n_frames):
-        s = k * FRAME_HOP
-        out[s:s + FRAME_LEN] += frames[k]
-        weight[s:s + FRAME_LEN] += _WINDOW * _WINDOW
+    out = _overlap_add(frames)
+    weight = _overlap_add(np.broadcast_to(_WINDOW * _WINDOW, frames.shape))
     # interior double coverage keeps sum(w^2) >= 0.5; the floor only tapers
     # the half-frame chunk edges
     out /= np.maximum(weight, 0.25)
     return AudioBuffer(out.astype(np.float32), latent.sample_rate)
+
+
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum [F, FRAME_LEN] frames at FRAME_HOP into (F + 1) * FRAME_HOP samples:
+    every hop-long segment is the second half of one frame plus the first
+    half of the next."""
+    halves = frames.reshape(len(frames), 2, FRAME_HOP)
+    out = np.zeros((len(frames) + 1, FRAME_HOP))
+    out[1:] += halves[:, 1]
+    out[:-1] += halves[:, 0]
+    return out.reshape(-1)
 
 
 def chunk(audio: AudioBuffer, seconds: float = 4.0) -> list[AudioBuffer]:

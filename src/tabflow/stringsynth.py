@@ -6,11 +6,21 @@ average. Brightness b sets the blend (y = ((1+b)/2) d1 + ((1-b)/2) d2 around
 a per-trip loss), so b=1 rings bright and b=0 damps highs quickly. Two named
 style presets render the same score with identical musical content but a
 different sound, which is what the flow model trains on.
+
+render runs the string loops of consecutive events together: the notes of a
+group advance in lockstep over note-local time as rows of one float64
+buffer, whose size GROUP_SAMPLES bounds the working set (8 MB), so the
+Python loop runs a few thousand times per score, not once per block of
+every note. Every sample is computed exactly as a loop over one note
+computes it, and the notes are mixed in event order, so the rendered bytes
+do not depend on the grouping.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -25,6 +35,9 @@ VIBRATO_RATE_HZ = 5.5
 VIBRATO_CENTS = 20.0
 PALM_MUTE_DECAY_FACTOR = 0.25
 BASE_T60_SEC = 3.0  # ring time at decay_scale 1.0
+# Samples of the one float64 buffer (8 MB) that holds each lockstep group of
+# consecutive events: every note's guard zeros, delay and output.
+GROUP_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,42 +119,121 @@ def _pitch_curve(f0: float, n: int, dur_samples: int, technique, target_f: float
     return np.full(n, f0)
 
 
-def _synth_string(delay: np.ndarray, a1: float, a2: float, rho: float,
-                  excitation: np.ndarray) -> np.ndarray:
-    """Run the delay-line feedback loop; block size stays under the minimum
-    delay so each block only reads already-computed samples."""
-    n = len(delay)
-    guard = int(np.ceil(delay.max())) + 4
-    y = np.zeros(guard + n)
-    y[guard:guard + len(excitation)] = excitation
-    block = max(1, int(delay.min()) - 4)
-    start = 0
-    while start < n:
-        end = min(n, start + block)
-        pos = np.arange(start, end) - delay[start:end] + guard
+class _Note(NamedTuple):
+    """One event ready for the delay loop, apart from its per-sample delay:
+    where it starts in the score, its loop gain, excitation and pick noise."""
+
+    s0: int
+    rho: float
+    excitation: np.ndarray
+    pick: np.ndarray | None = None
+
+
+class _Row(NamedTuple):
+    """Where one note of a lockstep group sits in the group's buffer."""
+
+    note: _Note
+    first: int   # buffer index of the note's first sample
+    guard: int   # zeros before it: the delay line's reach, plus margin
+    length: int
+    block: int   # longest block the note's smallest delay allows
+
+
+def _synth_group(buf: np.ndarray, rows: list[_Row], a1: float, a2: float
+                 ) -> list[tuple[_Note, np.ndarray]]:
+    """Run the delay-line feedback loops of a group of notes in lockstep over
+    note-local time; returns each note with its samples (views of buf), in
+    the order of rows.
+
+    From row.first on, buf holds the note's output behind the write front
+    and its delay ahead of it. Rows run longest first, so the rows still
+    sounding are a prefix. A block stays under the smallest delay of those
+    rows, so it only reads samples that earlier blocks finished. Each note
+    adds its own guard to the read position, since a shared one would round
+    the fractional delay differently: every sample is computed exactly as a
+    loop over that note alone computes it (past the excitation a zero may
+    come out as -0.0 where that loop gives +0.0; mixing into the score
+    turns both into +0.0).
+    """
+    by_length = sorted(rows, key=lambda row: -row.length)
+    first = np.array([row.first for row in by_length])[:, None]
+    guard = np.array([row.guard for row in by_length])[:, None]
+    lengths = [row.length for row in by_length]
+    # the block the first k rows allow is block[k - 1]
+    block = np.minimum.accumulate([row.block for row in by_length])
+    rho = np.array([row.note.rho for row in by_length])[:, None]
+    excitation = np.zeros((len(rows), max(len(row.note.excitation) for row in rows)))
+    for r, row in enumerate(by_length):
+        excitation[r, :len(row.note.excitation)] = row.note.excitation
+    # gathering at delay-line index i - 1 from buf, buf[1:] and buf[2:]
+    # reads the taps at i - 1, i and i + 1
+    base = first - guard - 1
+    mid, high = buf[1:], buf[2:]
+    guard = guard.astype(np.float64)
+    t_int = np.arange(lengths[0])
+    t_float = t_int.astype(np.float64)
+
+    start, k = 0, len(rows)
+    while True:
+        while k and lengths[k - 1] <= start:
+            k -= 1
+        if not k:
+            break
+        end = min(start + int(block[k - 1]), lengths[k - 1])
+        front = first[:k] + t_int[start:end]
+        pos = (t_float[start:end] - buf[front]) + guard[:k]
         idx = pos.astype(np.int64)
         frac = pos - idx
-        d1 = y[idx] * (1.0 - frac) + y[idx + 1] * frac
-        d2 = y[idx - 1] * (1.0 - frac) + y[idx] * frac
-        y[guard + start:guard + end] += rho * (a1 * d1 + a2 * d2)
+        idx += base[:k]
+        y0, y1, y2 = buf[idx], mid[idx], high[idx]
+        d1 = y1 * (1.0 - frac) + y2 * frac
+        d2 = y0 * (1.0 - frac) + y1 * frac
+        y = rho[:k] * (a1 * d1 + a2 * d2)
+        if start < excitation.shape[1]:
+            burst = excitation[:k, start:end]
+            y[:, :burst.shape[1]] += burst
+        buf[front] = y
         start = end
-    return y[guard:]
+    return [(row.note, buf[row.first:row.first + row.length]) for row in rows]
 
 
-def render(score: Score, style: RenderStyle,
-           sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
-    """Render a score deterministically; same length for every style so that
-    two renders of one score stay sample-aligned."""
-    if not score.events:
-        raise DataError("cannot render an empty score")
-    if sample_rate < 8000:
-        raise DataError(f"sample rate must be >= 8000, got {sample_rate}")
+def _synth_notes(notes: Iterable[tuple[_Note, np.ndarray]], a1: float, a2: float
+                 ) -> Iterator[tuple[_Note, np.ndarray]]:
+    """Synthesize (note, delay) pairs in groups of consecutive notes that fit
+    one buffer of GROUP_SAMPLES samples (a longer note forms a group alone);
+    yields each note with its samples, in input order.
 
+    The samples are a view of the buffer, which the next group reuses: use
+    them before asking for the next note.
+    """
+    buf = np.empty(GROUP_SAMPLES)
+    rows: list[_Row] = []
+    used = 0
+    for note, delay in notes:
+        guard, n = int(np.ceil(delay.max())) + 4, len(delay)
+        if rows and used + guard + n > GROUP_SAMPLES:
+            yield from _synth_group(buf, rows, a1, a2)
+            rows, used = [], 0
+        if guard + n > len(buf):
+            buf = np.empty(guard + n)
+        buf[used:used + guard] = 0.0
+        buf[used + guard:used + guard + n] = delay
+        rows.append(_Row(note, used + guard, guard, n, max(1, int(delay.min()) - 4)))
+        used += guard + n
+    if rows:
+        yield from _synth_group(buf, rows, a1, a2)
+
+
+def _notes(score: Score, style: RenderStyle, sample_rate: int,
+           total: int) -> Iterator[tuple[_Note, np.ndarray]]:
+    """Each event's note and per-sample loop delay, in event order.
+
+    A note draws its random values from its own generator in a fixed order:
+    detune, jitter, excitation, pick noise. Events starting at or after
+    sample `total` are skipped.
+    """
     fs = float(sample_rate)
     spt = score.seconds_per_tick()
-    total = int(round((score.last_offset_ticks * spt + RELEASE_TAIL_SEC) * fs))
-    out = np.zeros(total)
-
     seeds = np.random.SeedSequence(style.excitation_seed).spawn(len(score.events))
     events = list(score.events)
 
@@ -178,10 +270,8 @@ def render(score: Score, style: RenderStyle,
                 f"event pitch {freq.max():.1f} Hz exceeds {fs / 4:.0f} Hz "
                 f"(string {ev.string}, fret {ev.fret} at rate {sample_rate})"
             )
-
         b = style.brightness
         delay = fs / freq - (1.0 - b) / 2.0  # loop filter adds (1-b)/2 samples
-        a1, a2 = (1.0 + b) / 2.0, (1.0 - b) / 2.0
 
         t60 = BASE_T60_SEC * style.decay_scale
         if ev.technique.kind is TechniqueKind.PALM_MUTE:
@@ -198,12 +288,38 @@ def render(score: Score, style: RenderStyle,
             excitation = lfilter([a_lp], [1.0, -(1.0 - a_lp)], excitation)
         excitation = (excitation - excitation.mean()) * amp
 
-        note = _synth_string(delay, a1, a2, rho, excitation)
+        pick = None
         if style.pick_noise_gain:
             m = min(n, int(0.003 * fs))
             fade = np.linspace(1.0, 0.0, m) ** 2
-            note[:m] += style.pick_noise_gain * amp * rng.uniform(-1.0, 1.0, m) * fade
-        out[s0:s0 + n] += note
+            pick = style.pick_noise_gain * amp * rng.uniform(-1.0, 1.0, m) * fade
+        yield _Note(s0, rho, excitation, pick), delay
+
+
+def render(score: Score, style: RenderStyle,
+           sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
+    """Render a score deterministically; same length for every style so that
+    two renders of one score stay sample-aligned.
+
+    Consecutive events are synthesized together in lockstep groups of at
+    most GROUP_SAMPLES buffer samples, then mixed into the score in event
+    order, so the overlapping notes sum in the same order as one note at a
+    time would.
+    """
+    if not score.events:
+        raise DataError("cannot render an empty score")
+    if sample_rate < 8000:
+        raise DataError(f"sample rate must be >= 8000, got {sample_rate}")
+
+    total = int(round((score.last_offset_ticks * score.seconds_per_tick()
+                       + RELEASE_TAIL_SEC) * sample_rate))
+    out = np.zeros(total)
+    b = style.brightness
+    a1, a2 = (1.0 + b) / 2.0, (1.0 - b) / 2.0
+    for note, samples in _synth_notes(_notes(score, style, sample_rate, total), a1, a2):
+        if note.pick is not None:
+            samples[:len(note.pick)] += note.pick
+        out[note.s0:note.s0 + len(samples)] += samples
 
     peak = np.max(np.abs(out))
     if peak > 0.995:

@@ -140,6 +140,21 @@ def test_median_bandwidth_positive():
     assert median_bandwidth(a, b) > 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_median_bandwidth_matches_triu_index_formula(seed):
+    rng = np.random.default_rng(seed)
+    m, n, dims = rng.integers(2, 120, size=2).tolist() + [int(rng.integers(1, 9))]
+    scale = 10.0 ** rng.uniform(-3, 3)
+    a = _set(scale * rng.standard_normal((m, dims)))
+    b = _set(scale * rng.standard_normal((n, dims)) + 0.3)
+    pooled = np.vstack([a.vectors, b.vectors])
+    sq = np.sum(pooled ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
+    iu = np.triu_indices(len(pooled), k=1)
+    expected = float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
+    assert median_bandwidth(a, b) == expected
+
+
 # --- reconstruction distance ---------------------------------------------------
 
 def test_recon_identical_is_zero():

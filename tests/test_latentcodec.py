@@ -3,11 +3,12 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import idct
 
 from tabflow.errors import DataError
 from tabflow.latentcodec import (ChunkPair, LatentSeq, chunk, dechunk, decode,
                                  encode, frame_count, load_latent, save_latent,
-                                 FRAME_LEN, hann_periodic)
+                                 FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
 from tabflow.fixtures import oracle_dct, oracle_pitch, cents_between, rms_db
 
@@ -42,6 +43,30 @@ def test_all_zero_audio_encodes_to_zero_latent():
 def test_all_zero_latent_decodes_to_silence():
     lat = LatentSeq(np.zeros((7, 64)))
     assert np.array_equal(decode(lat).samples, np.zeros(7 * 512 + 512, dtype=np.float32))
+
+
+def loop_decode(latent):
+    """Reference oracle: decode with the frame-by-frame overlap-add loop."""
+    coeffs = np.zeros((latent.n_frames, FRAME_LEN))
+    coeffs[:, :latent.dims] = latent.frames
+    frames = idct(coeffs, type=2, norm="ortho", axis=1) * _WINDOW[None, :]
+    n = (latent.n_frames - 1) * FRAME_HOP + FRAME_LEN
+    out = np.zeros(n)
+    weight = np.zeros(n)
+    for k in range(latent.n_frames):
+        s = k * FRAME_HOP
+        out[s:s + FRAME_LEN] += frames[k]
+        weight[s:s + FRAME_LEN] += _WINDOW * _WINDOW
+    out /= np.maximum(weight, 0.25)
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 40])
+@pytest.mark.parametrize("dims", [64, 1024])
+def test_decode_matches_frame_loop(n_frames, dims):
+    frames = np.random.default_rng(n_frames + dims).standard_normal((n_frames, dims))
+    latent = LatentSeq(frames)
+    assert decode(latent).samples.tobytes() == loop_decode(latent).tobytes()
 
 
 def test_impulse_frame_zero_matches_windowed_dct():

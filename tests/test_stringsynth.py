@@ -1,6 +1,12 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tabflow import stringsynth
 from tabflow.errors import DataError
 from tabflow.fixtures import cents_between, count_onsets, oracle_pitch, rms_db
 from tabflow.stringsynth import (PSEUDO_REAL, SYNTHETIC, AudioBuffer,
@@ -143,6 +149,123 @@ def test_render_stays_in_unit_range():
     events = tuple(NoteEvent(0, 1920, s, 0, velocity=127) for s in range(1, 7))
     audio = render(Score(events=events), PSEUDO_REAL, FS)
     assert np.abs(audio.samples).max() <= 1.0
+
+
+# --- golden digests ------------------------------------------------------------
+
+# Every technique, a four-string chord (8 ms stagger), notes shorter than one
+# synthesis block (3, 5 and 1 ticks) and overlapping notes and tails.
+GOLDEN_SCORE = Score(tempo_bpm=150.0, events=(
+    NoteEvent(0, 480, 6, 0),
+    NoteEvent(0, 480, 5, 2, velocity=110),
+    NoteEvent(0, 480, 4, 2),
+    NoteEvent(0, 480, 3, 1),
+    NoteEvent(480, 960, 2, 5, technique=Technique(TechniqueKind.BEND, bend_semitones=1.5)),
+    NoteEvent(480, 240, 6, 3, technique=Technique(TechniqueKind.PALM_MUTE)),
+    NoteEvent(720, 240, 6, 5, technique=Technique(TechniqueKind.HAMMER_ON)),
+    NoteEvent(960, 240, 5, 7, technique=Technique(TechniqueKind.PULL_OFF)),
+    NoteEvent(1200, 960, 4, 3, technique=Technique(TechniqueKind.SLIDE, slide_to_fret=9)),
+    NoteEvent(1440, 720, 1, 12, velocity=70, technique=Technique(TechniqueKind.VIBRATO)),
+    NoteEvent(2160, 3, 1, 24),
+    NoteEvent(2170, 5, 3, 0),
+    NoteEvent(2200, 1, 6, 0),
+))
+DETUNED = RenderStyle("custom", excitation_seed=5, brightness=0.4, decay_scale=0.8,
+                      detune_cents=7.0, timing_jitter_ms=4.0, pick_noise_gain=0.5,
+                      excitation_cutoff=3000.0)
+# sha256 of render(GOLDEN_SCORE, style, rate).samples as a loop over one note
+# at a time (one_note_loop below) renders them.
+GOLDEN_DIGESTS = {
+    ("synthetic", 22050): "78a381c2ca133a97915d33088eed470fba7a54df8854cf109b1b69bcccca226e",
+    ("synthetic", 44100): "f925796b3183dd557142c5c82400c3768672472f9354c3b936091c9a60484a0c",
+    ("synthetic", 48000): "cca556e0e47c2767211f2dddb5a8bf99a90f1512a399decd3cb244c085eb907c",
+    ("pseudo_real", 22050): "9e9a448775cebd4f7f9120b3c22672fe34e6d2fdf19f2fb8157fef8365776b2b",
+    ("pseudo_real", 44100): "2364a9d9f512619c2897f5e40fef45242fdc667007e9a1964283f0688925ec65",
+    ("pseudo_real", 48000): "ef35de783463743b19f8a3fabef7fd69b8ba1616021c6ec978b60c595b7d9923",
+    ("custom", 22050): "2d320f22be143a393bb8826ffedac3478bb2a6d9f246991648fdd6c99750c452",
+    ("custom", 44100): "892c5cbe380e093e497456601143af1c6ddfd499e88aac63d3f39d50fa4a74a9",
+    ("custom", 48000): "2ee7b70d2b4ca8f90f14448b926d6213194d464ceda57e1318dff4d6073d2538",
+}
+
+
+def test_render_golden_digests():
+    got = {}
+    for style in (SYNTHETIC, PSEUDO_REAL, DETUNED):
+        for rate in (22050, 44100, 48000):
+            samples = render(GOLDEN_SCORE, style, rate).samples
+            got[style.name, rate] = hashlib.sha256(samples.tobytes()).hexdigest()
+    assert got == GOLDEN_DIGESTS
+
+
+# --- lockstep synthesis against the one-note loop -------------------------------
+
+def one_note_loop(delay, a1, a2, rho, excitation):
+    """Reference oracle: the per-note delay-line loop that the lockstep
+    synthesis replaced, as it was."""
+    n = len(delay)
+    guard = int(np.ceil(delay.max())) + 4
+    y = np.zeros(guard + n)
+    y[guard:guard + len(excitation)] = excitation
+    block = max(1, int(delay.min()) - 4)
+    start = 0
+    while start < n:
+        end = min(n, start + block)
+        pos = np.arange(start, end) - delay[start:end] + guard
+        idx = pos.astype(np.int64)
+        frac = pos - idx
+        d1 = y[idx] * (1.0 - frac) + y[idx + 1] * frac
+        d2 = y[idx - 1] * (1.0 - frac) + y[idx] * frac
+        y[guard + start:guard + end] += rho * (a1 * d1 + a2 * d2)
+        start = end
+    return y[guard:]
+
+
+def random_notes(seed, count, brightness):
+    """(rho, excitation, delay) of notes with random lengths; the delays are
+    constant, gliding up in pitch or wobbling, down to the fs/4 pitch bound."""
+    rng = np.random.default_rng(seed)
+    floor = 4.0 - (1.0 - brightness) / 2.0  # the delay at pitch fs/4
+    notes = []
+    for _ in range(count):
+        n = int(rng.integers(1, 1500))
+        t = np.arange(n) / n
+        d0 = floor * (400.0 / floor) ** rng.uniform()
+        shape = rng.integers(3)
+        if shape == 0:
+            delay = np.full(n, d0)
+        elif shape == 1:
+            delay = np.maximum(d0 * 2.0 ** (-rng.uniform(0.0, 3.0) * t), floor)
+        else:
+            delay = np.maximum(d0 * (1.0 + 0.05 * np.sin(2 * np.pi * rng.uniform(1, 8) * t)),
+                               floor)
+        excitation = rng.uniform(-1.0, 1.0, int(rng.integers(1, min(n, 400) + 1)))
+        notes.append((rng.uniform(0.9, 0.9999), excitation, delay))
+    return notes
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6),
+       brightness=st.floats(0.0, 1.0), fill=st.floats(0.05, 1.5))
+@example(seed=7, count=6, brightness=0.0, fill=0.3)
+def test_lockstep_matches_one_note_loop(seed, count, brightness, fill):
+    """Groups of random notes match the one-note loop sample for sample; a
+    buffer smaller than the notes splits them into several groups."""
+    a1, a2 = (1.0 + brightness) / 2.0, (1.0 - brightness) / 2.0
+    notes = random_notes(seed, count, brightness)
+    sizes = [int(np.ceil(delay.max())) + 4 + len(delay) for _, _, delay in notes]
+    budget = max(1, int(fill * sum(sizes)))
+    pairs = [(stringsynth._Note(k, rho, excitation), delay)
+             for k, (rho, excitation, delay) in enumerate(notes)]
+    with mock.patch.object(stringsynth, "GROUP_SAMPLES", budget), \
+            mock.patch.object(stringsynth, "_synth_group",
+                              wraps=stringsynth._synth_group) as group:
+        synthesized = [(note.s0, samples.copy())
+                       for note, samples in stringsynth._synth_notes(pairs, a1, a2)]
+    assert [k for k, _ in synthesized] == list(range(count))
+    for (_, samples), (rho, excitation, delay) in zip(synthesized, notes):
+        np.testing.assert_array_equal(samples, one_note_loop(delay, a1, a2, rho, excitation))
+    if budget < sum(sizes) and count > 1:
+        assert group.call_count >= 2
 
 
 # --- amplifier ---------------------------------------------------------------
