@@ -136,43 +136,55 @@ def fad(a: EmbeddingSet, b: EmbeddingSet) -> float:
     return frechet_gaussian(ga.mean, ga.cov, gb.mean, gb.cov)
 
 
-def median_bandwidth(a: EmbeddingSet, b: EmbeddingSet) -> float:
-    """Median pairwise Euclidean distance over the pooled sets (self pairs excluded)."""
-    pooled = np.vstack([a.vectors, b.vectors])
+def _pooled_sq_dists(pooled: np.ndarray) -> np.ndarray:
+    """[N, N] squared Euclidean distances, sq_i + sq_j - 2 <p_i, p_j>.
+
+    Built in place on the Gram matrix; the sum is commutative, so the values
+    are those of the three-term formula bit for bit.
+    """
     sq = np.sum(pooled ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
+    d2 = pooled @ pooled.T
+    d2 *= -2.0
+    for r in range(0, len(d2), 256):
+        d2[r:r + 256] += sq[r:r + 256, None] + sq[None, :]
+    return d2
+
+
+def _median_upper(d2: np.ndarray) -> float:
+    """Median of sqrt(max(d2, 0)) over the strict upper triangle; 1.0 if 0."""
     # a boolean mask picks the upper triangle in the same row-major order as
     # index arrays would, at an eighth of their memory
     dist = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
-    del d2
     np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
     med = float(np.median(dist, overwrite_input=True))
     return med if med > 0.0 else 1.0
+
+
+def median_bandwidth(a: EmbeddingSet, b: EmbeddingSet) -> float:
+    """Median pairwise Euclidean distance over the pooled sets (self pairs excluded)."""
+    return _median_upper(_pooled_sq_dists(np.vstack([a.vectors, b.vectors])))
 
 
 def kad(a: EmbeddingSet, b: EmbeddingSet, bandwidth: float | None = None) -> float:
     """Unbiased squared MMD with Gaussian RBF kernel exp(-d^2 / (2 sigma^2)).
 
     May be slightly negative near zero; that is the unbiased estimator, not a
-    bug. sigma defaults to the median heuristic.
+    bug. sigma defaults to the median heuristic, taken from the same pooled
+    distance matrix whose blocks become the kernel values.
     """
     if a.vectors.shape[1] != b.vectors.shape[1]:
         raise DataError("embedding dims differ")
     if len(a) < 2 or len(b) < 2:
         raise DataError("need at least 2 vectors per set")
-    sigma = median_bandwidth(a, b) if bandwidth is None else float(bandwidth)
+    d2 = _pooled_sq_dists(np.vstack([a.vectors, b.vectors]))
+    sigma = _median_upper(d2) if bandwidth is None else float(bandwidth)
     gamma = 1.0 / (2.0 * sigma * sigma)
-
-    def gram(x, y):
-        sx = np.sum(x ** 2, axis=1)
-        sy = np.sum(y ** 2, axis=1)
-        d2 = sx[:, None] + sy[None, :] - 2.0 * (x @ y.T)
-        return np.exp(-gamma * np.clip(d2, 0.0, None))
-
-    kaa = gram(a.vectors, a.vectors)
-    kbb = gram(b.vectors, b.vectors)
-    kab = gram(a.vectors, b.vectors)
     m, n = len(a), len(b)
+    kaa, kbb, kab = d2[:m, :m], d2[m:, m:], d2[:m, m:]
+    for block in (kaa, kbb, kab):
+        np.clip(block, 0.0, None, out=block)
+        block *= -gamma
+        np.exp(block, out=block)
     term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
     term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
     return float(term_a + term_b - 2.0 * kab.mean())

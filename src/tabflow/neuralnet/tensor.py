@@ -4,6 +4,11 @@ Covers exactly the operator set the velocity networks need: elementwise
 arithmetic, ReLU, matmul, 1-D convolution, stride-2 down/upsampling, channel
 concatenation, and scalar reductions. Every op output is checked for NaN/Inf
 and aborts naming the op when one appears.
+
+The convolution lays its input out channel-major, [Cin, B*(L+2p)] with each
+sample between its own 2p zero columns, and sums K shifted GEMMs over that
+one buffer; the zeros keep every shift inside its sample. backward() frees
+the graph it walks, so a loss can be differentiated once.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import contextlib
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NumericError
 
@@ -87,14 +91,21 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        # walk in reverse topological order, dropping each op node's links
+        # once its closure has run, so activations and saved buffers are
+        # freed as the walk goes; a second backward() finds an untracked loss
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            backward = node._backward
+            if backward is None:
+                if g is not None:
+                    node.grad += g
+                continue
+            node._parents, node._backward, node.requires_grad = (), None, False
             if g is None:
                 continue
-            if node._backward is None:
-                node.grad += g
-                continue
-            for parent, pg in node._backward(g):
+            for parent, pg in backward(g):
                 if not parent.requires_grad:
                     continue
                 if id(parent) in grads:
@@ -174,38 +185,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, "matmul", (a, b), backward)
 
 
-def _im2col(arr: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """[B, C, L] -> contiguous [B*L, C*K] patch matrix."""
-    b, c, length = arr.shape
-    padded = np.pad(arr, ((0, 0), (0, 0), (pad, pad)))
-    cols = sliding_window_view(padded, k, axis=2)  # [B, C, L', K]
-    return np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(
-        b * cols.shape[2], c * k)
+def _pad_channel_major(arr: np.ndarray, pad: int) -> np.ndarray:
+    """[B, C, L] -> [C, B*(L+2*pad)]: each sample's columns between its own zeros."""
+    batch, c, length = arr.shape
+    buf = np.zeros((c, batch, length + 2 * pad), dtype=arr.dtype)
+    buf[:, :, pad:pad + length] = arr.transpose(1, 0, 2)
+    return buf.reshape(c, -1)
+
+
+def _shifted_gemm(wk: np.ndarray, buf: np.ndarray, batch: int, length: int) -> np.ndarray:
+    """[B, Cout, L] with y[b, :, l] = sum_k wk[k] @ buf[:, b*span + l + k].
+
+    wk is [K, Cout, Cin] and buf a `_pad_channel_major` buffer of span
+    L + K - 1 per sample. The last K - 1 columns of the padded output are
+    never written and never read.
+    """
+    k, c_out, _ = wk.shape
+    n = buf.shape[1] - (k - 1)
+    full = np.empty((c_out, buf.shape[1]), dtype=np.result_type(wk, buf))
+    acc = full[:, :n]
+    np.matmul(wk[0], buf[:, :n], out=acc)
+    for i in range(1, k):
+        acc += wk[i] @ buf[:, i:i + n]
+    cropped = full.reshape(c_out, batch, -1)[:, :, :length]
+    return np.ascontiguousarray(cropped.transpose(1, 0, 2))
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Same-length 1-D convolution, stride 1, odd kernel, zero padding.
 
-    x: [B, Cin, L]; w: [Cout, Cin, K]; b: [Cout]. One GEMM each for the
-    output, the weight gradient, and the input gradient.
+    x: [B, Cin, L]; w: [Cout, Cin, K]; b: [Cout]. The input is laid out
+    channel-major as [Cin, B*(L+2p)], p = K//2, each sample between its own
+    2p zeros, and the output is the sum of K GEMMs W[:, :, k] @ (buffer
+    shifted by k). An output column reads at most 2p columns past its
+    sample's start, all inside that sample's span, so samples never mix.
+    Backward pads the upstream gradient the same way: the input gradient is
+    the same shifted sum with the flipped, transposed kernel (skipped when x
+    is untracked), and each weight tap is one GEMM of the gradient with the
+    shifted input.
     """
-    batch, c_in, length = x.data.shape
-    c_out, _, k = w.data.shape
+    batch, _, length = x.data.shape
+    k = w.data.shape[2]
     pad = k // 2
-    cols = _im2col(x.data, k, pad)                       # [B*L, Cin*K]
-    out = (cols @ w.data.reshape(c_out, c_in * k).T)     # [B*L, Cout]
-    out = np.ascontiguousarray(out.reshape(batch, length, c_out).transpose(0, 2, 1))
+    xf = _pad_channel_major(x.data, pad)                    # [Cin, B*(L+2p)]
+    out = _shifted_gemm(np.ascontiguousarray(w.data.transpose(2, 0, 1)), xf,
+                        batch, length)
     if b is not None:
         out += b.data[None, :, None]
 
     def backward(g):
-        g2d = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * length, c_out)
-        gw = (g2d.T @ cols).reshape(c_out, c_in, k)
-        gcols = _im2col(g, k, k - 1 - pad)               # [B*L, Cout*K]
-        wf = np.ascontiguousarray(
-            w.data[:, :, ::-1].transpose(0, 2, 1)).reshape(c_out * k, c_in)
-        gx = (gcols @ wf).reshape(batch, length, c_in).transpose(0, 2, 1)
-        grads = [(x, np.ascontiguousarray(gx)), (w, gw)]
+        gf = _pad_channel_major(g, pad)                     # [Cout, B*(L+2p)]
+        n = xf.shape[1] - 2 * pad
+        g_valid = gf[:, pad:pad + n]
+        gw = np.stack([g_valid @ xf[:, i:i + n].T for i in range(k)], axis=2)
+        grads = [(w, gw)]
+        if x.requires_grad:
+            wt = np.ascontiguousarray(w.data[:, :, ::-1].transpose(2, 1, 0))
+            grads.append((x, _shifted_gemm(wt, gf, batch, length)))
         if b is not None:
             grads.append((b, g.sum(axis=(0, 2))))
         return grads

@@ -155,6 +155,30 @@ def test_median_bandwidth_matches_triu_index_formula(seed):
     assert median_bandwidth(a, b) == expected
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kad_matches_three_gram_formula(seed):
+    """kad takes sigma and its three kernel blocks from one pooled distance
+    matrix; it equals three separate Gram matrices under the same sigma, and
+    its default sigma is median_bandwidth's exactly."""
+    rng = np.random.default_rng(seed)
+    m, n, dims = rng.integers(2, 300, size=2).tolist() + [int(rng.integers(1, 9))]
+    a = _set(rng.standard_normal((m, dims)))
+    b = _set(rng.standard_normal((n, dims)) + 0.3)
+    sigma = median_bandwidth(a, b)
+    assert kad(a, b) == kad(a, b, bandwidth=sigma)
+
+    def gram(x, y):
+        d2 = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
+              - 2.0 * (x @ y.T))
+        return np.exp(-np.clip(d2, 0.0, None) / (2.0 * sigma * sigma))
+
+    kaa, kbb = gram(a.vectors, a.vectors), gram(b.vectors, b.vectors)
+    expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
+                + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
+                - 2.0 * gram(a.vectors, b.vectors).mean())
+    assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 # --- reconstruction distance ---------------------------------------------------
 
 def test_recon_identical_is_zero():

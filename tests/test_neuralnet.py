@@ -1,7 +1,11 @@
+import weakref
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import tabflow.neuralnet as nn
 from tabflow import flowmatch
@@ -96,6 +100,80 @@ def test_per_op_gradients_match_finite_differences(op_name):
 
     worst = nn.finite_difference_check(loss_fn, params, n_coords=25, seed=1)
     assert worst < 1e-4
+
+
+def _im2col(arr, k, pad):
+    """[B, C, L] -> contiguous [B*L, C*K] patch matrix."""
+    b, c, _ = arr.shape
+    padded = np.pad(arr, ((0, 0), (0, 0), (pad, pad)))
+    cols = sliding_window_view(padded, k, axis=2)  # [B, C, L', K]
+    return np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(
+        b * cols.shape[2], c * k)
+
+
+def _im2col_conv1d(x, w, b, g):
+    """Reference im2col convolution: output, gx, gw, gb for upstream g."""
+    batch, c_in, length = x.shape
+    c_out, _, k = w.shape
+    pad = k // 2
+    cols = _im2col(x, k, pad)
+    out = (cols @ w.reshape(c_out, c_in * k).T).reshape(batch, length, c_out)
+    out = out.transpose(0, 2, 1) + b[None, :, None]
+    g2d = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(batch * length, c_out)
+    gw = (g2d.T @ cols).reshape(c_out, c_in, k)
+    gcols = _im2col(g, k, k - 1 - pad)
+    wf = np.ascontiguousarray(w[:, :, ::-1].transpose(0, 2, 1)).reshape(c_out * k, c_in)
+    gx = (gcols @ wf).reshape(batch, length, c_in).transpose(0, 2, 1)
+    return out, gx, gw, g.sum(axis=(0, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 5), c_in=st.integers(1, 8),
+       c_out=st.integers(1, 8), k=st.sampled_from([1, 3, 5]), length=st.integers(1, 40),
+       dtype=st.sampled_from([np.float64, np.float32]))
+@example(seed=0, batch=3, c_in=2, c_out=4, k=5, length=2, dtype=np.float64)
+@example(seed=1, batch=1, c_in=1, c_out=1, k=5, length=1, dtype=np.float32)
+def test_conv1d_matches_im2col_oracle(seed, batch, c_in, c_out, k, length, dtype):
+    """Shifted-GEMM conv1d equals the im2col oracle in forward and all three
+    gradients, for L below K too and whichever samples share the buffer."""
+    rng = np.random.default_rng(seed)
+    x, g = (rng.standard_normal(s).astype(dtype)
+            for s in ((batch, c_in, length), (batch, c_out, length)))
+    w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv1d(xt, wt, bt)
+    grads = {id(p): pg for p, pg in out._backward(g)}
+    rtol = 1e-10 if dtype == np.float64 else 1e-5
+    for got, want in zip((out.data, grads[id(xt)], grads[id(wt)], grads[id(bt)]),
+                         _im2col_conv1d(x, w, b, g)):
+        assert got.shape == want.shape and got.dtype == dtype
+        # entries that cancel to near zero get the scale of the terms summed
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=rtol * max(1.0, np.abs(want).max()))
+
+
+def test_conv1d_skips_input_gradient_of_untracked_input():
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.standard_normal((2, 3, 8)))
+    w = T.Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+    out = T.conv1d(x, w)
+    parents = [p for p, _ in out._backward(np.ones((2, 4, 8)))]
+    assert all(p is not x for p in parents) and any(p is w for p in parents)
+
+
+def test_backward_releases_graph_and_runs_once():
+    w = T.Tensor(np.random.default_rng(0).standard_normal((4, 3, 3)), requires_grad=True)
+    hidden = T.relu(T.conv1d(T.Tensor(np.ones((2, 3, 8))), w))
+    activation = weakref.ref(hidden.data)
+    loss = T.mean(T.mul(hidden, hidden))
+    del hidden
+    assert activation() is not None  # the graph holds it until backward
+    loss.backward()
+    assert activation() is None
+    assert np.any(w.grad != 0)
+    with pytest.raises(NumericError, match="untracked"):
+        loss.backward()
 
 
 def test_small_unet_gradcheck_against_finite_differences():
