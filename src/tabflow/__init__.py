@@ -13,7 +13,7 @@ from .tabscore import (NoteEvent, Score, Technique, TechniqueKind, event_pitch,
                        parse_score, serialize_score)
 from .stringsynth import (AudioBuffer, RenderStyle, STYLE_PRESETS, amp_process,
                           normalize_rms, render)
-from .latentcodec import ChunkPair, LatentSeq, chunk, dechunk, decode, encode
+from .latentcodec import LatentSeq, chunk, dechunk, decode, encode
 from .flowmatch import FlowSample, cfm_loss, make_sample, train
 from .odesolve import Dopri5, Euler, OdeTrace, RK4, convergence_order, integrate
 from .audiodist import EmbeddingSet, embed, fad, kad, recon_distance
@@ -23,7 +23,7 @@ from .mosstats import (RatingTable, TestResult, bonferroni, friedman,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioBuffer", "ChunkPair", "DataError", "Dopri5", "EmbeddingSet", "Euler",
+    "AudioBuffer", "DataError", "Dopri5", "EmbeddingSet", "Euler",
     "FlowSample", "LatentSeq", "NoteEvent", "NumericError", "OdeTrace",
     "RatingTable", "RenderStyle", "RK4", "Score", "STYLE_PRESETS",
     "TabflowError", "Technique", "TechniqueKind", "TestResult", "UsageError",

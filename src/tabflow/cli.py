@@ -101,12 +101,13 @@ def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
 
 # -------------------------------------------------------------------- train
 
-def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> list[latentcodec.LatentSeq]:
+def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
+    """[chunks, dims, frames] latents of one stem, in the UNet's channel layout."""
     wav = _audio_dir(cfg, style) / f"{stem}.wav"
     if not wav.is_file():
         raise DataError(f"missing audio file {wav}")
-    return [latentcodec.encode(c, cfg.dims) for c in
-            latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds)]
+    return np.stack([latentcodec.encode(c, cfg.dims).frames.T for c in
+                     latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds)])
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -132,17 +133,18 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
         raise DataError(f"stems missing in {tgt_dir}: {', '.join(missing)}")
 
     train_stems, test_stems = _train_test_split(cfg, stems)
-    pairs = []
+    sources, targets = [], []
     for stem in train_stems:
         src = _encode_stem(cfg, SOURCE_STYLE, stem)
         tgt = _encode_stem(cfg, TARGET_STYLE, stem)
         if len(src) != len(tgt):
             raise DataError(f"chunk count mismatch for {stem}: {len(src)} vs {len(tgt)}")
-        pairs.extend(latentcodec.ChunkPair(a, b) for a, b in zip(src, tgt))
+        sources.append(src)
+        targets.append(tgt)
 
     t0 = time.perf_counter()
-    state = nn.AdamState(lr=cfg.lr)
-    net, history = flowmatch.train(pairs, cfg, state=state)
+    net, state, history = flowmatch.train(np.concatenate(sources),
+                                          np.concatenate(targets), cfg)
     elapsed = time.perf_counter() - t0
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
@@ -173,10 +175,14 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
 
 def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
     params, _, echo = nn.load_checkpoint(checkpoint)
-    dims = int(echo.get("dims", 64))
-    base = int(echo.get("base_channels", 32))
-    net = nn.VelocityNet(dims, base_channels=base, seed=int(echo.get("seed", 0)),
-                         input_gain=float(echo.get("input_gain", 1.0)))
+    for key in ("dims", "base_channels", "input_gain"):
+        value = echo.get(key)
+        if type(value) not in (int, float) or not 0 < value < np.inf:  # NaN fails too
+            raise DataError(f"{checkpoint}: config echo needs a positive number for "
+                            f"{key!r}, got {value!r}")
+    # every weight is overwritten below, so the init seed does not matter
+    net = nn.VelocityNet(int(echo["dims"]), base_channels=int(echo["base_channels"]),
+                         input_gain=echo["input_gain"])
     missing = [name for name in net.params if name not in params]
     if missing:
         raise DataError(f"{checkpoint}: checkpoint lacks parameters {', '.join(missing)}")

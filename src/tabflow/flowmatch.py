@@ -1,9 +1,10 @@
 """Rectified-flow training and transport over paired latent chunks.
 
 Training regresses a velocity field v(t, x_t) onto the constant target
-velocity x1 - x0 along the straight interpolant x_t = (1-t) x0 + t x1; the
-loss is the mean squared error over batch and elements. Transport solves
-dx/dt = v(t, x) from t=0 to t=1.
+velocity x1 - x0 along the straight interpolant x_t = (1-t) x0 + t x1, built
+for a whole [B, D, F] batch in one broadcast; the loss is the mean squared
+error over batch and elements. Transport solves dx/dt = v(t, x) from t=0 to
+t=1.
 """
 
 from __future__ import annotations
@@ -16,60 +17,49 @@ from . import neuralnet as nn
 from . import odesolve
 from .config import PipelineConfig
 from .errors import DataError, NumericError
-from .latentcodec import ChunkPair
 from .neuralnet import tensor as T
 
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One training draw: endpoints, time, interpolant, target velocity."""
+    """One training batch: times [B], interpolants and target velocities [B, ...]."""
 
-    x0: np.ndarray
-    x1: np.ndarray
-    t: float
+    t: np.ndarray
     x_t: np.ndarray
     u: np.ndarray
 
 
-def make_sample(x0, x1, t: float | None = None,
-                rng: np.random.Generator | None = None) -> FlowSample:
-    """Build the interpolant x_t and target velocity u = x1 - x0.
+def make_sample(x0, x1, t) -> FlowSample:
+    """Build the interpolants x_t and target velocities u = x1 - x0 of a batch.
 
-    t is drawn uniformly from [0, 1] when omitted and an rng is given.
+    x0 and x1 are [B, ...] endpoints and t is [B] times in [0, 1]; row i gets
+    x_t[i] = (1 - t[i]) x0[i] + t[i] x1[i].
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     if x0.shape != x1.shape:
         raise DataError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-    if t is None:
-        if rng is None:
-            raise DataError("need an explicit t or an rng to draw one")
-        t = float(rng.uniform())
-    if not 0.0 <= t <= 1.0:
+    if t.shape != x0.shape[:1]:
+        raise DataError(f"need one t per pair, got t {t.shape} for endpoints {x0.shape}")
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DataError(f"t must be in [0, 1], got {t}")
-    return FlowSample(x0=x0, x1=x1, t=t, x_t=(1.0 - t) * x0 + t * x1, u=x1 - x0)
+    tb = t.reshape((-1,) + (1,) * (x0.ndim - 1))
+    return FlowSample(t=t, x_t=(1.0 - tb) * x0 + tb * x1, u=x1 - x0)
 
 
-def cfm_loss(net, samples: list[FlowSample], dtype=np.float32) -> T.Tensor:
+def cfm_loss(net, sample: FlowSample) -> T.Tensor:
     """Mean over batch and elements of ||v(t, x_t) - (x1 - x0)||^2.
 
     net may be any callable taking (states, times) Tensors and returning a
-    Tensor of matching shape.
+    Tensor of matching shape; the sample is cast to its dtype.
     """
-    if not samples:
+    if len(sample.t) == 0:
         raise DataError("empty batch")
-    x_t = T.Tensor(np.stack([s.x_t for s in samples]).astype(dtype))
-    u = T.Tensor(np.stack([s.u for s in samples]).astype(dtype))
-    t = T.Tensor(np.array([s.t for s in samples], dtype=dtype))
-    v = net(x_t, t)
-    return T.mse(v, u)
-
-
-def _stack_pairs(pairs: list[ChunkPair]) -> tuple[np.ndarray, np.ndarray]:
-    """ChunkPairs to [N, D, F] arrays (net layout: channels = latent dims)."""
-    x0 = np.stack([p.source.frames.T for p in pairs])
-    x1 = np.stack([p.target.frames.T for p in pairs])
-    return x0, x1
+    x_t = T.Tensor(sample.x_t.astype(net.dtype))
+    u = T.Tensor(sample.u.astype(net.dtype))
+    t = T.Tensor(sample.t.astype(net.dtype))
+    return T.mse(net(x_t, t), u)
 
 
 def _pad_frame_axis(x: np.ndarray) -> np.ndarray:
@@ -83,73 +73,50 @@ def _pad_frame_axis(x: np.ndarray) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (0, target - f)))
 
 
-def train_arrays(net, x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig,
-                 state: nn.AdamState | None = None) -> list[tuple[int, int, float]]:
-    """Core loop over endpoint arrays [N, ...]; returns (step, epoch, loss) rows.
+def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
+    """Fit a velocity field to paired endpoints by rectified flow matching.
 
-    Reads batch_size, lr, epochs and seed from cfg. Batches are reshuffled
-    every epoch; an epoch runs ceil(n / batch) steps with a ragged final
-    batch (batch size is clamped when the dataset is smaller than one batch).
-    [N, D, F] arrays are padded by _pad_frame_axis.
+    x0 and x1 are [N, ...] source and target arrays; [N, D, F] latents are
+    zero-padded on the frame axis by _pad_frame_axis. With no net, builds a
+    VelocityNet from cfg (dims, base_channels, seed) whose input_gain comes
+    from the unpadded endpoints. Reads batch_size, lr, epochs and seed from
+    cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
+    steps with a ragged final batch (the batch is clamped to N).
+    Deterministic for a fixed cfg.seed. Returns (net, AdamState, history),
+    with history rows (step, epoch, loss).
     """
     if min(cfg.batch_size, cfg.epochs) < 1 or cfg.lr <= 0:
         raise DataError("train config values must be positive")
     if x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
+    if net is None:
+        net = nn.VelocityNet(cfg.dims, base_channels=cfg.base_channels, seed=cfg.seed,
+                             input_gain=input_gain_for(x0, x1))
     n = len(x0)
     batch = min(cfg.batch_size, n)
     steps_per_epoch = -(-n // batch)
     rng = np.random.default_rng(cfg.seed)
-    if state is None:
-        state = nn.AdamState(lr=cfg.lr)
+    state = nn.AdamState(lr=cfg.lr)
     params = net.parameters()
-    dtype = net.dtype if hasattr(net, "dtype") else np.float32
 
     x0, x1 = _pad_frame_axis(x0), _pad_frame_axis(x1)
 
     history: list[tuple[int, int, float]] = []
-    step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch:(b + 1) * batch]
-            ts = rng.uniform(size=len(idx))
-            samples = [make_sample(x0[i], x1[i], float(t)) for i, t in zip(idx, ts)]
+            sample = make_sample(x0[idx], x1[idx], rng.uniform(size=len(idx)))
             for p in params.values():
                 p.zero_grad()
             try:
-                loss = cfm_loss(net, samples, dtype=dtype)
+                loss = cfm_loss(net, sample)
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from exc
             loss.backward()
             nn.adam_step(params, state)
-            history.append((step, epoch, loss.item()))
-            step += 1
-    return history
-
-
-def train(pairs: list[ChunkPair], cfg: PipelineConfig,
-          net: nn.VelocityNet | None = None, state: nn.AdamState | None = None):
-    """Train a UNet velocity field on content-aligned chunk pairs.
-
-    Reads dims and base_channels from cfg, and train_arrays reads the rest.
-    Returns (net, history). Deterministic for a fixed cfg.seed. Pass an
-    AdamState to keep the optimizer state after training (checkpointing).
-    """
-    if not pairs:
-        raise DataError("no training pairs")
-    dims = pairs[0].source.dims
-    if any(p.source.dims != dims or p.source.n_frames != pairs[0].source.n_frames
-           for p in pairs):
-        raise DataError("training pairs must share one latent shape")
-    if dims != cfg.dims:
-        raise DataError(f"latent dims {dims} do not match config dims {cfg.dims}")
-    x0, x1 = _stack_pairs(pairs)
-    if net is None:
-        net = nn.VelocityNet(dims, base_channels=cfg.base_channels, seed=cfg.seed,
-                             input_gain=input_gain_for(x0, x1))
-    history = train_arrays(net, x0, x1, cfg, state=state)
-    return net, history
+            history.append((len(history), epoch, loss.item()))
+    return net, state, history
 
 
 def input_gain_for(x0: np.ndarray, x1: np.ndarray) -> float:
@@ -167,12 +134,11 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.n
     b, d, f = states.shape
     padded = _pad_frame_axis(states)
     target = padded.shape[-1]
-    net_dtype = net.dtype if hasattr(net, "dtype") else np.float32
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:
         with nn.no_grad():
-            x = T.Tensor(y.reshape(b, d, target).astype(net_dtype))
-            tt = T.Tensor(np.full(b, t, dtype=net_dtype))
+            x = T.Tensor(y.reshape(b, d, target).astype(net.dtype))
+            tt = T.Tensor(np.full(b, t, dtype=net.dtype))
             return net(x, tt).data.astype(y.dtype).reshape(-1)
 
     trace = odesolve.integrate(velocity, padded.reshape(-1), (0.0, 1.0), solver)

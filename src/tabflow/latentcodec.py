@@ -62,20 +62,6 @@ class LatentSeq:
         return self.frames.shape[1]
 
 
-@dataclass(frozen=True)
-class ChunkPair:
-    """Content-aligned source and target latents of identical shape."""
-
-    source: LatentSeq
-    target: LatentSeq
-
-    def __post_init__(self):
-        if self.source.frames.shape != self.target.frames.shape:
-            raise DataError(
-                f"pair shapes differ: {self.source.frames.shape} vs {self.target.frames.shape}"
-            )
-
-
 def frame_count(n_samples: int) -> int:
     """Number of full analysis frames in n_samples."""
     if n_samples < FRAME_LEN:
@@ -97,7 +83,8 @@ def encode(audio: AudioBuffer, dims: int = 64) -> LatentSeq:
     if dims not in LATENT_DIMS:
         raise DataError(f"dims must be one of {LATENT_DIMS}, got {dims}")
     coeffs = dct(windowed_frames(audio), type=2, norm="ortho", axis=1)
-    return LatentSeq(coeffs[:, :dims], sample_rate=audio.sample_rate)
+    # an owned copy, so a 64-dim latent does not keep the full DCT alive
+    return LatentSeq(coeffs[:, :dims].copy(), sample_rate=audio.sample_rate)
 
 
 def decode(latent: LatentSeq) -> AudioBuffer:

@@ -1,12 +1,11 @@
-"""Tensor engine, velocity networks, Adam, checkpoints."""
+"""Tensor engine, UNet velocity network, Adam, checkpoints."""
 
 from .tensor import Tensor, no_grad
-from .unet import VelocityNet, DenseVelocityNet
+from .unet import VelocityNet
 from .optim import AdamState, adam_step
 from .checkpoint import save_checkpoint, load_checkpoint
-from .gradcheck import finite_difference_check
 
 __all__ = [
-    "Tensor", "no_grad", "VelocityNet", "DenseVelocityNet", "AdamState",
-    "adam_step", "save_checkpoint", "load_checkpoint", "finite_difference_check",
+    "Tensor", "no_grad", "VelocityNet", "AdamState", "adam_step",
+    "save_checkpoint", "load_checkpoint",
 ]

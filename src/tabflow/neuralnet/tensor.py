@@ -1,9 +1,10 @@
 """Small reverse-mode autodiff engine over numpy arrays.
 
-Covers exactly the operator set the velocity networks need: elementwise
-arithmetic, ReLU, matmul, 1-D convolution, stride-2 down/upsampling, channel
-concatenation, and scalar reductions. Every op output is checked for NaN/Inf
-and aborts naming the op when one appears.
+The UNet velocity field needs 1-D convolution, ReLU, scaling, channel
+concatenation, stride-2 down/upsampling and the MSE loss; the remaining ops
+(elementwise add/sub/mul, matmul, mean, sum) serve the tests' toy networks
+and gradient checks. Every op output is checked for NaN/Inf and aborts
+naming the op when one appears.
 
 The convolution lays its input out channel-major, [Cin, B*(L+2p)] with each
 sample between its own 2p zero columns, and sums K shifted GEMMs over that
@@ -36,7 +37,8 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    # one reduction; a finite array whose sum overflows falls to the full test
+    if not np.isfinite(data.sum()) and not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 

@@ -94,36 +94,3 @@ class VelocityNet:
             h = T.relu(T.conv1d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"]))
         return T.conv1d(h, self.params["out.w"], self.params["out.b"])
 
-
-class DenseVelocityNet:
-    """Tiny MLP velocity field for low-dimensional sanity checks.
-
-    Input [B, D] plus t appended as one feature; two hidden ReLU layers.
-    """
-
-    def __init__(self, dims: int, hidden: int = 64, seed: int = 0, dtype=np.float64):
-        self.dims = dims
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        sizes = [dims + 1, hidden, hidden, dims]
-        self.params: dict[str, T.Tensor] = {}
-        for i, (a, b) in enumerate(zip(sizes, sizes[1:])):
-            last = i == len(sizes) - 2
-            w = (np.zeros((a, b), dtype=self.dtype) if last
-                 else _kaiming_uniform(rng, (a, b), a, self.dtype))
-            self.params[f"fc{i}.w"] = T.Tensor(w, requires_grad=True)
-            self.params[f"fc{i}.b"] = T.Tensor(np.zeros(b, dtype=self.dtype),
-                                               requires_grad=True)
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
-
-    def __call__(self, x: T.Tensor, t: T.Tensor) -> T.Tensor:
-        t_col = T.Tensor(np.asarray(t.data, dtype=x.dtype).reshape(-1, 1))
-        h = T.concat([x, t_col], axis=1)
-        n_layers = len(self.params) // 2
-        for i in range(n_layers):
-            h = T.add(T.matmul(h, self.params[f"fc{i}.w"]), self.params[f"fc{i}.b"])
-            if i < n_layers - 1:
-                h = T.relu(h)
-        return h

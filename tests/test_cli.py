@@ -24,7 +24,7 @@ def tiny_cfg(tmp_path):
 def _zero_checkpoint(cfg, path):
     net = VelocityNet(cfg.dims, base_channels=cfg.base_channels, seed=0)
     echo = {"config_hash": cfg.hash(), "dims": cfg.dims,
-            "base_channels": cfg.base_channels, "seed": 0}
+            "base_channels": cfg.base_channels, "seed": 0, "input_gain": 1.0}
     save_checkpoint(path, net.params, AdamState(), echo)
     return path
 
@@ -147,7 +147,8 @@ def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path):
     cli.cmd_synthdata(tiny_cfg)
     net = VelocityNet(1024, base_channels=4, seed=0)
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, net.params, None, {"dims": 1024, "base_channels": 4})
+    save_checkpoint(bad, net.params, None,
+                    {"dims": 1024, "base_channels": 4, "input_gain": 1.0})
     with pytest.raises(DataError, match="dims"):
         cli.cmd_transfer(tiny_cfg, bad, cli._audio_dir(tiny_cfg, "synthetic") / "score_000.wav",
                          tmp_path / "x.wav")
@@ -339,13 +340,33 @@ def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path
     net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "headless.ckpt"
     params = {name: p for name, p in net.params.items() if name != "out.w"}
-    save_checkpoint(ckpt, params, None,
-                    {"dims": tiny_cfg.dims, "base_channels": tiny_cfg.base_channels})
+    save_checkpoint(ckpt, params, None, {"dims": tiny_cfg.dims, "input_gain": 1.0,
+                                         "base_channels": tiny_cfg.base_channels})
     src = _noise_wav(tmp_path / "in.wav")
     out = tmp_path / "o.wav"
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
     err = capsys.readouterr().err
     assert "lacks parameters out.w" in err and str(ckpt) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("dims", "x"), ("base_channels", None),
+                                        ("input_gain", None), ("input_gain", True)])
+def test_main_transfer_bad_checkpoint_echo_is_exit_2(tiny_cfg, tmp_path, capsys,
+                                                     key, value):
+    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
+    echo = {"dims": tiny_cfg.dims, "base_channels": tiny_cfg.base_channels,
+            "input_gain": 1.0}
+    if value is None:
+        del echo[key]
+    else:
+        echo[key] = value
+    ckpt = tmp_path / "echo.ckpt"
+    save_checkpoint(ckpt, net.params, None, echo)
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(ckpt) in err
     assert not out.exists()
 
 

@@ -6,9 +6,10 @@ from tabflow import flowmatch, odesolve
 from tabflow.config import load_config
 from tabflow.errors import DataError
 from tabflow.fixtures import gaussian_2d_pairs
-from tabflow.flowmatch import cfm_loss, make_sample, train, train_arrays, transfer_batch
-from tabflow.latentcodec import ChunkPair, LatentSeq
+from tabflow.flowmatch import cfm_loss, make_sample, train, transfer_batch
 from tabflow.neuralnet import tensor as T
+
+from netcheck import DenseVelocityNet
 
 
 def _cfg(batch_size, lr, epochs, seed):
@@ -36,100 +37,97 @@ class OracleNet:
 class ConstantNet:
     dtype = np.float64
 
-    def __init__(self, c, shape):
+    def __init__(self, c):
         self.c = c
-        self.shape = shape
 
     def __call__(self, x, t):
         return T.Tensor(np.full(x.data.shape, self.c, dtype=x.dtype))
 
 
 def test_interpolant_endpoints():
-    x0 = np.array([1.0, -2.0])
-    x1 = np.array([3.0, 4.0])
-    assert np.array_equal(make_sample(x0, x1, 0.0).x_t, x0)
-    assert np.array_equal(make_sample(x0, x1, 1.0).x_t, x1)
+    x0 = np.array([[1.0, -2.0]])
+    x1 = np.array([[3.0, 4.0]])
+    assert np.array_equal(make_sample(x0, x1, [0.0]).x_t, x0)
+    assert np.array_equal(make_sample(x0, x1, [1.0]).x_t, x1)
 
 
 def test_midpoint_arithmetic():
-    s = make_sample(np.array([0.0]), np.array([2.0]), 0.5)
-    assert s.x_t[0] == 1.0 and s.u[0] == 2.0
+    s = make_sample(np.array([[0.0]]), np.array([[2.0]]), [0.5])
+    assert s.x_t[0, 0] == 1.0 and s.u[0, 0] == 2.0
 
 
 def test_interpolant_invariants_exact():
+    # B == D == F, so a t broadcast along the wrong axis gives wrong values
+    # instead of a shape error
     rng = np.random.default_rng(0)
     for _ in range(20):
-        x0 = rng.standard_normal(5)
-        x1 = rng.standard_normal(5)
-        t = float(rng.uniform())
+        x0 = rng.standard_normal((5, 5, 5))
+        x1 = rng.standard_normal((5, 5, 5))
+        t = rng.uniform(size=5)
         s = make_sample(x0, x1, t)
-        np.testing.assert_allclose(s.x_t, (1 - t) * x0 + t * x1, rtol=0, atol=0)
+        np.testing.assert_array_equal(s.t, t)
+        for i in range(5):
+            ti = float(t[i])
+            np.testing.assert_array_equal(s.x_t[i], (1 - ti) * x0[i] + ti * x1[i])
         np.testing.assert_array_equal(s.u, x1 - x0)
-
-
-def test_make_sample_draws_t_from_rng():
-    rng = np.random.default_rng(7)
-    s = make_sample(np.zeros(2), np.ones(2), rng=rng)
-    assert 0.0 <= s.t <= 1.0
-    with pytest.raises(DataError, match="rng"):
-        make_sample(np.zeros(2), np.ones(2))
 
 
 def test_make_sample_rejects_shape_mismatch_and_bad_t():
     with pytest.raises(DataError, match="shapes"):
-        make_sample(np.zeros(2), np.zeros(3), 0.5)
+        make_sample(np.zeros((1, 2)), np.zeros((1, 3)), [0.5])
     with pytest.raises(DataError, match="t must be"):
-        make_sample(np.zeros(2), np.zeros(2), 1.5)
+        make_sample(np.zeros((1, 2)), np.zeros((1, 2)), [1.5])
+    for t in ([0.5], [0.5, 0.5, 0.5], 0.5, [[0.5, 0.5]]):
+        with pytest.raises(DataError, match="one t per pair"):
+            make_sample(np.zeros((2, 3)), np.zeros((2, 3)), t)
 
 
 def test_cfm_loss_zero_at_oracle():
     rng = np.random.default_rng(1)
-    samples = [make_sample(rng.standard_normal((4, 16)), rng.standard_normal((4, 16)),
-                           float(t)) for t in rng.uniform(size=6)]
-    net = OracleNet(np.stack([s.u for s in samples]))
-    loss = cfm_loss(net, samples, dtype=np.float64)
+    sample = make_sample(rng.standard_normal((6, 4, 16)), rng.standard_normal((6, 4, 16)),
+                         rng.uniform(size=6))
+    loss = cfm_loss(OracleNet(sample.u), sample)
     assert loss.item() < 1e-12
 
 
 def test_cfm_loss_zero_net_unit_velocities():
-    samples = [make_sample(np.zeros((2, 8)), np.ones((2, 8)), 0.3) for _ in range(3)]
-    net = ConstantNet(0.0, (2, 8))
-    assert cfm_loss(net, samples, dtype=np.float64).item() == pytest.approx(1.0)
+    sample = make_sample(np.zeros((3, 2, 8)), np.ones((3, 2, 8)), np.full(3, 0.3))
+    assert cfm_loss(ConstantNet(0.0), sample).item() == pytest.approx(1.0)
 
 
 def test_cfm_loss_invariant_to_batch_order():
     rng = np.random.default_rng(2)
-    samples = [make_sample(rng.standard_normal(6), rng.standard_normal(6), float(t))
-               for t in rng.uniform(size=8)]
-    net = ConstantNet(0.25, (6,))
-    a = cfm_loss(net, samples, dtype=np.float64).item()
-    b = cfm_loss(net, samples[::-1], dtype=np.float64).item()
+    x0, x1 = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+    t = rng.uniform(size=8)
+    net = ConstantNet(0.25)
+    a = cfm_loss(net, make_sample(x0, x1, t)).item()
+    b = cfm_loss(net, make_sample(x0[::-1], x1[::-1], t[::-1])).item()
     assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_cfm_loss_nonnegative():
     rng = np.random.default_rng(3)
-    samples = [make_sample(rng.standard_normal(4), rng.standard_normal(4), 0.5)
-               for _ in range(4)]
-    assert cfm_loss(ConstantNet(1.3, (4,)), samples, dtype=np.float64).item() >= 0.0
+    sample = make_sample(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
+                         np.full(4, 0.5))
+    assert cfm_loss(ConstantNet(1.3), sample).item() >= 0.0
 
 
 def test_cfm_loss_rejects_empty_batch():
     with pytest.raises(DataError, match="empty"):
-        cfm_loss(ConstantNet(0.0, (2,)), [])
+        cfm_loss(ConstantNet(0.0), make_sample(np.zeros((0, 2)), np.zeros((0, 2)), []))
 
 
 def test_step_arithmetic_single_pair():
-    net = nn.DenseVelocityNet(2, hidden=4, seed=0)
+    net = DenseVelocityNet(2, hidden=4, seed=0)
     cfg = _cfg(64, 1e-4, 50, 0)
-    hist = train_arrays(net, np.zeros((1, 2)), np.ones((1, 2)), cfg)
-    assert len(hist) == 50
+    _, state, hist = train(np.zeros((1, 2)), np.ones((1, 2)), cfg, net=net)
+    assert len(hist) == 50 and state.step == 50
 
 
 def test_step_arithmetic_ceil_batches():
-    net = nn.DenseVelocityNet(2, hidden=4, seed=0)
+    net = DenseVelocityNet(2, hidden=4, seed=0)
     cfg = _cfg(4, 1e-4, 3, 0)
-    hist = train_arrays(net, np.zeros((10, 2)), np.ones((10, 2)), cfg)
+    _, _, hist = train(np.zeros((10, 2)), np.ones((10, 2)), cfg, net=net)
     assert len(hist) == 3 * 3  # ceil(10 / 4) = 3 steps per epoch
 
 
@@ -143,19 +141,17 @@ def test_training_is_deterministic():
     cfg = _cfg(32, 1e-3, 3, 9)
     runs = []
     for _ in range(2):
-        net = nn.DenseVelocityNet(2, hidden=8, seed=1)
-        runs.append(train_arrays(net, x0, x1, cfg))
+        net = DenseVelocityNet(2, hidden=8, seed=1)
+        runs.append(train(x0, x1, cfg, net=net)[2])
     assert runs[0] == runs[1]
 
 
 def test_train_requires_consistent_pairs():
     cfg = load_config()
-    with pytest.raises(DataError, match="no training pairs"):
-        train([], cfg)
-    a = LatentSeq(np.zeros((4, 64)))
-    b = LatentSeq(np.zeros((6, 64)))
-    with pytest.raises(DataError, match="one latent shape"):
-        train([ChunkPair(a, a), ChunkPair(b, b)], cfg)
+    with pytest.raises(DataError, match="bad endpoint arrays"):
+        train(np.zeros((0, 64, 4)), np.zeros((0, 64, 4)), cfg)
+    with pytest.raises(DataError, match="bad endpoint arrays"):
+        train(np.zeros((2, 64, 4)), np.zeros((2, 64, 6)), cfg)
 
 
 def test_transfer_identity_with_zero_net():
@@ -184,9 +180,8 @@ def test_transfer_constant_velocity_closed_form():
 
 def test_transfer_solver_agreement_on_trained_toy_net():
     x0, x1 = gaussian_2d_pairs(256, seed=10)
-    net = nn.DenseVelocityNet(2, hidden=16, seed=2)
     cfg = _cfg(64, 5e-3, 40, 3)
-    train_arrays(net, x0, x1, cfg)
+    net, _, _ = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=16, seed=2))
 
     def velocity(t, y):
         with nn.no_grad():
@@ -202,9 +197,8 @@ def test_transfer_solver_agreement_on_trained_toy_net():
 
 def test_loss_history_decreases_on_learnable_problem():
     x0, x1 = gaussian_2d_pairs(512, seed=11)
-    net = nn.DenseVelocityNet(2, hidden=32, seed=4)
     cfg = _cfg(128, 3e-3, 60, 5)
-    hist = train_arrays(net, x0, x1, cfg)
+    _, _, hist = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=32, seed=4))
     first = np.mean([h[2] for h in hist[:5]])
     last = np.mean([h[2] for h in hist[-5:]])
     assert last < first
@@ -212,9 +206,8 @@ def test_loss_history_decreases_on_learnable_problem():
 
 def test_two_dimensional_transport_sanity():
     x0, x1 = gaussian_2d_pairs(2000, seed=42)
-    net = nn.DenseVelocityNet(2, hidden=64, seed=0)
     cfg = _cfg(256, 3e-3, 250, 1)
-    hist = train_arrays(net, x0, x1, cfg)
+    net, _, hist = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=64, seed=0))
     assert len(hist) <= 2000
 
     def velocity(t, y):

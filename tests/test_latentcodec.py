@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import idct
 
 from tabflow.errors import DataError
-from tabflow.latentcodec import (ChunkPair, LatentSeq, chunk, dechunk, decode,
+from tabflow.latentcodec import (LatentSeq, chunk, dechunk, decode,
                                  encode, frame_count, load_latent, save_latent,
                                  FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
@@ -163,12 +163,10 @@ def test_latent_dims_validated():
         LatentSeq(np.zeros((3, 10)))
 
 
-def test_chunk_pair_shape_validated():
-    a = LatentSeq(np.zeros((4, 64)))
-    b = LatentSeq(np.zeros((5, 64)))
-    with pytest.raises(DataError, match="pair"):
-        ChunkPair(a, b)
-    ChunkPair(a, LatentSeq(np.ones((4, 64))))
+def test_encode_returns_owned_frames():
+    # a view would keep the whole FRAME_LEN-coefficient DCT alive
+    for dims in (64, 1024):
+        assert encode(_noise(8192), dims).frames.flags.owndata
 
 
 def test_latent_cache_round_trip(tmp_path):

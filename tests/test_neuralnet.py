@@ -12,6 +12,8 @@ from tabflow import flowmatch
 from tabflow.errors import DataError, NumericError
 from tabflow.neuralnet import tensor as T
 
+from netcheck import finite_difference_check
+
 
 def test_sum_of_squares_gradient():
     w = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -46,6 +48,13 @@ def test_nan_aborts_naming_op():
         T.Tensor(np.array([np.nan]))
     with pytest.raises(NumericError, match="mul"):
         T.mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_finite_output_whose_sum_overflows_passes():
+    # the sum is inf, so the check must fall back to the elementwise test
+    out = T.add(T.Tensor(np.array([1e308, 1e308])), T.Tensor(np.zeros(2)))
+    np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
 
 def test_gradient_accumulates_for_shared_input():
@@ -98,7 +107,7 @@ def test_per_op_gradients_match_finite_differences(op_name):
             z = T.matmul(params["a"], params["b"])
             return T.mean(T.mul(z, z))
 
-    worst = nn.finite_difference_check(loss_fn, params, n_coords=25, seed=1)
+    worst = finite_difference_check(loss_fn, params, n_coords=25, seed=1)
     assert worst < 1e-4
 
 
@@ -179,14 +188,13 @@ def test_backward_releases_graph_and_runs_once():
 def test_small_unet_gradcheck_against_finite_differences():
     net = nn.VelocityNet(dims=8, base_channels=4, seed=3, dtype=np.float64)
     rng = np.random.default_rng(5)
-    samples = [flowmatch.make_sample(rng.standard_normal((8, 32)),
-                                     rng.standard_normal((8, 32)), t)
-               for t in (0.25, 0.75)]
+    sample = flowmatch.make_sample(rng.standard_normal((2, 8, 32)),
+                                   rng.standard_normal((2, 8, 32)), [0.25, 0.75])
 
     def loss_fn():
-        return flowmatch.cfm_loss(net, samples, dtype=np.float64)
+        return flowmatch.cfm_loss(net, sample)
 
-    worst = nn.finite_difference_check(loss_fn, net.params, n_coords=50, h=1e-3, seed=0)
+    worst = finite_difference_check(loss_fn, net.params, n_coords=50, h=1e-3, seed=0)
     assert worst < 1e-4
 
 
