@@ -88,7 +88,8 @@ def _filterbank(sample_rate: int) -> np.ndarray:
 
 def embed(audio: AudioBuffer, source_label: str = "") -> EmbeddingSet:
     """Per-frame log filterbank embedding over the latent codec's frames."""
-    mags = np.abs(np.fft.rfft(windowed_frames(audio), axis=1))
+    frames = windowed_frames(np.asarray(audio.samples, dtype=np.float64))
+    mags = np.abs(np.fft.rfft(frames, axis=1))
     feats = np.log(mags @ _filterbank(audio.sample_rate).T + LOG_FLOOR)
     return EmbeddingSet(feats, source_label)
 
@@ -152,9 +153,9 @@ def _pooled_sq_dists(pooled: np.ndarray) -> np.ndarray:
 
 def _median_upper(d2: np.ndarray) -> float:
     """Median of sqrt(max(d2, 0)) over the strict upper triangle; 1.0 if 0."""
-    # a boolean mask picks the upper triangle in the same row-major order as
-    # index arrays would, at an eighth of their memory
-    dist = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    # gathered row by row, in np.triu_indices order, so nothing but the
+    # triangle itself is allocated next to the matrix
+    dist = np.concatenate([d2[r, r + 1:] for r in range(len(d2))])
     np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
     med = float(np.median(dist, overwrite_input=True))
     return med if med > 0.0 else 1.0

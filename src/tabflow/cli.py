@@ -24,7 +24,7 @@ from .errors import DataError, NumericError, UsageError
 from .fixtures import toy_corpus
 from .stringsynth import (STYLE_PRESETS, AudioBuffer, amp_process,
                           normalize_rms, render)
-from .tabscore import parse_score, serialize_score
+from .tabscore import Score, parse_score, serialize_score
 
 SOURCE_STYLE = "synthetic"
 TARGET_STYLE = "pseudo_real"
@@ -40,6 +40,14 @@ def _scores_dir(cfg) -> Path:
 
 def _audio_dir(cfg, style: str) -> Path:
     return _resolve(cfg, cfg.audio_dir) / style
+
+
+def _read_score(path: Path) -> Score:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: score is not UTF-8 text") from None
+    return parse_score(text)
 
 
 def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
@@ -91,7 +99,7 @@ def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for path in paths:
-        score = parse_score(path.read_text())
+        score = _read_score(path)
         audio = render(score, STYLE_PRESETS[style], cfg.sample_rate)
         out = out_dir / f"{path.stem}.wav"
         wavio.write_wav(out, audio.samples, audio.sample_rate, comment=f"cfg={cfg.hash()}")
@@ -106,8 +114,8 @@ def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
     wav = _audio_dir(cfg, style) / f"{stem}.wav"
     if not wav.is_file():
         raise DataError(f"missing audio file {wav}")
-    return np.stack([latentcodec.encode(c, cfg.dims).frames.T for c in
-                     latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds)])
+    return latentcodec.encode(latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds),
+                              cfg.dims)
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -208,29 +216,21 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
         raise DataError(f"checkpoint dims {net.dims} do not match config dims {cfg.dims}")
 
     if input_path.suffix == ".gftab":
-        audio = render(parse_score(input_path.read_text()),
+        audio = render(_read_score(input_path),
                        STYLE_PRESETS[SOURCE_STYLE], cfg.sample_rate)
     else:
         audio = _load_audio(cfg, input_path)
 
-    chunk_samples = int(round(cfg.chunk_seconds * audio.sample_rate))
     chunks = latentcodec.chunk(audio, cfg.chunk_seconds)
     # full-band analysis; the flow transports the first cfg.dims coefficients
     # and the remaining high bands pass through from the source unchanged
-    full = [latentcodec.encode(c, 1024) for c in chunks]
-    states = np.stack([l.frames.T[:cfg.dims] for l in full])
-    moved = flowmatch.transfer_batch(net, states, cfg.solver())
-
-    pieces = []
-    for k in range(moved.shape[0]):
-        frames = full[k].frames.copy()
-        frames[:, :cfg.dims] = moved[k].T
-        lat = latentcodec.LatentSeq(frames, sample_rate=audio.sample_rate)
-        decoded = latentcodec.decode(lat).samples
-        padded = np.zeros(chunk_samples, dtype=decoded.dtype)
-        padded[:len(decoded)] = decoded
-        pieces.append(AudioBuffer(padded, audio.sample_rate))
-    out = latentcodec.dechunk(pieces, len(audio.samples))
+    full = latentcodec.encode(chunks, 1024)
+    full[:, :cfg.dims] = flowmatch.transfer_batch(net, full[:, :cfg.dims], cfg.solver())
+    decoded = latentcodec.decode(full)
+    # a decoded chunk falls short of its chunk by less than a hop; zeros fill it
+    pieces = np.zeros(chunks.shape, dtype=np.float32)
+    pieces[:, :decoded.shape[-1]] = decoded
+    out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)], audio.sample_rate)
 
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -341,10 +341,15 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
             raise DataError(f"{ratings_csv}: header must contain {sorted(required)}")
         has_condition = "condition" in reader.fieldnames
         by_condition: dict[str, list] = {}
-        for row in reader:
+        for k, row in enumerate(reader, 1):
+            try:
+                score = float(row["score"])
+            except (TypeError, ValueError):
+                raise DataError(f"{ratings_csv}: rating row {k} has no numeric score: "
+                                f"{row['score']!r}") from None
             cond = row["condition"] if has_condition else "all"
             by_condition.setdefault(cond, []).append(
-                (row["rater"], row["item"], row["system"], float(row["score"])))
+                (row["rater"], row["item"], row["system"], score))
     if not by_condition:
         raise DataError(f"{ratings_csv}: no rating rows")
 

@@ -107,10 +107,13 @@ def load_config(path: str | Path | None = None,
     raw = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path), encoding="utf-8")
+            file_dict = {s: dict(parser.items(s)) for s in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"malformed config file {path}: {exc}") from None
         if not read:
             raise UsageError(f"cannot read config file {path}")
-        file_dict = {s: dict(parser.items(s)) for s in parser.sections()}
         raw = _merge(raw, file_dict)
     if overrides:
         raw = _merge(raw, overrides)

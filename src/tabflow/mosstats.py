@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.stats import chi2, norm, rankdata
 
 from .errors import DataError, NumericError
 
@@ -69,25 +69,12 @@ class RatingTable:
         return self.values[:, self.systems.index(system)]
 
 
-def _midranks(row: np.ndarray) -> np.ndarray:
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(len(row))
-    i = 0
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def friedman(table: RatingTable) -> TestResult:
     """Friedman chi-square over within-block mid-ranks, tie corrected."""
     n, k = table.values.shape
     if k < 2 or n < 2:
         raise DataError(f"need >= 2 systems and >= 2 blocks, got {k} x {n}")
-    ranks = np.vstack([_midranks(row) for row in table.values])
+    ranks = rankdata(table.values, axis=1)
     mean_ranks = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * np.sum(mean_ranks ** 2) - 3.0 * n * (k + 1)
 
@@ -131,7 +118,7 @@ def wilcoxon_signed_rank(x, y, mode: str = "auto") -> TestResult:
     n = len(d)
     if n == 0:
         raise NumericError("degenerate sample: all differences are zero")
-    ranks = _midranks(np.abs(d))
+    ranks = rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if mode == "auto":

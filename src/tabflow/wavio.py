@@ -101,10 +101,13 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     fmt_tag, channels, rate, _, _, bits = fmt
     if channels != 1:
         raise DataError(f"{path}: expected mono, got {channels} channels")
-    if fmt_tag == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4")
-    elif fmt_tag == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float32) / 32767.0
-    else:
+    dtype = {(_FMT_FLOAT, 32): "<f4", (_FMT_PCM, 16): "<i2"}.get((fmt_tag, bits))
+    if dtype is None:
         raise DataError(f"{path}: unsupported format tag {fmt_tag} / {bits} bits")
+    if len(data) % (bits // 8):
+        raise DataError(f"{path}: data chunk of {len(data)} bytes is not a whole "
+                        f"number of {bits}-bit samples")
+    samples = np.frombuffer(data, dtype=dtype)
+    if fmt_tag == _FMT_PCM:
+        samples = samples.astype(np.float32) / 32767.0
     return samples.copy(), rate, comment

@@ -142,6 +142,23 @@ def test_transfer_deterministic_bytes(tiny_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_transfer_crops_chunk_padding_to_input_length(tiny_cfg, tmp_path):
+    # 9.7 s: two full 4-s chunks and a third zero-padded one, cropped off again
+    x = np.random.default_rng(2).uniform(-0.5, 0.5, int(9.7 * 44100)).astype(np.float32)
+    src = tmp_path / "in.wav"
+    wavio.write_wav(src, x, 44100)
+    out = cli.cmd_transfer(tiny_cfg, _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"),
+                           src, tmp_path / "out.wav")
+    y, _ = wavio.read_wav(out)
+    assert len(y) == len(x)
+    # a zero field transports exactly, so every chunk reconstructs its
+    # interior in place, the final partial chunk up to the last input sample
+    size = 4 * 44100
+    for k in range(3):
+        lo, hi = k * size + 512, min((k + 1) * size - 1024, len(x))
+        np.testing.assert_allclose(y[lo:hi], x[lo:hi], rtol=0, atol=1e-5)
+
+
 def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path):
     from tabflow.errors import DataError
     cli.cmd_synthdata(tiny_cfg)
@@ -395,3 +412,52 @@ def test_main_stats_exit_0_even_when_not_significant(tmp_path):
             lines.append(f"r{rater},i0,{system},{1 + int(rng.integers(0, 5))}")
     ratings.write_text("\n".join(lines) + "\n")
     assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 0
+
+
+@pytest.mark.parametrize("last_row, shown", [("r1,i0,b,good", "'good'"),
+                                             ("r1,i0,b", "None")])
+def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, shown):
+    ratings = tmp_path / "bad.csv"
+    ratings.write_text(f"# note\nrater,item,system,score\nr0,i0,a,3\nr0,i0,b,4\nr1,i0,a,2\n"
+                       f"{last_row}\n")
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
+
+
+@pytest.mark.parametrize("command", ["render", "transfer"])
+def test_main_non_utf8_score_is_exit_2(tiny_cfg, tmp_path, capsys, command):
+    scores = cli._scores_dir(tiny_cfg)
+    scores.mkdir(parents=True)
+    bad = scores / "latin1.gftab"
+    bad.write_bytes("gftab 1\n# café\n".encode("latin-1"))
+    if command == "render":
+        argv = ["--workdir", str(tiny_cfg.workdir), "render"]
+    else:
+        ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+        argv = _transfer_argv(tiny_cfg, ckpt, bad, tmp_path / "o.wav")
+    assert cli.main(argv) == 2
+    assert f"{bad}: score is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_main_config_without_section_header_is_exit_1(tmp_path, capsys):
+    ini = tmp_path / "headless.ini"
+    ini.write_text("seed = 3\n")
+    assert cli.main(["--config", str(ini), "--workdir", str(tmp_path), "synthdata"]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed config file {ini}" in err and "no section headers" in err
+
+
+def test_main_transfer_partial_sample_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    src = _noise_wav(tmp_path / "in.wav")
+    blob = bytearray(src.read_bytes())
+    data_at = blob.index(b"data")
+    size = struct.unpack_from("<I", blob, data_at + 4)[0]
+    struct.pack_into("<I", blob, data_at + 4, size - 2)  # half a float32 sample short
+    src.write_bytes(bytes(blob[:-2]))
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    err = capsys.readouterr().err
+    assert f"{src}: data chunk of {size - 2} bytes is not a whole number of 32-bit samples" in err
+    assert not out.exists()

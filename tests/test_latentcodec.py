@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import idct
 
 from tabflow.errors import DataError
-from tabflow.latentcodec import (LatentSeq, chunk, dechunk, decode,
-                                 encode, frame_count, load_latent, save_latent,
+from tabflow.latentcodec import (chunk, decode, encode, frame_count, load_latent,
+                                 save_latent, windowed_frames,
                                  FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
 from tabflow.fixtures import oracle_dct, oracle_pitch, cents_between, rms_db
@@ -16,13 +16,13 @@ FS = 44100
 
 
 def _noise(n, seed=0, amp=0.5):
-    return AudioBuffer(np.random.default_rng(seed).uniform(-amp, amp, n), FS)
+    return np.random.default_rng(seed).uniform(-amp, amp, n)
 
 
 def test_four_second_chunk_has_343_frames():
-    lat = encode(_noise(4 * FS), 64)
-    assert lat.n_frames == 343
-    assert lat.n_frames == (176400 - 1024) // 512 + 1
+    z = encode(_noise(4 * FS), 64)
+    assert z.shape == (64, 343)
+    assert z.shape[-1] == (176400 - 1024) // 512 + 1
 
 
 def test_frame_count_formula_property():
@@ -36,24 +36,41 @@ def test_encode_rejects_short_audio():
 
 
 def test_all_zero_audio_encodes_to_zero_latent():
-    lat = encode(AudioBuffer(np.zeros(4096), FS), 64)
-    assert np.array_equal(lat.frames, np.zeros((7, 64)))
+    assert np.array_equal(encode(np.zeros(4096), 64), np.zeros((64, 7)))
 
 
 def test_all_zero_latent_decodes_to_silence():
-    lat = LatentSeq(np.zeros((7, 64)))
-    assert np.array_equal(decode(lat).samples, np.zeros(7 * 512 + 512, dtype=np.float32))
+    assert np.array_equal(decode(np.zeros((64, 7))), np.zeros(7 * 512 + 512, dtype=np.float32))
 
 
-def loop_decode(latent):
-    """Reference oracle: decode with the frame-by-frame overlap-add loop."""
-    coeffs = np.zeros((latent.n_frames, FRAME_LEN))
-    coeffs[:, :latent.dims] = latent.frames
+def gather_frames(x):
+    """Reference oracle: frame through a [F, FRAME_LEN] index array."""
+    x = np.asarray(x, dtype=np.float64)
+    n_frames = (len(x) - FRAME_LEN) // FRAME_HOP + 1
+    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(n_frames)[:, None]
+    return x[idx] * _WINDOW[None, :]
+
+
+@pytest.mark.parametrize("n", [1024, 1500, 176400, 176401])
+def test_windowed_frames_match_index_gather(n):
+    x = _noise(n, seed=n)
+    assert windowed_frames(x).tobytes() == gather_frames(x).tobytes()
+    # float32 samples widen exactly, so they frame to the same bytes
+    x32 = x.astype(np.float32)
+    assert windowed_frames(x32).tobytes() == gather_frames(x32).tobytes()
+
+
+def loop_decode(z):
+    """Reference oracle: decode a [D, F] latent with the frame-by-frame
+    overlap-add loop."""
+    dims, n_frames = z.shape
+    coeffs = np.zeros((n_frames, FRAME_LEN))
+    coeffs[:, :dims] = z.T
     frames = idct(coeffs, type=2, norm="ortho", axis=1) * _WINDOW[None, :]
-    n = (latent.n_frames - 1) * FRAME_HOP + FRAME_LEN
+    n = (n_frames - 1) * FRAME_HOP + FRAME_LEN
     out = np.zeros(n)
     weight = np.zeros(n)
-    for k in range(latent.n_frames):
+    for k in range(n_frames):
         s = k * FRAME_HOP
         out[s:s + FRAME_LEN] += frames[k]
         weight[s:s + FRAME_LEN] += _WINDOW * _WINDOW
@@ -64,44 +81,56 @@ def loop_decode(latent):
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 40])
 @pytest.mark.parametrize("dims", [64, 1024])
 def test_decode_matches_frame_loop(n_frames, dims):
-    frames = np.random.default_rng(n_frames + dims).standard_normal((n_frames, dims))
-    latent = LatentSeq(frames)
-    assert decode(latent).samples.tobytes() == loop_decode(latent).tobytes()
+    z = np.random.default_rng(n_frames + dims).standard_normal((n_frames, dims)).T
+    assert decode(z).tobytes() == loop_decode(z).tobytes()
+
+
+@given(n_chunks=st.integers(1, 4), size=st.integers(1024, 6000),
+       dims=st.sampled_from([64, 1024]), seed=st.integers(0, 2 ** 16),
+       f32=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_stack_codec_matches_per_row_calls(n_chunks, size, dims, seed, f32):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_chunks, size))
+    x = x.astype(np.float32) if f32 else x
+    z = encode(x, dims)
+    assert z.shape == (n_chunks, dims, frame_count(size)) and z.flags.owndata
+    rows = [encode(row, dims) for row in x]
+    assert z.tobytes() == np.stack(rows).tobytes()
+    assert decode(z).tobytes() == np.stack([decode(r) for r in rows]).tobytes()
 
 
 def test_impulse_frame_zero_matches_windowed_dct():
     x = np.zeros(4096)
     x[0] = 1.0
-    lat = encode(AudioBuffer(x, FS), 1024)
+    z = encode(x, 1024)
     windowed = np.zeros(FRAME_LEN)
     windowed[0] = hann_periodic(FRAME_LEN)[0]
-    np.testing.assert_allclose(lat.frames[0], oracle_dct(windowed), atol=1e-12)
+    np.testing.assert_allclose(z[:, 0], oracle_dct(windowed), atol=1e-12)
     # frames 2+ never see sample 0
-    assert np.abs(lat.frames[2:]).max() == 0.0
+    assert np.abs(z[:, 2:]).max() == 0.0
 
 
 def test_codec_matches_direct_sum_dct_oracle():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(2048)
-    lat = encode(AudioBuffer(x, FS), 1024)
+    z = encode(x, 1024)
     frame0 = x[:FRAME_LEN] * hann_periodic(FRAME_LEN)
     expected = oracle_dct(frame0)
-    worst = np.max(np.abs(lat.frames[0] - expected)) / np.max(np.abs(expected))
+    worst = np.max(np.abs(z[:, 0] - expected)) / np.max(np.abs(expected))
     assert worst < 1e-9
 
 
 def test_full_mode_round_trip_below_minus_80_dbfs():
-    audio = _noise(4 * FS, seed=3)
-    out = decode(encode(audio, 1024)).samples.astype(np.float64)
+    x = _noise(4 * FS, seed=3)
+    out = decode(encode(x, 1024)).astype(np.float64)
     n = len(out)
-    err = out[512:n - 512] - audio.samples[512:n - 512]
+    err = out[512:n - 512] - x[512:n - 512]
     assert rms_db(err) < -80.0
 
 
 def test_lossy_mode_preserves_fundamental():
     t = np.arange(4 * FS) / FS
-    sine = AudioBuffer(0.5 * np.sin(2 * np.pi * 440.0 * t), FS)
-    out = decode(encode(sine, 64)).samples
+    out = decode(encode(0.5 * np.sin(2 * np.pi * 440.0 * t), 64))
     f = oracle_pitch(out[FS:2 * FS], FS)
     assert abs(cents_between(f, 440.0)) < 5.0
 
@@ -110,78 +139,73 @@ def test_encode_linearity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(8192)
     y = rng.standard_normal(8192)
-    lx = encode(AudioBuffer(x, FS), 64).frames
-    ly = encode(AudioBuffer(y, FS), 64).frames
-    lxy = encode(AudioBuffer(2.0 * x - 0.5 * y, FS), 64).frames
-    np.testing.assert_allclose(lxy, 2.0 * lx - 0.5 * ly, atol=1e-12)
+    np.testing.assert_allclose(encode(2.0 * x - 0.5 * y, 64),
+                               2.0 * encode(x, 64) - 0.5 * encode(y, 64), atol=1e-12)
 
 
 def test_orthonormal_energy_per_frame():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(4096)
-    lat = encode(AudioBuffer(x, FS), 1024)
+    z = encode(x, 1024)
     w = hann_periodic(FRAME_LEN)
-    for k in range(lat.n_frames):
+    for k in range(z.shape[-1]):
         frame = x[k * 512:k * 512 + FRAME_LEN] * w
-        rel = abs(np.linalg.norm(lat.frames[k]) - np.linalg.norm(frame))
+        rel = abs(np.linalg.norm(z[:, k]) - np.linalg.norm(frame))
         assert rel / np.linalg.norm(frame) < 1e-9
 
 
 def test_chunk_arithmetic():
-    ten_sec = _noise(10 * FS)
+    ten_sec = AudioBuffer(_noise(10 * FS), FS)
     chunks = chunk(ten_sec, 4.0)
-    assert len(chunks) == 3
-    assert all(len(c.samples) == 4 * FS for c in chunks)
-    assert np.array_equal(chunks[2].samples[2 * FS:], np.zeros(2 * FS))
+    assert chunks.shape == (3, 4 * FS)
+    assert np.array_equal(chunks.reshape(-1)[:10 * FS], ten_sec.samples)
+    assert np.array_equal(chunks[2, 2 * FS:], np.zeros(2 * FS))
 
 
 def test_exact_multiple_needs_no_padding():
-    four = _noise(4 * FS, seed=1)
+    four = AudioBuffer(_noise(4 * FS, seed=1), FS)
     chunks = chunk(four, 4.0)
-    assert len(chunks) == 1
-    assert np.array_equal(chunks[0].samples, four.samples)
-
-
-def test_chunk_dechunk_round_trip():
-    audio = _noise(int(9.7 * FS), seed=2)
-    chunks = chunk(audio, 4.0)
-    back = dechunk(chunks, len(audio.samples))
-    assert np.array_equal(back.samples, audio.samples)
+    assert chunks.shape == (1, 4 * FS)
+    assert np.array_equal(chunks[0], four.samples)
 
 
 @given(st.integers(1024, 20000))
 @settings(max_examples=30, deadline=None)
 def test_frame_count_matches_closed_form(n):
-    lat = encode(_noise(n, seed=n % 7), 64)
-    assert lat.n_frames == (n - 1024) // 512 + 1
+    z = encode(_noise(n, seed=n % 7), 64)
+    assert z.shape[-1] == (n - 1024) // 512 + 1
 
 
 def test_latent_dims_validated():
     with pytest.raises(DataError, match="dims"):
         encode(_noise(4096), 100)
     with pytest.raises(DataError, match="dims"):
-        LatentSeq(np.zeros((3, 10)))
+        decode(np.zeros((10, 3)))
 
 
 def test_encode_returns_owned_frames():
     # a view would keep the whole FRAME_LEN-coefficient DCT alive
     for dims in (64, 1024):
-        assert encode(_noise(8192), dims).frames.flags.owndata
+        assert encode(_noise(8192), dims).flags.owndata
+        assert encode(_noise(1024), dims).flags.owndata  # one frame
 
 
 def test_latent_cache_round_trip(tmp_path):
-    lat = encode(_noise(8192, seed=8), 64)
+    z = encode(_noise(8192, seed=8), 64)
     path = tmp_path / "x.chunk0.lat"
-    save_latent(path, lat)
-    back = load_latent(path)
-    assert back.n_frames == lat.n_frames and back.dims == 64
-    assert back.sample_rate == FS
-    np.testing.assert_allclose(back.frames, lat.frames.astype(np.float32), rtol=0, atol=0)
+    save_latent(path, z, FS)
+    data = path.read_bytes()
+    # header (F, D, hop, frame length, rate), then the coefficients frame by frame
+    assert data[:20] == struct.pack("<5I", 15, 64, FRAME_HOP, FRAME_LEN, FS)
+    assert data[20:] == z.T.astype("<f4").tobytes()
+    back, rate = load_latent(path)
+    assert rate == FS and back.shape == z.shape and back.dtype == np.float64
+    np.testing.assert_allclose(back, z.astype(np.float32), rtol=0, atol=0)
 
 
 def test_latent_file_with_other_framing_rejected(tmp_path):
     path = tmp_path / "x.chunk0.lat"
-    save_latent(path, encode(_noise(8192), 64))
+    save_latent(path, encode(_noise(8192), 64), FS)
     data = bytearray(path.read_bytes())
     data[8:12] = struct.pack("<I", 256)  # header hop field
     path.write_bytes(bytes(data))
@@ -190,10 +214,21 @@ def test_latent_file_with_other_framing_rejected(tmp_path):
 
 
 def test_latent_cache_rejects_truncation(tmp_path):
-    lat = encode(_noise(8192), 64)
     path = tmp_path / "x.chunk0.lat"
-    save_latent(path, lat)
+    save_latent(path, encode(_noise(8192), 64), FS)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(DataError, match="coefficients"):
+        load_latent(path)
+
+
+@pytest.mark.parametrize("z, match", [
+    (np.zeros((64, 0)), "no frames"),
+    (np.zeros((10, 3)), "dims"),
+    (np.full((64, 3), np.nan), "non-finite"),
+])
+def test_latent_file_rejects_bad_records(tmp_path, z, match):
+    path = tmp_path / "x.lat"
+    save_latent(path, z, FS)
+    with pytest.raises(DataError, match=match):
         load_latent(path)

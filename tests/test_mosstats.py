@@ -2,12 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare
+from scipy.stats import friedmanchisquare, rankdata
 
 from tabflow.errors import DataError, NumericError
 from tabflow.mosstats import (RatingTable, TestResult, bonferroni, friedman,
                               mos_summary, mos_summary_csv,
-                              wilcoxon_signed_rank, _midranks)
+                              wilcoxon_signed_rank)
 
 
 def _table(values, systems=None):
@@ -113,7 +113,7 @@ def test_wilcoxon_exact_matches_brute_force_all_n_up_to_10():
             continue
         res = wilcoxon_signed_rank(d, np.zeros(n), mode="exact")
         nz = d[d != 0]
-        ranks = _midranks(np.abs(nz))
+        ranks = rankdata(np.abs(nz))
         w_obs = ranks[nz > 0].sum()
         ws = np.array([sum(r for r, s in zip(ranks, signs) if s)
                        for signs in product([0, 1], repeat=len(nz))])
