@@ -7,9 +7,11 @@ rectified flow matching between the styles, transport new renders through
 the learned ODE, and score the results with FAD / KAD / reconstruction
 distances plus nonparametric rating statistics.
 
-Latents are plain arrays in the layout the velocity net reads: encode maps
-an [N, size] chunk stack to [N, D, F] (D transform coefficients by F
-frames), and decode maps it back to samples.
+Latents and embeddings are plain arrays. encode maps an [N, size] chunk
+stack to [N, D, F] (D transform coefficients by F frames), the layout the
+velocity net reads, and decode maps it back to samples. embed maps audio to
+[F, 64] float64 filterbank rows, one per frame, and fad, kad and
+recon_distance compare two such [M, E] arrays.
 """
 
 from .errors import DataError, NumericError, TabflowError, UsageError
@@ -20,14 +22,14 @@ from .stringsynth import (AudioBuffer, RenderStyle, STYLE_PRESETS, amp_process,
 from .latentcodec import chunk, decode, encode
 from .flowmatch import FlowSample, cfm_loss, make_sample, train
 from .odesolve import Dopri5, Euler, OdeTrace, RK4, convergence_order, integrate
-from .audiodist import EmbeddingSet, embed, fad, kad, recon_distance
+from .audiodist import embed, fad, kad, recon_distance
 from .mosstats import (RatingTable, TestResult, bonferroni, friedman,
                        mos_summary, wilcoxon_signed_rank)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioBuffer", "DataError", "Dopri5", "EmbeddingSet", "Euler",
+    "AudioBuffer", "DataError", "Dopri5", "Euler",
     "FlowSample", "NoteEvent", "NumericError", "OdeTrace",
     "RatingTable", "RenderStyle", "RK4", "Score", "STYLE_PRESETS",
     "TabflowError", "Technique", "TechniqueKind", "TestResult", "UsageError",

@@ -1,16 +1,16 @@
 """Distribution and reconstruction distances over filterbank embeddings.
 
 Each audio frame (1024 samples, hop 512, Hann) maps to a 64-band triangular
-log-magnitude filterbank vector on a mel-spaced grid between 60 and 8000 Hz.
-FAD is the Frechet (2-Wasserstein) distance between Gaussians fitted to two
-embedding sets; KAD is the unbiased squared MMD with a Gaussian RBF kernel
-and the median-distance bandwidth heuristic; the reconstruction distance is
-the per-frame embedding difference norm averaged over time.
+log-magnitude filterbank vector on a mel-spaced grid between 60 and 8000 Hz;
+embed returns them as one float64 [F, EMBED_DIMS] array, and the distances
+compare two [M, E] arrays, such as corpora pooled with np.vstack. FAD is the
+Frechet (2-Wasserstein) distance between Gaussians fitted to the two sets;
+KAD is the unbiased squared MMD with a Gaussian RBF kernel and the
+median-distance bandwidth heuristic; the reconstruction distance is the
+per-frame embedding difference norm averaged over time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,31 +23,6 @@ FMIN_HZ = 60.0
 FMAX_HZ = 8000.0
 COV_JITTER = 1e-6
 LOG_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """M x E matrix of frame embeddings pooled over a corpus."""
-
-    vectors: np.ndarray
-    source_label: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise DataError(f"embeddings must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("embeddings contain non-finite values")
-        object.__setattr__(self, "vectors", v)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 def _mel(f):
@@ -86,21 +61,33 @@ def _filterbank(sample_rate: int) -> np.ndarray:
     return bank
 
 
-def embed(audio: AudioBuffer, source_label: str = "") -> EmbeddingSet:
-    """Per-frame log filterbank embedding over the latent codec's frames."""
+def embed(audio: AudioBuffer) -> np.ndarray:
+    """[F, EMBED_DIMS] float64 log filterbank rows over the latent codec's frames."""
     frames = windowed_frames(np.asarray(audio.samples, dtype=np.float64))
     mags = np.abs(np.fft.rfft(frames, axis=1))
-    feats = np.log(mags @ _filterbank(audio.sample_rate).T + LOG_FLOOR)
-    return EmbeddingSet(feats, source_label)
+    return np.log(mags @ _filterbank(audio.sample_rate).T + LOG_FLOOR)
 
 
-def fit_gaussian(e: EmbeddingSet) -> GaussianFit:
-    if len(e) < 2:
-        raise DataError("need at least 2 vectors for a Gaussian fit")
-    mean = e.vectors.mean(axis=0)
-    cov = np.cov(e.vectors, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov) + COV_JITTER * np.eye(e.vectors.shape[1])
-    return GaussianFit(mean, cov)
+def _checked(a, b, min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Both sets as float64 [M, E] arrays of one width, finite, with min_rows rows."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    for v in (a, b):
+        if v.ndim != 2:
+            raise DataError(f"embeddings must be 2-D, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise DataError("embeddings contain non-finite values")
+        if len(v) < min_rows:
+            raise DataError(f"need at least {min_rows} vectors per set, got {len(v)}")
+    if a.shape[1] != b.shape[1]:
+        raise DataError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
+
+
+def _gaussian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and jittered sample covariance of the rows of v."""
+    cov = np.atleast_2d(np.cov(v, rowvar=False, ddof=1)) + COV_JITTER * np.eye(v.shape[1])
+    return v.mean(axis=0), cov
 
 
 def _psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
@@ -129,12 +116,10 @@ def frechet_gaussian(mean_a: np.ndarray, cov_a: np.ndarray,
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_cross)
 
 
-def fad(a: EmbeddingSet, b: EmbeddingSet) -> float:
-    """Frechet distance between Gaussian fits of the two sets."""
-    if a.vectors.shape[1] != b.vectors.shape[1]:
-        raise DataError("embedding dims differ")
-    ga, gb = fit_gaussian(a), fit_gaussian(b)
-    return frechet_gaussian(ga.mean, ga.cov, gb.mean, gb.cov)
+def fad(a: np.ndarray, b: np.ndarray) -> float:
+    """Frechet distance between Gaussian fits of the two [M, E] sets."""
+    a, b = _checked(a, b)
+    return frechet_gaussian(*_gaussian(a), *_gaussian(b))
 
 
 def _pooled_sq_dists(pooled: np.ndarray) -> np.ndarray:
@@ -161,23 +146,21 @@ def _median_upper(d2: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def median_bandwidth(a: EmbeddingSet, b: EmbeddingSet) -> float:
+def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sets (self pairs excluded)."""
-    return _median_upper(_pooled_sq_dists(np.vstack([a.vectors, b.vectors])))
+    a, b = _checked(a, b, min_rows=0)
+    return _median_upper(_pooled_sq_dists(np.vstack([a, b])))
 
 
-def kad(a: EmbeddingSet, b: EmbeddingSet, bandwidth: float | None = None) -> float:
+def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
     """Unbiased squared MMD with Gaussian RBF kernel exp(-d^2 / (2 sigma^2)).
 
     May be slightly negative near zero; that is the unbiased estimator, not a
     bug. sigma defaults to the median heuristic, taken from the same pooled
     distance matrix whose blocks become the kernel values.
     """
-    if a.vectors.shape[1] != b.vectors.shape[1]:
-        raise DataError("embedding dims differ")
-    if len(a) < 2 or len(b) < 2:
-        raise DataError("need at least 2 vectors per set")
-    d2 = _pooled_sq_dists(np.vstack([a.vectors, b.vectors]))
+    a, b = _checked(a, b)
+    d2 = _pooled_sq_dists(np.vstack([a, b]))
     sigma = _median_upper(d2) if bandwidth is None else float(bandwidth)
     gamma = 1.0 / (2.0 * sigma * sigma)
     m, n = len(a), len(b)
@@ -191,14 +174,13 @@ def kad(a: EmbeddingSet, b: EmbeddingSet, bandwidth: float | None = None) -> flo
     return float(term_a + term_b - 2.0 * kab.mean())
 
 
-def recon_distance(a: EmbeddingSet, b: EmbeddingSet) -> float:
+def recon_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean over frames of the per-frame embedding difference norm.
 
     Requires frame alignment: both sets must come from content-paired audio.
     """
-    if a.vectors.shape != b.vectors.shape:
-        raise DataError(
-            f"reconstruction distance needs aligned frames: "
-            f"{a.vectors.shape} vs {b.vectors.shape}"
-        )
-    return float(np.mean(np.linalg.norm(a.vectors - b.vectors, axis=1)))
+    a, b = _checked(a, b, min_rows=1)
+    if a.shape != b.shape:
+        raise DataError(f"reconstruction distance needs aligned frames: "
+                        f"{a.shape} vs {b.shape}")
+    return float(np.mean(np.linalg.norm(a - b, axis=1)))

@@ -109,16 +109,32 @@ def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
 
 # -------------------------------------------------------------------- train
 
+def _paired_stems(dirs: dict[str, Path]) -> list[str]:
+    """Sorted WAV stems of the first directory, each checked present in every
+    directory; dirs maps a label for the error messages to a directory."""
+    for label, d in dirs.items():
+        if not d.is_dir():
+            raise DataError(f"{label} directory not found: {d}")
+    first_label, first = next(iter(dirs.items()))
+    stems = sorted(p.stem for p in first.glob("*.wav"))
+    if not stems:
+        raise DataError(f"no WAV files in {first_label} directory {first}")
+    for label, d in dirs.items():
+        missing = [s for s in stems if not (d / f"{s}.wav").is_file()]
+        if missing:
+            raise DataError(f"stems missing in {label} directory {d}: {', '.join(missing)}")
+    return stems
+
+
 def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
     """[chunks, dims, frames] latents of one stem, in the UNet's channel layout."""
-    wav = _audio_dir(cfg, style) / f"{stem}.wav"
-    if not wav.is_file():
-        raise DataError(f"missing audio file {wav}")
-    return latentcodec.encode(latentcodec.chunk(_load_audio(cfg, wav), cfg.chunk_seconds),
-                              cfg.dims)
+    audio = _load_audio(cfg, _audio_dir(cfg, style) / f"{stem}.wav")
+    return latentcodec.encode(latentcodec.chunk(audio, cfg.chunk_seconds), cfg.dims)
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
+    if not 0 < cfg.train_split <= 1:  # NaN fails too
+        raise DataError(f"[cli] train_split must be in (0, 1], got {cfg.train_split}")
     order = list(np.random.default_rng(cfg.seed).permutation(len(stems)))
     n_train = max(1, int(round(cfg.train_split * len(stems))))
     train = sorted(stems[i] for i in order[:n_train])
@@ -128,18 +144,8 @@ def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str],
 
 def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
     """Chunk, encode, and train; writes checkpoint plus loss history CSV."""
-    src_dir = _audio_dir(cfg, SOURCE_STYLE)
-    tgt_dir = _audio_dir(cfg, TARGET_STYLE)
-    for d in (src_dir, tgt_dir):
-        if not d.is_dir():
-            raise DataError(f"audio directory not found: {d}")
-    stems = sorted(p.stem for p in src_dir.glob("*.wav"))
-    if not stems:
-        raise DataError(f"no paired audio found under {src_dir}")
-    missing = [s for s in stems if not (tgt_dir / f"{s}.wav").is_file()]
-    if missing:
-        raise DataError(f"stems missing in {tgt_dir}: {', '.join(missing)}")
-
+    stems = _paired_stems({style: _audio_dir(cfg, style)
+                           for style in (SOURCE_STYLE, TARGET_STYLE)})
     train_stems, test_stems = _train_test_split(cfg, stems)
     sources, targets = [], []
     for stem in train_stems:
@@ -252,60 +258,54 @@ def _condition_audio(cfg: PipelineConfig, audio: AudioBuffer, condition: str) ->
     return amp_process(normalized, cfg.amp_drive, cfg.amp_tone_cutoff)
 
 
-def _subsample(e: audiodist.EmbeddingSet, limit: int, seed_key: int) -> audiodist.EmbeddingSet:
+def _subsample(e: np.ndarray, limit: int, seed_key: int) -> np.ndarray:
     if len(e) <= limit:
         return e
     rng = np.random.default_rng([seed_key, limit])
-    idx = np.sort(rng.choice(len(e), size=limit, replace=False))
-    return audiodist.EmbeddingSet(e.vectors[idx], e.source_label)
+    return e[np.sort(rng.choice(len(e), size=limit, replace=False))]
 
 
 def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
              guitarflow_dir: Path, conditions=("di", "amp")):
     """FAD/KAD/reconstruction metrics of both systems against the real corpus."""
+    conditions = tuple(conditions)
+    if not conditions or len(set(conditions)) < len(conditions) or any(
+            c not in _CONDITIONS for c in conditions):
+        raise UsageError(f"conditions must be distinct names from {', '.join(_CONDITIONS)}; "
+                         f"got {','.join(conditions)!r}")
+    if cfg.kad_max_frames < 2:
+        raise UsageError(f"[audiodist] kad_max_frames must be >= 2, got {cfg.kad_max_frames}")
     dirs = {"real": Path(real_dir), "render": Path(render_dir),
             "guitarflow": Path(guitarflow_dir)}
+    stems = _paired_stems(dirs)
+
+    # embeds[label][condition] lists the [F, E] embedding of every stem; each
+    # WAV is read once and conditioned as many ways as asked. real comes
+    # first, so each system stem is checked against its real frames at once.
+    embeds = {label: {c: [] for c in conditions} for label in dirs}
     for label, d in dirs.items():
-        if not d.is_dir():
-            raise DataError(f"{label} directory not found: {d}")
-    stems = sorted(p.stem for p in dirs["real"].glob("*.wav"))
-    if not stems:
-        raise DataError(f"no WAV files in {dirs['real']}")
-    for label, d in dirs.items():
-        missing = [s for s in stems if not (d / f"{s}.wav").is_file()]
-        if missing:
-            raise DataError(f"stems missing in {label} dir {d}: {', '.join(missing)}")
+        for k, stem in enumerate(stems):
+            audio = _load_audio(cfg, d / f"{stem}.wav")
+            for c in conditions:
+                embeds[label][c].append(audiodist.embed(_condition_audio(cfg, audio, c)))
+            a, b = embeds[label][c][k].shape, embeds["real"][c][k].shape
+            if a != b:
+                raise DataError(f"stem {stem}: embeddings not frame-aligned ({a} vs {b})")
 
     rows = []  # (condition, metric, system, value)
     for condition in conditions:
-        if condition not in _CONDITIONS:
-            raise UsageError(f"unknown condition {condition!r}")
-        per_stem: dict[str, dict[str, audiodist.EmbeddingSet]] = {}
-        for label, d in dirs.items():
-            per_stem[label] = {}
-            for stem in stems:
-                audio = _condition_audio(cfg, _load_audio(cfg, d / f"{stem}.wav"), condition)
-                per_stem[label][stem] = audiodist.embed(audio, source_label=f"{label}/{stem}")
-        for system in _SYSTEMS:
-            for s in stems:
-                a, b = per_stem[system][s].vectors.shape, per_stem["real"][s].vectors.shape
-                if a != b:
-                    raise DataError(f"stem {s}: embeddings not frame-aligned ({a} vs {b})")
-
-        pooled = {label: audiodist.EmbeddingSet(
-            np.vstack([per_stem[label][s].vectors for s in stems]), label)
-            for label in dirs}
+        pooled = {label: np.vstack(embeds[label][condition]) for label in dirs}
+        real = pooled["real"]
+        # one real subsample (seed cfg.seed) serves both systems
+        real_kad = _subsample(real, cfg.kad_max_frames, cfg.seed)
         for j, system in enumerate(_SYSTEMS):
-            rows.append((condition, "fad", system,
-                         audiodist.fad(pooled["real"], pooled[system])))
-            kad_val = audiodist.kad(
-                _subsample(pooled["real"], cfg.kad_max_frames, cfg.seed),
-                _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j))
-            rows.append((condition, "kad", system, kad_val))
+            rows.append((condition, "fad", system, audiodist.fad(real, pooled[system])))
+            rows.append((condition, "kad", system, audiodist.kad(
+                real_kad, _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j))))
         for system in _SYSTEMS:
             # pooled frames, so each stem weighs by its frame count
             rows.append((condition, "recon", system,
-                         audiodist.recon_distance(pooled["real"], pooled[system])))
+                         audiodist.recon_distance(real, pooled[system])))
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     out_csv = cfg.workdir / "metrics.csv"
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
             out = cmd_transfer(cfg, args.checkpoint, args.input, args.output)
             print(f"wrote {out}")
         elif args.command == "eval":
-            conditions = tuple(c.strip() for c in args.conditions.split(",") if c.strip())
+            conditions = tuple(c.strip() for c in args.conditions.split(","))
             cmd_eval(cfg, args.real, args.render, args.guitarflow, conditions)
         elif args.command == "stats":
             cmd_stats(cfg, args.ratings, args.m, args.alpha)

@@ -104,9 +104,10 @@ def _overlap_add(frames: np.ndarray) -> np.ndarray:
 def chunk(audio: AudioBuffer, seconds: float = 4.0) -> np.ndarray:
     """[N, size] consecutive non-overlapping chunks of the samples, size being
     seconds at the audio's rate; the last row is zero-padded."""
-    if seconds <= 0:
-        raise DataError(f"chunk length must be > 0, got {seconds}")
-    size = int(round(seconds * audio.sample_rate))
+    size = int(round(seconds * audio.sample_rate)) if 0 < seconds < np.inf else 0  # NaN: 0
+    if size < 1:
+        raise DataError(f"chunk_seconds must be finite and span at least one sample, "
+                        f"got {seconds}")
     x = audio.samples
     out = np.zeros((max(1, -(-len(x) // size)), size), dtype=x.dtype)
     out.reshape(-1)[:len(x)] = x

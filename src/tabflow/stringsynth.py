@@ -35,6 +35,8 @@ VIBRATO_RATE_HZ = 5.5
 VIBRATO_CENTS = 20.0
 PALM_MUTE_DECAY_FACTOR = 0.25
 BASE_T60_SEC = 3.0  # ring time at decay_scale 1.0
+# Longest render in seconds; ten minutes at 44.1 kHz is a 212 MB float64 mix.
+MAX_RENDER_SECONDS = 600.0
 # Samples of the one float64 buffer (8 MB) that holds each lockstep group of
 # consecutive events: every note's guard zeros, delay and output.
 GROUP_SAMPLES = 1 << 20
@@ -311,8 +313,12 @@ def render(score: Score, style: RenderStyle,
     if sample_rate < 8000:
         raise DataError(f"sample rate must be >= 8000, got {sample_rate}")
 
-    total = int(round((score.last_offset_ticks * score.seconds_per_tick()
-                       + RELEASE_TAIL_SEC) * sample_rate))
+    # in seconds first, so an overflow to inf is caught before the int cast
+    seconds = score.last_offset_ticks * score.seconds_per_tick() + RELEASE_TAIL_SEC
+    if not seconds <= MAX_RENDER_SECONDS:
+        raise DataError(f"score renders to {seconds:.6g} s, longer than the "
+                        f"{MAX_RENDER_SECONDS:g} s limit")
+    total = int(round(seconds * sample_rate))
     out = np.zeros(total)
     b = style.brightness
     a1, a2 = (1.0 + b) / 2.0, (1.0 - b) / 2.0

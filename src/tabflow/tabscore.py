@@ -16,6 +16,7 @@ Modifiers are ``bend:<semitones>``, ``hammer``, ``pull``, ``slide:<fret>``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,8 +97,8 @@ class Score:
     ticks_per_quarter: int = TICKS_PER_QUARTER
 
     def __post_init__(self):
-        if self.tempo_bpm <= 0:
-            raise DataError(f"tempo must be > 0, got {self.tempo_bpm}")
+        if not 0 < self.tempo_bpm < math.inf:  # NaN fails too
+            raise DataError(f"tempo must be finite and > 0, got {self.tempo_bpm}")
         if self.ticks_per_quarter != TICKS_PER_QUARTER:
             raise DataError(f"tick resolution is fixed at {TICKS_PER_QUARTER}")
         if len(self.tuning) != 6:
@@ -229,8 +230,8 @@ def parse_score(text: str) -> Score:
         tempo = float(tempo_toks[1])
     except ValueError:
         raise ParseError(f"bad tempo {tempo_toks[1]!r}", ln1, 2) from None
-    if tempo <= 0:
-        raise ParseError(f"tempo must be > 0, got {tempo}", ln1, 2)
+    if not 0 < tempo < math.inf:  # NaN fails too
+        raise ParseError(f"tempo must be finite and > 0, got {tempo}", ln1, 2)
     if len(tuning_toks) != 7 or tuning_toks[0] != "tuning":
         raise ParseError("expected 'tuning <6 MIDI ints, string 6 to 1>'", ln2)
     tuning = tuple(_parse_int(t, "tuning pitch", ln2, k + 2) for k, t in enumerate(tuning_toks[1:]))

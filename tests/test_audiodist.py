@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tabflow.audiodist import (EmbeddingSet, band_of, embed, fad,
+from tabflow.audiodist import (band_of, embed, fad,
                                frechet_gaussian, kad, median_bandwidth,
                                recon_distance, LOG_FLOOR)
 from tabflow.errors import DataError
@@ -12,21 +12,21 @@ FS = 44100
 
 
 def _set(arr):
-    return EmbeddingSet(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 # --- embedding ----------------------------------------------------------------
 
 def test_silence_embeds_to_constant_log_floor():
     e = embed(AudioBuffer(np.zeros(8192), FS))
-    assert np.allclose(e.vectors, np.log(LOG_FLOOR))
+    assert np.allclose(e, np.log(LOG_FLOOR))
 
 
 def test_sine_activates_band_containing_440():
     t = np.arange(2 * FS) / FS
     e = embed(AudioBuffer(0.5 * np.sin(2 * np.pi * 440.0 * t), FS))
     expected = band_of(440.0)
-    assert np.all(np.argmax(e.vectors, axis=1) == expected)
+    assert np.all(np.argmax(e, axis=1) == expected)
 
 
 def test_frame_count_matches_codec():
@@ -43,7 +43,7 @@ def test_embed_rejects_short_audio():
 def test_embedding_is_deterministic():
     rng = np.random.default_rng(1)
     audio = AudioBuffer(rng.uniform(-0.3, 0.3, 20000), FS)
-    assert np.array_equal(embed(audio).vectors, embed(audio).vectors)
+    assert np.array_equal(embed(audio), embed(audio))
 
 
 # --- FAD ----------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_median_bandwidth_matches_triu_index_formula(seed):
     scale = 10.0 ** rng.uniform(-3, 3)
     a = _set(scale * rng.standard_normal((m, dims)))
     b = _set(scale * rng.standard_normal((n, dims)) + 0.3)
-    pooled = np.vstack([a.vectors, b.vectors])
+    pooled = np.vstack([a, b])
     sq = np.sum(pooled ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
     iu = np.triu_indices(len(pooled), k=1)
@@ -172,10 +172,10 @@ def test_kad_matches_three_gram_formula(seed):
               - 2.0 * (x @ y.T))
         return np.exp(-np.clip(d2, 0.0, None) / (2.0 * sigma * sigma))
 
-    kaa, kbb = gram(a.vectors, a.vectors), gram(b.vectors, b.vectors)
+    kaa, kbb = gram(a, a), gram(b, b)
     expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-                - 2.0 * gram(a.vectors, b.vectors).mean())
+                - 2.0 * gram(a, b).mean())
     assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -213,3 +213,25 @@ def test_recon_triangle_inequality():
 def test_recon_frame_mismatch_rejected():
     with pytest.raises(DataError, match="aligned"):
         recon_distance(_set(np.zeros((3, 4))), _set(np.zeros((4, 4))))
+
+
+# --- input checks ----------------------------------------------------------------
+
+_GOOD = np.zeros((4, 3))
+
+
+def _nan_rows():
+    x = np.zeros((4, 3))
+    x[2, 1] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("metric", [fad, kad, recon_distance])
+@pytest.mark.parametrize("bad, match", [(np.zeros(12), "2-D"),
+                                        (_nan_rows(), "non-finite"),
+                                        (np.zeros((4, 5)), "dims differ")])
+def test_distances_reject_malformed_embeddings(metric, bad, match):
+    with pytest.raises(DataError, match=match):
+        metric(_GOOD, bad)
+    with pytest.raises(DataError, match=match):
+        metric(bad, _GOOD)

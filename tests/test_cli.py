@@ -204,8 +204,8 @@ def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
     recon = {s: v for c, m, s, v in rows if m == "recon"}
 
     def norms(label, stem):
-        a = audiodist.embed(cli._load_audio(tiny_cfg, dirs["real"] / f"{stem}.wav")).vectors
-        b = audiodist.embed(cli._load_audio(tiny_cfg, dirs[label] / f"{stem}.wav")).vectors
+        a = audiodist.embed(cli._load_audio(tiny_cfg, dirs["real"] / f"{stem}.wav"))
+        b = audiodist.embed(cli._load_audio(tiny_cfg, dirs[label] / f"{stem}.wav"))
         return np.linalg.norm(a - b, axis=1)
 
     for label in ("render", "guitarflow"):
@@ -213,6 +213,57 @@ def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
         assert recon[label] == np.mean(np.concatenate(per_stem))
         assert abs(recon[label] - np.mean([n.mean() for n in per_stem])) > 0.1
     assert recon["render"] == pytest.approx(1.5033360427318092, rel=1e-9)
+
+
+def test_eval_reads_each_wav_once(tiny_cfg, monkeypatch):
+    cli.cmd_synthdata(tiny_cfg)
+    real = cli._audio_dir(tiny_cfg, "pseudo_real")
+    render = cli._audio_dir(tiny_cfg, "synthetic")
+    reads = []
+    load = cli._load_audio
+
+    def counting_load(cfg, path):
+        reads.append(path)
+        return load(cfg, path)
+
+    monkeypatch.setattr(cli, "_load_audio", counting_load)
+    cli.cmd_eval(tiny_cfg, real, render, render, conditions=("di", "amp"))
+    # one read per (label, stem), whatever the number of conditions
+    assert sorted(reads) == sorted([real / "score_000.wav", real / "score_001.wav"]
+                                   + 2 * [render / "score_000.wav", render / "score_001.wav"])
+
+
+@pytest.mark.parametrize("conditions", ["", "di,di", "di,bogus", "di,"])
+def test_main_eval_bad_conditions_is_exit_1_before_reading(tiny_cfg, capsys, monkeypatch,
+                                                           conditions):
+    cli.cmd_synthdata(tiny_cfg)
+    real = cli._audio_dir(tiny_cfg, "pseudo_real")
+    render = cli._audio_dir(tiny_cfg, "synthetic")
+
+    def no_read(cfg, path):
+        raise AssertionError(f"read {path} before checking the conditions")
+
+    monkeypatch.setattr(cli, "_load_audio", no_read)
+    argv = ["--workdir", str(tiny_cfg.workdir), "eval", "--real", str(real),
+            "--render", str(render), "--guitarflow", str(render),
+            "--conditions", conditions]
+    assert cli.main(argv) == 1
+    assert "conditions must be distinct names from di, amp" in capsys.readouterr().err
+    assert not (tiny_cfg.workdir / "metrics.csv").exists()
+
+
+def test_eval_misaligned_stem_named(tiny_cfg, tmp_path):
+    from tabflow.errors import DataError
+    rng = np.random.default_rng(5)
+    dirs = {label: tmp_path / label for label in ("real", "render", "guitarflow")}
+    for label, d in dirs.items():
+        d.mkdir()
+        for stem in ("a", "b"):
+            seconds = 0.5 if (label, stem) == ("guitarflow", "b") else 1.0
+            x = rng.uniform(-0.5, 0.5, int(seconds * 44100)).astype(np.float32)
+            wavio.write_wav(d / f"{stem}.wav", x, 44100)
+    with pytest.raises(DataError, match=r"stem b: embeddings not frame-aligned"):
+        cli.cmd_eval(tiny_cfg, dirs["real"], dirs["render"], dirs["guitarflow"])
 
 
 def test_eval_missing_stem_listed(tiny_cfg, tmp_path):
@@ -298,6 +349,57 @@ def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, ke
     argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), "train"]
     assert cli.main(argv) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, command, code", [
+    ("cli", "train_split", "nan", "train", 2),
+    ("cli", "train_split", "-1", "train", 2),
+    ("latentcodec", "chunk_seconds", "nan", "train", 2),
+    ("latentcodec", "chunk_seconds", "inf", "train", 2),
+    ("audiodist", "kad_max_frames", "-5", "eval", 1),
+    ("flowmatch", "base_channels", "0", "train", 2),
+    ("flowmatch", "lr", "nan", "train", 2),
+])
+def test_main_bad_config_value_names_key(tiny_cfg, tmp_path, capsys,
+                                         section, key, value, command, code):
+    cli.cmd_synthdata(tiny_cfg)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), command]
+    if command == "eval":
+        real = str(cli._audio_dir(tiny_cfg, "pseudo_real"))
+        argv += ["--real", real, "--render", real, "--guitarflow", real]
+    assert cli.main(argv) == code
+    assert key in capsys.readouterr().err
+    assert not (tiny_cfg.workdir / "model.ckpt").exists()
+    assert not (tiny_cfg.workdir / "metrics.csv").exists()
+
+
+def _score_file(cfg, events, tempo):
+    scores = cli._scores_dir(cfg)
+    scores.mkdir(parents=True)
+    path = scores / "long.gftab"
+    path.write_text(f"gftab 1\ntempo {tempo}\ntuning 40 45 50 55 59 64\n{events}\n")
+    return path
+
+
+@pytest.mark.parametrize("events, tempo", [
+    ("0 6 0 99999999999999", "120"),     # huge duration
+    ("99999999999999 6 0 960", "120"),   # huge onset
+    ("0 6 0 960", "1e-320"),             # tiny tempo: the length overflows to inf
+])
+def test_main_render_too_long_score_is_exit_2(tiny_cfg, capsys, events, tempo):
+    _score_file(tiny_cfg, events, tempo)
+    assert cli.main(["--workdir", str(tiny_cfg.workdir), "render"]) == 2
+    assert "longer than the 600 s limit" in capsys.readouterr().err
+    assert not list(cli._audio_dir(tiny_cfg, "synthetic").glob("*.wav"))
+
+
+@pytest.mark.parametrize("tempo", ["nan", "1e999"])
+def test_main_render_non_finite_tempo_is_exit_2(tiny_cfg, capsys, tempo):
+    _score_file(tiny_cfg, "0 6 0 960", tempo)
+    assert cli.main(["--workdir", str(tiny_cfg.workdir), "render"]) == 2
+    assert "line 2, column 2: tempo must be finite and > 0" in capsys.readouterr().err
 
 
 def _short_fmt_wav(path):

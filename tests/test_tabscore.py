@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tabflow.errors import DataError
 from tabflow.tabscore import (DEFAULT_VELOCITY, NoteEvent, ParseError, Score,
                               Technique, TechniqueKind, event_pitch,
                               parse_score, serialize_score)
@@ -72,6 +73,15 @@ def test_missing_header_rejected():
         parse_score("0 6 0 960\n")
     with pytest.raises(ParseError, match="tempo"):
         parse_score("gftab 1\nbpm 120\ntuning 40 45 50 55 59 64\n")
+
+
+@pytest.mark.parametrize("tempo", ["nan", "1e999", "inf", "0", "-3"])
+def test_non_finite_or_nonpositive_tempo_rejected_on_line_2(tempo):
+    with pytest.raises(ParseError, match="tempo must be finite and > 0") as info:
+        parse_score(f"gftab 1\ntempo {tempo}\ntuning 40 45 50 55 59 64\n0 6 0 960\n")
+    assert info.value.line == 2
+    with pytest.raises(DataError, match="tempo"):
+        Score(tempo_bpm=float(tempo))
 
 
 def test_same_string_overlap_rejected():
