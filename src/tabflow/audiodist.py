@@ -8,6 +8,12 @@ Frechet (2-Wasserstein) distance between Gaussians fitted to the two sets;
 KAD is the unbiased squared MMD with a Gaussian RBF kernel and the
 median-distance bandwidth heuristic; the reconstruction distance is the
 per-frame embedding difference norm averaged over time.
+
+KAD never holds the pooled N x N distance matrix. Its distances are streamed
+in row blocks of the upper triangle, recomputed on each pass: sigma is the
+exact median of those blockwise distances, found by a bracketed gather (with
+a histogram of their top bits when the bracket misses), and one more pass
+turns each block into kernel values and sums them.
 """
 
 from __future__ import annotations
@@ -122,56 +128,160 @@ def fad(a: np.ndarray, b: np.ndarray) -> float:
     return frechet_gaussian(*_gaussian(a), *_gaussian(b))
 
 
-def _pooled_sq_dists(pooled: np.ndarray) -> np.ndarray:
-    """[N, N] squared Euclidean distances, sq_i + sq_j - 2 <p_i, p_j>.
+# The pooled distance matrix is streamed in blocks of BLOCK_ROWS rows, each
+# against the columns from its own first row on: at most 512 x 4096 float64
+# (16 MB) at the default kad_max_frames, where the whole matrix would be
+# 134 MB. The kernel sums are taken per block, so the block height also fixes
+# the order of summation and with it the last bits of KAD.
+BLOCK_ROWS = 512
+_LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 
-    Built in place on the Gram matrix; the sum is commutative, so the values
-    are those of the three-term formula bit for bit.
+# The median's bracket comes from this many random pairs, at quantiles
+# 0.5 -+ _BRACKET: 6.4 standard errors of a sample median, so it misses a
+# middle rank with a chance below 1e-9, and a miss only costs time.
+_SAMPLE_PAIRS = 16384
+_BRACKET = 0.025
+
+# The top 16 bits of a non-negative double (sign, exponent and 4 mantissa
+# bits) grow with its value; +inf takes the last of these key bins.
+_KEY_SHIFT = 48
+_KEY_BINS = (int(np.float64(np.inf).view(np.int64)) >> _KEY_SHIFT) + 1
+
+
+def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a then b as one [N, E] array, and their squared norms."""
+    pooled = np.vstack([a, b])
+    with np.errstate(over="ignore"):
+        sq = np.sum(pooled ** 2, axis=1)
+        # no partial sum of sq_i + sq_j - 2 <p_i, p_j> exceeds 4 max(sq)
+        if not np.isfinite(4.0 * sq.max(initial=0.0)):
+            raise NumericError("embedding norms overflow the squared distances")
+    return pooled, sq
+
+
+def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
+    """Yield (r0, r1, d2) over blocks of BLOCK_ROWS pooled rows.
+
+    d2[i, j] is max(sq_i + sq_j - 2 <p_i, p_j>, 0) for rows r0 + i and
+    r0 + j, built in place on the Gram block, except that the leading
+    (r1 - r0) square is +inf on and below its diagonal: the finite entries
+    over all blocks are the strict upper triangle of the pooled matrix. With
+    one block the product is pooled @ pooled.T, so the distances are those of
+    the three-term formula bit for bit.
     """
-    sq = np.sum(pooled ** 2, axis=1)
-    d2 = pooled @ pooled.T
-    d2 *= -2.0
-    for r in range(0, len(d2), 256):
-        d2[r:r + 256] += sq[r:r + 256, None] + sq[None, :]
-    return d2
+    n = len(pooled)
+    for r0 in range(0, n, BLOCK_ROWS):
+        r1 = min(r0 + BLOCK_ROWS, n)
+        d2 = pooled[r0:r1] @ pooled[r0:].T
+        d2 *= -2.0
+        d2 += sq[r0:r1, None] + sq[None, r0:]
+        np.clip(d2, 0.0, None, out=d2)
+        np.copyto(d2[:, :r1 - r0], np.inf, where=_LOWER[:r1 - r0, :r1 - r0])
+        yield r0, r1, d2
 
 
-def _median_upper(d2: np.ndarray) -> float:
-    """Median of sqrt(max(d2, 0)) over the strict upper triangle; 1.0 if 0."""
-    # gathered row by row, in np.triu_indices order, so nothing but the
-    # triangle itself is allocated next to the matrix
-    dist = np.concatenate([d2[r, r + 1:] for r in range(len(d2))])
-    np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
-    med = float(np.median(dist, overwrite_input=True))
+def _gather_ranks(arrays, lo: float, hi: float, ranks: np.ndarray) -> np.ndarray | None:
+    """The values of the given ranks among the finite entries of arrays, or
+    None if one of them lies outside [lo, hi]."""
+    below, inside = 0, []
+    for d2 in arrays:
+        under = d2 < lo
+        below += np.count_nonzero(under)
+        keep = d2 <= hi
+        keep ^= under  # lo <= hi, so under is a subset of keep
+        inside.append(d2[keep])
+    vals = np.concatenate(inside)
+    k = ranks - below
+    if k[0] < 0 or k[-1] >= len(vals):
+        return None
+    vals.partition(k)
+    return vals[k]
+
+
+def _median_sqrt(passes, count: int, bracket=None) -> float:
+    """Median of sqrt over the finite entries of one pass, exactly as
+    np.median gives it; 1.0 if it is 0 or there are no entries.
+
+    Each passes() call yields the C-contiguous float64 arrays of one pass
+    anew, and they may be overwritten. Their finite entries, count in all,
+    are >= 0; +inf marks an entry to skip. sqrt is monotone, so the middle
+    order statistics of the entries give the median. A bracket (lo, hi)
+    that holds them costs one gather pass. Without one, or when it misses,
+    a histogram pass over the entries' top bits finds the bin(s) that hold
+    the middle ranks, and a second pass gathers those.
+    """
+    if count == 0:
+        return 1.0
+    ranks = np.array([(count - 1) // 2, count // 2])
+    mid = None if bracket is None else _gather_ranks(passes(), *bracket, ranks)
+    if mid is None:
+        hist = np.zeros(_KEY_BINS, dtype=np.int64)
+        for d2 in passes():
+            keys = d2.view(np.int64).reshape(-1)
+            keys >>= _KEY_SHIFT
+            hist += np.bincount(keys, minlength=_KEY_BINS)
+        b_lo, b_hi = np.searchsorted(np.cumsum(hist), ranks, side="right")
+        # the smallest double of bin b_lo and the largest of bin b_hi
+        lo, hi = np.array([b_lo << _KEY_SHIFT, ((b_hi + 1) << _KEY_SHIFT) - 1],
+                          dtype=np.int64).view(np.float64)
+        mid = _gather_ranks(passes(), lo, hi, ranks)
+    # np.median takes the mean of the middle pair (of one entry twice if odd)
+    med = float(np.mean(np.sqrt(mid)))
     return med if med > 0.0 else 1.0
+
+
+def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
+    """Median of the blockwise distances over the strict upper triangle."""
+    n = len(pooled)
+    count = n * (n - 1) // 2
+    if count <= _SAMPLE_PAIRS:
+        bracket = (0.0, np.finfo(np.float64).max)  # gather every pair
+    else:
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, n, _SAMPLE_PAIRS)
+        j = rng.integers(0, n - 1, _SAMPLE_PAIRS)
+        j += j >= i
+        sample = sq[i] + sq[j] - 2.0 * np.einsum("ij,ij->i", pooled[i], pooled[j])
+        bracket = np.quantile(sample, [0.5 - _BRACKET, 0.5 + _BRACKET])
+    return _median_sqrt(lambda: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq)),
+                        count, bracket)
 
 
 def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sets (self pairs excluded)."""
     a, b = _checked(a, b, min_rows=0)
-    return _median_upper(_pooled_sq_dists(np.vstack([a, b])))
+    return _median_distance(*_pooled(a, b))
 
 
 def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
     """Unbiased squared MMD with Gaussian RBF kernel exp(-d^2 / (2 sigma^2)).
 
     May be slightly negative near zero; that is the unbiased estimator, not a
-    bug. sigma defaults to the median heuristic, taken from the same pooled
-    distance matrix whose blocks become the kernel values.
+    bug. The pooled distances are streamed in row blocks of the upper
+    triangle and never held whole. sigma defaults to the median heuristic,
+    the exact median of those same blockwise distances; one more pass turns
+    each block into kernel values and sums them by position into the aa, ab
+    and bb parts.
     """
     a, b = _checked(a, b)
-    d2 = _pooled_sq_dists(np.vstack([a, b]))
-    sigma = _median_upper(d2) if bandwidth is None else float(bandwidth)
+    pooled, sq = _pooled(a, b)
+    sigma = _median_distance(pooled, sq) if bandwidth is None else float(bandwidth)
     gamma = 1.0 / (2.0 * sigma * sigma)
     m, n = len(a), len(b)
-    kaa, kbb, kab = d2[:m, :m], d2[m:, m:], d2[:m, m:]
-    for block in (kaa, kbb, kab):
-        np.clip(block, 0.0, None, out=block)
-        block *= -gamma
-        np.exp(block, out=block)
-    term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
-    term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-    return float(term_a + term_b - 2.0 * kab.mean())
+    sum_aa = sum_ab = sum_bb = 0.0
+    for r0, r1, k in _sq_dist_blocks(pooled, sq):
+        k *= -gamma
+        np.exp(k, out=k)
+        np.copyto(k[:, :r1 - r0], 0.0, where=_LOWER[:r1 - r0, :r1 - r0])
+        col = max(m - r0, 0)  # the first b column of the block
+        row = min(col, r1 - r0)  # the first b row
+        sum_aa += k[:row, :col].sum()
+        sum_ab += k[:row, col:].sum()
+        sum_bb += k[row:, col:].sum()
+    # the aa and bb kernel blocks are symmetric: twice their upper sums
+    term_a = 2.0 * sum_aa / (m * (m - 1))
+    term_b = 2.0 * sum_bb / (n * (n - 1))
+    return float(term_a + term_b - 2.0 * (sum_ab / (m * n)))
 
 
 def recon_distance(a: np.ndarray, b: np.ndarray) -> float:

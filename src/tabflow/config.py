@@ -18,7 +18,7 @@ from dataclasses import field, make_dataclass
 from pathlib import Path
 
 from . import odesolve
-from .errors import UsageError
+from .errors import DataError, UsageError
 
 _TABLE: tuple[tuple[str, str, type, str], ...] = (
     ("paths", "scores_dir", Path, "scores"),
@@ -57,10 +57,12 @@ def _field_name(key: str) -> str:
     return "solver_name" if key == "solver" else key
 
 
+# each solver's [odesolve] keys, every one of which must be finite and > 0
 _SOLVERS = {
-    "euler": lambda cfg: odesolve.Euler(cfg.steps),
-    "rk4": lambda cfg: odesolve.RK4(cfg.steps),
-    "dopri5": lambda cfg: odesolve.Dopri5(cfg.rtol, cfg.atol, cfg.max_steps),
+    "euler": (("steps",), lambda cfg: odesolve.Euler(cfg.steps)),
+    "rk4": (("steps",), lambda cfg: odesolve.RK4(cfg.steps)),
+    "dopri5": (("rtol", "atol", "max_steps"),
+               lambda cfg: odesolve.Dopri5(cfg.rtol, cfg.atol, cfg.max_steps)),
 }
 
 
@@ -68,7 +70,15 @@ class _PipelineMethods:
     """Methods of PipelineConfig, whose fields come from _TABLE."""
 
     def solver(self) -> odesolve.SolverKind:
-        return _SOLVERS[self.solver_name](self)  # load_config checked the name
+        """The configured ODE solver; DataError names the first of its
+        [odesolve] keys whose value it cannot run with."""
+        keys, make = _SOLVERS[self.solver_name]  # load_config checked the name
+        for key in keys:
+            value = getattr(self, key)
+            if not 0 < value < float("inf"):  # NaN fails too
+                raise DataError(f"[odesolve] {key} must be finite and > 0 for solver "
+                                f"{self.solver_name}, got {value}")
+        return make(self)
 
     def canonical_text(self) -> str:
         lines = []

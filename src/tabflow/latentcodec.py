@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct, idct
 
 from .errors import DataError
-from .stringsynth import AudioBuffer
+from .stringsynth import MAX_RENDER_SECONDS, AudioBuffer
 
 FRAME_LEN = 1024
 FRAME_HOP = 512
@@ -104,10 +104,13 @@ def _overlap_add(frames: np.ndarray) -> np.ndarray:
 def chunk(audio: AudioBuffer, seconds: float = 4.0) -> np.ndarray:
     """[N, size] consecutive non-overlapping chunks of the samples, size being
     seconds at the audio's rate; the last row is zero-padded."""
-    size = int(round(seconds * audio.sample_rate)) if 0 < seconds < np.inf else 0  # NaN: 0
+    # no render is longer than MAX_RENDER_SECONDS, so a longer chunk would only
+    # hold padding; the bound keeps the [N, size] array from asking for TiBs
+    ok = 0 < seconds <= MAX_RENDER_SECONDS  # NaN fails too
+    size = int(round(seconds * audio.sample_rate)) if ok else 0
     if size < 1:
-        raise DataError(f"chunk_seconds must be finite and span at least one sample, "
-                        f"got {seconds}")
+        raise DataError(f"[latentcodec] chunk_seconds must span at least one sample "
+                        f"and at most {MAX_RENDER_SECONDS:g} s, got {seconds}")
     x = audio.samples
     out = np.zeros((max(1, -(-len(x) // size)), size), dtype=x.dtype)
     out.reshape(-1)[:len(x)] = x

@@ -40,8 +40,10 @@ class Dopri5:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise NumericError("rtol and atol must be > 0")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):  # NaN fails too
+            raise NumericError("rtol and atol must be finite and > 0")
+        if self.max_steps < 1:
+            raise NumericError("max_steps must be >= 1")
 
 
 SolverKind = Euler | RK4 | Dopri5

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tabflow.audiodist import (band_of, embed, fad,
+from tabflow.audiodist import (BLOCK_ROWS, _median_sqrt, band_of, embed, fad,
                                frechet_gaussian, kad, median_bandwidth,
                                recon_distance, LOG_FLOOR)
-from tabflow.errors import DataError
+from tabflow.errors import DataError, NumericError
 from tabflow.latentcodec import encode
 from tabflow.stringsynth import AudioBuffer
 
@@ -177,6 +180,115 @@ def test_kad_matches_three_gram_formula(seed):
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
     assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def _triu_median(a, b):
+    pooled = np.vstack([a, b])
+    sq = np.sum(pooled ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
+    iu = np.triu_indices(len(pooled), k=1)
+    return float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_median_bandwidth_exact_over_many_blocks(seed):
+    """Small-integer points make every distance exact in float64 and tie
+    many of them; pooled over more than one block, the streamed median is
+    still the triu_indices formula's exactly."""
+    rng = np.random.default_rng(100 + seed)
+    m, n = rng.integers(300, 900, size=2).tolist()
+    dims = int(rng.integers(1, 9))
+    a = _set(rng.integers(-3, 4, size=(m, dims)))
+    b = _set(rng.integers(-2, 5, size=(n, dims)))
+    assert m + n > BLOCK_ROWS
+    assert median_bandwidth(a, b) == _triu_median(a, b)
+
+
+@pytest.mark.parametrize("m, n", [(300, 700), (700, 300), (BLOCK_ROWS + 37, 260)])
+def test_kad_split_off_block_boundary(m, n):
+    """The a/b split falls inside a block (m < BLOCK_ROWS < n, and an m that
+    is no multiple of it); the aa, ab and bb sums still match three Gram
+    matrices."""
+    rng = np.random.default_rng(m)
+    dims = 5
+    a = _set(rng.standard_normal((m, dims)))
+    b = _set(rng.standard_normal((n, dims)) + 0.3)
+    sigma = median_bandwidth(a, b)
+    assert kad(a, b) == kad(a, b, bandwidth=sigma)
+
+    def gram(x, y):
+        d2 = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
+              - 2.0 * (x @ y.T))
+        return np.exp(-np.clip(d2, 0.0, None) / (2.0 * sigma * sigma))
+
+    kaa, kbb = gram(a, a), gram(b, b)
+    expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
+                + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
+                - 2.0 * gram(a, b).mean())
+    assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+_TIED = st.sampled_from([0.0, 0.0, 1.0, 2.25, 2.25, 4.0, 1e-300, 1e300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(_TIED | st.floats(0.0, 1e6), min_size=1, max_size=400),
+       width=st.integers(1, 64), data=st.data())
+@example(values=[0.0] * 10, width=3, data=None)     # all equal: sigma 1.0
+@example(values=[3.0], width=1, data=None)          # a single pair
+@example(values=[0.0, 0.0, 9.0, 9.0], width=3, data=None)
+def test_median_selector_matches_np_median(values, width, data):
+    """The streamed selector gives np.median of sqrt exactly, through the
+    histogram, through a bracket that holds the middle, and through a
+    bracket that misses it."""
+    vals = np.array(values)
+    med = float(np.median(np.sqrt(vals)))
+    expected = med if med > 0.0 else 1.0
+    # rows of `width` entries, the last one padded with skipped (+inf) entries
+    rows = np.full((-(-len(vals) // width), width), np.inf)
+    rows.reshape(-1)[:len(vals)] = vals
+
+    def passes():
+        return (rows[r:r + 2].copy() for r in range(0, len(rows), 2))
+
+    brackets = [None, (0.0, np.finfo(np.float64).max), (1.0, 2.25), (7.0, 5e5)]
+    if data is not None:
+        lo, hi = sorted(data.draw(st.sampled_from(values)) for _ in range(2))
+        brackets.append((lo, hi))
+    for bracket in brackets:
+        assert _median_sqrt(passes, len(vals), bracket) == expected
+
+
+def test_median_selector_no_entries():
+    assert _median_sqrt(lambda: iter(()), 0) == 1.0
+
+
+def test_median_bandwidth_of_identical_points_is_one():
+    x = _set(np.full((400, 3), 2.5))
+    assert median_bandwidth(x, x) == 1.0
+
+
+def test_kad_peak_memory_bound():
+    """One kad at the default cap (2048 + 2048 frames of 64 dims) streams its
+    distances: the pooled 4096 x 4096 matrix alone would be 134 MB."""
+    rng = np.random.default_rng(21)
+    a = _set(rng.standard_normal((2048, 64)))
+    b = _set(rng.standard_normal((2048, 64)) + 0.1)
+    tracemalloc.start()
+    try:
+        kad(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+
+
+def test_kad_norm_overflow_is_numeric_error():
+    a = _set(np.full((3, 2), 1e154))
+    with pytest.raises(NumericError, match="overflow"):
+        kad(a, -a)
+    with pytest.raises(NumericError, match="overflow"):
+        median_bandwidth(a, -a)
 
 
 # --- reconstruction distance ---------------------------------------------------

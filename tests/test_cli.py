@@ -356,6 +356,7 @@ def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, ke
     ("cli", "train_split", "-1", "train", 2),
     ("latentcodec", "chunk_seconds", "nan", "train", 2),
     ("latentcodec", "chunk_seconds", "inf", "train", 2),
+    ("latentcodec", "chunk_seconds", "1e9", "train", 2),
     ("audiodist", "kad_max_frames", "-5", "eval", 1),
     ("flowmatch", "base_channels", "0", "train", 2),
     ("flowmatch", "lr", "nan", "train", 2),
@@ -486,6 +487,28 @@ def test_main_transfer_bad_checkpoint_echo_is_exit_2(tiny_cfg, tmp_path, capsys,
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and str(ckpt) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"rtol": "nan"}, "rtol"),
+    ({"atol": "inf"}, "atol"),
+    ({"max_steps": "0"}, "max_steps"),
+    ({"solver": "euler", "steps": "0"}, "steps"),
+    ({"rtol": "-1"}, "rtol"),
+])
+def test_main_transfer_bad_odesolve_value_names_key(tiny_cfg, tmp_path, capsys,
+                                                    settings, key):
+    """Checked before the checkpoint is read: this one is not a checkpoint."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[odesolve]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    ckpt = tmp_path / "junk.ckpt"
+    ckpt.write_bytes(b"not a checkpoint")
+    out = tmp_path / "o.wav"
+    argv = ["--config", str(ini)] + _transfer_argv(tiny_cfg, ckpt,
+                                                   _noise_wav(tmp_path / "in.wav"), out)
+    assert cli.main(argv) == 2
+    assert f"[odesolve] {key} must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -104,3 +104,11 @@ def test_solver_parameter_validation():
         Euler(0)
     with pytest.raises(NumericError):
         Dopri5(rtol=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"rtol": float("nan")}, {"atol": float("nan")},
+                                    {"rtol": float("inf")}, {"atol": float("inf")},
+                                    {"max_steps": 0}])
+def test_dopri5_rejects_non_finite_tolerances_and_no_steps(kwargs):
+    with pytest.raises(NumericError):
+        Dopri5(**kwargs)
