@@ -18,6 +18,8 @@ turns each block into kernel values and sums them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataError, NumericError
@@ -167,14 +169,21 @@ def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
     (r1 - r0) square is +inf on and below its diagonal: the finite entries
     over all blocks are the strict upper triangle of the pooled matrix. With
     one block the product is pooled @ pooled.T, so the distances are those of
-    the three-term formula bit for bit.
+    the three-term formula bit for bit. Every block is built in the same two
+    buffers, sized for the first (largest) block, so a block lives only until
+    the next one is yielded.
     """
     n = len(pooled)
+    size = min(BLOCK_ROWS, n) * n
+    gram, norms = np.empty(size), np.empty(size)
     for r0 in range(0, n, BLOCK_ROWS):
         r1 = min(r0 + BLOCK_ROWS, n)
-        d2 = pooled[r0:r1] @ pooled[r0:].T
+        rows, cols = r1 - r0, n - r0
+        d2 = gram[:rows * cols].reshape(rows, cols)
+        np.matmul(pooled[r0:r1], pooled[r0:].T, out=d2)
         d2 *= -2.0
-        d2 += sq[r0:r1, None] + sq[None, r0:]
+        d2 += np.add(sq[r0:r1, None], sq[None, r0:],
+                     out=norms[:rows * cols].reshape(rows, cols))
         np.clip(d2, 0.0, None, out=d2)
         np.copyto(d2[:, :r1 - r0], np.inf, where=_LOWER[:r1 - r0, :r1 - r0])
         yield r0, r1, d2
@@ -266,7 +275,13 @@ def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
     a, b = _checked(a, b)
     pooled, sq = _pooled(a, b)
     sigma = _median_distance(pooled, sq) if bandwidth is None else float(bandwidth)
-    gamma = 1.0 / (2.0 * sigma * sigma)
+    twice_var = 2.0 * sigma * sigma
+    # NaN fails every comparison; a tiny sigma's square underflows to 0 or
+    # its inverse overflows
+    if not (0.0 < sigma < math.inf and twice_var > 0.0 and 1.0 / twice_var < math.inf):
+        raise DataError(f"kad bandwidth must be finite and > 0 with a finite "
+                        f"1 / (2 sigma^2), got {sigma!r}")
+    gamma = 1.0 / twice_var
     m, n = len(a), len(b)
     sum_aa = sum_ab = sum_bb = 0.0
     for r0, r1, k in _sq_dist_blocks(pooled, sq):

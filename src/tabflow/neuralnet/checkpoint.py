@@ -10,6 +10,8 @@ arrays in the same order.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -27,14 +29,15 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f4").tobytes())
 
 
-def _read_array(fh) -> np.ndarray:
+def _read_array(fh, size: int) -> np.ndarray:
+    """The next array of a file of size bytes; ValueError if it runs past the end."""
     (ndim,) = struct.unpack("<B", fh.read(1))
     shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    count = int(np.prod(shape)) if ndim else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4")
-    if data.size != count:
-        raise ValueError("truncated array")
-    return data.reshape(shape).copy()
+    nbytes = 4 * math.prod(shape)
+    left = size - fh.tell()
+    if nbytes > left:  # checked before reading, so a huge shape allocates nothing
+        raise ValueError(f"array of shape {shape} needs {nbytes} bytes, {left} left")
+    return np.frombuffer(fh.read(nbytes), dtype="<f4").reshape(shape).copy()
 
 
 def save_checkpoint(path, params: dict[str, Tensor], state: AdamState | None,
@@ -63,6 +66,7 @@ def save_checkpoint(path, params: dict[str, Tensor], state: AdamState | None,
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: bad checkpoint magic (expected {MAGIC!r})")
         try:
@@ -75,7 +79,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
             for _ in range(n_params):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")
-                params[name] = _read_array(fh)
+                params[name] = _read_array(fh, size)
             (has_state,) = struct.unpack("<B", fh.read(1))
             state = None
             if has_state:
@@ -83,8 +87,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
                 lr, b1, b2, eps = struct.unpack("<4d", fh.read(32))
                 state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
                 for name in params:
-                    state.m[name] = _read_array(fh)
-                    state.v[name] = _read_array(fh)
+                    state.m[name] = _read_array(fh, size)
+                    state.v[name] = _read_array(fh, size)
         except (struct.error, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
             raise DataError(f"{path}: truncated or corrupt checkpoint ({exc})") from None
     return params, state, config

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tabflow.audiodist import (BLOCK_ROWS, _median_sqrt, band_of, embed, fad,
-                               frechet_gaussian, kad, median_bandwidth,
+from tabflow.audiodist import (BLOCK_ROWS, _median_sqrt, _sq_dist_blocks, band_of,
+                               embed, fad, frechet_gaussian, kad, median_bandwidth,
                                recon_distance, LOG_FLOOR)
 from tabflow.errors import DataError, NumericError
 from tabflow.latentcodec import encode
@@ -129,6 +129,15 @@ def test_kad_hand_computed_two_point_sets():
     assert kad(a, b, bandwidth=1.0) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, 1e-200, 1e-160, float("nan"),
+                                       float("inf"), float("-inf")])
+def test_kad_rejects_bad_bandwidth(bandwidth):
+    """Not finite and > 0, or 1 / (2 sigma^2) not finite (sigma^2 underflows to
+    0 at 1e-200, 1 / (2 sigma^2) overflows at 1e-160)."""
+    with pytest.raises(DataError, match="kad bandwidth must be finite and > 0"):
+        kad(_set(np.zeros((3, 2))), _set(np.ones((3, 2))), bandwidth=bandwidth)
+
+
 def test_kad_symmetry():
     rng = np.random.default_rng(9)
     a = _set(rng.standard_normal((200, 3)))
@@ -141,6 +150,19 @@ def test_median_bandwidth_positive():
     a = _set(rng.standard_normal((50, 2)))
     b = _set(rng.standard_normal((50, 2)))
     assert median_bandwidth(a, b) > 0
+
+
+def test_one_block_distances_are_the_three_term_formula():
+    """Up to BLOCK_ROWS pooled rows make one block, whose product numpy takes
+    as the symmetric pooled @ pooled.T (SYRK, not GEMM, at 64 dims these
+    differ in the last bits), so its upper triangle is the three-term formula
+    bit for bit."""
+    pooled = 3.0 * np.random.default_rng(0).standard_normal((300, 64))
+    sq = np.sum(pooled ** 2, axis=1)
+    ((r0, r1, d2),) = _sq_dist_blocks(pooled, sq)
+    want = np.clip(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0, None)
+    iu = np.triu_indices(len(pooled), k=1)
+    assert (r0, r1) == (0, 300) and np.array_equal(d2[iu], want[iu])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -521,6 +521,20 @@ def test_main_transfer_truncated_checkpoint_is_exit_2(tiny_cfg, tmp_path, capsys
     assert "truncated or corrupt checkpoint" in err and str(ckpt) in err
 
 
+def test_main_transfer_checkpoint_declaring_8_tib_is_exit_2(tiny_cfg, tmp_path, capsys):
+    """A 44-byte checkpoint whose one parameter declares shape (2**31, 2**10)."""
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(b"GFCKPT1" + struct.pack("<I", 2) + b"{}" + struct.pack("<IH", 1, 1)
+                     + b"w" + struct.pack("<B2I", 2, 2**31, 2**10) + bytes(15))
+    src = _noise_wav(tmp_path / "in.wav")
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    err = capsys.readouterr().err
+    assert "truncated or corrupt checkpoint" in err and str(ckpt) in err
+    assert "needs 8796093022208 bytes, 15 left" in err
+    assert not out.exists()
+
+
 def test_main_success_is_exit_0(tmp_path, capsys):
     code = cli.main(["--workdir", str(tmp_path), "--seed", "3", "synthdata", "--n", "1"])
     assert code == 0

@@ -1,3 +1,4 @@
+import struct
 import weakref
 import zlib
 
@@ -171,6 +172,97 @@ def test_conv1d_skips_input_gradient_of_untracked_input():
     assert all(p is not x for p in parents) and any(p is w for p in parents)
 
 
+# (Cin, Cout, L, K) of the default VelocityNet's nine convs: 64 latent dims,
+# base_channels 32, 4-s chunks of 343 frames padded to 352
+UNET_CONV_SHAPES = [(65, 32, 352, 3), (32, 64, 176, 3), (64, 128, 88, 3),
+                    (128, 256, 44, 3), (512, 128, 44, 3), (256, 64, 88, 3),
+                    (128, 32, 176, 3), (64, 32, 352, 3), (32, 64, 352, 1)]
+
+
+def _per_tap_conv1d(x, w, b=None):
+    """conv1d's forward as one GEMM per tap: tap 0 written into a fresh
+    [Cout, B*(L+2p)] buffer, each further tap's product added in tap order,
+    the crop copied out to [B, Cout, L], then the bias added."""
+    batch, c_in, length = x.shape
+    c_out, _, k = w.shape
+    pad = k // 2
+    buf = np.zeros((c_in, batch, length + 2 * pad), dtype=x.dtype)
+    buf[:, :, pad:pad + length] = x.transpose(1, 0, 2)
+    buf = buf.reshape(c_in, -1)
+    wk = np.ascontiguousarray(w.transpose(2, 0, 1))
+    n = buf.shape[1] - (k - 1)
+    full = np.empty((c_out, buf.shape[1]), dtype=np.result_type(wk, buf))
+    acc = full[:, :n]
+    np.matmul(wk[0], buf[:, :n], out=acc)
+    for i in range(1, k):
+        acc += wk[i] @ buf[:, i:i + n]
+    out = np.ascontiguousarray(full.reshape(c_out, batch, -1)[:, :, :length].transpose(1, 0, 2))
+    if b is not None:
+        out += b[None, :, None]
+    return out
+
+
+@pytest.mark.parametrize("c_in, c_out, length, k", UNET_CONV_SHAPES)
+def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
+    """The stacked-tap forward is the per-tap sum bit for bit at the training
+    batch, with and without bias. OpenBLAS picks its sgemm kernel by the
+    product's size, so at B = 1 or 2 a per-tap product can take another kernel
+    than the stacked one and round differently (OpenBLAS 0.3.31 on an AVX-512
+    Xeon: 64-128-88 at B = 1, 32-64-176 at B = 2); there the two agree within
+    the rounding bound of two orders of summing K * Cin products."""
+    rng = np.random.default_rng(c_in * 1000 + c_out)
+    x = rng.standard_normal((64, c_in, length)).astype(np.float32)
+    w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+    b = rng.standard_normal(c_out).astype(np.float32)
+    for bias in (None, b):
+        got = T.conv1d(T.Tensor(x), T.Tensor(w), None if bias is None else T.Tensor(bias))
+        want = _per_tap_conv1d(x, w, bias)
+        assert got.data.flags.c_contiguous and got.dtype == want.dtype
+        assert got.data.tobytes() == want.tobytes()
+    terms = k * c_in
+    eps = np.finfo(np.float32).eps / 2  # unit roundoff
+    gamma = terms * eps / (1 - terms * eps)
+    for batch in (1, 2):
+        got = T.conv1d(T.Tensor(x[:batch]), T.Tensor(w)).data
+        want = _per_tap_conv1d(x[:batch], w)
+        scale = _per_tap_conv1d(np.abs(x[:batch]).astype(np.float64), np.abs(w).astype(np.float64))
+        assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * gamma * scale)
+
+
+def _signed_specials(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    normal = np.finfo(dtype).tiny
+    return np.array([-0.0, 0.0, tiny, -tiny, 7 * tiny, -3 * tiny, normal, -normal, 2.25, -1.5],
+                    dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_bytes_match_where(dtype):
+    """-0.0 -> +0.0, subnormals of both signs, every vector-loop tail length
+    and strided input: the same bytes as where(x > 0, x, 0.0)."""
+    rng = np.random.default_rng(2)
+    for n in (1, 7, 16, 33, 100):
+        x = rng.choice(_signed_specials(dtype), size=(2, 3, n))
+        for arr in (x, x[:, :, ::2], x.transpose(2, 1, 0)):
+            got = T.relu(T.Tensor(arr)).data
+            want = np.where(arr > 0, arr, 0.0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample2_backward_bytes_match_reshape_sum(dtype):
+    """Including pairs of two -0.0 halves, which the reshape-sum makes +0.0."""
+    rng = np.random.default_rng(3)
+    x = T.Tensor(np.zeros((2, 3, 11), dtype=dtype), requires_grad=True)
+    up = T.upsample2(x)
+    g = rng.choice(_signed_specials(dtype), size=up.shape)
+    g[0, 0, :4] = [-0.0, -0.0, -0.0, 0.0]
+    g[1] = rng.standard_normal(g[1].shape)
+    ((parent, gx),) = up._backward(g)
+    want = g.reshape(2, 3, 11, 2).sum(axis=-1)
+    assert parent is x and gx.dtype == want.dtype and gx.tobytes() == want.tobytes()
+
+
 def test_backward_releases_graph_and_runs_once():
     w = T.Tensor(np.random.default_rng(0).standard_normal((4, 3, 3)), requires_grad=True)
     hidden = T.relu(T.conv1d(T.Tensor(np.ones((2, 3, 8))), w))
@@ -311,6 +403,20 @@ def test_truncated_or_garbled_checkpoint_names_path(tmp_path):
         with pytest.raises(DataError, match="truncated or corrupt") as info:
             nn.load_checkpoint(path)
         assert str(path) in str(info.value)
+
+
+def test_checkpoint_declaring_more_data_than_file_holds(tmp_path):
+    """A 44-byte checkpoint whose one parameter declares shape (2**31, 2**10),
+    8 TiB of float32: refused from the file size, before any read."""
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(nn.checkpoint.MAGIC + struct.pack("<I", 2) + b"{}"
+                     + struct.pack("<IH", 1, 1) + b"w"
+                     + struct.pack("<B2I", 2, 2**31, 2**10) + bytes(15))
+    assert path.stat().st_size == 44
+    with pytest.raises(DataError, match="truncated or corrupt") as info:
+        nn.load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert "needs 8796093022208 bytes, 15 left" in str(info.value)
 
 
 def test_no_grad_disables_graph():
