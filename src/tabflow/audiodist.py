@@ -9,15 +9,21 @@ KAD is the unbiased squared MMD with a Gaussian RBF kernel and the
 median-distance bandwidth heuristic; the reconstruction distance is the
 per-frame embedding difference norm averaged over time.
 
+embed takes the magnitude spectrum and the filterbank product only up to the
+bank's last nonzero bin (186 of 513 at 44.1 kHz): the bins above 8000 Hz
+carry zero weights, and the rows keep the full product's bytes.
+
 KAD never holds the pooled N x N distance matrix. Its distances are streamed
-in row blocks of the upper triangle, recomputed on each pass: sigma is the
-exact median of those blockwise distances, found by a bracketed gather (with
-a histogram of their top bits when the bracket misses), and one more pass
-turns each block into kernel values and sums them.
+in row tiles of the upper triangle, recomputed on each pass: sigma is the
+exact median of those tiled distances, found by a bracketed gather (with a
+histogram of their top bits when the bracket misses), and one more pass turns
+each tile into kernel values and sums them. A tile is sized to stay in one
+core's L2 cache while its norms, clip and kernel values are applied.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,15 +53,6 @@ def band_edges(n_bands: int = EMBED_DIMS, fmin: float = FMIN_HZ,
     return _mel_inv(np.linspace(_mel(fmin), _mel(fmax), n_bands + 2))
 
 
-def band_of(freq: float, n_bands: int = EMBED_DIMS) -> int:
-    """Index of the band with the strongest triangle response at freq."""
-    edges = band_edges(n_bands)
-    lo, mid, hi = edges[:-2], edges[1:-1], edges[2:]
-    up = (freq - lo) / (mid - lo)
-    down = (hi - freq) / (hi - mid)
-    return int(np.argmax(np.clip(np.minimum(up, down), 0.0, None)))
-
-
 def _filterbank(sample_rate: int) -> np.ndarray:
     """[n_bands, n_bins] triangular weights over the rFFT bin grid."""
     freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / sample_rate)
@@ -69,11 +66,38 @@ def _filterbank(sample_rate: int) -> np.ndarray:
     return bank
 
 
+# OpenBLAS's Haswell dgemm sums a 513-bin inner product in a leading panel of
+# 256 bins, then the rest. A cut inside that panel drops only trailing zero
+# terms of its sums, so the cut product has the full product's bytes; a cut
+# beyond it would regroup the sums (as at 22050 Hz, 372 bins).
+_PANEL_BINS = 256
+
+
+@functools.cache
+def _band_limited_bank(sample_rate: int) -> np.ndarray:
+    """[n_bands, bins] weights: the filterbank cut after its last nonzero
+    column (no columns if it has none), or whole when that column lies past
+    _PANEL_BINS; built once per sample rate."""
+    bank = _filterbank(sample_rate)
+    used = np.flatnonzero(bank.any(axis=0))
+    bins = int(used[-1]) + 1 if len(used) else 0
+    if bins > _PANEL_BINS:
+        bins = bank.shape[1]
+    bank = bank[:, :bins].copy()
+    bank.flags.writeable = False
+    return bank
+
+
 def embed(audio: AudioBuffer) -> np.ndarray:
     """[F, EMBED_DIMS] float64 log filterbank rows over the latent codec's frames."""
-    frames = windowed_frames(np.asarray(audio.samples, dtype=np.float64))
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    return np.log(mags @ _filterbank(audio.sample_rate).T + LOG_FLOOR)
+    samples = audio.samples
+    if samples.dtype != np.float32:
+        samples = np.asarray(samples, dtype=np.float64)
+    # float32 samples times the float64 window are the bytes of a cast first
+    frames = windowed_frames(samples)
+    bank = _band_limited_bank(audio.sample_rate)
+    mags = np.abs(np.fft.rfft(frames, axis=1)[:, :bank.shape[1]])
+    return np.log(mags @ bank.T + LOG_FLOOR)
 
 
 def _checked(a, b, min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -130,12 +154,14 @@ def fad(a: np.ndarray, b: np.ndarray) -> float:
     return frechet_gaussian(*_gaussian(a), *_gaussian(b))
 
 
-# The pooled distance matrix is streamed in blocks of BLOCK_ROWS rows, each
-# against the columns from its own first row on: at most 512 x 4096 float64
-# (16 MB) at the default kad_max_frames, where the whole matrix would be
-# 134 MB. The kernel sums are taken per block, so the block height also fixes
-# the order of summation and with it the last bits of KAD.
-BLOCK_ROWS = 512
+# The pooled distance matrix is streamed in tiles of BLOCK_ROWS rows, each
+# against the columns from its own first row on: at most 64 x 4096 float64
+# (2 MB) at the default kad_max_frames, where the whole matrix would be
+# 134 MB. 2 MB fits one core's L2 cache, so the norms, the clip and the kernel
+# values of a tile are applied in cache rather than streamed from memory. The
+# kernel sums are taken per tile, so the tile height also fixes the order of
+# summation and with it the last bits of KAD.
+BLOCK_ROWS = 64
 _LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 
 # The median's bracket comes from this many random pairs, at quantiles
@@ -162,26 +188,30 @@ def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
-    """Yield (r0, r1, d2) over blocks of BLOCK_ROWS pooled rows.
+    """Yield (r0, r1, d2) over tiles of BLOCK_ROWS pooled rows.
 
-    d2[i, j] is max(sq_i + sq_j - 2 <p_i, p_j>, 0) for rows r0 + i and
-    r0 + j, built in place on the Gram block, except that the leading
-    (r1 - r0) square is +inf on and below its diagonal: the finite entries
-    over all blocks are the strict upper triangle of the pooled matrix. With
-    one block the product is pooled @ pooled.T, so the distances are those of
-    the three-term formula bit for bit. Every block is built in the same two
-    buffers, sized for the first (largest) block, so a block lives only until
-    the next one is yielded.
+    d2[i, j] is max((-2 p_i) . p_j + (sq_i + sq_j), 0) for rows r0 + i and
+    r0 + j, built in place on the tile's GEMM product, except that the
+    leading (r1 - r0) square is +inf on and below its diagonal: the finite
+    entries over all tiles are the strict upper triangle of the pooled
+    matrix. The factor -2 is folded into the left operand once per call;
+    scaling by a power of two commutes with rounding outside the subnormal
+    range, and _pooled's overflow guard bounds each partial sum, so this is
+    -2 <p_i, p_j> exactly.
+    The left operand is never the right one's buffer, so every tile is one
+    GEMM (numpy would send a symmetric pooled @ pooled.T to SYRK). Every
+    tile is built in the same two buffers, sized for the first (largest)
+    tile, so a tile lives only until the next one is yielded.
     """
     n = len(pooled)
+    left = -2.0 * pooled
     size = min(BLOCK_ROWS, n) * n
     gram, norms = np.empty(size), np.empty(size)
     for r0 in range(0, n, BLOCK_ROWS):
         r1 = min(r0 + BLOCK_ROWS, n)
         rows, cols = r1 - r0, n - r0
         d2 = gram[:rows * cols].reshape(rows, cols)
-        np.matmul(pooled[r0:r1], pooled[r0:].T, out=d2)
-        d2 *= -2.0
+        np.matmul(left[r0:r1], pooled[r0:].T, out=d2)
         d2 += np.add(sq[r0:r1, None], sq[None, r0:],
                      out=norms[:rows * cols].reshape(rows, cols))
         np.clip(d2, 0.0, None, out=d2)
@@ -240,7 +270,7 @@ def _median_sqrt(passes, count: int, bracket=None) -> float:
 
 
 def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
-    """Median of the blockwise distances over the strict upper triangle."""
+    """Median of the tiled distances over the strict upper triangle."""
     n = len(pooled)
     count = n * (n - 1) // 2
     if count <= _SAMPLE_PAIRS:
@@ -266,10 +296,10 @@ def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
     """Unbiased squared MMD with Gaussian RBF kernel exp(-d^2 / (2 sigma^2)).
 
     May be slightly negative near zero; that is the unbiased estimator, not a
-    bug. The pooled distances are streamed in row blocks of the upper
+    bug. The pooled distances are streamed in row tiles of the upper
     triangle and never held whole. sigma defaults to the median heuristic,
-    the exact median of those same blockwise distances; one more pass turns
-    each block into kernel values and sums them by position into the aa, ab
+    the exact median of those same tiled distances; one more pass turns
+    each tile into kernel values and sums them by position into the aa, ab
     and bb parts.
     """
     a, b = _checked(a, b)
@@ -288,7 +318,7 @@ def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
         k *= -gamma
         np.exp(k, out=k)
         np.copyto(k[:, :r1 - r0], 0.0, where=_LOWER[:r1 - r0, :r1 - r0])
-        col = max(m - r0, 0)  # the first b column of the block
+        col = max(m - r0, 0)  # the first b column of the tile
         row = min(col, r1 - r0)  # the first b row
         sum_aa += k[:row, :col].sum()
         sum_ab += k[:row, col:].sum()

@@ -82,8 +82,10 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     from the unpadded endpoints. Reads batch_size, lr, epochs and seed from
     cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
     steps with a ragged final batch (the batch is clamped to N).
-    Deterministic for a fixed cfg.seed. Returns (net, AdamState, history),
-    with history rows (step, epoch, loss).
+    Deterministic for a fixed cfg.seed and BLAS thread count: OpenBLAS picks
+    its sgemm kernel by size and by thread count, so the bytes can differ
+    between thread counts. Returns (net, AdamState, history), with history
+    rows (step, epoch, loss).
     """
     for key in ("batch_size", "epochs", "base_channels", "lr"):
         value = getattr(cfg, key)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tabflow.audiodist import (BLOCK_ROWS, _median_sqrt, _sq_dist_blocks, band_of,
-                               embed, fad, frechet_gaussian, kad, median_bandwidth,
-                               recon_distance, LOG_FLOOR)
+from tabflow.audiodist import (BLOCK_ROWS, EMBED_DIMS, _filterbank, _median_sqrt,
+                               _sq_dist_blocks, band_edges, embed, fad, frechet_gaussian,
+                               kad, median_bandwidth, recon_distance, LOG_FLOOR)
 from tabflow.errors import DataError, NumericError
-from tabflow.latentcodec import encode
+from tabflow.latentcodec import encode, windowed_frames
 from tabflow.stringsynth import AudioBuffer
 
 FS = 44100
@@ -18,7 +18,37 @@ def _set(arr):
     return np.asarray(arr, dtype=np.float64)
 
 
+def band_of(freq: float, n_bands: int = EMBED_DIMS) -> int:
+    """Index of the band with the strongest triangle response at freq."""
+    edges = band_edges(n_bands)
+    lo, mid, hi = edges[:-2], edges[1:-1], edges[2:]
+    up = (freq - lo) / (mid - lo)
+    down = (hi - freq) / (hi - mid)
+    return int(np.argmax(np.clip(np.minimum(up, down), 0.0, None)))
+
+
 # --- embedding ----------------------------------------------------------------
+
+@pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_bytes_match_full_bin_oracle(rate, dtype):
+    """embed frames the samples as given and stops the spectrum at the bank's
+    last nonzero bin; its rows are still the bytes of a float64 cast, all 513
+    bins and a freshly built bank."""
+    samples = (0.3 * np.random.default_rng(rate).standard_normal(30000)).astype(dtype)
+    frames = windowed_frames(np.asarray(samples, dtype=np.float64))
+    mags = np.abs(np.fft.rfft(frames, axis=1))
+    want = np.log(mags @ _filterbank(rate).T + LOG_FLOOR)
+    assert np.array_equal(embed(AudioBuffer(samples, rate)), want)
+
+
+def test_embed_with_no_band_below_nyquist_is_log_floor():
+    """At 100 Hz every bin lies below the lowest band, so the bank has no
+    nonzero column and every row is the floor."""
+    assert not _filterbank(100).any()
+    e = embed(AudioBuffer(np.ones(4096, dtype=np.float32), 100))
+    assert e.shape == (7, EMBED_DIMS) and np.all(e == np.log(LOG_FLOOR))
+
 
 def test_silence_embeds_to_constant_log_floor():
     e = embed(AudioBuffer(np.zeros(8192), FS))
@@ -152,17 +182,24 @@ def test_median_bandwidth_positive():
     assert median_bandwidth(a, b) > 0
 
 
-def test_one_block_distances_are_the_three_term_formula():
-    """Up to BLOCK_ROWS pooled rows make one block, whose product numpy takes
-    as the symmetric pooled @ pooled.T (SYRK, not GEMM, at 64 dims these
-    differ in the last bits), so its upper triangle is the three-term formula
-    bit for bit."""
+def test_tile_distances_are_the_three_term_formula():
+    """Each tile's finite entries are the three-term formula over that tile's
+    own GEMM product bit for bit (a copied left operand keeps numpy off SYRK
+    in the last tile, whose last bits differ), and +inf marks exactly the
+    diagonal and below of its leading square."""
     pooled = 3.0 * np.random.default_rng(0).standard_normal((300, 64))
     sq = np.sum(pooled ** 2, axis=1)
-    ((r0, r1, d2),) = _sq_dist_blocks(pooled, sq)
-    want = np.clip(sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T), 0.0, None)
-    iu = np.triu_indices(len(pooled), k=1)
-    assert (r0, r1) == (0, 300) and np.array_equal(d2[iu], want[iu])
+    spans = []
+    for r0, r1, d2 in _sq_dist_blocks(pooled, sq):
+        spans.append((r0, r1))
+        gram = pooled[r0:r1].copy() @ pooled[r0:].T
+        want = np.clip(sq[r0:r1, None] + sq[None, r0:] - 2.0 * gram, 0.0, None)
+        lower = np.zeros(d2.shape, dtype=bool)
+        lower[:, :r1 - r0] = np.tri(r1 - r0, dtype=bool)
+        assert np.array_equal(np.isinf(d2), lower)
+        assert np.array_equal(d2[~lower], want[~lower])
+    bounds = list(range(0, 300, BLOCK_ROWS)) + [300]
+    assert spans == list(zip(bounds[:-1], bounds[1:]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -226,11 +263,13 @@ def test_median_bandwidth_exact_over_many_blocks(seed):
     assert median_bandwidth(a, b) == _triu_median(a, b)
 
 
-@pytest.mark.parametrize("m, n", [(300, 700), (700, 300), (BLOCK_ROWS + 37, 260)])
+@pytest.mark.parametrize("m, n", [(300, 700), (700, 300), (8 * BLOCK_ROWS + 37, 260),
+                                  (BLOCK_ROWS - 24, 300)])
 def test_kad_split_off_block_boundary(m, n):
-    """The a/b split falls inside a block (m < BLOCK_ROWS < n, and an m that
-    is no multiple of it); the aa, ab and bb sums still match three Gram
-    matrices."""
+    """The a/b split falls inside a tile (no m here is a multiple of
+    BLOCK_ROWS, and the last is below it with n above); the aa, ab and bb
+    sums still match three Gram matrices."""
+    assert m % BLOCK_ROWS
     rng = np.random.default_rng(m)
     dims = 5
     a = _set(rng.standard_normal((m, dims)))
@@ -292,7 +331,8 @@ def test_median_bandwidth_of_identical_points_is_one():
 
 def test_kad_peak_memory_bound():
     """One kad at the default cap (2048 + 2048 frames of 64 dims) streams its
-    distances: the pooled 4096 x 4096 matrix alone would be 134 MB."""
+    distances in 64 x 4096 tiles (2 MB each): the pooled 4096 x 4096 matrix
+    alone would be 134 MB."""
     rng = np.random.default_rng(21)
     a = _set(rng.standard_normal((2048, 64)))
     b = _set(rng.standard_normal((2048, 64)) + 0.1)
@@ -302,7 +342,7 @@ def test_kad_peak_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80e6
+    assert peak < 30e6
 
 
 def test_kad_norm_overflow_is_numeric_error():

@@ -16,11 +16,11 @@ ROWS = [
     ("di", "fad", "render", 255.75468727023554),
     ("di", "kad", "render", 0.04249305115982027),
     ("di", "fad", "guitarflow", 154.62532637130062),
-    ("di", "kad", "guitarflow", 0.03504020766463678),
+    ("di", "kad", "guitarflow", 0.035040207664636336),
     ("di", "recon", "render", 14.757818411699544),
     ("di", "recon", "guitarflow", 11.080646511878516),
     ("amp", "fad", "render", 219.5096010017844),
-    ("amp", "kad", "render", 0.023967553687842535),
+    ("amp", "kad", "render", 0.02396755368784209),
     ("amp", "fad", "guitarflow", 169.991291994716),
     ("amp", "kad", "guitarflow", 0.01950213723615124),
     ("amp", "recon", "render", 11.242150691125184),
