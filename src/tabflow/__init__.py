@@ -21,7 +21,7 @@ from .stringsynth import (AudioBuffer, RenderStyle, STYLE_PRESETS, amp_process,
                           normalize_rms, render)
 from .latentcodec import chunk, decode, encode
 from .flowmatch import FlowSample, cfm_loss, make_sample, train
-from .odesolve import Dopri5, Euler, OdeTrace, RK4, convergence_order, integrate
+from .odesolve import Dopri5, Euler, OdeTrace, RK4, integrate
 from .audiodist import embed, fad, kad, recon_distance
 from .mosstats import (RatingTable, TestResult, bonferroni, friedman,
                        mos_summary, wilcoxon_signed_rank)
@@ -33,9 +33,9 @@ __all__ = [
     "FlowSample", "NoteEvent", "NumericError", "OdeTrace",
     "RatingTable", "RenderStyle", "RK4", "Score", "STYLE_PRESETS",
     "TabflowError", "Technique", "TechniqueKind", "TestResult", "UsageError",
-    "amp_process", "bonferroni", "cfm_loss", "chunk", "convergence_order",
-    "decode", "embed", "encode", "event_pitch", "fad", "friedman",
-    "integrate", "kad", "make_sample", "mos_summary", "normalize_rms",
-    "parse_score", "recon_distance", "render", "serialize_score", "train",
+    "amp_process", "bonferroni", "cfm_loss", "chunk", "decode", "embed",
+    "encode", "event_pitch", "fad", "friedman", "integrate", "kad",
+    "make_sample", "mos_summary", "normalize_rms", "parse_score",
+    "recon_distance", "render", "serialize_score", "train",
     "wilcoxon_signed_rank",
 ]

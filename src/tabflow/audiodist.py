@@ -15,10 +15,10 @@ carry zero weights, and the rows keep the full product's bytes.
 
 KAD never holds the pooled N x N distance matrix. Its distances are streamed
 in row tiles of the upper triangle, recomputed on each pass: sigma is the
-exact median of those tiled distances, found by a bracketed gather (with a
-histogram of their top bits when the bracket misses), and one more pass turns
-each tile into kernel values and sums them. A tile is sized to stay in one
-core's L2 cache while its norms, clip and kernel values are applied.
+exact median of those tiled distances, found by a bracketed gather (of every
+distance when the bracket misses), and one more pass turns each tile into
+kernel values and sums them. A tile is sized to stay in one core's L2 cache
+while its norms, clip and kernel values are applied.
 """
 
 from __future__ import annotations
@@ -170,10 +170,8 @@ _LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 _SAMPLE_PAIRS = 16384
 _BRACKET = 0.025
 
-# The top 16 bits of a non-negative double (sign, exponent and 4 mantissa
-# bits) grow with its value; +inf takes the last of these key bins.
-_KEY_SHIFT = 48
-_KEY_BINS = (int(np.float64(np.inf).view(np.int64)) >> _KEY_SHIFT) + 1
+# The bracket that holds every finite entry: it gathers every pair.
+_EVERY_PAIR = (0.0, np.finfo(np.float64).max)
 
 
 def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +235,7 @@ def _gather_ranks(arrays, lo: float, hi: float, ranks: np.ndarray) -> np.ndarray
     return vals[k]
 
 
-def _median_sqrt(passes, count: int, bracket=None) -> float:
+def _median_sqrt(passes, count: int, bracket: tuple[float, float]) -> float:
     """Median of sqrt over the finite entries of one pass, exactly as
     np.median gives it; 1.0 if it is 0 or there are no entries.
 
@@ -245,25 +243,15 @@ def _median_sqrt(passes, count: int, bracket=None) -> float:
     anew, and they may be overwritten. Their finite entries, count in all,
     are >= 0; +inf marks an entry to skip. sqrt is monotone, so the middle
     order statistics of the entries give the median. A bracket (lo, hi)
-    that holds them costs one gather pass. Without one, or when it misses,
-    a histogram pass over the entries' top bits finds the bin(s) that hold
-    the middle ranks, and a second pass gathers those.
+    that holds them costs one gather pass; when it misses, a second pass
+    gathers every finite entry.
     """
     if count == 0:
         return 1.0
     ranks = np.array([(count - 1) // 2, count // 2])
-    mid = None if bracket is None else _gather_ranks(passes(), *bracket, ranks)
+    mid = _gather_ranks(passes(), *bracket, ranks)
     if mid is None:
-        hist = np.zeros(_KEY_BINS, dtype=np.int64)
-        for d2 in passes():
-            keys = d2.view(np.int64).reshape(-1)
-            keys >>= _KEY_SHIFT
-            hist += np.bincount(keys, minlength=_KEY_BINS)
-        b_lo, b_hi = np.searchsorted(np.cumsum(hist), ranks, side="right")
-        # the smallest double of bin b_lo and the largest of bin b_hi
-        lo, hi = np.array([b_lo << _KEY_SHIFT, ((b_hi + 1) << _KEY_SHIFT) - 1],
-                          dtype=np.int64).view(np.float64)
-        mid = _gather_ranks(passes(), lo, hi, ranks)
+        mid = _gather_ranks(passes(), *_EVERY_PAIR, ranks)
     # np.median takes the mean of the middle pair (of one entry twice if odd)
     med = float(np.mean(np.sqrt(mid)))
     return med if med > 0.0 else 1.0
@@ -274,7 +262,7 @@ def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
     n = len(pooled)
     count = n * (n - 1) // 2
     if count <= _SAMPLE_PAIRS:
-        bracket = (0.0, np.finfo(np.float64).max)  # gather every pair
+        bracket = _EVERY_PAIR
     else:
         rng = np.random.default_rng(0)
         i = rng.integers(0, n, _SAMPLE_PAIRS)

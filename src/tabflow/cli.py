@@ -341,6 +341,7 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
         if not required.issubset(set(reader.fieldnames)):
             raise DataError(f"{ratings_csv}: header must contain {sorted(required)}")
         has_condition = "condition" in reader.fieldnames
+        labels = ("rater", "item", "system") + (("condition",) if has_condition else ())
         by_condition: dict[str, list] = {}
         for k, row in enumerate(reader, 1):
             try:
@@ -348,6 +349,10 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
             except (TypeError, ValueError):
                 raise DataError(f"{ratings_csv}: rating row {k} has no numeric score: "
                                 f"{row['score']!r}") from None
+            # DictReader fills the fields of a short row with None
+            missing = [f for f in labels if row[f] is None]
+            if missing:
+                raise DataError(f"{ratings_csv}: rating row {k} lacks {', '.join(missing)}")
             cond = row["condition"] if has_condition else "all"
             by_condition.setdefault(cond, []).append(
                 (row["rater"], row["item"], row["system"], score))
@@ -460,7 +465,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # an OSError's message names its path
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

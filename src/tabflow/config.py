@@ -136,10 +136,3 @@ def load_config(path: str | Path | None = None,
     if cfg.solver_name not in _SOLVERS:
         raise UsageError(f"unknown solver {cfg.solver_name!r}")
     return cfg
-
-
-def with_updates(cfg: PipelineConfig, **sections) -> PipelineConfig:
-    """Functional update, e.g. with_updates(cfg, cli={'seed': '7'})."""
-    raw = _merge(cfg.raw, {s: {k: str(v) for k, v in kv.items()}
-                           for s, kv in sections.items()})
-    return load_config(None, overrides=raw)

@@ -1,19 +1,19 @@
 """Small reverse-mode autodiff engine over numpy arrays.
 
-The UNet velocity field needs 1-D convolution, ReLU, scaling, channel
-concatenation, stride-2 down/upsampling and the MSE loss; the remaining ops
-(elementwise add/sub/mul, matmul, mean, sum) serve the tests' toy networks
-and gradient checks. Every op output is checked for NaN/Inf and aborts
-naming the op when one appears.
+The ops are the ones the UNet velocity field needs: 1-D convolution, ReLU,
+scaling, channel concatenation, stride-2 down/upsampling and the MSE loss.
+Every op output is checked for NaN/Inf and aborts naming the op when one
+appears.
 
 The convolution lays its input out channel-major, [Cin, B*(L+2p)] with each
 sample between its own 2p zero columns; the zeros keep every shift inside its
-sample. The forward is one GEMM of the K taps stacked as [K*Cout, Cin] over
-that buffer, then K-1 in-place adds of the shifted tap rows in tap order, and
-the bias is added while the result is copied out to [B, Cout, L]. The input
-gradient stays a sum of K per-tap GEMMs: stacked, its product would be K
-times the gradient's size (18 MB at Cin = 512 and B = 64) and no faster.
-backward() frees the graph it walks, so a loss can be differentiated once.
+sample. `_tap_sum` is its one tap loop: one GEMM of the K taps stacked as
+[K*Cout, Cin] over that buffer, then K-1 in-place adds of the shifted tap rows
+in tap order. The forward runs it on the padded input, and the input gradient
+on the padded upstream gradient with the flipped, transposed kernel; that
+stacked product is K times the gradient's size (18 MB at Cin = 512 and
+B = 64). backward() frees the graph it walks, so a loss can be differentiated
+once.
 """
 
 from __future__ import annotations
@@ -141,36 +141,6 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum grad back down to shape after numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-    return _result(a.data + b.data, "add", (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-    return _result(a.data - b.data, "sub", (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)))
-    return _result(a.data * b.data, "mul", (a, b), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return ((a, g * s),)
@@ -188,12 +158,6 @@ def relu(a: Tensor) -> Tensor:
                    backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
-    return _result(a.data @ b.data, "matmul", (a, b), backward)
-
-
 def _pad_channel_major(arr: np.ndarray, pad: int) -> np.ndarray:
     """[B, C, L] -> [C, B*(L+2*pad)]: each sample's columns between its own zeros."""
     batch, c, length = arr.shape
@@ -204,22 +168,23 @@ def _pad_channel_major(arr: np.ndarray, pad: int) -> np.ndarray:
     return buf.reshape(c, -1)
 
 
-def _shifted_gemm(wk: np.ndarray, buf: np.ndarray, batch: int, length: int) -> np.ndarray:
-    """[B, Cout, L] with y[b, :, l] = sum_k wk[k] @ buf[:, b*span + l + k].
+def _tap_sum(w: np.ndarray, buf: np.ndarray, batch: int, length: int) -> np.ndarray:
+    """[B, Cout, L] view with y[b, :, l] = sum_k w[:, :, k] @ buf[:, b*span + l + k].
 
-    conv1d's input gradient, one GEMM per tap. wk is [K, Cout, Cin] and buf a
-    `_pad_channel_major` buffer of span L + K - 1 per sample. The last K - 1
-    columns of the padded output are never written and never read.
+    w is [Cout, Cin, K] and buf a `_pad_channel_major` buffer of span L + K - 1
+    per sample. One GEMM of the stacked taps [K*Cout, Cin] @ buf gives every
+    tap's product over the whole buffer; tap k's rows, shifted left by k
+    columns, are added into tap 0's rows in tap order, (t0 + t1) + t2, the sum
+    the per-tap GEMMs give. A kept column reads at most K - 1 columns past its
+    sample's start, all inside that sample's span, so samples never mix.
     """
-    k, c_out, _ = wk.shape
+    c_out, c_in, k = w.shape
     n = buf.shape[1] - (k - 1)
-    full = np.empty((c_out, buf.shape[1]), dtype=np.result_type(wk, buf))
-    acc = full[:, :n]
-    np.matmul(wk[0], buf[:, :n], out=acc)
+    taps = w.transpose(2, 0, 1).reshape(k * c_out, c_in) @ buf
+    acc = taps[:c_out, :n]
     for i in range(1, k):
-        acc += wk[i] @ buf[:, i:i + n]
-    cropped = full.reshape(c_out, batch, -1)[:, :, :length]
-    return np.ascontiguousarray(cropped.transpose(1, 0, 2))
+        acc += taps[i * c_out:(i + 1) * c_out, i:i + n]
+    return taps[:c_out].reshape(c_out, batch, -1)[:, :, :length].transpose(1, 0, 2)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -227,31 +192,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     x: [B, Cin, L]; w: [Cout, Cin, K]; b: [Cout]. The input is laid out
     channel-major as [Cin, B*(L+2p)], p = K//2, each sample between its own
-    2p zeros. One GEMM of the stacked taps [K*Cout, Cin] @ buffer gives every
-    tap's product over the whole buffer; tap k's rows, shifted left by k
-    columns, are added into tap 0's rows in tap order, (t0 + t1) + t2, the
-    sum the per-tap GEMMs give. The bias is added while the crop is copied
-    out to [B, Cout, L]. An output column reads at most 2p columns past its
-    sample's start, all inside that sample's span, so samples never mix.
-    Backward pads the upstream gradient the same way: the input gradient is
-    the sum of K per-tap GEMMs with the flipped, transposed kernel (skipped
-    when x is untracked), and each weight tap is one GEMM of the gradient
-    with the shifted input.
+    2p zeros, and `_tap_sum` convolves it; the bias is added while the crop is
+    copied out to [B, Cout, L]. Backward pads the upstream gradient the same
+    way: the input gradient is `_tap_sum` of it with the flipped, transposed
+    kernel (skipped when x is untracked), and each weight tap is one GEMM of
+    the gradient with the shifted input.
     """
     batch, _, length = x.data.shape
-    c_out, c_in, k = w.data.shape
+    k = w.data.shape[2]
     pad = k // 2
     xf = _pad_channel_major(x.data, pad)                    # [Cin, B*(L+2p)]
     n = xf.shape[1] - 2 * pad
-    taps = w.data.transpose(2, 0, 1).reshape(k * c_out, c_in) @ xf
-    acc = taps[:c_out, :n]
-    for i in range(1, k):
-        acc += taps[i * c_out:(i + 1) * c_out, i:i + n]
-    cropped = taps[:c_out].reshape(c_out, batch, -1)[:, :, :length].transpose(1, 0, 2)
+    cropped = _tap_sum(w.data, xf, batch, length)
     if b is None:
         out = np.ascontiguousarray(cropped)
     else:
-        out = np.empty(cropped.shape, dtype=taps.dtype)
+        out = np.empty(cropped.shape, dtype=cropped.dtype)
         np.add(cropped, b.data[None, :, None], out=out)
 
     def backward(g):
@@ -260,8 +216,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         gw = np.stack([g_valid @ xf[:, i:i + n].T for i in range(k)], axis=2)
         grads = [(w, gw)]
         if x.requires_grad:
-            wt = np.ascontiguousarray(w.data[:, :, ::-1].transpose(2, 1, 0))
-            grads.append((x, _shifted_gemm(wt, gf, batch, length)))
+            wt = w.data[:, :, ::-1].transpose(1, 0, 2)      # [Cin, Cout, K]
+            grads.append((x, np.ascontiguousarray(_tap_sum(wt, gf, batch, length))))
         if b is not None:
             grads.append((b, g.sum(axis=(0, 2))))
         return grads
@@ -298,18 +254,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         return tuple(zip(tensors, np.split(g, splits, axis=axis)))
     return _result(np.concatenate([t.data for t in tensors], axis=axis),
                    "concat", tuple(tensors), backward)
-
-
-def mean(a: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, np.full_like(a.data, float(g) / a.data.size)),)
-    return _result(np.asarray(a.data.mean()), "mean", (a,), backward)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, np.full_like(a.data, float(g))),)
-    return _result(np.asarray(a.data.sum()), "sum", (a,), backward)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -171,19 +171,3 @@ def _dopri5(cf, y, t0: float, t1: float, solver: Dopri5) -> OdeTrace:
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     return OdeTrace(y, accepted, rejected, cf.evals)
-
-
-def convergence_order(f, state0, exact_final, kind: str = "euler",
-                      base_steps: int = 64, t_span=(0.0, 1.0)) -> float:
-    """Measured order: log2 of the final-error ratio between N and 2N steps."""
-    solvers = {"euler": Euler, "rk4": RK4}
-    try:
-        make = solvers[kind]
-    except KeyError:
-        raise NumericError(f"unknown fixed-step solver family {kind!r}") from None
-    exact = np.asarray(exact_final, dtype=np.float64)
-    e1 = _rms(integrate(f, state0, t_span, make(base_steps)).final_state - exact)
-    e2 = _rms(integrate(f, state0, t_span, make(2 * base_steps)).final_state - exact)
-    if e2 == 0.0:
-        return float("inf")
-    return float(np.log2(e1 / e2))

@@ -235,6 +235,10 @@ def parse_score(text: str) -> Score:
     if len(tuning_toks) != 7 or tuning_toks[0] != "tuning":
         raise ParseError("expected 'tuning <6 MIDI ints, string 6 to 1>'", ln2)
     tuning = tuple(_parse_int(t, "tuning pitch", ln2, k + 2) for k, t in enumerate(tuning_toks[1:]))
+    try:
+        Score(tempo_bpm=tempo, tuning=tuning)  # the tuning's order, on its own line
+    except DataError as exc:
+        raise ParseError(str(exc), ln2) from None
 
     tagged: list[tuple[int, NoteEvent]] = []
     for ln, toks in lines[3:]:
@@ -252,13 +256,13 @@ def parse_score(text: str) -> Score:
 
     try:
         return Score(tempo_bpm=tempo, tuning=tuning, events=tuple(e for _, e in tagged))
-    except DataError as exc:
-        message = str(exc)
-    # rerun the overlap check with source lines, so an overlap names its line;
-    # events may appear in any line order, overlap is judged on the sorted view
-    tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
-    _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
-    raise ParseError(message, len(text.splitlines()) or 1)
+    except DataError:
+        # the header passed, so events overlap: rerun the overlap check with
+        # source lines to name the line; events may appear in any line order,
+        # overlap is judged on the sorted view
+        tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
+        _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
+        raise
 
 
 def serialize_score(score: Score) -> str:

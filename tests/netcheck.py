@@ -1,8 +1,10 @@
-"""Test-side networks and gradient checks for the autodiff engine.
+"""Test-side ops, networks and gradient checks for the autodiff engine.
 
-DenseVelocityNet is a tiny MLP velocity field for low-dimensional flow
-tests; finite_difference_check compares the engine's analytic gradients
-against central differences.
+add, sub, mul, matmul, mean and tensor_sum are elementwise, matrix and
+reduction ops that no pipeline path needs, built on the engine's
+`tensor._result` for toy losses; DenseVelocityNet is a tiny MLP velocity
+field for low-dimensional flow tests; finite_difference_check compares the
+engine's analytic gradients against central differences.
 """
 
 from __future__ import annotations
@@ -11,6 +13,54 @@ import numpy as np
 
 from tabflow.neuralnet import tensor as T
 from tabflow.neuralnet.unet import _kaiming_uniform
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum grad back down to shape after numpy broadcasting."""
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+    return T._result(a.data + b.data, "add", (a, b), backward)
+
+
+def sub(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+    return T._result(a.data - b.data, "sub", (a, b), backward)
+
+
+def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, _unbroadcast(g * b.data, a.shape)),
+                (b, _unbroadcast(g * a.data, b.shape)))
+    return T._result(a.data * b.data, "mul", (a, b), backward)
+
+
+def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, g @ b.data.T), (b, a.data.T @ g))
+    return T._result(a.data @ b.data, "matmul", (a, b), backward)
+
+
+def mean(a: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, np.full_like(a.data, float(g) / a.data.size)),)
+    return T._result(np.asarray(a.data.mean()), "mean", (a,), backward)
+
+
+def tensor_sum(a: T.Tensor) -> T.Tensor:
+    def backward(g):
+        return ((a, np.full_like(a.data, float(g))),)
+    return T._result(np.asarray(a.data.sum()), "sum", (a,), backward)
 
 
 class DenseVelocityNet:
@@ -41,7 +91,7 @@ class DenseVelocityNet:
         h = T.concat([x, t_col], axis=1)
         n_layers = len(self.params) // 2
         for i in range(n_layers):
-            h = T.add(T.matmul(h, self.params[f"fc{i}.w"]), self.params[f"fc{i}.b"])
+            h = add(matmul(h, self.params[f"fc{i}.w"]), self.params[f"fc{i}.b"])
             if i < n_layers - 1:
                 h = T.relu(h)
         return h

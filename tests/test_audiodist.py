@@ -300,8 +300,8 @@ _TIED = st.sampled_from([0.0, 0.0, 1.0, 2.25, 2.25, 4.0, 1e-300, 1e300])
 @example(values=[0.0, 0.0, 9.0, 9.0], width=3, data=None)
 def test_median_selector_matches_np_median(values, width, data):
     """The streamed selector gives np.median of sqrt exactly, through the
-    histogram, through a bracket that holds the middle, and through a
-    bracket that misses it."""
+    every-pair bracket, through a bracket that holds the middle, and through
+    brackets that miss it, which fall back to gathering every entry."""
     vals = np.array(values)
     med = float(np.median(np.sqrt(vals)))
     expected = med if med > 0.0 else 1.0
@@ -312,7 +312,7 @@ def test_median_selector_matches_np_median(values, width, data):
     def passes():
         return (rows[r:r + 2].copy() for r in range(0, len(rows), 2))
 
-    brackets = [None, (0.0, np.finfo(np.float64).max), (1.0, 2.25), (7.0, 5e5)]
+    brackets = [(0.0, np.finfo(np.float64).max), (1.0, 2.25), (7.0, 5e5)]
     if data is not None:
         lo, hi = sorted(data.draw(st.sampled_from(values)) for _ in range(2))
         brackets.append((lo, hi))
@@ -321,7 +321,7 @@ def test_median_selector_matches_np_median(values, width, data):
 
 
 def test_median_selector_no_entries():
-    assert _median_sqrt(lambda: iter(()), 0) == 1.0
+    assert _median_sqrt(lambda: iter(()), 0, (0.0, 1.0)) == 1.0
 
 
 def test_median_bandwidth_of_identical_points_is_one():

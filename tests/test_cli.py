@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from tabflow import audiodist, cli, wavio
-from tabflow.config import load_config, with_updates
+from tabflow.config import load_config
 from tabflow.neuralnet import VelocityNet, AdamState, save_checkpoint
 from tabflow.tabscore import parse_score
+
+from test_config import with_updates
 
 
 @pytest.fixture()
@@ -562,6 +564,46 @@ def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, show
     assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
+
+
+@pytest.mark.parametrize("text, lacks", [
+    ("score,rater,item,system\n3,r0,i0,a\n4,r0,i0,b\n5,r1\n", "item, system"),
+    ("rater,item,system,score,condition\nr0,i0,a,3,di\nr0,i0,b,4,di\nr1,i0,b,2\n",
+     "condition")], ids=["no-item-system", "no-condition"])
+def test_main_stats_short_row_is_exit_2(tmp_path, capsys, text, lacks):
+    ratings = tmp_path / "short.csv"
+    ratings.write_text(text)
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert f"{ratings}: rating row 3 lacks {lacks}" in capsys.readouterr().err
+
+
+def _short_scores_ini(tmp_path):
+    ini = tmp_path / "short.ini"
+    ini.write_text("[synthdata]\nscore_seconds = 2.0\n")
+    return ini
+
+
+def test_main_workdir_under_a_file_is_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    argv = ["--config", str(_short_scores_ini(tmp_path)), "--workdir", str(blocker / "sub"),
+            "synthdata", "--n", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(blocker / "sub" / "scores") in err
+
+
+def test_main_stem_that_is_a_directory_is_exit_2(tmp_path, capsys):
+    """score_000.wav is a directory in both style directories."""
+    work = tmp_path / "work"
+    for style in (cli.SOURCE_STYLE, cli.TARGET_STYLE):
+        (work / "audio" / style / "score_000.wav").mkdir(parents=True)
+    argv = ["--config", str(_short_scores_ini(tmp_path)), "--workdir", str(work),
+            "synthdata", "--n", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(work / "audio" / cli.SOURCE_STYLE / "score_000.wav") in err
 
 
 @pytest.mark.parametrize("command", ["render", "transfer"])

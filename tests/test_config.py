@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from tabflow.config import load_config, with_updates
+from tabflow.config import load_config
 from tabflow.errors import UsageError
 from tabflow.odesolve import Dopri5, Euler, RK4
 
@@ -80,6 +80,15 @@ def test_hash_stable_and_sensitive():
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
     assert load_config().hash() == "454bd2fc9f41682b"
+
+
+def with_updates(cfg, **sections):
+    """cfg with some keys replaced, e.g. with_updates(cfg, cli={'seed': 7}),
+    re-derived through load_config, which rejects an unknown section or key."""
+    raw = {s: dict(kv) for s, kv in cfg.raw.items()}
+    for section, kv in sections.items():
+        raw.setdefault(section, {}).update({k: str(v) for k, v in kv.items()})
+    return load_config(None, raw)
 
 
 def test_with_updates_rederives():

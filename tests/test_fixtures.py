@@ -3,10 +3,11 @@ import pytest
 from scipy.fft import dct
 
 from tabflow.errors import DataError
-from tabflow.fixtures import (cents_between, count_onsets, gaussian_2d_pairs,
-                              oracle_dct, oracle_pitch, random_score, rms_db,
-                              toy_corpus)
+from tabflow.fixtures import random_score, toy_corpus
 from tabflow.tabscore import parse_score, serialize_score
+
+from oracles import (cents_between, count_onsets, gaussian_2d_pairs, oracle_dct,
+                     oracle_pitch, rms_db)
 
 
 def test_gaussian_pairs_seeded_and_sized():

@@ -5,11 +5,11 @@ import tabflow.neuralnet as nn
 from tabflow import flowmatch, odesolve
 from tabflow.config import load_config
 from tabflow.errors import DataError
-from tabflow.fixtures import gaussian_2d_pairs
 from tabflow.flowmatch import cfm_loss, make_sample, train, transfer_batch
 from tabflow.neuralnet import tensor as T
 
 from netcheck import DenseVelocityNet
+from oracles import gaussian_2d_pairs
 
 
 def _cfg(batch_size, lr, epochs, seed):

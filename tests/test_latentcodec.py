@@ -10,7 +10,8 @@ from tabflow.latentcodec import (chunk, decode, encode, frame_count, load_latent
                                  save_latent, windowed_frames,
                                  FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
-from tabflow.fixtures import oracle_dct, oracle_pitch, cents_between, rms_db
+
+from oracles import cents_between, oracle_dct, oracle_pitch, rms_db
 
 FS = 44100
 

@@ -13,12 +13,12 @@ from tabflow import flowmatch
 from tabflow.errors import DataError, NumericError
 from tabflow.neuralnet import tensor as T
 
-from netcheck import finite_difference_check
+from netcheck import add, finite_difference_check, matmul, mean, mul, sub, tensor_sum
 
 
 def test_sum_of_squares_gradient():
     w = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    loss = T.tensor_sum(T.mul(w, w))
+    loss = tensor_sum(mul(w, w))
     loss.backward()
     np.testing.assert_allclose(w.grad, [2.0, 4.0, 6.0])
 
@@ -26,13 +26,13 @@ def test_sum_of_squares_gradient():
 def test_unused_parameter_gets_zero_gradient():
     w = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     unused = T.Tensor(np.array([5.0]), requires_grad=True)
-    T.tensor_sum(T.mul(w, w)).backward()
+    tensor_sum(mul(w, w)).backward()
     np.testing.assert_array_equal(unused.grad, [0.0])
 
 
 def test_backward_on_untracked_graph_raises():
     a = T.Tensor(np.array([1.0]))
-    out = T.tensor_sum(T.mul(a, a))
+    out = tensor_sum(mul(a, a))
     with pytest.raises(NumericError, match="untracked"):
         out.backward()
 
@@ -40,7 +40,7 @@ def test_backward_on_untracked_graph_raises():
 def test_backward_requires_scalar():
     a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(NumericError, match="scalar"):
-        T.mul(a, a).backward()
+        mul(a, a).backward()
 
 
 def test_nan_aborts_naming_op():
@@ -48,19 +48,19 @@ def test_nan_aborts_naming_op():
     with pytest.raises(NumericError, match="leaf"):
         T.Tensor(np.array([np.nan]))
     with pytest.raises(NumericError, match="mul"):
-        T.mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))
+        mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_output_whose_sum_overflows_passes():
     # the sum is inf, so the check must fall back to the elementwise test
-    out = T.add(T.Tensor(np.array([1e308, 1e308])), T.Tensor(np.zeros(2)))
+    out = add(T.Tensor(np.array([1e308, 1e308])), T.Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
 
 def test_gradient_accumulates_for_shared_input():
     a = T.Tensor(np.array([3.0]), requires_grad=True)
-    out = T.tensor_sum(T.add(T.mul(a, a), T.mul(a, a)))
+    out = tensor_sum(add(mul(a, a), mul(a, a)))
     out.backward()
     np.testing.assert_allclose(a.grad, [12.0])
 
@@ -76,25 +76,25 @@ def test_per_op_gradients_match_finite_differences(op_name):
         params["b"] = T.Tensor(rng.standard_normal(4) * 0.1, requires_grad=True)
 
         def loss_fn():
-            return T.mean(T.mul(T.conv1d(params["x"], params["w"], params["b"]),
+            return mean(mul(T.conv1d(params["x"], params["w"], params["b"]),
                                 T.conv1d(params["x"], params["w"], params["b"])))
     elif op_name == "relu":
         def loss_fn():
-            return T.mean(T.mul(T.relu(params["x"]), T.relu(params["x"])))
+            return mean(mul(T.relu(params["x"]), T.relu(params["x"])))
     elif op_name == "downsample2":
         def loss_fn():
             y = T.downsample2(params["x"])
-            return T.mean(T.mul(y, y))
+            return mean(mul(y, y))
     elif op_name == "upsample2":
         def loss_fn():
             y = T.upsample2(params["x"])
-            return T.mean(T.mul(y, y))
+            return mean(mul(y, y))
     elif op_name == "concat":
         params["y"] = T.Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
 
         def loss_fn():
             z = T.concat([params["x"], params["y"]], axis=1)
-            return T.mean(T.mul(z, z))
+            return mean(mul(z, z))
     elif op_name == "mse":
         params["y"] = T.Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
 
@@ -105,8 +105,8 @@ def test_per_op_gradients_match_finite_differences(op_name):
                   "b": T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)}
 
         def loss_fn():
-            z = T.matmul(params["a"], params["b"])
-            return T.mean(T.mul(z, z))
+            z = matmul(params["a"], params["b"])
+            return mean(mul(z, z))
 
     worst = finite_difference_check(loss_fn, params, n_coords=25, seed=1)
     assert worst < 1e-4
@@ -182,7 +182,8 @@ UNET_CONV_SHAPES = [(65, 32, 352, 3), (32, 64, 176, 3), (64, 128, 88, 3),
 def _per_tap_conv1d(x, w, b=None):
     """conv1d's forward as one GEMM per tap: tap 0 written into a fresh
     [Cout, B*(L+2p)] buffer, each further tap's product added in tap order,
-    the crop copied out to [B, Cout, L], then the bias added."""
+    the crop copied out to [B, Cout, L], then the bias added. On an upstream
+    gradient with the flipped, transposed kernel it is the input gradient."""
     batch, c_in, length = x.shape
     c_out, _, k = w.shape
     pad = k // 2
@@ -229,6 +230,37 @@ def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
         assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * gamma * scale)
 
 
+@pytest.mark.parametrize("c_in, c_out, length, k", UNET_CONV_SHAPES)
+def test_conv1d_input_gradient_equals_per_tap_gemms(c_in, c_out, length, k):
+    """The input gradient is the per-tap sum over the upstream gradient with
+    the flipped, transposed kernel, bit for bit at the training batch; at
+    B = 1 and 2 within the forward test's rounding bound of K * Cout terms."""
+    rng = np.random.default_rng(c_in * 1000 + c_out + 1)
+    x = rng.standard_normal((64, c_in, length)).astype(np.float32)
+    w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+    g = rng.standard_normal((64, c_out, length)).astype(np.float32)
+    wt = w[:, :, ::-1].transpose(1, 0, 2)  # [Cin, Cout, K]
+
+    def input_grad(batch):
+        xt = T.Tensor(x[:batch], requires_grad=True)
+        grads = T.conv1d(xt, T.Tensor(w, requires_grad=True))._backward(g[:batch])
+        (gx,) = [gp for p, gp in grads if p is xt]
+        return gx
+
+    got, want = input_grad(64), _per_tap_conv1d(g, wt)
+    assert got.flags.c_contiguous and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    terms = k * c_out
+    eps = np.finfo(np.float32).eps / 2  # unit roundoff
+    gamma = terms * eps / (1 - terms * eps)
+    for batch in (1, 2):
+        got = input_grad(batch)
+        want = _per_tap_conv1d(g[:batch], wt)
+        scale = _per_tap_conv1d(np.abs(g[:batch]).astype(np.float64),
+                                np.abs(wt).astype(np.float64))
+        assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * gamma * scale)
+
+
 def _signed_specials(dtype):
     tiny = np.finfo(dtype).smallest_subnormal
     normal = np.finfo(dtype).tiny
@@ -267,7 +299,7 @@ def test_backward_releases_graph_and_runs_once():
     w = T.Tensor(np.random.default_rng(0).standard_normal((4, 3, 3)), requires_grad=True)
     hidden = T.relu(T.conv1d(T.Tensor(np.ones((2, 3, 8))), w))
     activation = weakref.ref(hidden.data)
-    loss = T.mean(T.mul(hidden, hidden))
+    loss = mean(mul(hidden, hidden))
     del hidden
     assert activation() is not None  # the graph holds it until backward
     loss.backward()
@@ -356,8 +388,8 @@ def test_adam_optimizes_scalar_quadratic():
     for _ in range(500):
         w.zero_grad()
         target = T.Tensor(np.array([3.0]))
-        diff = T.sub(w, target)
-        T.tensor_sum(T.mul(diff, diff)).backward()
+        diff = sub(w, target)
+        tensor_sum(mul(diff, diff)).backward()
         nn.adam_step({"w": w}, state)
     assert abs(float(w.data[0]) - 3.0) < 1e-2
 
@@ -422,5 +454,5 @@ def test_checkpoint_declaring_more_data_than_file_holds(tmp_path):
 def test_no_grad_disables_graph():
     p = T.Tensor(np.array([2.0]), requires_grad=True)
     with nn.no_grad():
-        out = T.mul(p, p)
+        out = mul(p, p)
     assert not out.requires_grad

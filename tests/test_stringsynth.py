@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from tabflow import stringsynth
 from tabflow.errors import DataError
-from tabflow.fixtures import cents_between, count_onsets, oracle_pitch, rms_db
 from tabflow.stringsynth import (PSEUDO_REAL, SYNTHETIC, AudioBuffer,
                                  RenderStyle, STYLE_PRESETS, amp_process,
                                  normalize_rms, render)
 from tabflow.tabscore import NoteEvent, Score, Technique, TechniqueKind
 from tabflow import event_pitch
+
+from oracles import cents_between, count_onsets, oracle_pitch, rms_db
 
 FS = 44100
 

@@ -84,6 +84,13 @@ def test_non_finite_or_nonpositive_tempo_rejected_on_line_2(tempo):
         Score(tempo_bpm=float(tempo))
 
 
+def test_non_increasing_tuning_names_its_line():
+    text = "gftab 1\ntempo 120\ntuning 40 45 50 50 59 64\n0 6 0 960\n960 6 2 960\n# end\n"
+    with pytest.raises(ParseError, match="strictly increase") as info:
+        parse_score(text)
+    assert info.value.line == 3
+
+
 def test_same_string_overlap_rejected():
     with pytest.raises(ParseError, match="overlap") as info:
         parse_score(HEADER + "0 6 0 960\n480 6 2 960\n")
