@@ -1,9 +1,11 @@
 """Pipeline command-line interface.
 
 Subcommands: synthdata, render, train, transfer, eval, stats. Global flags
---config/--seed/--workdir. Exit codes: 0 success, 1 usage, 2 data error,
-3 numeric failure. Every written artifact embeds the config hash (WAV comment
-chunk, CSV comment line, checkpoint config echo).
+--config/--seed/--workdir; synthdata's --n sets [synthdata] n_scores. Exit
+codes: 0 success, 1 usage, 2 data error (a config value out of range exits 2
+naming its [section] key, before any file is read or written), 3 numeric
+failure. Every written artifact embeds the config hash (WAV comment chunk,
+CSV comment line, checkpoint config echo).
 """
 
 from __future__ import annotations
@@ -60,18 +62,15 @@ def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
 
 # ---------------------------------------------------------------- synthdata
 
-def cmd_synthdata(cfg: PipelineConfig, n_scores: int | None = None) -> list[str]:
+def cmd_synthdata(cfg: PipelineConfig) -> list[str]:
     """Generate scores and render both styles; returns the stems written."""
-    n = cfg.n_scores if n_scores is None else n_scores
-    if n < 1:
-        raise DataError(f"need at least one score, got {n}")
     scores_dir = _scores_dir(cfg)
     scores_dir.mkdir(parents=True, exist_ok=True)
     for style in (SOURCE_STYLE, TARGET_STYLE):
         _audio_dir(cfg, style).mkdir(parents=True, exist_ok=True)
 
     stems = []
-    scores = toy_corpus(n, seed=cfg.seed, target_seconds=cfg.score_seconds)
+    scores = toy_corpus(cfg.n_scores, seed=cfg.seed, target_seconds=cfg.score_seconds)
     for i, score in enumerate(scores):
         stem = f"score_{i:03d}"
         (scores_dir / f"{stem}.gftab").write_text(serialize_score(score))
@@ -120,7 +119,10 @@ def _paired_stems(dirs: dict[str, Path]) -> list[str]:
     if not stems:
         raise DataError(f"no WAV files in {first_label} directory {first}")
     for label, d in dirs.items():
-        missing = [s for s in stems if not (d / f"{s}.wav").is_file()]
+        for path in (d / f"{s}.wav" for s in stems):
+            if path.exists() and not path.is_file():
+                raise DataError(f"{path} is not a file")
+        missing = [s for s in stems if not (d / f"{s}.wav").exists()]
         if missing:
             raise DataError(f"stems missing in {label} directory {d}: {', '.join(missing)}")
     return stems
@@ -133,8 +135,6 @@ def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
-    if not 0 < cfg.train_split <= 1:  # NaN fails too
-        raise DataError(f"[cli] train_split must be in (0, 1], got {cfg.train_split}")
     order = list(np.random.default_rng(cfg.seed).permutation(len(stems)))
     n_train = max(1, int(round(cfg.train_split * len(stems))))
     train = sorted(stems[i] for i in order[:n_train])
@@ -213,7 +213,6 @@ def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
 def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
                  output_path: Path) -> Path:
     """Encode, transport each chunk through the flow ODE, decode, write WAV."""
-    solver = cfg.solver()
     checkpoint = Path(checkpoint)
     input_path = Path(input_path)
     if not checkpoint.is_file():
@@ -232,7 +231,7 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     # full-band analysis; the flow transports the first cfg.dims coefficients
     # and the remaining high bands pass through from the source unchanged
     full = latentcodec.encode(chunks, 1024)
-    full[:, :cfg.dims] = flowmatch.transfer_batch(net, full[:, :cfg.dims], solver)
+    full[:, :cfg.dims] = flowmatch.transfer_batch(net, full[:, :cfg.dims], cfg.solver())
     decoded = latentcodec.decode(full)
     # a decoded chunk falls short of its chunk by less than a hop; zeros fill it
     pieces = np.zeros(chunks.shape, dtype=np.float32)
@@ -274,8 +273,6 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
             c not in _CONDITIONS for c in conditions):
         raise UsageError(f"conditions must be distinct names from {', '.join(_CONDITIONS)}; "
                          f"got {','.join(conditions)!r}")
-    if cfg.kad_max_frames < 2:
-        raise UsageError(f"[audiodist] kad_max_frames must be >= 2, got {cfg.kad_max_frames}")
     dirs = {"real": Path(real_dir), "render": Path(render_dir),
             "guitarflow": Path(guitarflow_dir)}
     stems = _paired_stems(dirs)
@@ -349,10 +346,13 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float = 0.0
             except (TypeError, ValueError):
                 raise DataError(f"{ratings_csv}: rating row {k} has no numeric score: "
                                 f"{row['score']!r}") from None
-            # DictReader fills the fields of a short row with None
+            # DictReader fills a short row's fields with None, a long row's extras under None
             missing = [f for f in labels if row[f] is None]
             if missing:
                 raise DataError(f"{ratings_csv}: rating row {k} lacks {', '.join(missing)}")
+            if None in row:
+                raise DataError(f"{ratings_csv}: rating row {k} has more fields than the "
+                                f"header: {row[None]!r}")
             cond = row["condition"] if has_condition else "all"
             by_condition.setdefault(cond, []).append(
                 (row["rater"], row["item"], row["system"], score))
@@ -439,14 +439,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         overrides = {}
-        if args.seed is not None:
-            overrides.setdefault("cli", {})["seed"] = str(args.seed)
-        if args.workdir is not None:
-            overrides.setdefault("paths", {})["workdir"] = str(args.workdir)
-        cfg = load_config(args.config, overrides or None)
+        for section, key, value in (("cli", "seed", args.seed),
+                                    ("paths", "workdir", args.workdir),
+                                    ("synthdata", "n_scores", getattr(args, "n", None))):
+            if value is not None:
+                overrides.setdefault(section, {})[key] = str(value)
+        cfg = load_config(args.config, overrides)
 
         if args.command == "synthdata":
-            stems = cmd_synthdata(cfg, args.n)
+            stems = cmd_synthdata(cfg)
             print(f"wrote {len(stems)} scores with 2 renders each under {cfg.workdir}")
         elif args.command == "render":
             written = cmd_render(cfg, args.style)

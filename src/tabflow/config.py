@@ -3,51 +3,63 @@ module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
 
 _TABLE is the one listing of the 23 keys: each row is (section, key, type,
-default text), the type being Path, int, float or str, applied to the text
-as typ(text). The defaults, the PipelineConfig fields and the parsing in
-load_config all derive from it. Defaults stay text exactly as written (for
-example "0.0001"), because the canonical text, and so the hash, is built
-from the raw strings.
+default text, rule), the type being Path, int, float or str, applied to the
+text as typ(text), and the rule a (predicate, condition) pair. The defaults,
+the PipelineConfig fields, the parsing and the checks all derive from it.
+load_config is the one place a value is checked; one that breaks its rule is
+a DataError "[section] key must be <condition>, got <text>". Defaults stay
+text exactly as written (for example "0.0001"), because the canonical text,
+and so the hash, is built from the raw strings.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import field, make_dataclass
 from pathlib import Path
 
 from . import odesolve
 from .errors import DataError, UsageError
+from .latentcodec import LATENT_DIMS
+from .stringsynth import MAX_RENDER_SECONDS, MIN_SAMPLE_RATE
 
-_TABLE: tuple[tuple[str, str, type, str], ...] = (
-    ("paths", "scores_dir", Path, "scores"),
-    ("paths", "audio_dir", Path, "audio"),
-    ("paths", "workdir", Path, "work"),
-    ("latentcodec", "dims", int, "64"),
-    ("latentcodec", "chunk_seconds", float, "4.0"),
-    ("flowmatch", "batch_size", int, "64"),
-    ("flowmatch", "lr", float, "0.0001"),
-    ("flowmatch", "epochs", int, "50"),
-    ("flowmatch", "base_channels", int, "32"),
-    ("odesolve", "solver", str, "dopri5"),
-    ("odesolve", "steps", int, "100"),
-    ("odesolve", "rtol", float, "0.0001"),
-    ("odesolve", "atol", float, "0.0001"),
-    ("odesolve", "max_steps", int, "10000"),
-    ("stringsynth", "sample_rate", int, "44100"),
-    ("stringsynth", "amp_drive", float, "6.0"),
-    ("stringsynth", "amp_tone_cutoff", float, "5000.0"),
-    ("stringsynth", "normalize_db", float, "-9.0"),
-    ("audiodist", "kad_max_frames", int, "2048"),
-    ("synthdata", "n_scores", int, "10"),
-    ("synthdata", "score_seconds", float, "60.0"),
-    ("cli", "seed", int, "0"),
-    ("cli", "train_split", float, "0.9"),
+# rules shared by several keys; NaN fails every comparison
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+_SECONDS = (lambda v: 0 < v <= MAX_RENDER_SECONDS, f"in (0, {MAX_RENDER_SECONDS:g}]")
+_PATH = (lambda v: "\0" not in str(v), "free of NUL characters")
+
+_TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
+    ("paths", "scores_dir", Path, "scores", _PATH),
+    ("paths", "audio_dir", Path, "audio", _PATH),
+    ("paths", "workdir", Path, "work", _PATH),
+    ("latentcodec", "dims", int, "64",
+     (lambda v: v in LATENT_DIMS, "one of " + ", ".join(map(str, LATENT_DIMS)))),
+    ("latentcodec", "chunk_seconds", float, "4.0", _SECONDS),
+    ("flowmatch", "batch_size", int, "64", _POSITIVE),
+    ("flowmatch", "lr", float, "0.0001", _POSITIVE),
+    ("flowmatch", "epochs", int, "50", _POSITIVE),
+    ("flowmatch", "base_channels", int, "32", _POSITIVE),
+    ("odesolve", "solver", str, "dopri5", None),  # load_config checks the name
+    ("odesolve", "steps", int, "100", _POSITIVE),
+    ("odesolve", "rtol", float, "0.0001", _POSITIVE),
+    ("odesolve", "atol", float, "0.0001", _POSITIVE),
+    ("odesolve", "max_steps", int, "10000", _POSITIVE),
+    ("stringsynth", "sample_rate", int, "44100",
+     (lambda v: v >= MIN_SAMPLE_RATE, f">= {MIN_SAMPLE_RATE}")),
+    ("stringsynth", "amp_drive", float, "6.0", _POSITIVE),
+    ("stringsynth", "amp_tone_cutoff", float, "5000.0", _POSITIVE),
+    ("stringsynth", "normalize_db", float, "-9.0", (math.isfinite, "finite")),
+    ("audiodist", "kad_max_frames", int, "2048", (lambda v: v >= 2, ">= 2")),
+    ("synthdata", "n_scores", int, "10", _POSITIVE),
+    ("synthdata", "score_seconds", float, "60.0", _SECONDS),
+    ("cli", "seed", int, "0", (lambda v: v >= 0, ">= 0")),
+    ("cli", "train_split", float, "0.9", (lambda v: 0 < v <= 1, "in (0, 1]")),
 )
 
 _DEFAULTS: dict[str, dict[str, str]] = {
-    section: {key: default for s, key, _, default in _TABLE if s == section}
+    section: {key: default for s, key, _, default, _ in _TABLE if s == section}
     for section in dict.fromkeys(row[0] for row in _TABLE)
 }
 
@@ -57,12 +69,10 @@ def _field_name(key: str) -> str:
     return "solver_name" if key == "solver" else key
 
 
-# each solver's [odesolve] keys, every one of which must be finite and > 0
 _SOLVERS = {
-    "euler": (("steps",), lambda cfg: odesolve.Euler(cfg.steps)),
-    "rk4": (("steps",), lambda cfg: odesolve.RK4(cfg.steps)),
-    "dopri5": (("rtol", "atol", "max_steps"),
-               lambda cfg: odesolve.Dopri5(cfg.rtol, cfg.atol, cfg.max_steps)),
+    "euler": lambda cfg: odesolve.Euler(cfg.steps),
+    "rk4": lambda cfg: odesolve.RK4(cfg.steps),
+    "dopri5": lambda cfg: odesolve.Dopri5(cfg.rtol, cfg.atol, cfg.max_steps),
 }
 
 
@@ -70,15 +80,8 @@ class _PipelineMethods:
     """Methods of PipelineConfig, whose fields come from _TABLE."""
 
     def solver(self) -> odesolve.SolverKind:
-        """The configured ODE solver; DataError names the first of its
-        [odesolve] keys whose value it cannot run with."""
-        keys, make = _SOLVERS[self.solver_name]  # load_config checked the name
-        for key in keys:
-            value = getattr(self, key)
-            if not 0 < value < float("inf"):  # NaN fails too
-                raise DataError(f"[odesolve] {key} must be finite and > 0 for solver "
-                                f"{self.solver_name}, got {value}")
-        return make(self)
+        """The configured ODE solver."""
+        return _SOLVERS[self.solver_name](self)
 
     def canonical_text(self) -> str:
         lines = []
@@ -94,7 +97,7 @@ class _PipelineMethods:
 
 PipelineConfig = make_dataclass(
     "PipelineConfig",
-    [(_field_name(key), typ) for _, key, typ, _ in _TABLE]
+    [(_field_name(key), typ) for _, key, typ, _, _ in _TABLE]
     + [("raw", dict, field(default_factory=dict, compare=False))],
     bases=(_PipelineMethods,), frozen=True)
 
@@ -114,7 +117,7 @@ def _merge(base: dict[str, dict[str, str]], override: dict[str, dict[str, str]])
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, dict[str, str]] | None = None) -> PipelineConfig:
     """Defaults, optionally overlaid with an INI file and explicit overrides."""
-    raw = {s: dict(kv) for s, kv in _DEFAULTS.items()}
+    file_dict = {}
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -124,15 +127,17 @@ def load_config(path: str | Path | None = None,
             raise UsageError(f"malformed config file {path}: {exc}") from None
         if not read:
             raise UsageError(f"cannot read config file {path}")
-        raw = _merge(raw, file_dict)
-    if overrides:
-        raw = _merge(raw, overrides)
+    raw = _merge(_merge(_DEFAULTS, file_dict), overrides or {})
 
     try:
         cfg = PipelineConfig(**{_field_name(key): typ(raw[section][key])
-                                for section, key, typ, _ in _TABLE}, raw=raw)
+                                for section, key, typ, _, _ in _TABLE}, raw=raw)
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
     if cfg.solver_name not in _SOLVERS:
         raise UsageError(f"unknown solver {cfg.solver_name!r}")
+    for section, key, _, _, rule in _TABLE:
+        if rule and not rule[0](getattr(cfg, _field_name(key))):
+            raise DataError(f"[{section}] {key} must be {rule[1]}, "
+                            f"got {raw[section][key]!r}")
     return cfg

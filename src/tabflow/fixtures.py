@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .tabscore import (DEFAULT_VELOCITY, NoteEvent, Score, Technique,
-                       TechniqueKind)
+from .tabscore import (DEFAULT_VELOCITY, TICKS_PER_QUARTER, NoteEvent, Score,
+                       Technique, TechniqueKind)
 
 
 _TOY_DURATIONS = (240, 480, 480, 960, 960, 1920)
@@ -19,7 +19,7 @@ _TOY_DURATIONS = (240, 480, 480, 960, 960, 1920)
 def random_score(rng: np.random.Generator, target_seconds: float = 20.0,
                  tempo_bpm: float = 120.0) -> Score:
     """Random valid score mixing single notes, chords, and techniques."""
-    spt = 60.0 / (tempo_bpm * 960)
+    spt = 60.0 / (tempo_bpm * TICKS_PER_QUARTER)
     events: list[NoteEvent] = []
     onset = 0
     while onset * spt < target_seconds:

@@ -87,10 +87,6 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     between thread counts. Returns (net, AdamState, history), with history
     rows (step, epoch, loss).
     """
-    for key in ("batch_size", "epochs", "base_channels", "lr"):
-        value = getattr(cfg, key)
-        if not 0 < value < np.inf:  # NaN fails too
-            raise DataError(f"[flowmatch] {key} must be positive and finite, got {value}")
     if x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
     if net is None:

@@ -29,6 +29,7 @@ from .errors import DataError
 from .tabscore import Score, TechniqueKind, event_pitch
 
 DEFAULT_SAMPLE_RATE = 44100
+MIN_SAMPLE_RATE = 8000
 RELEASE_TAIL_SEC = 1.0
 CHORD_STAGGER_SEC = 0.008
 VIBRATO_RATE_HZ = 5.5
@@ -310,8 +311,8 @@ def render(score: Score, style: RenderStyle,
     """
     if not score.events:
         raise DataError("cannot render an empty score")
-    if sample_rate < 8000:
-        raise DataError(f"sample rate must be >= 8000, got {sample_rate}")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise DataError(f"sample rate must be >= {MIN_SAMPLE_RATE}, got {sample_rate}")
 
     # in seconds first, so an overflow to inf is caught before the int cast
     seconds = score.last_offset_ticks * score.seconds_per_tick() + RELEASE_TAIL_SEC

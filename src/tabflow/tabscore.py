@@ -94,13 +94,10 @@ class Score:
     tempo_bpm: float = 120.0
     tuning: tuple[int, ...] = STANDARD_TUNING
     events: tuple[NoteEvent, ...] = ()
-    ticks_per_quarter: int = TICKS_PER_QUARTER
 
     def __post_init__(self):
         if not 0 < self.tempo_bpm < math.inf:  # NaN fails too
             raise DataError(f"tempo must be finite and > 0, got {self.tempo_bpm}")
-        if self.ticks_per_quarter != TICKS_PER_QUARTER:
-            raise DataError(f"tick resolution is fixed at {TICKS_PER_QUARTER}")
         if len(self.tuning) != 6:
             raise DataError("tuning must list 6 MIDI pitches, string 6 to string 1")
         if any(b <= a for a, b in zip(self.tuning, self.tuning[1:])):
@@ -119,7 +116,7 @@ class Score:
         return max((e.offset_ticks for e in self.events), default=0)
 
     def seconds_per_tick(self) -> float:
-        return 60.0 / (self.tempo_bpm * self.ticks_per_quarter)
+        return 60.0 / (self.tempo_bpm * TICKS_PER_QUARTER)
 
 
 def _check_no_overlap(events, lines: list[int] | None = None) -> None:

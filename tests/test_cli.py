@@ -58,10 +58,27 @@ def test_synthdata_deterministic_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_synthdata_rejects_zero(tiny_cfg):
+def test_synthdata_rejects_zero(tmp_path, capsys):
     from tabflow.errors import DataError
-    with pytest.raises(DataError):
-        cli.cmd_synthdata(tiny_cfg, 0)
+    with pytest.raises(DataError, match=r"\[synthdata\] n_scores must be finite and > 0"):
+        load_config(None, {"synthdata": {"n_scores": "0"}})
+    assert cli.main(["--workdir", str(tmp_path / "w"), "synthdata", "--n", "0"]) == 2
+    assert "[synthdata] n_scores must be finite and > 0, got '0'" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_synthdata_n_is_the_n_scores_override(tmp_path):
+    """--n reaches cmd_synthdata through the config, so the WAV comment's
+    config hash records the count."""
+    work = tmp_path / "w"
+    argv = ["--config", str(_short_scores_ini(tmp_path)), "--workdir", str(work),
+            "synthdata", "--n", "1"]
+    assert cli.main(argv) == 0
+    cfg = load_config(tmp_path / "short.ini", {"paths": {"workdir": str(work)},
+                                               "synthdata": {"n_scores": "1"}})
+    wav = cli._audio_dir(cfg, "synthetic") / "score_000.wav"
+    assert wavio.read_wav_with_comment(wav)[2] == f"cfg={cfg.hash()}"
+    assert [p.name for p in cli._scores_dir(cfg).iterdir()] == ["score_000.gftab"]
 
 
 def test_render_command(tiny_cfg):
@@ -350,7 +367,7 @@ def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, ke
     ini.write_text(f"[flowmatch]\n{key} = {value}\n")
     argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), "train"]
     assert cli.main(argv) == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert f"[flowmatch] {key} must be finite and > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value, command, code", [
@@ -359,7 +376,7 @@ def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, ke
     ("latentcodec", "chunk_seconds", "nan", "train", 2),
     ("latentcodec", "chunk_seconds", "inf", "train", 2),
     ("latentcodec", "chunk_seconds", "1e9", "train", 2),
-    ("audiodist", "kad_max_frames", "-5", "eval", 1),
+    ("audiodist", "kad_max_frames", "-5", "eval", 2),
     ("flowmatch", "base_channels", "0", "train", 2),
     ("flowmatch", "lr", "nan", "train", 2),
 ])
@@ -566,6 +583,17 @@ def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, show
     assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
 
 
+def test_main_stats_long_row_is_exit_2(tmp_path, capsys):
+    """A fifth field (a decimal comma, say) is not read as score 3."""
+    ratings = tmp_path / "long.csv"
+    ratings.write_text("rater,item,system,score\nr0,i0,b,4\nr0,i0,a,3,9\nr1,i0,a,2\n"
+                       "r1,i0,b,5\n")
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert f"{ratings}: rating row 2 has more fields than the header: ['9']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "stats_tests.csv").exists()
+
+
 @pytest.mark.parametrize("text, lacks", [
     ("score,rater,item,system\n3,r0,i0,a\n4,r0,i0,b\n5,r1\n", "item, system"),
     ("rater,item,system,score,condition\nr0,i0,a,3,di\nr0,i0,b,4,di\nr1,i0,b,2\n",
@@ -604,6 +632,23 @@ def test_main_stem_that_is_a_directory_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert str(work / "audio" / cli.SOURCE_STYLE / "score_000.wav") in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_main_stem_wav_that_is_a_directory_names_the_path(tmp_path, capsys, command):
+    """score_000.wav is a directory in every directory the command pairs."""
+    work = tmp_path / "work"
+    dirs = [work / "audio" / style for style in (cli.SOURCE_STYLE, cli.TARGET_STYLE)]
+    argv = ["--workdir", str(work), command]
+    if command == "eval":
+        dirs = [tmp_path / name for name in ("real", "render", "guitarflow")]
+        argv += [f"--{d.name}={d}" for d in dirs]
+    for d in dirs:
+        (d / "score_000.wav").mkdir(parents=True)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{dirs[0] / 'score_000.wav'} is not a file" in err
+    assert "missing" not in err
 
 
 @pytest.mark.parametrize("command", ["render", "transfer"])

@@ -1,9 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tabflow.config import load_config
-from tabflow.errors import UsageError
+from tabflow import cli
+from tabflow.config import _TABLE, load_config
+from tabflow.errors import DataError, TabflowError, UsageError
 from tabflow.odesolve import Dopri5, Euler, RK4
 
 
@@ -97,3 +100,64 @@ def test_with_updates_rederives():
     assert cfg2.seed == 7
     assert cfg2.hash() != cfg.hash()
 
+
+
+# one value outside the rule of each row that has one
+_OUT_OF_RANGE = {
+    "scores_dir": "sc\0ores", "audio_dir": "au\0dio", "workdir": "wo\0rk",
+    "dims": "32", "chunk_seconds": "0", "batch_size": "0", "lr": "-0.0001",
+    "epochs": "0", "base_channels": "-8", "steps": "0", "rtol": "nan", "atol": "-1",
+    "max_steps": "0", "sample_rate": "7999", "amp_drive": "0", "amp_tone_cutoff": "nan",
+    "normalize_db": "inf", "kad_max_frames": "1", "n_scores": "0", "score_seconds": "inf",
+    "seed": "-1", "train_split": "1.5",
+}
+
+
+@pytest.mark.parametrize("section, key, typ, default, rule", _TABLE,
+                         ids=[row[1] for row in _TABLE])
+def test_each_row_loads_its_default_and_rejects_out_of_range(
+        tmp_path, monkeypatch, capsys, section, key, typ, default, rule):
+    assert load_config(None, {section: {key: default}}).raw[section][key] == default
+    if rule is None:  # an unknown solver is a UsageError: test_bad_values_rejected
+        assert key == "solver"
+        return
+    assert rule[0](typ(default))
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {_OUT_OF_RANGE[key]}\n")
+    message = f"[{section}] {key} must be {rule[1]}, got {_OUT_OF_RANGE[key]!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_config(ini)
+    monkeypatch.chdir(tmp_path)  # the default workdir is relative
+    assert cli.main(["--config", str(ini), "stats", "ratings.csv", "--m", "1"]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+
+_SECTIONS = st.sampled_from(sorted({row[0] for row in _TABLE})) | st.text(max_size=8)
+_KEYS = st.sampled_from([row[1] for row in _TABLE]) | st.text(max_size=8)
+_VALUES = (st.text(max_size=12) | st.integers().map(str) | st.floats().map(repr)
+           | st.sampled_from(["nan", "-inf", "inf", "-1", "1e999", "a\0b", "\0"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(_SECTIONS, _KEYS, _VALUES), max_size=6))
+@example(entries=[("cli", "seed", "-1")])
+@example(entries=[("paths", "workdir", "a\0b")])
+@example(entries=[("synthdata", "score_seconds", "inf")])
+@example(entries=[("stringsynth", "amp_tone_cutoff", "nan")])
+def test_load_config_returns_valid_config_or_raises_tabflow_error(tmp_path_factory, entries):
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, value in entries:
+        sections.setdefault(section, {})[key] = value
+    ini = tmp_path_factory.getbasetemp() / "hostile.ini"
+    ini.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                           for section, kv in sections.items()), encoding="utf-8")
+    try:
+        cfg = load_config(ini)
+    except TabflowError:
+        return
+    for _, key, typ, _, rule in _TABLE:
+        value = getattr(cfg, "solver_name" if key == "solver" else key)
+        assert isinstance(value, typ), key
+        assert rule is None or rule[0](value), (key, value)
+    cfg.solver()
