@@ -23,7 +23,7 @@ from pathlib import Path
 from . import odesolve
 from .errors import DataError, UsageError
 from .latentcodec import LATENT_DIMS
-from .stringsynth import MAX_RENDER_SECONDS, MIN_SAMPLE_RATE
+from .stringsynth import MAX_RENDER_SECONDS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
 
 # rules shared by several keys; NaN fails every comparison
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
@@ -47,7 +47,8 @@ _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("odesolve", "atol", float, "0.0001", _POSITIVE),
     ("odesolve", "max_steps", int, "10000", _POSITIVE),
     ("stringsynth", "sample_rate", int, "44100",
-     (lambda v: v >= MIN_SAMPLE_RATE, f">= {MIN_SAMPLE_RATE}")),
+     (lambda v: MIN_SAMPLE_RATE <= v <= MAX_SAMPLE_RATE,
+      f"in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}]")),
     ("stringsynth", "amp_drive", float, "6.0", _POSITIVE),
     ("stringsynth", "amp_tone_cutoff", float, "5000.0", _POSITIVE),
     ("stringsynth", "normalize_db", float, "-9.0", (math.isfinite, "finite")),
@@ -119,6 +120,8 @@ def load_config(path: str | Path | None = None,
     """Defaults, optionally overlaid with an INI file and explicit overrides."""
     file_dict = {}
     if path is not None:
+        if not _PATH[0](path):  # open() would raise ValueError
+            raise UsageError(f"config file path must be {_PATH[1]}, got {str(path)!r}")
         parser = configparser.ConfigParser()
         try:
             read = parser.read(str(path), encoding="utf-8")

@@ -12,8 +12,10 @@ sample. `_tap_sum` is its one tap loop: one GEMM of the K taps stacked as
 in tap order. The forward runs it on the padded input, and the input gradient
 on the padded upstream gradient with the flipped, transposed kernel; that
 stacked product is K times the gradient's size (18 MB at Cin = 512 and
-B = 64). backward() frees the graph it walks, so a loss can be differentiated
-once.
+B = 64). `concat` writes its parts straight into such a buffer with p = 1 and
+returns the [B, C, L] interior view, which the k=3 conv after it takes as its
+padded input without a copy; any other input is copied. backward() frees the
+graph it walks, so a loss can be differentiated once.
 """
 
 from __future__ import annotations
@@ -158,14 +160,33 @@ def relu(a: Tensor) -> Tensor:
                    backward)
 
 
-def _pad_channel_major(arr: np.ndarray, pad: int) -> np.ndarray:
-    """[B, C, L] -> [C, B*(L+2*pad)]: each sample's columns between its own zeros."""
-    batch, c, length = arr.shape
-    buf = np.empty((c, batch, length + 2 * pad), dtype=arr.dtype)
+def _channel_major_interior(batch: int, c: int, length: int, pad: int,
+                            dtype) -> np.ndarray:
+    """The [B, C, L] interior view of a new [C, B, L+2*pad] buffer (its .base)
+    whose margins are zeroed."""
+    buf = np.empty((c, batch, length + 2 * pad), dtype=dtype)
     buf[:, :, :pad] = 0.0
     buf[:, :, pad + length:] = 0.0
-    buf[:, :, pad:pad + length] = arr.transpose(1, 0, 2)
-    return buf.reshape(c, -1)
+    return buf[:, :, pad:pad + length].transpose(1, 0, 2)
+
+
+def _pad_channel_major(arr: np.ndarray, pad: int) -> np.ndarray:
+    """[B, C, L] -> [C, B*(L+2*pad)]: each sample's columns between its own zeros.
+
+    A `_channel_major_interior` view with this pad whose margins are still
+    zero, as `concat` returns, hands back its buffer without a copy.
+    """
+    batch, c, length = arr.shape
+    base = arr.base
+    if (isinstance(base, np.ndarray) and base.shape == (c, batch, length + 2 * pad)
+            and base.dtype == arr.dtype
+            and arr.strides == (base.strides[1], base.strides[0], base.strides[2])
+            and arr.ctypes.data == base.ctypes.data + pad * base.strides[2]
+            and not base[:, :, :pad].any() and not base[:, :, pad + length:].any()):
+        return base.reshape(c, -1)
+    interior = _channel_major_interior(batch, c, length, pad, arr.dtype)
+    interior[...] = arr
+    return interior.base.reshape(c, -1)
 
 
 def _tap_sum(w: np.ndarray, buf: np.ndarray, batch: int, length: int) -> np.ndarray:
@@ -246,14 +267,23 @@ def upsample2(x: Tensor) -> Tensor:
     return _result(np.repeat(x.data, 2, axis=-1), "upsample2", (x,), backward)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: list[Tensor]) -> Tensor:
+    """[B, Ci, L] parts -> [B, sum Ci, L], joined along the channel axis.
+
+    The parts are written into a `_channel_major_interior` with the margin of
+    a k=3 conv (every conv after a UNet concat), so that conv pads the result
+    without a copy.
+    """
+    batch, _, length = tensors[0].data.shape
+    splits = np.cumsum([t.data.shape[1] for t in tensors])
+    dtype = np.result_type(*[t.data for t in tensors])
+    out = _channel_major_interior(batch, int(splits[-1]), length, 1, dtype)
+    for t, lo, hi in zip(tensors, [0, *splits[:-1]], splits):
+        out[:, lo:hi] = t.data
 
     def backward(g):
-        return tuple(zip(tensors, np.split(g, splits, axis=axis)))
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   "concat", tuple(tensors), backward)
+        return tuple(zip(tensors, np.split(g, splits[:-1], axis=1)))
+    return _result(out, "concat", tuple(tensors), backward)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -78,10 +78,10 @@ class VelocityNet:
         if f % DOWN_FACTOR:
             raise DataError(f"frame length {f} not divisible by {DOWN_FACTOR}")
         t_arr = np.asarray(t.data, dtype=x.dtype).reshape(b, 1, 1)
-        t_chan = T.Tensor(np.broadcast_to(t_arr, (b, 1, f)).copy())
+        t_chan = T.Tensor(np.broadcast_to(t_arr, (b, 1, f)))  # concat copies it
         if self.input_gain != 1.0:
             x = T.scale(x, self.input_gain)
-        h = T.concat([x, t_chan], axis=1)
+        h = T.concat([x, t_chan])
 
         skips = []
         for i in range(4):
@@ -90,7 +90,7 @@ class VelocityNet:
             h = T.downsample2(h)
         for i in reversed(range(4)):
             h = T.upsample2(h)
-            h = T.concat([h, skips[i]], axis=1)
+            h = T.concat([h, skips[i]])
             h = T.relu(T.conv1d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"]))
         return T.conv1d(h, self.params["out.w"], self.params["out.b"])
 

@@ -30,6 +30,8 @@ from .tabscore import Score, TechniqueKind, event_pitch
 
 DEFAULT_SAMPLE_RATE = 44100
 MIN_SAMPLE_RATE = 8000
+# Highest render rate; a 600-s render at 192 kHz is a 922 MB float64 mix.
+MAX_SAMPLE_RATE = 192000
 RELEASE_TAIL_SEC = 1.0
 CHORD_STAGGER_SEC = 0.008
 VIBRATO_RATE_HZ = 5.5
@@ -311,8 +313,9 @@ def render(score: Score, style: RenderStyle,
     """
     if not score.events:
         raise DataError("cannot render an empty score")
-    if sample_rate < MIN_SAMPLE_RATE:
-        raise DataError(f"sample rate must be >= {MIN_SAMPLE_RATE}, got {sample_rate}")
+    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
+        raise DataError(f"sample rate must be in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}], "
+                        f"got {sample_rate}")
 
     # in seconds first, so an overflow to inf is caught before the int cast
     seconds = score.last_offset_ticks * score.seconds_per_tick() + RELEASE_TAIL_SEC

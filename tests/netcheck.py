@@ -1,10 +1,10 @@
 """Test-side ops, networks and gradient checks for the autodiff engine.
 
-add, sub, mul, matmul, mean and tensor_sum are elementwise, matrix and
-reduction ops that no pipeline path needs, built on the engine's
-`tensor._result` for toy losses; DenseVelocityNet is a tiny MLP velocity
-field for low-dimensional flow tests; finite_difference_check compares the
-engine's analytic gradients against central differences.
+add, sub, mul, matmul, concat2d, mean and tensor_sum are elementwise,
+matrix, joining and reduction ops that no pipeline path needs, built on
+the engine's `tensor._result` for toy losses; DenseVelocityNet is a tiny
+MLP velocity field for low-dimensional flow tests; finite_difference_check
+compares the engine's analytic gradients against central differences.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T._result(a.data @ b.data, "matmul", (a, b), backward)
 
 
+def concat2d(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """[B, Da] and [B, Db] -> [B, Da + Db]."""
+    def backward(g):
+        return ((a, g[:, :a.shape[1]]), (b, g[:, a.shape[1]:]))
+    return T._result(np.concatenate([a.data, b.data], axis=1), "concat", (a, b), backward)
+
+
 def mean(a: T.Tensor) -> T.Tensor:
     def backward(g):
         return ((a, np.full_like(a.data, float(g) / a.data.size)),)
@@ -88,7 +95,7 @@ class DenseVelocityNet:
 
     def __call__(self, x: T.Tensor, t: T.Tensor) -> T.Tensor:
         t_col = T.Tensor(np.asarray(t.data, dtype=x.dtype).reshape(-1, 1))
-        h = T.concat([x, t_col], axis=1)
+        h = concat2d(x, t_col)
         n_layers = len(self.params) // 2
         for i in range(n_layers):
             h = add(matmul(h, self.params[f"fc{i}.w"]), self.params[f"fc{i}.b"])

@@ -674,6 +674,21 @@ def test_main_config_without_section_header_is_exit_1(tmp_path, capsys):
     assert f"malformed config file {ini}" in err and "no section headers" in err
 
 
+def test_main_huge_sample_rate_is_exit_2(tmp_path, capsys):
+    ini = tmp_path / "rate.ini"
+    ini.write_text("[stringsynth]\nsample_rate = 1000000000000\n")
+    work = tmp_path / "work"
+    assert cli.main(["--config", str(ini), "--workdir", str(work), "synthdata", "--n", "1"]) == 2
+    assert "[stringsynth] sample_rate must be in [8000, 192000]" in capsys.readouterr().err
+    assert not work.exists()
+
+
+def test_main_config_path_with_nul_is_exit_1(tmp_path, capsys):
+    assert cli.main(["--config", "a\x00b", "--workdir", str(tmp_path), "synthdata"]) == 1
+    assert "config file path must be free of NUL characters, got 'a\\x00b'" in \
+        capsys.readouterr().err
+
+
 def test_main_transfer_partial_sample_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
     ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
     src = _noise_wav(tmp_path / "in.wav")

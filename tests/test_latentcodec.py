@@ -2,8 +2,8 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.fft import idct
+from hypothesis import example, given, settings, strategies as st
+from scipy.fft import dct, idct
 
 from tabflow.errors import DataError
 from tabflow.latentcodec import (chunk, decode, encode, frame_count, load_latent,
@@ -98,6 +98,21 @@ def test_stack_codec_matches_per_row_calls(n_chunks, size, dims, seed, f32):
     rows = [encode(row, dims) for row in x]
     assert z.tobytes() == np.stack(rows).tobytes()
     assert decode(z).tobytes() == np.stack([decode(r) for r in rows]).tobytes()
+
+
+@given(n_chunks=st.integers(1, 4), size=st.integers(1024, 6000),
+       seed=st.integers(0, 2 ** 16), f32=st.booleans())
+@example(n_chunks=1, size=1024, seed=0, f32=False)  # one frame
+@example(n_chunks=3, size=5000, seed=1, f32=True)  # not a whole number of hops
+@settings(max_examples=25, deadline=None)
+def test_64_dim_encode_matches_dct_of_windowed_frames(n_chunks, size, seed, f32):
+    """The half-frame GEMM gives the FFT DCT's leading 64 coefficients."""
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_chunks, size))
+    x = x.astype(np.float32) if f32 else x
+    z = encode(x, 64)
+    want = dct(windowed_frames(x), type=2, norm="ortho", axis=-1)[..., :64].swapaxes(-1, -2)
+    assert z.shape == want.shape and z.dtype == np.float64
+    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_impulse_frame_zero_matches_windowed_dct():

@@ -93,7 +93,7 @@ def test_per_op_gradients_match_finite_differences(op_name):
         params["y"] = T.Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
 
         def loss_fn():
-            z = T.concat([params["x"], params["y"]], axis=1)
+            z = T.concat([params["x"], params["y"]])
             return mean(mul(z, z))
     elif op_name == "mse":
         params["y"] = T.Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
@@ -170,6 +170,47 @@ def test_conv1d_skips_input_gradient_of_untracked_input():
     out = T.conv1d(x, w)
     parents = [p for p, _ in out._backward(np.ones((2, 4, 8)))]
     assert all(p is not x for p in parents) and any(p is w for p in parents)
+
+
+@pytest.mark.parametrize("track_t", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_of_concat_equals_conv1d_of_contiguous_copy(k, track_t):
+    """A k = 3 conv reads the concat's own buffer and k = 1 or 5 a padded
+    copy; the output and every gradient are the bytes of the conv of a
+    contiguous copy of the concat, the t channel tracked or not."""
+    rng = np.random.default_rng(k)
+    a, t, w, b, target = (rng.standard_normal(s).astype(np.float32) for s in
+                          ((8, 5, 16), (8, 1, 16), (4, 6, k), (4,), (8, 4, 16)))
+    parts = [T.Tensor(a, requires_grad=True), T.Tensor(t, requires_grad=track_t)]
+    joined = T.concat(parts)
+    copy = T.Tensor(np.ascontiguousarray(joined.data), requires_grad=True)
+    results = []
+    for x in (joined, copy):
+        wt, bt = T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+        out = T.conv1d(x, wt, bt)
+        T.mse(out, T.Tensor(target)).backward()
+        results.append([out.data.tobytes(), wt.grad.tobytes(), bt.grad.tobytes()])
+    assert results[0] == results[1]
+    assert parts[0].grad.tobytes() == np.ascontiguousarray(copy.grad[:, :5]).tobytes()
+    if track_t:
+        assert parts[1].grad.tobytes() == np.ascontiguousarray(copy.grad[:, 5:]).tobytes()
+    else:
+        assert parts[1].grad is None
+
+
+@pytest.mark.parametrize("margin", [0, -1])
+def test_conv_pads_a_concat_without_copy_only_when_it_fits(margin):
+    rng = np.random.default_rng(0)
+    x = T.concat([T.Tensor(rng.standard_normal((3, 4, 10))),
+                  T.Tensor(rng.standard_normal((3, 2, 10)))]).data
+    want = T._pad_channel_major(np.ascontiguousarray(x), 1)
+    got = T._pad_channel_major(x, 1)
+    assert np.shares_memory(got, x) and got.tobytes() == want.tobytes()
+    for pad in (0, 2):  # the pads of k = 1 and k = 5
+        assert not np.shares_memory(T._pad_channel_major(x, pad), x)
+    x.base[:, :, margin] = 1.0
+    got = T._pad_channel_major(x, 1)
+    assert not np.shares_memory(got, x) and got.tobytes() == want.tobytes()
 
 
 # (Cin, Cout, L, K) of the default VelocityNet's nine convs: 64 latent dims,

@@ -146,6 +146,11 @@ def test_low_sample_rate_bound():
         render(one_note_score(), SYNTHETIC, 4000)
 
 
+def test_high_sample_rate_bound():
+    with pytest.raises(DataError, match="192000"):
+        render(one_note_score(), SYNTHETIC, 10 ** 12)
+
+
 def test_render_stays_in_unit_range():
     events = tuple(NoteEvent(0, 1920, s, 0, velocity=127) for s in range(1, 7))
     audio = render(Score(events=events), PSEUDO_REAL, FS)
