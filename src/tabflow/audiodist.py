@@ -17,8 +17,10 @@ KAD never holds the pooled N x N distance matrix. Its distances are streamed
 in row tiles of the upper triangle, recomputed on each pass: sigma is the
 exact median of those tiled distances, found by a bracketed gather (of every
 distance when the bracket misses), and one more pass turns each tile into
-kernel values and sums them. A tile is sized to stay in one core's L2 cache
-while its norms, clip and kernel values are applied.
+kernel values and sums them. Each tile is one GEMM of [N, E + 2] operands
+that carry the squared norms, so the GEMM gives the squared distances
+whole; a tile is sized to stay in one core's L2 cache while its clip and
+kernel values are applied.
 """
 
 from __future__ import annotations
@@ -157,10 +159,11 @@ def fad(a: np.ndarray, b: np.ndarray) -> float:
 # The pooled distance matrix is streamed in tiles of BLOCK_ROWS rows, each
 # against the columns from its own first row on: at most 64 x 4096 float64
 # (2 MB) at the default kad_max_frames, where the whole matrix would be
-# 134 MB. 2 MB fits one core's L2 cache, so the norms, the clip and the kernel
-# values of a tile are applied in cache rather than streamed from memory. The
-# kernel sums are taken per tile, so the tile height also fixes the order of
-# summation and with it the last bits of KAD.
+# 134 MB. Each tile is one GEMM of the [N, E + 2] augmented operands, and its
+# 2 MB fit one core's L2 cache, so the clip and the kernel values of a tile
+# are applied in cache rather than streamed from memory. The kernel sums are
+# taken per tile, so the tile height also fixes the order of summation and
+# with it the last bits of KAD.
 BLOCK_ROWS = 64
 _LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 
@@ -179,7 +182,7 @@ def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pooled = np.vstack([a, b])
     with np.errstate(over="ignore"):
         sq = np.sum(pooled ** 2, axis=1)
-        # no partial sum of sq_i + sq_j - 2 <p_i, p_j> exceeds 4 max(sq)
+        # no partial sum of a tile's GEMM exceeds 4 max(sq) (_sq_dist_blocks)
         if not np.isfinite(4.0 * sq.max(initial=0.0)):
             raise NumericError("embedding norms overflow the squared distances")
     return pooled, sq
@@ -188,30 +191,27 @@ def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
     """Yield (r0, r1, d2) over tiles of BLOCK_ROWS pooled rows.
 
-    d2[i, j] is max((-2 p_i) . p_j + (sq_i + sq_j), 0) for rows r0 + i and
-    r0 + j, built in place on the tile's GEMM product, except that the
-    leading (r1 - r0) square is +inf on and below its diagonal: the finite
-    entries over all tiles are the strict upper triangle of the pooled
-    matrix. The factor -2 is folded into the left operand once per call;
-    scaling by a power of two commutes with rounding outside the subnormal
-    range, and _pooled's overflow guard bounds each partial sum, so this is
-    -2 <p_i, p_j> exactly.
+    d2[i, j] is max(<left_i, right_j>, 0) for rows r0 + i and r0 + j, with
+    the augmented rows left_i = [-2 p_i | sq_i | 1] and right_j =
+    [p_j | 1 | sq_j], so the tile's one GEMM gives -2 <p_i, p_j> + sq_i +
+    sq_j; the leading (r1 - r0) square is +inf on and below its diagonal:
+    the finite entries over all tiles are the strict upper triangle of the
+    pooled matrix. No partial sum of that GEMM exceeds 2 |p_i| |p_j| + sq_i
+    + sq_j <= 4 max(sq), which _pooled's overflow guard keeps finite.
     The left operand is never the right one's buffer, so every tile is one
-    GEMM (numpy would send a symmetric pooled @ pooled.T to SYRK). Every
-    tile is built in the same two buffers, sized for the first (largest)
-    tile, so a tile lives only until the next one is yielded.
+    GEMM (numpy would send a symmetric product to SYRK). Every tile is built
+    in the same buffer, sized for the first (largest) tile, so a tile lives
+    only until the next one is yielded.
     """
     n = len(pooled)
-    left = -2.0 * pooled
-    size = min(BLOCK_ROWS, n) * n
-    gram, norms = np.empty(size), np.empty(size)
+    col, ones = sq[:, None], np.ones((n, 1))
+    left = np.hstack([-2.0 * pooled, col, ones])
+    right = np.hstack([pooled, ones, col])
+    tile = np.empty(min(BLOCK_ROWS, n) * n)
     for r0 in range(0, n, BLOCK_ROWS):
         r1 = min(r0 + BLOCK_ROWS, n)
-        rows, cols = r1 - r0, n - r0
-        d2 = gram[:rows * cols].reshape(rows, cols)
-        np.matmul(left[r0:r1], pooled[r0:].T, out=d2)
-        d2 += np.add(sq[r0:r1, None], sq[None, r0:],
-                     out=norms[:rows * cols].reshape(rows, cols))
+        d2 = tile[:(r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
+        np.matmul(left[r0:r1], right[r0:].T, out=d2)
         np.clip(d2, 0.0, None, out=d2)
         np.copyto(d2[:, :r1 - r0], np.inf, where=_LOWER[:r1 - r0, :r1 - r0])
         yield r0, r1, d2

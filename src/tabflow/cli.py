@@ -298,8 +298,13 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
         real_kad = _subsample(real, cfg.kad_max_frames, cfg.seed)
         for j, system in enumerate(_SYSTEMS):
             rows.append((condition, "fad", system, audiodist.fad(real, pooled[system])))
-            rows.append((condition, "kad", system, audiodist.kad(
-                real_kad, _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j))))
+            system_kad = _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j)
+            # kad's own default bandwidth, taken here so that it is reported
+            sigma = audiodist.median_bandwidth(real_kad, system_kad)
+            print(f"kad {condition} {system}: sigma {sigma!r} over {len(real_kad)} real "
+                  f"+ {len(system_kad)} {system} frames")
+            rows.append((condition, "kad", system,
+                         audiodist.kad(real_kad, system_kad, bandwidth=sigma)))
         for system in _SYSTEMS:
             # pooled frames, so each stem weighs by its frame count
             rows.append((condition, "recon", system,

@@ -89,6 +89,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
                 for name in params:
                     state.m[name] = _read_array(fh, size)
                     state.v[name] = _read_array(fh, size)
-        except (struct.error, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        # ValueError covers bad JSON and UTF-8, RecursionError JSON nested too deep
+        except (struct.error, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: truncated or corrupt checkpoint ({exc})") from None
     return params, state, config

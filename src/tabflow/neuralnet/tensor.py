@@ -2,8 +2,10 @@
 
 The ops are the ones the UNet velocity field needs: 1-D convolution, ReLU,
 scaling, channel concatenation, stride-2 down/upsampling and the MSE loss.
-Every op output is checked for NaN/Inf and aborts naming the op when one
-appears.
+Leaves and the outputs of the ops that compute new values (conv1d, scale,
+mse) are checked for NaN/Inf, aborting with the op's name when one appears;
+relu, concat and the resampling ops only copy or select values that were
+checked when made, so they skip the check.
 
 The convolution lays its input out channel-major, [Cin, B*(L+2p)] with each
 sample between its own 2p zero columns; the zeros keep every shift inside its
@@ -126,8 +128,9 @@ class Tensor:
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
-            backward) -> Tensor:
-    _check_finite(data, op)
+            backward, check: bool = True) -> Tensor:
+    if check:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.op = op
@@ -150,14 +153,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    mask = a.data > 0 if _grad_enabled and a.requires_grad else None
 
     def backward(g):
         return ((a, g * mask),)
     # max(x, +0.0) gives the bytes of where(x > 0, x, 0.0), -0.0 included,
     # in one vectorized pass where np.where takes a slow path
     return _result(np.maximum(a.data, np.zeros((), a.data.dtype)), "relu", (a,),
-                   backward)
+                   backward, check=False)
 
 
 def _channel_major_interior(batch: int, c: int, length: int, pad: int,
@@ -253,7 +256,8 @@ def downsample2(x: Tensor) -> Tensor:
         gx = np.zeros_like(x.data)
         gx[..., ::2] = g
         return ((x, gx),)
-    return _result(np.ascontiguousarray(x.data[..., ::2]), "downsample2", (x,), backward)
+    return _result(np.ascontiguousarray(x.data[..., ::2]), "downsample2", (x,), backward,
+                   check=False)
 
 
 def upsample2(x: Tensor) -> Tensor:
@@ -264,7 +268,8 @@ def upsample2(x: Tensor) -> Tensor:
         # starts from +0.0, so two -0.0 halves sum to +0.0
         gx += 0.0
         return ((x, gx),)
-    return _result(np.repeat(x.data, 2, axis=-1), "upsample2", (x,), backward)
+    return _result(np.repeat(x.data, 2, axis=-1), "upsample2", (x,), backward,
+                   check=False)
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -283,7 +288,7 @@ def concat(tensors: list[Tensor]) -> Tensor:
 
     def backward(g):
         return tuple(zip(tensors, np.split(g, splits[:-1], axis=1)))
-    return _result(out, "concat", tuple(tensors), backward)
+    return _result(out, "concat", tuple(tensors), backward, check=False)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

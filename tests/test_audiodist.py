@@ -182,18 +182,34 @@ def test_median_bandwidth_positive():
     assert median_bandwidth(a, b) > 0
 
 
+def _augmented(pooled):
+    """The operands [-2P | sq | 1] and [P | 1 | sq] whose product is the
+    pooled squared-distance matrix, built apart from audiodist."""
+    sq = np.sum(pooled ** 2, axis=1)[:, None]
+    ones = np.ones_like(sq)
+    return np.hstack([-2.0 * pooled, sq, ones]), np.hstack([pooled, ones, sq])
+
+
+def _triu_median(a, b):
+    """np.median of the distances over the strict upper triangle of the
+    whole augmented product."""
+    left, right = _augmented(np.vstack([a, b]))
+    d2 = left @ right.T
+    iu = np.triu_indices(len(d2), k=1)
+    return float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
+
+
 def test_tile_distances_are_the_three_term_formula():
-    """Each tile's finite entries are the three-term formula over that tile's
-    own GEMM product bit for bit (a copied left operand keeps numpy off SYRK
-    in the last tile, whose last bits differ), and +inf marks exactly the
-    diagonal and below of its leading square."""
+    """Each tile's finite entries are its rows of the augmented GEMM clipped
+    at 0, bit for bit, and +inf marks exactly the diagonal and below of its
+    leading square."""
     pooled = 3.0 * np.random.default_rng(0).standard_normal((300, 64))
     sq = np.sum(pooled ** 2, axis=1)
+    left, right = _augmented(pooled)
     spans = []
     for r0, r1, d2 in _sq_dist_blocks(pooled, sq):
         spans.append((r0, r1))
-        gram = pooled[r0:r1].copy() @ pooled[r0:].T
-        want = np.clip(sq[r0:r1, None] + sq[None, r0:] - 2.0 * gram, 0.0, None)
+        want = np.clip(left[r0:r1] @ right[r0:].T, 0.0, None)
         lower = np.zeros(d2.shape, dtype=bool)
         lower[:, :r1 - r0] = np.tri(r1 - r0, dtype=bool)
         assert np.array_equal(np.isinf(d2), lower)
@@ -209,12 +225,20 @@ def test_median_bandwidth_matches_triu_index_formula(seed):
     scale = 10.0 ** rng.uniform(-3, 3)
     a = _set(scale * rng.standard_normal((m, dims)))
     b = _set(scale * rng.standard_normal((n, dims)) + 0.3)
-    pooled = np.vstack([a, b])
-    sq = np.sum(pooled ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    iu = np.triu_indices(len(pooled), k=1)
-    expected = float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
-    assert median_bandwidth(a, b) == expected
+    assert median_bandwidth(a, b) == _triu_median(a, b)
+
+
+@pytest.mark.parametrize("m, n, dims", [(150, 190, 8), (300, 260, 64)])
+def test_offset_sets_keep_bandwidth_and_kad(m, n, dims):
+    """Points near +1e3 with unit spread: the squared norms are ~1e6 times
+    the distances, yet sigma and KAD stay within 1e-9 relative of the same
+    sets centred (the offset is subtracted exactly)."""
+    rng = np.random.default_rng(m)
+    a = _set(rng.standard_normal((m, dims)) + 1e3)
+    b = _set(rng.standard_normal((n, dims)) + 1e3 + 0.5)
+    centred = (a - 1e3, b - 1e3)
+    assert median_bandwidth(a, b) == pytest.approx(median_bandwidth(*centred), rel=1e-9)
+    assert kad(a, b) == pytest.approx(kad(*centred), rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -239,14 +263,6 @@ def test_kad_matches_three_gram_formula(seed):
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
     assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
-
-
-def _triu_median(a, b):
-    pooled = np.vstack([a, b])
-    sq = np.sum(pooled ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pooled @ pooled.T)
-    iu = np.triu_indices(len(pooled), k=1)
-    return float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,5 @@
 import csv
+import re
 import shutil
 import struct
 
@@ -205,6 +206,30 @@ def test_eval_self_distance_zero(tiny_cfg, capsys):
     assert lines[1] == "condition,metric,system,value"
     table = capsys.readouterr().out
     assert "guitarflow" in table and "fad" in table
+
+
+def test_eval_prints_kad_bandwidth_and_subsample_sizes(tiny_cfg, capsys, monkeypatch):
+    """Each printed sigma is median_bandwidth of the two sets that kad
+    scores, and kad is given that sigma."""
+    cli.cmd_synthdata(tiny_cfg)
+    calls = []
+    kad = audiodist.kad
+
+    def spy(a, b, bandwidth=None):
+        calls.append((a, b, bandwidth))
+        return kad(a, b, bandwidth)
+
+    monkeypatch.setattr(audiodist, "kad", spy)
+    render = cli._audio_dir(tiny_cfg, "synthetic")
+    cli.cmd_eval(tiny_cfg, cli._audio_dir(tiny_cfg, "pseudo_real"), render, render)
+    out = capsys.readouterr().out
+    printed = re.findall(r"^kad (\w+) (\w+): sigma (\S+) over (\d+) real \+ (\d+) \2 frames$",
+                         out, flags=re.M)
+    assert [(c, s) for c, s, *_ in printed] == [(c, s) for c in ("di", "amp")
+                                               for s in ("render", "guitarflow")]
+    for (_, _, sigma, m, n), (a, b, bandwidth) in zip(printed, calls, strict=True):
+        assert float(sigma) == bandwidth == audiodist.median_bandwidth(a, b)
+        assert (int(m), int(n)) == (len(a), len(b))
 
 
 def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
@@ -551,6 +576,18 @@ def test_main_transfer_checkpoint_declaring_8_tib_is_exit_2(tiny_cfg, tmp_path, 
     err = capsys.readouterr().err
     assert "truncated or corrupt checkpoint" in err and str(ckpt) in err
     assert "needs 8796093022208 bytes, 15 left" in err
+    assert not out.exists()
+
+
+def test_main_transfer_checkpoint_echo_nested_too_deep_is_exit_2(tiny_cfg, tmp_path,
+                                                                  capsys):
+    """A config echo of 100000 nested lists, past the recursion limit."""
+    ckpt = tmp_path / "nested.ckpt"
+    ckpt.write_bytes(b"GFCKPT1" + struct.pack("<I", 200000) + b"[" * 100000 + b"]" * 100000)
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    err = capsys.readouterr().err
+    assert "truncated or corrupt checkpoint" in err and str(ckpt) in err
     assert not out.exists()
 
 

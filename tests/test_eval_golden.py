@@ -20,7 +20,7 @@ ROWS = [
     ("di", "recon", "render", 14.757818411699544),
     ("di", "recon", "guitarflow", 11.080646511878516),
     ("amp", "fad", "render", 219.5096010017844),
-    ("amp", "kad", "render", 0.02396755368784209),
+    ("amp", "kad", "render", 0.02396755368784187),
     ("amp", "fad", "guitarflow", 169.991291994716),
     ("amp", "kad", "guitarflow", 0.01950213723615124),
     ("amp", "recon", "render", 11.242150691125184),

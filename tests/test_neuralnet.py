@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import tabflow.neuralnet as nn
 from tabflow import flowmatch
-from tabflow.errors import DataError, NumericError
+from tabflow.errors import DataError, NumericError, TabflowError
 from tabflow.neuralnet import tensor as T
 
 from netcheck import add, finite_difference_check, matmul, mean, mul, sub, tensor_sum
@@ -49,6 +49,21 @@ def test_nan_aborts_naming_op():
         T.Tensor(np.array([np.nan]))
     with pytest.raises(NumericError, match="mul"):
         mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_leaf_and_conv_weight_are_named(bad):
+    """relu, concat and the resampling ops copy checked values unchecked; a
+    non-finite value is still reported by the leaf or the conv it enters."""
+    with pytest.raises(NumericError, match="'leaf'"):
+        T.Tensor(np.full((1, 2, 4), bad))
+    x = T.Tensor(np.ones((1, 2, 4)))
+    w = T.Tensor(np.ones((3, 4, 3)), requires_grad=True)
+    w.data[1, 0, 2] = bad  # as a diverged optimizer step would leave it
+    joined = T.concat([T.relu(x), T.upsample2(T.downsample2(x))])
+    with pytest.raises(NumericError, match="'conv1d'"):
+        T.conv1d(joined, w)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -490,6 +505,37 @@ def test_checkpoint_declaring_more_data_than_file_holds(tmp_path):
         nn.load_checkpoint(path)
     assert str(path) in str(info.value)
     assert "needs 8796093022208 bytes, 15 left" in str(info.value)
+
+
+# the body of a valid checkpoint after its magic: config echo, one [2, 3]
+# parameter, Adam state with its two moments
+_BODY = (struct.pack("<I", 11) + b'{"dims": 4}' + struct.pack("<IH", 1, 1) + b"w"
+         + struct.pack("<B2I", 2, 2, 3) + np.arange(6, dtype="<f4").tobytes()
+         + struct.pack("<BQ4d", 1, 3, 1e-3, 0.9, 0.999, 1e-8)
+         + 2 * (struct.pack("<B2I", 2, 2, 3) + bytes(24)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.binary(max_size=200)
+       | st.builds(lambda cut, junk: _BODY[:cut] + junk,
+                   st.integers(0, len(_BODY)), st.binary(max_size=40)))
+@example(tail=_BODY)
+# a config echo nested past the recursion limit
+@example(tail=struct.pack("<I", 200000) + b"[" * 100000 + b"]" * 100000)
+def test_load_checkpoint_of_arbitrary_bytes(tmp_path_factory, tail):
+    """Any bytes after the magic load as a checkpoint or raise a TabflowError."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.ckpt"
+    path.write_bytes(nn.checkpoint.MAGIC + tail)
+    try:
+        params, state, config = nn.load_checkpoint(path)
+    except TabflowError:
+        return
+    assert isinstance(config, dict)
+    assert all(p.dtype == np.float32 for p in params.values())
+    assert state is None or set(state.m) == set(state.v) == set(params)
+    if tail == _BODY:
+        np.testing.assert_array_equal(params["w"], np.arange(6).reshape(2, 3))
+        assert state.step == 3 and config == {"dims": 4}
 
 
 def test_no_grad_disables_graph():
