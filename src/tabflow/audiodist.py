@@ -5,19 +5,21 @@ log-magnitude filterbank vector on a mel-spaced grid between 60 and 8000 Hz;
 embed returns them as one float64 [F, EMBED_DIMS] array, and the distances
 compare two [M, E] arrays, such as corpora pooled with np.vstack. FAD is the
 Frechet (2-Wasserstein) distance between Gaussians fitted to the two sets;
-KAD is the unbiased squared MMD with a Gaussian RBF kernel and the
-median-distance bandwidth heuristic; the reconstruction distance is the
-per-frame embedding difference norm averaged over time.
+KAD is the unbiased squared MMD with a Gaussian RBF kernel of the bandwidth
+sigma its caller passes, and median_bandwidth computes the median-distance
+heuristic for it; the reconstruction distance is the per-frame embedding
+difference norm averaged over time.
 
 embed takes the magnitude spectrum and the filterbank product only up to the
 bank's last nonzero bin (186 of 513 at 44.1 kHz): the bins above 8000 Hz
 carry zero weights, and the rows keep the full product's bytes.
 
-KAD never holds the pooled N x N distance matrix. Its distances are streamed
-in row tiles of the upper triangle, recomputed on each pass: sigma is the
-exact median of those tiled distances, found by a bracketed gather (of every
-distance when the bracket misses), and one more pass turns each tile into
-kernel values and sums them. Each tile is one GEMM of [N, E + 2] operands
+Neither median_bandwidth nor kad holds the pooled N x N distance matrix.
+The distances are streamed in row tiles of the upper triangle, rebuilt on
+each pass: median_bandwidth's sigma is the exact median of those tiled
+distances, found by a bracketed gather (of every distance when the bracket
+misses), and kad's one pass turns each tile into kernel values and sums
+them. Each tile is one GEMM of [N, E + 2] operands
 that carry the squared norms, so the GEMM gives the squared distances
 whole; a tile is sized to stay in one core's L2 cache while its clip and
 kernel values are applied.
@@ -280,19 +282,19 @@ def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return _median_distance(*_pooled(a, b))
 
 
-def kad(a: np.ndarray, b: np.ndarray, bandwidth: float | None = None) -> float:
+def kad(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     """Unbiased squared MMD with Gaussian RBF kernel exp(-d^2 / (2 sigma^2)).
 
     May be slightly negative near zero; that is the unbiased estimator, not a
-    bug. The pooled distances are streamed in row tiles of the upper
-    triangle and never held whole. sigma defaults to the median heuristic,
-    the exact median of those same tiled distances; one more pass turns
-    each tile into kernel values and sums them by position into the aa, ab
-    and bb parts.
+    bug. The bandwidth sigma is the caller's choice; median_bandwidth gives
+    the median heuristic over the same pooled sets. The pooled distances are
+    streamed in row tiles of the upper triangle and never held whole; one
+    pass turns each tile into kernel values and sums them by position into
+    the aa, ab and bb parts.
     """
     a, b = _checked(a, b)
     pooled, sq = _pooled(a, b)
-    sigma = _median_distance(pooled, sq) if bandwidth is None else float(bandwidth)
+    sigma = float(sigma)
     twice_var = 2.0 * sigma * sigma
     # NaN fails every comparison; a tiny sigma's square underflows to 0 or
     # its inverse overflows

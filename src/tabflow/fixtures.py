@@ -9,17 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .tabscore import (DEFAULT_VELOCITY, TICKS_PER_QUARTER, NoteEvent, Score,
-                       Technique, TechniqueKind)
+from .tabscore import DEFAULT_VELOCITY, NoteEvent, Score, Technique, TechniqueKind
 
 
 _TOY_DURATIONS = (240, 480, 480, 960, 960, 1920)
 
 
-def random_score(rng: np.random.Generator, target_seconds: float = 20.0,
-                 tempo_bpm: float = 120.0) -> Score:
-    """Random valid score mixing single notes, chords, and techniques."""
-    spt = 60.0 / (tempo_bpm * TICKS_PER_QUARTER)
+def random_score(rng: np.random.Generator, target_seconds: float) -> Score:
+    """Random valid score at 120 bpm mixing single notes, chords, and techniques."""
+    spt = Score().seconds_per_tick()
     events: list[NoteEvent] = []
     onset = 0
     while onset * spt < target_seconds:
@@ -54,11 +52,10 @@ def random_score(rng: np.random.Generator, target_seconds: float = 20.0,
                 technique = Technique(TechniqueKind.VIBRATO)
             events.append(NoteEvent(onset, duration, string, fret, velocity, technique))
         onset += duration if rng.uniform() < 0.8 else duration + 480
-    return Score(tempo_bpm=tempo_bpm, events=tuple(events))
+    return Score(events=tuple(events))
 
 
-def toy_corpus(n_scores: int = 10, seed: int = 0,
-               target_seconds: float = 20.0) -> list[Score]:
+def toy_corpus(n_scores: int, seed: int, target_seconds: float) -> list[Score]:
     """Seed-fixed list of generated scores; same seed, same scores."""
     if n_scores < 1:
         raise DataError(f"need n_scores >= 1, got {n_scores}")

@@ -141,5 +141,5 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.n
             tt = T.Tensor(np.full(b, t, dtype=net.dtype))
             return net(x, tt).data.astype(y.dtype).reshape(-1)
 
-    trace = odesolve.integrate(velocity, padded.reshape(-1), (0.0, 1.0), solver)
+    trace = odesolve.integrate(velocity, padded.reshape(-1), solver)
     return trace.final_state.reshape(b, d, target)[:, :, :f]

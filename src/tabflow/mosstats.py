@@ -27,7 +27,6 @@ class TestResult:
     p_value: float
     method: str
     df: int | None = None
-    alpha_corrected: float | None = None
     zeros_dropped: int = 0
 
     def __post_init__(self):

@@ -55,8 +55,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         _check_finite(self.data, "leaf")
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
@@ -211,7 +211,7 @@ def _tap_sum(w: np.ndarray, buf: np.ndarray, batch: int, length: int) -> np.ndar
     return taps[:c_out].reshape(c_out, batch, -1)[:, :, :length].transpose(1, 0, 2)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-length 1-D convolution, stride 1, odd kernel, zero padding.
 
     x: [B, Cin, L]; w: [Cout, Cin, K]; b: [Cout]. The input is laid out
@@ -228,11 +228,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xf = _pad_channel_major(x.data, pad)                    # [Cin, B*(L+2p)]
     n = xf.shape[1] - 2 * pad
     cropped = _tap_sum(w.data, xf, batch, length)
-    if b is None:
-        out = np.ascontiguousarray(cropped)
-    else:
-        out = np.empty(cropped.shape, dtype=cropped.dtype)
-        np.add(cropped, b.data[None, :, None], out=out)
+    out = np.empty(cropped.shape, dtype=cropped.dtype)
+    np.add(cropped, b.data[None, :, None], out=out)
 
     def backward(g):
         gf = _pad_channel_major(g, pad)                     # [Cout, B*(L+2p)]
@@ -242,12 +239,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             wt = w.data[:, :, ::-1].transpose(1, 0, 2)      # [Cin, Cout, K]
             grads.append((x, np.ascontiguousarray(_tap_sum(wt, gf, batch, length))))
-        if b is not None:
-            grads.append((b, g.sum(axis=(0, 2))))
+        grads.append((b, g.sum(axis=(0, 2))))
         return grads
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _result(out, "conv1d", parents, backward)
+    return _result(out, "conv1d", (x, w, b), backward)
 
 
 def downsample2(x: Tensor) -> Tensor:

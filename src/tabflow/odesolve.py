@@ -1,9 +1,10 @@
 """Fixed-step Euler and RK4 plus adaptive Dormand-Prince 5(4) integration.
 
-States are arbitrary-shape numpy arrays; the derivative callback receives
-(t, state) and returns an array of the same shape. Dormand-Prince uses the
-standard 7-stage tableau with the first-same-as-last evaluation reused across
-accepted steps.
+The solver integrates over t in [0, 1], the time span of rectified flow's
+transport. States are arbitrary-shape numpy arrays; the derivative callback
+receives (t, state) and returns an array of the same shape. Dormand-Prince
+uses the standard 7-stage tableau with the first-same-as-last evaluation
+reused across accepted steps.
 """
 
 from __future__ import annotations
@@ -96,25 +97,23 @@ class _Counted:
         return dy
 
 
-def integrate(f, state0, t_span: tuple[float, float] = (0.0, 1.0),
-              solver: SolverKind = Dopri5()) -> OdeTrace:
-    """Integrate dy/dt = f(t, y) over t_span and return the state at the end."""
+def integrate(f, state0, solver: SolverKind) -> OdeTrace:
+    """Integrate dy/dt = f(t, y) from t = 0 to t = 1 and return the state at 1."""
     y = np.array(state0, copy=True)
     if not np.all(np.isfinite(y)):
         raise NumericError("initial state is not finite")
-    t0, t1 = float(t_span[0]), float(t_span[1])
     cf = _Counted(f)
 
     if isinstance(solver, Euler):
-        h = (t1 - t0) / solver.steps
+        h = 1.0 / solver.steps
         for i in range(solver.steps):
-            y = y + h * cf(t0 + i * h, y)
+            y = y + h * cf(i * h, y)
         return OdeTrace(y, solver.steps, 0, cf.evals)
 
     if isinstance(solver, RK4):
-        h = (t1 - t0) / solver.steps
+        h = 1.0 / solver.steps
         for i in range(solver.steps):
-            t = t0 + i * h
+            t = i * h
             k1 = cf(t, y)
             k2 = cf(t + h / 2, y + (h / 2) * k1)
             k3 = cf(t + h / 2, y + (h / 2) * k2)
@@ -122,34 +121,34 @@ def integrate(f, state0, t_span: tuple[float, float] = (0.0, 1.0),
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         return OdeTrace(y, solver.steps, 0, cf.evals)
 
-    return _dopri5(cf, y, t0, t1, solver)
+    return _dopri5(cf, y, solver)
 
 
-def _initial_step(cf, t0, y0, f0, t1, rtol, atol) -> float:
+def _initial_step(cf, y0, f0, rtol, atol) -> float:
     sc = atol + rtol * np.abs(y0)
     d0 = _rms(y0 / sc)
     d1 = _rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t1 - t0)
-    f1 = cf(t0 + h0, y0 + h0 * f0)
+    h0 = min(h0, 1.0)
+    f1 = cf(h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, t1 - t0)
+    return min(100 * h0, h1, 1.0)
 
 
-def _dopri5(cf, y, t0: float, t1: float, solver: Dopri5) -> OdeTrace:
+def _dopri5(cf, y, solver: Dopri5) -> OdeTrace:
     rtol, atol = solver.rtol, solver.atol
-    t = t0
+    t = 0.0
     k1 = cf(t, y)
-    h = _initial_step(cf, t0, y, k1, t1, rtol, atol)
+    h = _initial_step(cf, y, k1, rtol, atol)
     accepted = rejected = 0
     k = [k1] + [None] * 6
 
-    while t < t1:
-        h = min(h, t1 - t)
+    while t < 1.0:
+        h = min(h, 1.0 - t)
         for i in range(6):
             yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]) if a != 0.0)
             k[i + 1] = cf(t + _C[i] * h, yi)
@@ -160,7 +159,7 @@ def _dopri5(cf, y, t0: float, t1: float, solver: Dopri5) -> OdeTrace:
 
         if err <= 1.0:
             accepted += 1
-            t = t1 if h >= (t1 - t) else t + h
+            t = 1.0 if h >= (1.0 - t) else t + h
             y = y_new
             k[0] = k[6]  # first-same-as-last
         else:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import DataError
-from .tabscore import Score, TechniqueKind, event_pitch
+from .tabscore import Score, TechniqueKind, event_pitch, midi_hz
 
 DEFAULT_SAMPLE_RATE = 44100
 MIN_SAMPLE_RATE = 8000
@@ -116,7 +116,7 @@ def _pitch_curve(f0: float, n: int, dur_samples: int, technique, target_f: float
     t_frac = np.minimum(np.arange(n, dtype=np.float64) / max(dur_samples, 1), 1.0)
     if technique.kind is TechniqueKind.BEND:
         return f0 * 2.0 ** (technique.bend_semitones * t_frac / 12.0)
-    if technique.kind is TechniqueKind.SLIDE and target_f is not None:
+    if technique.kind is TechniqueKind.SLIDE:
         return f0 * (target_f / f0) ** t_frac
     if technique.kind is TechniqueKind.VIBRATO:
         t = np.arange(n, dtype=np.float64) / sample_rate
@@ -267,8 +267,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
 
         target_f = None
         if ev.technique.kind is TechniqueKind.SLIDE:
-            midi = score.string_pitch(ev.string) + ev.technique.slide_to_fret
-            target_f = 440.0 * 2.0 ** ((midi - 69) / 12.0)
+            target_f = midi_hz(score.string_pitch(ev.string) + ev.technique.slide_to_fret)
         freq = _pitch_curve(f0, n, dur_samples, ev.technique, target_f, sample_rate)
         if freq.max() > fs / 4.0:
             raise DataError(
@@ -318,7 +317,10 @@ def render(score: Score, style: RenderStyle,
                         f"got {sample_rate}")
 
     # in seconds first, so an overflow to inf is caught before the int cast
-    seconds = score.last_offset_ticks * score.seconds_per_tick() + RELEASE_TAIL_SEC
+    try:
+        seconds = score.last_offset_ticks * score.seconds_per_tick() + RELEASE_TAIL_SEC
+    except OverflowError:  # more ticks than a float can hold
+        seconds = np.inf
     if not seconds <= MAX_RENDER_SECONDS:
         raise DataError(f"score renders to {seconds:.6g} s, longer than the "
                         f"{MAX_RENDER_SECONDS:g} s limit")
@@ -337,17 +339,16 @@ def render(score: Score, style: RenderStyle,
     return AudioBuffer(out.astype(np.float32), sample_rate)
 
 
-def amp_process(audio: AudioBuffer, drive: float = 6.0,
-                tone_cutoff: float | None = 5000.0) -> AudioBuffer:
+def amp_process(audio: AudioBuffer, drive: float, tone_cutoff: float) -> AudioBuffer:
     """Memoryless tanh drive followed by a one-pole lowpass; peak kept <= 1.
 
-    A cutoff of None (or >= Nyquist) bypasses the filter.
+    Only a cutoff at or above Nyquist bypasses the filter.
     """
     if drive <= 0:
         raise DataError(f"drive must be > 0, got {drive}")
     x = audio.samples.astype(np.float64)
     y = np.tanh(drive * x)
-    if tone_cutoff is not None and tone_cutoff < audio.sample_rate / 2.0:
+    if tone_cutoff < audio.sample_rate / 2.0:
         a = 1.0 - np.exp(-2.0 * np.pi * tone_cutoff / audio.sample_rate)
         y = lfilter([a], [1.0, -(1.0 - a)], y)
     peak = np.max(np.abs(y)) if len(y) else 0.0

@@ -27,6 +27,7 @@ STANDARD_TUNING = (40, 45, 50, 55, 59, 64)  # string 6 (low E2) .. string 1 (hig
 DEFAULT_VELOCITY = 96
 
 MAX_FRET = 24
+MAX_MIDI = 127
 MAX_BEND_SEMITONES = 4.0
 
 
@@ -100,6 +101,9 @@ class Score:
             raise DataError(f"tempo must be finite and > 0, got {self.tempo_bpm}")
         if len(self.tuning) != 6:
             raise DataError("tuning must list 6 MIDI pitches, string 6 to string 1")
+        for pitch in self.tuning:
+            if not 0 <= pitch <= MAX_MIDI:
+                raise DataError(f"tuning pitch {pitch} is outside MIDI 0-{MAX_MIDI}")
         if any(b <= a for a, b in zip(self.tuning, self.tuning[1:])):
             raise DataError("tuning pitches must strictly increase from string 6 to 1")
         events = tuple(sorted(self.events, key=lambda e: (e.onset_ticks, e.string)))
@@ -135,10 +139,14 @@ def _check_no_overlap(events, lines: list[int] | None = None) -> None:
         last_offset[ev.string] = max(prev, ev.offset_ticks)
 
 
-def event_pitch(score: Score, ev: NoteEvent) -> float:
-    """Fundamental frequency in Hz: 440 * 2**((midi - 69) / 12)."""
-    midi = score.string_pitch(ev.string) + ev.fret
+def midi_hz(midi: int) -> float:
+    """Equal-tempered frequency in Hz of a MIDI pitch: 440 * 2**((midi - 69) / 12)."""
     return 440.0 * 2.0 ** ((midi - 69) / 12.0)
+
+
+def event_pitch(score: Score, ev: NoteEvent) -> float:
+    """Fundamental frequency in Hz of the fretted note."""
+    return midi_hz(score.string_pitch(ev.string) + ev.fret)
 
 
 class ParseError(DataError):

@@ -1,9 +1,10 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Mono only; PCM 16-bit integer and IEEE 32-bit float encodings. The float
-encoding round-trips bit exactly. An optional comment string is stored in a
-LIST/INFO ICMT chunk (used to embed the pipeline config hash); readers that
-do not know the chunk skip it.
+Mono only. The writer writes IEEE 32-bit float samples, which round-trip bit
+exactly; the reader reads those and PCM 16-bit integer samples. The writer
+stores a comment string in a LIST/INFO ICMT chunk (the pipeline config
+hash); the reader returns it when present, and readers that do not know the
+chunk skip it.
 """
 
 from __future__ import annotations
@@ -18,33 +19,18 @@ _FMT_PCM = 1
 _FMT_FLOAT = 3
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, encoding: str = "float32",
-              comment: str | None = None) -> None:
-    """Write a mono WAV file. encoding is 'float32' or 'int16'."""
+def write_wav(path, samples: np.ndarray, sample_rate: int, comment: str) -> None:
+    """Write a mono WAV file of float32 samples with an ICMT comment."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise DataError(f"expected mono 1-D samples, got shape {samples.shape}")
-    if encoding == "float32":
-        data = samples.astype("<f4", copy=False).tobytes()
-        fmt_tag, bits = _FMT_FLOAT, 32
-    elif encoding == "int16":
-        clipped = np.clip(samples, -1.0, 1.0)
-        data = np.round(clipped * 32767.0).astype("<i2").tobytes()
-        fmt_tag, bits = _FMT_PCM, 16
-    else:
-        raise DataError(f"unknown WAV encoding {encoding!r}")
-
-    block_align = bits // 8
-    fmt_chunk = struct.pack("<HHIIHH", fmt_tag, 1, sample_rate,
-                            sample_rate * block_align, block_align, bits)
-    chunks = [(b"fmt ", fmt_chunk)]
-    if comment is not None:
-        text = comment.encode("utf-8") + b"\x00"
-        info = b"INFO" + b"ICMT" + struct.pack("<I", len(text)) + text
-        if len(text) % 2:
-            info += b"\x00"
-        chunks.append((b"LIST", info))
-    chunks.append((b"data", data))
+    data = samples.astype("<f4", copy=False).tobytes()
+    fmt_chunk = struct.pack("<HHIIHH", _FMT_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
+    text = comment.encode("utf-8") + b"\x00"
+    info = b"INFO" + b"ICMT" + struct.pack("<I", len(text)) + text
+    if len(text) % 2:
+        info += b"\x00"
+    chunks = [(b"fmt ", fmt_chunk), (b"LIST", info), (b"data", data)]
 
     body = b"WAVE"
     for tag, payload in chunks:

@@ -137,18 +137,23 @@ def test_fad_needs_two_vectors():
 
 # --- KAD ----------------------------------------------------------------------
 
+def _kad_median(a, b):
+    """kad at the median-heuristic bandwidth, as `tabflow eval` scores."""
+    return kad(a, b, median_bandwidth(a, b))
+
+
 def test_kad_same_distribution_magnitude_small():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((2000, 1))
-    assert abs(kad(_set(z[:1000]), _set(z[1000:]))) < 0.01
+    assert abs(_kad_median(_set(z[:1000]), _set(z[1000:]))) < 0.01
 
 
 def test_kad_separation_exceeds_10x_baseline():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((2000, 1))
-    baseline = abs(kad(_set(z[:1000]), _set(z[1000:])))
-    shifted = kad(_set(rng.standard_normal((1000, 1))),
-                  _set(rng.standard_normal((1000, 1)) + 5.0))
+    baseline = abs(_kad_median(_set(z[:1000]), _set(z[1000:])))
+    shifted = _kad_median(_set(rng.standard_normal((1000, 1))),
+                          _set(rng.standard_normal((1000, 1)) + 5.0))
     assert shifted > 10 * max(baseline, 1e-6)
 
 
@@ -156,7 +161,7 @@ def test_kad_hand_computed_two_point_sets():
     a = _set(np.zeros((2, 1)))
     b = _set(np.ones((2, 1)))
     expected = 1.0 + 1.0 - 2.0 * np.exp(-0.5)  # k(0,0)=k(1,1)=1, k(0,1)=e^-1/2
-    assert kad(a, b, bandwidth=1.0) == pytest.approx(expected, abs=1e-12)
+    assert kad(a, b, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, 1e-200, 1e-160, float("nan"),
@@ -165,14 +170,14 @@ def test_kad_rejects_bad_bandwidth(bandwidth):
     """Not finite and > 0, or 1 / (2 sigma^2) not finite (sigma^2 underflows to
     0 at 1e-200, 1 / (2 sigma^2) overflows at 1e-160)."""
     with pytest.raises(DataError, match="kad bandwidth must be finite and > 0"):
-        kad(_set(np.zeros((3, 2))), _set(np.ones((3, 2))), bandwidth=bandwidth)
+        kad(_set(np.zeros((3, 2))), _set(np.ones((3, 2))), bandwidth)
 
 
 def test_kad_symmetry():
     rng = np.random.default_rng(9)
     a = _set(rng.standard_normal((200, 3)))
     b = _set(rng.standard_normal((200, 3)) + 0.4)
-    assert kad(a, b) == pytest.approx(kad(b, a), abs=1e-9)
+    assert _kad_median(a, b) == pytest.approx(_kad_median(b, a), abs=1e-9)
 
 
 def test_median_bandwidth_positive():
@@ -238,20 +243,18 @@ def test_offset_sets_keep_bandwidth_and_kad(m, n, dims):
     b = _set(rng.standard_normal((n, dims)) + 1e3 + 0.5)
     centred = (a - 1e3, b - 1e3)
     assert median_bandwidth(a, b) == pytest.approx(median_bandwidth(*centred), rel=1e-9)
-    assert kad(a, b) == pytest.approx(kad(*centred), rel=1e-9)
+    assert _kad_median(a, b) == pytest.approx(_kad_median(*centred), rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_kad_matches_three_gram_formula(seed):
-    """kad takes sigma and its three kernel blocks from one pooled distance
-    matrix; it equals three separate Gram matrices under the same sigma, and
-    its default sigma is median_bandwidth's exactly."""
+    """kad takes its three kernel blocks from one pooled distance matrix; it
+    equals three separate Gram matrices under the same sigma."""
     rng = np.random.default_rng(seed)
     m, n, dims = rng.integers(2, 300, size=2).tolist() + [int(rng.integers(1, 9))]
     a = _set(rng.standard_normal((m, dims)))
     b = _set(rng.standard_normal((n, dims)) + 0.3)
     sigma = median_bandwidth(a, b)
-    assert kad(a, b) == kad(a, b, bandwidth=sigma)
 
     def gram(x, y):
         d2 = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
@@ -262,7 +265,7 @@ def test_kad_matches_three_gram_formula(seed):
     expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
-    assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -291,7 +294,6 @@ def test_kad_split_off_block_boundary(m, n):
     a = _set(rng.standard_normal((m, dims)))
     b = _set(rng.standard_normal((n, dims)) + 0.3)
     sigma = median_bandwidth(a, b)
-    assert kad(a, b) == kad(a, b, bandwidth=sigma)
 
     def gram(x, y):
         d2 = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
@@ -302,7 +304,7 @@ def test_kad_split_off_block_boundary(m, n):
     expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
-    assert kad(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 _TIED = st.sampled_from([0.0, 0.0, 1.0, 2.25, 2.25, 4.0, 1e-300, 1e300])
@@ -346,15 +348,15 @@ def test_median_bandwidth_of_identical_points_is_one():
 
 
 def test_kad_peak_memory_bound():
-    """One kad at the default cap (2048 + 2048 frames of 64 dims) streams its
-    distances in 64 x 4096 tiles (2 MB each): the pooled 4096 x 4096 matrix
-    alone would be 134 MB."""
+    """The median bandwidth and one kad at the default cap (2048 + 2048
+    frames of 64 dims) stream their distances in 64 x 4096 tiles (2 MB
+    each): the pooled 4096 x 4096 matrix alone would be 134 MB."""
     rng = np.random.default_rng(21)
     a = _set(rng.standard_normal((2048, 64)))
     b = _set(rng.standard_normal((2048, 64)) + 0.1)
     tracemalloc.start()
     try:
-        kad(a, b)
+        _kad_median(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,7 +366,7 @@ def test_kad_peak_memory_bound():
 def test_kad_norm_overflow_is_numeric_error():
     a = _set(np.full((3, 2), 1e154))
     with pytest.raises(NumericError, match="overflow"):
-        kad(a, -a)
+        kad(a, -a, 1.0)
     with pytest.raises(NumericError, match="overflow"):
         median_bandwidth(a, -a)
 
@@ -416,7 +418,8 @@ def _nan_rows():
     return x
 
 
-@pytest.mark.parametrize("metric", [fad, kad, recon_distance])
+@pytest.mark.parametrize("metric", [fad, pytest.param(lambda a, b: kad(a, b, 1.0), id="kad"),
+                                    recon_distance])
 @pytest.mark.parametrize("bad, match", [(np.zeros(12), "2-D"),
                                         (_nan_rows(), "non-finite"),
                                         (np.zeros((4, 5)), "dims differ")])

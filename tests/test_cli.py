@@ -166,7 +166,7 @@ def test_transfer_crops_chunk_padding_to_input_length(tiny_cfg, tmp_path):
     # 9.7 s: two full 4-s chunks and a third zero-padded one, cropped off again
     x = np.random.default_rng(2).uniform(-0.5, 0.5, int(9.7 * 44100)).astype(np.float32)
     src = tmp_path / "in.wav"
-    wavio.write_wav(src, x, 44100)
+    wavio.write_wav(src, x, 44100, comment="")
     out = cli.cmd_transfer(tiny_cfg, _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"),
                            src, tmp_path / "out.wav")
     y, _ = wavio.read_wav(out)
@@ -215,20 +215,21 @@ def test_eval_prints_kad_bandwidth_and_subsample_sizes(tiny_cfg, capsys, monkeyp
     calls = []
     kad = audiodist.kad
 
-    def spy(a, b, bandwidth=None):
-        calls.append((a, b, bandwidth))
-        return kad(a, b, bandwidth)
+    def spy(a, b, sigma):
+        calls.append((a, b, sigma))
+        return kad(a, b, sigma)
 
     monkeypatch.setattr(audiodist, "kad", spy)
     render = cli._audio_dir(tiny_cfg, "synthetic")
-    cli.cmd_eval(tiny_cfg, cli._audio_dir(tiny_cfg, "pseudo_real"), render, render)
+    cli.cmd_eval(tiny_cfg, cli._audio_dir(tiny_cfg, "pseudo_real"), render, render,
+                 ("di", "amp"))
     out = capsys.readouterr().out
     printed = re.findall(r"^kad (\w+) (\w+): sigma (\S+) over (\d+) real \+ (\d+) \2 frames$",
                          out, flags=re.M)
     assert [(c, s) for c, s, *_ in printed] == [(c, s) for c in ("di", "amp")
                                                for s in ("render", "guitarflow")]
-    for (_, _, sigma, m, n), (a, b, bandwidth) in zip(printed, calls, strict=True):
-        assert float(sigma) == bandwidth == audiodist.median_bandwidth(a, b)
+    for (_, _, printed_sigma, m, n), (a, b, sigma) in zip(printed, calls, strict=True):
+        assert float(printed_sigma) == sigma == audiodist.median_bandwidth(a, b)
         assert (int(m), int(n)) == (len(a), len(b))
 
 
@@ -239,10 +240,10 @@ def test_eval_recon_weighs_stems_by_frame_count(tiny_cfg, tmp_path):
         d.mkdir()
     for stem, seconds, noise in (("short", 0.5, 0.5), ("long", 2.0, 0.01)):
         x = rng.uniform(-0.5, 0.5, int(seconds * 44100)).astype(np.float32)
-        wavio.write_wav(dirs["real"] / f"{stem}.wav", x, 44100)
+        wavio.write_wav(dirs["real"] / f"{stem}.wav", x, 44100, comment="")
         for label in ("render", "guitarflow"):
             y = x + noise * rng.standard_normal(len(x)).astype(np.float32)
-            wavio.write_wav(dirs[label] / f"{stem}.wav", y, 44100)
+            wavio.write_wav(dirs[label] / f"{stem}.wav", y, 44100, comment="")
     rows = cli.cmd_eval(tiny_cfg, dirs["real"], dirs["render"], dirs["guitarflow"],
                         conditions=("di",))
     recon = {s: v for c, m, s, v in rows if m == "recon"}
@@ -305,9 +306,10 @@ def test_eval_misaligned_stem_named(tiny_cfg, tmp_path):
         for stem in ("a", "b"):
             seconds = 0.5 if (label, stem) == ("guitarflow", "b") else 1.0
             x = rng.uniform(-0.5, 0.5, int(seconds * 44100)).astype(np.float32)
-            wavio.write_wav(d / f"{stem}.wav", x, 44100)
+            wavio.write_wav(d / f"{stem}.wav", x, 44100, comment="")
     with pytest.raises(DataError, match=r"stem b: embeddings not frame-aligned"):
-        cli.cmd_eval(tiny_cfg, dirs["real"], dirs["render"], dirs["guitarflow"])
+        cli.cmd_eval(tiny_cfg, dirs["real"], dirs["render"], dirs["guitarflow"],
+                     ("di", "amp"))
 
 
 def test_eval_missing_stem_listed(tiny_cfg, tmp_path):
@@ -319,7 +321,7 @@ def test_eval_missing_stem_listed(tiny_cfg, tmp_path):
         (cli._audio_dir(tiny_cfg, "synthetic") / "score_000.wav").read_bytes())
     with pytest.raises(DataError, match="score_001"):
         cli.cmd_eval(tiny_cfg, cli._audio_dir(tiny_cfg, "pseudo_real"),
-                     cli._audio_dir(tiny_cfg, "synthetic"), empty)
+                     cli._audio_dir(tiny_cfg, "synthetic"), empty, ("di", "amp"))
 
 
 def _ratings_csv(path, with_condition=False):
@@ -344,7 +346,7 @@ def test_stats_dominant_system_significant(tiny_cfg, tmp_path, capsys):
     by_comp = {(c, comp): r for c, comp, r in results}
     assert by_comp[("all", "all-systems")].p_value < 0.001
     wil = by_comp[("all", "real-vs-render")]
-    assert wil.p_value < wil.alpha_corrected
+    assert wil.p_value < 0.05 / 3
     out = capsys.readouterr().out
     assert "0.0167" in out
     tests_csv = (tiny_cfg.workdir / "stats_tests.csv").read_text()
@@ -354,7 +356,7 @@ def test_stats_dominant_system_significant(tiny_cfg, tmp_path, capsys):
 
 def test_stats_condition_column_split(tiny_cfg, tmp_path):
     ratings = _ratings_csv(tmp_path / "r2.csv", with_condition=True)
-    results = cli.cmd_stats(tiny_cfg, ratings, m=3)
+    results = cli.cmd_stats(tiny_cfg, ratings, m=3, alpha=0.05)
     assert all(cond == "di" for cond, _, _ in results)
     lines = (tiny_cfg.workdir / "mos_summary.csv").read_text().split("\n")
     assert lines[0] == f"# config {tiny_cfg.hash()}"
@@ -371,7 +373,7 @@ def test_stats_empty_csv_rejected(tiny_cfg, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(DataError):
-        cli.cmd_stats(tiny_cfg, empty, m=3)
+        cli.cmd_stats(tiny_cfg, empty, m=3, alpha=0.05)
 
 
 # --- exit codes ----------------------------------------------------------------
@@ -420,11 +422,11 @@ def test_main_bad_config_value_names_key(tiny_cfg, tmp_path, capsys,
     assert not (tiny_cfg.workdir / "metrics.csv").exists()
 
 
-def _score_file(cfg, events, tempo):
+def _score_file(cfg, events, tempo, tuning="40 45 50 55 59 64"):
     scores = cli._scores_dir(cfg)
     scores.mkdir(parents=True)
     path = scores / "long.gftab"
-    path.write_text(f"gftab 1\ntempo {tempo}\ntuning 40 45 50 55 59 64\n{events}\n")
+    path.write_text(f"gftab 1\ntempo {tempo}\ntuning {tuning}\n{events}\n")
     return path
 
 
@@ -432,6 +434,9 @@ def _score_file(cfg, events, tempo):
     ("0 6 0 99999999999999", "120"),     # huge duration
     ("99999999999999 6 0 960", "120"),   # huge onset
     ("0 6 0 960", "1e-320"),             # tiny tempo: the length overflows to inf
+    # more ticks than a float can hold
+    pytest.param("1" + "0" * 400 + " 6 0 960", "120", id="onset-1e400"),
+    pytest.param("0 6 0 1" + "0" * 400, "120", id="duration-1e400"),
 ])
 def test_main_render_too_long_score_is_exit_2(tiny_cfg, capsys, events, tempo):
     _score_file(tiny_cfg, events, tempo)
@@ -445,6 +450,26 @@ def test_main_render_non_finite_tempo_is_exit_2(tiny_cfg, capsys, tempo):
     _score_file(tiny_cfg, "0 6 0 960", tempo)
     assert cli.main(["--workdir", str(tiny_cfg.workdir), "render"]) == 2
     assert "line 2, column 2: tempo must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["render", "transfer"])
+@pytest.mark.parametrize("tuning, pitch", [
+    pytest.param("40 45 50 55 59 1" + "0" * 21, 10 ** 21, id="1e21"),
+    pytest.param("-1" + "0" * 21 + " 45 50 55 59 64", -10 ** 21, id="-1e21"),
+])
+def test_main_tuning_outside_midi_is_exit_2(tiny_cfg, tmp_path, capsys, command, tuning,
+                                            pitch):
+    path = _score_file(tiny_cfg, "0 6 0 960\n0 1 0 960", "120", tuning)
+    if command == "render":
+        argv = ["--workdir", str(tiny_cfg.workdir), "render"]
+    else:
+        ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+        argv = _transfer_argv(tiny_cfg, ckpt, path, tmp_path / "o.wav")
+    assert cli.main(argv) == 2
+    assert f"line 3, column 1: tuning pitch {pitch} is outside MIDI 0-127" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+    assert not list(cli._audio_dir(tiny_cfg, "synthetic").glob("*.wav"))
 
 
 def _short_fmt_wav(path):
@@ -467,13 +492,13 @@ def test_main_transfer_malformed_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
 
 def _noise_wav(path):
     x = np.random.default_rng(3).uniform(-0.5, 0.5, 44100).astype(np.float32)
-    wavio.write_wav(path, x, 44100)
+    wavio.write_wav(path, x, 44100, comment="")
     return path
 
 
 def _wav_22050(path):
     x = np.random.default_rng(4).uniform(-0.5, 0.5, 22050).astype(np.float32)
-    wavio.write_wav(path, x, 22050)
+    wavio.write_wav(path, x, 22050, comment="")
     return path
 
 

@@ -44,8 +44,8 @@ def eval_run(tmp_path_factory):
     for path in sorted(real.glob("*.wav")):
         a, _ = wavio.read_wav(path)
         b, _ = wavio.read_wav(render / path.name)
-        wavio.write_wav(flow / path.name, 0.5 * a + 0.5 * b, cfg.sample_rate)
-    rows = cli.cmd_eval(cfg, real, render, flow)
+        wavio.write_wav(flow / path.name, 0.5 * a + 0.5 * b, cfg.sample_rate, comment="")
+    rows = cli.cmd_eval(cfg, real, render, flow, ("di", "amp"))
     return cfg, rows
 
 

@@ -103,4 +103,4 @@ def test_toy_corpus_deterministic():
 
 def test_toy_corpus_size_validated():
     with pytest.raises(DataError):
-        toy_corpus(0)
+        toy_corpus(0, seed=0, target_seconds=6.0)

@@ -190,8 +190,8 @@ def test_transfer_solver_agreement_on_trained_toy_net():
             return net(x, tt).data.reshape(-1)
 
     y0 = x0[:32].reshape(-1)
-    euler = odesolve.integrate(velocity, y0, (0, 1), odesolve.Euler(100)).final_state
-    dopri = odesolve.integrate(velocity, y0, (0, 1), odesolve.Dopri5(1e-4, 1e-4)).final_state
+    euler = odesolve.integrate(velocity, y0, odesolve.Euler(100)).final_state
+    dopri = odesolve.integrate(velocity, y0, odesolve.Dopri5(1e-4, 1e-4)).final_state
     assert np.abs(euler - dopri).max() < 0.05
 
 
@@ -216,7 +216,7 @@ def test_two_dimensional_transport_sanity():
             tt = T.Tensor(np.full(len(x.data), t))
             return net(x, tt).data.reshape(-1)
 
-    trace = odesolve.integrate(velocity, x0.reshape(-1), (0, 1), odesolve.Dopri5())
+    trace = odesolve.integrate(velocity, x0.reshape(-1), odesolve.Dopri5())
     moved = trace.final_state.reshape(-1, 2)
     assert np.linalg.norm(moved.mean(axis=0) - 3.0) < 0.3
     assert np.all(moved.var(axis=0) > 0.25 / 2) and np.all(moved.var(axis=0) < 0.25 * 2)

@@ -63,7 +63,7 @@ def test_non_finite_leaf_and_conv_weight_are_named(bad):
     w.data[1, 0, 2] = bad  # as a diverged optimizer step would leave it
     joined = T.concat([T.relu(x), T.upsample2(T.downsample2(x))])
     with pytest.raises(NumericError, match="'conv1d'"):
-        T.conv1d(joined, w)
+        T.conv1d(joined, w, T.Tensor(np.zeros(3)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -182,7 +182,7 @@ def test_conv1d_skips_input_gradient_of_untracked_input():
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.standard_normal((2, 3, 8)))
     w = T.Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
-    out = T.conv1d(x, w)
+    out = T.conv1d(x, w, T.Tensor(np.zeros(4), requires_grad=True))
     parents = [p for p, _ in out._backward(np.ones((2, 4, 8)))]
     assert all(p is not x for p in parents) and any(p is w for p in parents)
 
@@ -262,7 +262,7 @@ def _per_tap_conv1d(x, w, b=None):
 @pytest.mark.parametrize("c_in, c_out, length, k", UNET_CONV_SHAPES)
 def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
     """The stacked-tap forward is the per-tap sum bit for bit at the training
-    batch, with and without bias. OpenBLAS picks its sgemm kernel by the
+    batch, bias included. OpenBLAS picks its sgemm kernel by the
     product's size, so at B = 1 or 2 a per-tap product can take another kernel
     than the stacked one and round differently (OpenBLAS 0.3.31 on an AVX-512
     Xeon: 64-128-88 at B = 1, 32-64-176 at B = 2); there the two agree within
@@ -271,16 +271,16 @@ def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
     x = rng.standard_normal((64, c_in, length)).astype(np.float32)
     w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
     b = rng.standard_normal(c_out).astype(np.float32)
-    for bias in (None, b):
-        got = T.conv1d(T.Tensor(x), T.Tensor(w), None if bias is None else T.Tensor(bias))
-        want = _per_tap_conv1d(x, w, bias)
-        assert got.data.flags.c_contiguous and got.dtype == want.dtype
-        assert got.data.tobytes() == want.tobytes()
+    got = T.conv1d(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+    want = _per_tap_conv1d(x, w, b)
+    assert got.data.flags.c_contiguous and got.dtype == want.dtype
+    assert got.data.tobytes() == want.tobytes()
+    zero_bias = T.Tensor(np.zeros(c_out, dtype=np.float32))
     terms = k * c_in
     eps = np.finfo(np.float32).eps / 2  # unit roundoff
     gamma = terms * eps / (1 - terms * eps)
     for batch in (1, 2):
-        got = T.conv1d(T.Tensor(x[:batch]), T.Tensor(w)).data
+        got = T.conv1d(T.Tensor(x[:batch]), T.Tensor(w), zero_bias).data
         want = _per_tap_conv1d(x[:batch], w)
         scale = _per_tap_conv1d(np.abs(x[:batch]).astype(np.float64), np.abs(w).astype(np.float64))
         assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * gamma * scale)
@@ -299,7 +299,8 @@ def test_conv1d_input_gradient_equals_per_tap_gemms(c_in, c_out, length, k):
 
     def input_grad(batch):
         xt = T.Tensor(x[:batch], requires_grad=True)
-        grads = T.conv1d(xt, T.Tensor(w, requires_grad=True))._backward(g[:batch])
+        grads = T.conv1d(xt, T.Tensor(w, requires_grad=True),
+                         T.Tensor(np.zeros(c_out, dtype=np.float32)))._backward(g[:batch])
         (gx,) = [gp for p, gp in grads if p is xt]
         return gx
 
@@ -353,7 +354,7 @@ def test_upsample2_backward_bytes_match_reshape_sum(dtype):
 
 def test_backward_releases_graph_and_runs_once():
     w = T.Tensor(np.random.default_rng(0).standard_normal((4, 3, 3)), requires_grad=True)
-    hidden = T.relu(T.conv1d(T.Tensor(np.ones((2, 3, 8))), w))
+    hidden = T.relu(T.conv1d(T.Tensor(np.ones((2, 3, 8))), w, T.Tensor(np.zeros(4))))
     activation = weakref.ref(hidden.data)
     loss = mean(mul(hidden, hidden))
     del hidden

@@ -9,12 +9,11 @@ def exp_field(t, y):
     return y
 
 
-def convergence_order(f, state0, exact_final, solver, base_steps: int = 64,
-                      t_span=(0.0, 1.0)) -> float:
+def convergence_order(f, state0, exact_final, solver, base_steps: int = 64) -> float:
     """Measured order of a fixed-step solver class (Euler or RK4): log2 of
     the final-error ratio between N and 2N steps."""
     def error(steps):
-        final = integrate(f, state0, t_span, solver(steps)).final_state
+        final = integrate(f, state0, solver(steps)).final_state
         return float(np.sqrt(np.mean(np.square(final - exact_final))))
     e1, e2 = error(base_steps), error(2 * base_steps)
     if e2 == 0.0:
@@ -25,18 +24,18 @@ def convergence_order(f, state0, exact_final, solver, base_steps: int = 64,
 def test_zero_field_returns_initial_state():
     y0 = np.array([1.5, -2.0, 0.25])
     for solver in (Euler(10), RK4(10), Dopri5()):
-        trace = integrate(lambda t, y: np.zeros_like(y), y0, (0, 1), solver)
+        trace = integrate(lambda t, y: np.zeros_like(y), y0, solver)
         assert np.array_equal(trace.final_state, y0)
 
 
 def test_euler_100_steps_matches_compound_product():
-    trace = integrate(exp_field, np.array(1.0), (0, 1), Euler(100))
+    trace = integrate(exp_field, np.array(1.0), Euler(100))
     assert float(trace.final_state) == pytest.approx((1 + 0.01) ** 100, rel=1e-12)
     assert float(trace.final_state) == pytest.approx(2.704814, abs=1e-6)
 
 
 def test_dopri5_tight_tolerance_hits_e():
-    trace = integrate(exp_field, np.array(1.0), (0, 1), Dopri5(1e-6, 1e-6))
+    trace = integrate(exp_field, np.array(1.0), Dopri5(1e-6, 1e-6))
     assert abs(float(trace.final_state) - np.e) < 1e-6
 
 
@@ -44,7 +43,7 @@ def test_constant_field_transports_exactly_for_all_solvers():
     c = np.array([2.5, -1.25])
     y0 = np.array([1.0, 3.0])
     for solver in (Euler(1), Euler(37), RK4(5), Dopri5()):
-        trace = integrate(lambda t, y: c, y0, (0, 1), solver)
+        trace = integrate(lambda t, y: c, y0, solver)
         np.testing.assert_allclose(trace.final_state, y0 + c, rtol=0, atol=1e-12)
 
 
@@ -59,19 +58,19 @@ def test_rk4_convergence_order_near_four():
 
 
 def test_fixed_step_eval_counts():
-    assert integrate(exp_field, np.array(1.0), (0, 1), Euler(17)).f_evals == 17
-    assert integrate(exp_field, np.array(1.0), (0, 1), RK4(9)).f_evals == 36
+    assert integrate(exp_field, np.array(1.0), Euler(17)).f_evals == 17
+    assert integrate(exp_field, np.array(1.0), RK4(9)).f_evals == 36
 
 
 def test_dopri5_eval_count_consistent_with_fsal():
-    trace = integrate(exp_field, np.array(1.0), (0, 1), Dopri5(1e-6, 1e-6))
+    trace = integrate(exp_field, np.array(1.0), Dopri5(1e-6, 1e-6))
     assert trace.f_evals == 2 + 6 * (trace.accepted_steps + trace.rejected_steps)
 
 
 def test_dopri5_tightening_tolerance_never_hurts():
     errors = []
     for tol in (1e-4, 1e-5, 1e-6, 1e-7):
-        trace = integrate(exp_field, np.array(1.0), (0, 1), Dopri5(tol, tol))
+        trace = integrate(exp_field, np.array(1.0), Dopri5(tol, tol))
         errors.append(abs(float(trace.final_state) - np.e))
     assert all(b <= a for a, b in zip(errors, errors[1:]))
 
@@ -81,15 +80,14 @@ def test_harmonic_oscillator_time_reversal():
         return np.array([y[1], -y[0]])
 
     y0 = np.array([1.0, 0.0])
-    forward = integrate(ho, y0, (0, 1), Dopri5()).final_state
-    back = integrate(lambda t, y: -ho(t, y), forward, (0, 1), Dopri5()).final_state
+    forward = integrate(ho, y0, Dopri5()).final_state
+    back = integrate(lambda t, y: -ho(t, y), forward, Dopri5()).final_state
     assert np.abs(back - y0).max() < 1e-3
 
 
 def test_max_steps_exceeded_raises():
     with pytest.raises(NumericError, match="exceeded"):
-        integrate(lambda t, y: 1000.0 * y, np.array(1.0), (0, 1),
-                  Dopri5(1e-12, 1e-14, max_steps=3))
+        integrate(lambda t, y: 1000.0 * y, np.array(1.0), Dopri5(1e-12, 1e-14, max_steps=3))
 
 
 def test_non_finite_derivative_reported_with_time():
@@ -97,7 +95,7 @@ def test_non_finite_derivative_reported_with_time():
         return y / (0.5 - t)
 
     with pytest.raises(NumericError, match="non-finite derivative at t="):
-        integrate(bad, np.array(1.0), (0, 1), Euler(2))
+        integrate(bad, np.array(1.0), Euler(2))
 
 
 def test_dopri5_final_time_exact():
@@ -107,7 +105,7 @@ def test_dopri5_final_time_exact():
         seen.append(t)
         return np.array(1.0)
 
-    trace = integrate(f, np.array(0.0), (0, 1), Dopri5())
+    trace = integrate(f, np.array(0.0), Dopri5())
     assert float(trace.final_state) == pytest.approx(1.0, abs=1e-12)
     assert max(seen) <= 1.0 + 1e-12
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tabflow.errors import DataError
+from tabflow.errors import DataError, TabflowError
 from tabflow.tabscore import (DEFAULT_VELOCITY, NoteEvent, ParseError, Score,
                               Technique, TechniqueKind, event_pitch,
                               parse_score, serialize_score)
@@ -183,3 +183,45 @@ def test_round_trip_identity(score):
 def test_serialized_form_is_stable(score):
     text = serialize_score(score)
     assert serialize_score(parse_score(text)) == text
+
+
+# Tokens near each field's bounds, integers no float can hold, spellings that
+# int() and float() accept, every modifier, and free text.
+_BIG = ["1" + "0" * 21, "-1" + "0" * 21, "1" + "0" * 400]
+_INT = st.integers(-2, 130).map(str) | st.sampled_from(_BIG + ["+5", "-0", "1_0", "\u0663"])
+_MODIFIER = st.sampled_from(["hammer", "pull", "mute", "vibrato", "bend:1.5", "bend:0",
+                             "bend:nan", "slide:3", "slide:25", "vel:0", "vel:100",
+                             "hammer:1", "bogus"])
+_TOKEN = _INT | _MODIFIER | st.text(max_size=6)
+_LINE = st.lists(_TOKEN, max_size=7).map(" ".join)
+_TUNING = st.lists(st.integers(-2, 130) | st.sampled_from([10 ** 21, -10 ** 21]),
+                   min_size=6, max_size=6, unique=True).map(
+    lambda pitches: "tuning " + " ".join(map(str, sorted(pitches))))
+_EVENT = st.builds(lambda fields, mods: " ".join(fields + mods),
+                   st.lists(_INT, min_size=4, max_size=4), st.lists(_MODIFIER, max_size=2))
+
+
+@st.composite
+def _gftab_texts(draw):
+    """Header and event lines, each either well formed or noise."""
+    lines = [draw(st.just("gftab 1") | _LINE),
+             draw(st.sampled_from(["tempo 120", "tempo 1e-320", "tempo nan"]) | _LINE),
+             draw(_TUNING | _LINE)]
+    lines += draw(st.lists(_EVENT | _LINE, max_size=6))
+    return draw(st.sampled_from(["\n", "\r\n", "\u2028"])).join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | _gftab_texts())
+@example(text=HEADER.replace("64", "1" + "0" * 21) + "0 1 0 960\n")
+@example(text=HEADER.replace("40", "-1" + "0" * 21) + "0 6 0 960\n")
+@example(text=HEADER + "1" + "0" * 400 + " 6 0 960\n")
+def test_parse_score_of_arbitrary_text(text):
+    """Any text parses to a Score with MIDI tuning pitches, which serializes
+    and parses back to itself, or raises a TabflowError. Nothing is rendered."""
+    try:
+        score = parse_score(text)
+    except TabflowError:
+        return
+    assert all(0 <= pitch <= 127 for pitch in score.tuning)
+    assert parse_score(serialize_score(score)) == score

@@ -2,8 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tabflow.errors import DataError
+from tabflow.errors import DataError, TabflowError
 from tabflow.wavio import read_wav, read_wav_with_comment, write_wav
 
 
@@ -11,21 +12,11 @@ def test_float32_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.2, 1.2, 10000).astype(np.float32)  # out-of-range legal
     path = tmp_path / "f.wav"
-    write_wav(path, x, 44100, encoding="float32")
+    write_wav(path, x, 44100, comment="")
     y, rate = read_wav(path)
     assert rate == 44100
     assert y.dtype == np.float32
     assert np.array_equal(x, y)
-
-
-def test_int16_round_trip_quantized(tmp_path):
-    rng = np.random.default_rng(1)
-    x = rng.uniform(-1, 1, 5000).astype(np.float32)
-    path = tmp_path / "i.wav"
-    write_wav(path, x, 22050, encoding="int16")
-    y, rate = read_wav(path)
-    assert rate == 22050
-    assert np.abs(x - y).max() < 1.0 / 32000
 
 
 def test_comment_chunk_round_trip(tmp_path):
@@ -56,21 +47,28 @@ def test_scipy_can_read_our_float_wav(tmp_path):
 
 def test_rejects_stereo_and_garbage(tmp_path):
     with pytest.raises(DataError, match="mono"):
-        write_wav(tmp_path / "x.wav", np.zeros((10, 2)), 44100)
+        write_wav(tmp_path / "x.wav", np.zeros((10, 2)), 44100, comment="")
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a wav file at all")
     with pytest.raises(DataError, match="RIFF"):
         read_wav(bad)
 
 
-def test_unknown_encoding_rejected(tmp_path):
-    with pytest.raises(DataError, match="encoding"):
-        write_wav(tmp_path / "x.wav", np.zeros(4), 44100, encoding="mp3")
-
-
 def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
     body = b"WAVE" + b"".join(tag + struct.pack("<I", len(p)) + p for tag, p in chunks)
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_int16_file_is_read_scaled(tmp_path):
+    """PCM 16-bit input, as other tools write it: each sample over 32767."""
+    pcm = np.array([0, 1, -1, 32767, -32768, 12345], dtype="<i2")
+    path = tmp_path / "i.wav"
+    path.write_bytes(_riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 22050, 44100, 2, 16)),
+                           (b"data", pcm.tobytes())))
+    y, rate, comment = read_wav_with_comment(path)
+    assert rate == 22050 and comment is None
+    assert y.dtype == np.float32
+    assert np.array_equal(y, pcm.astype(np.float32) / 32767.0)
 
 
 def test_short_fmt_chunk_is_data_error(tmp_path):
@@ -86,3 +84,37 @@ def test_non_utf8_comment_is_data_error(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"cfg=caf", b"cfg=ca\xe9"))
     with pytest.raises(DataError, match="ICMT comment is not UTF-8"):
         read_wav_with_comment(path)
+
+
+_FMT = st.builds(lambda tag, channels, rate, bits: struct.pack(
+    "<HHIIHH", tag, channels, rate, rate * max(bits, 8) // 8 % 2 ** 32, max(bits, 8) // 8,
+    bits), st.sampled_from([1, 3, 0xFFFE]), st.integers(0, 2), st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([0, 8, 16, 24, 32, 64]))
+_INFO = st.builds(lambda sub, text: b"INFO" + sub + struct.pack("<I", len(text)) + text,
+                  st.sampled_from([b"ICMT", b"INAM"]), st.binary(max_size=12))
+_CHUNK = st.tuples(st.sampled_from([b"fmt ", b"data", b"LIST", b"junk"]),
+                   _FMT | _INFO | st.binary(max_size=24))
+_VALID = _riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32)),
+               (b"LIST", b"INFO" + b"ICMT" + struct.pack("<I", 6) + b"cfg=a\x00"),
+               (b"data", np.arange(3, dtype="<f4").tobytes()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=120)
+       | st.lists(_CHUNK, max_size=4).map(lambda chunks: _riff(*chunks))
+       | st.builds(lambda cut, junk: _VALID[:cut] + junk,
+                   st.integers(0, len(_VALID)), st.binary(max_size=16)))
+@example(blob=_VALID)
+def test_read_wav_of_arbitrary_bytes(tmp_path_factory, blob):
+    """Any bytes read as mono float32 samples, a rate and an optional comment,
+    or raise a TabflowError."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.wav"
+    path.write_bytes(blob)
+    try:
+        samples, rate, comment = read_wav_with_comment(path)
+    except TabflowError:
+        return
+    assert samples.ndim == 1 and samples.dtype == np.float32
+    assert isinstance(rate, int) and (comment is None or isinstance(comment, str))
+    if blob == _VALID:
+        assert (samples.tolist(), rate, comment) == ([0.0, 1.0, 2.0], 44100, "cfg=a")
