@@ -212,7 +212,10 @@ def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
 
 def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
                  output_path: Path) -> Path:
-    """Encode, transport each chunk through the flow ODE, decode, write WAV."""
+    """Encode, transport each chunk through the flow ODE, decode, write WAV.
+
+    Prints the solver's counts: network calls (NFE), accepted and rejected
+    steps."""
     checkpoint = Path(checkpoint)
     input_path = Path(input_path)
     if not checkpoint.is_file():
@@ -231,7 +234,10 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     # full-band analysis; the flow transports the first cfg.dims coefficients
     # and the remaining high bands pass through from the source unchanged
     full = latentcodec.encode(chunks, 1024)
-    full[:, :cfg.dims] = flowmatch.transfer_batch(net, full[:, :cfg.dims], cfg.solver())
+    moved, trace = flowmatch.transfer_batch(net, full[:, :cfg.dims], cfg.solver())
+    full[:, :cfg.dims] = moved
+    print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
+          f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
     decoded = latentcodec.decode(full)
     # a decoded chunk falls short of its chunk by less than a hop; zeros fill it
     pieces = np.zeros(chunks.shape, dtype=np.float32)

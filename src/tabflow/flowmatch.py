@@ -33,10 +33,13 @@ def make_sample(x0, x1, t) -> FlowSample:
     """Build the interpolants x_t and target velocities u = x1 - x0 of a batch.
 
     x0 and x1 are [B, ...] endpoints and t is [B] times in [0, 1]; row i gets
-    x_t[i] = (1 - t[i]) x0[i] + t[i] x1[i].
+    x_t[i] = (1 - t[i]) x0[i] + t[i] x1[i]. t is checked in float64. When
+    both endpoints are float32 (as `train` gathers them for a float32 net),
+    t and the arithmetic are float32 too; any other input is float64.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
+    x0, x1 = np.asarray(x0), np.asarray(x1)
+    dtype = np.float32 if x0.dtype == x1.dtype == np.float32 else np.float64
+    x0, x1 = x0.astype(dtype, copy=False), x1.astype(dtype, copy=False)
     t = np.asarray(t, dtype=np.float64)
     if x0.shape != x1.shape:
         raise DataError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
@@ -44,6 +47,7 @@ def make_sample(x0, x1, t) -> FlowSample:
         raise DataError(f"need one t per pair, got t {t.shape} for endpoints {x0.shape}")
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DataError(f"t must be in [0, 1], got {t}")
+    t = t.astype(dtype, copy=False)
     tb = t.reshape((-1,) + (1,) * (x0.ndim - 1))
     return FlowSample(t=t, x_t=(1.0 - tb) * x0 + tb * x1, u=x1 - x0)
 
@@ -51,35 +55,41 @@ def make_sample(x0, x1, t) -> FlowSample:
 def cfm_loss(net, sample: FlowSample) -> T.Tensor:
     """Mean over batch and elements of ||v(t, x_t) - (x1 - x0)||^2.
 
-    net may be any callable taking (states, times) Tensors and returning a
-    Tensor of matching shape; the sample is cast to its dtype.
+    net may be any callable with a `dtype` taking (states, times) Tensors and
+    returning a Tensor of matching shape. The sample is cast to that dtype;
+    arrays already in it are passed to the net as they are, not copied.
     """
     if len(sample.t) == 0:
         raise DataError("empty batch")
-    x_t = T.Tensor(sample.x_t.astype(net.dtype))
-    u = T.Tensor(sample.u.astype(net.dtype))
-    t = T.Tensor(sample.t.astype(net.dtype))
+    x_t = T.Tensor(sample.x_t.astype(net.dtype, copy=False))
+    u = T.Tensor(sample.u.astype(net.dtype, copy=False))
+    t = T.Tensor(sample.t.astype(net.dtype, copy=False))
     return T.mse(net(x_t, t), u)
 
 
-def _pad_frame_axis(x: np.ndarray) -> np.ndarray:
-    """Zero-pad the frame axis of an [N, D, F] array to the next multiple of
-    the UNet's DOWN_FACTOR. Arrays of any other rank have no frame axis and
-    pass through unchanged."""
+def _pad_frame_axis(x: np.ndarray, dtype) -> np.ndarray:
+    """x in dtype, with the frame axis of an [N, D, F] array zero-padded to
+    the next multiple of the UNet's DOWN_FACTOR in one new array. Arrays of
+    any other rank have no frame axis and are only cast (not copied when
+    already in dtype)."""
     if x.ndim != 3:
-        return x
-    f = x.shape[-1]
-    target = -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR
-    return np.pad(x, ((0, 0), (0, 0), (0, target - f)))
+        return x.astype(dtype, copy=False)
+    n, d, f = x.shape
+    out = np.zeros((n, d, -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR), dtype)
+    out[:, :, :f] = x
+    return out
 
 
 def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     """Fit a velocity field to paired endpoints by rectified flow matching.
 
-    x0 and x1 are [N, ...] source and target arrays; [N, D, F] latents are
-    zero-padded on the frame axis by _pad_frame_axis. With no net, builds a
-    VelocityNet from cfg (dims, base_channels, seed) whose input_gain comes
-    from the unpadded endpoints. Reads batch_size, lr, epochs and seed from
+    x0 and x1 are [N, ...] source and target arrays. Each is cast once to
+    the net's dtype, [N, D, F] latents zero-padded on the frame axis by
+    _pad_frame_axis in the same copy, so every batch is gathered and
+    interpolated in that dtype (float32 for a VelocityNet) and reaches the
+    net without a cast. With no net, builds a VelocityNet from cfg (dims,
+    base_channels, seed) whose input_gain comes from the unpadded endpoints
+    as given. Reads batch_size, lr, epochs and seed from
     cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
     steps with a ragged final batch (the batch is clamped to N).
     Deterministic for a fixed cfg.seed and BLAS thread count: OpenBLAS picks
@@ -99,7 +109,7 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     state = nn.AdamState(lr=cfg.lr)
     params = net.parameters()
 
-    x0, x1 = _pad_frame_axis(x0), _pad_frame_axis(x1)
+    x0, x1 = _pad_frame_axis(x0, net.dtype), _pad_frame_axis(x1, net.dtype)
 
     history: list[tuple[int, int, float]] = []
     for epoch in range(cfg.epochs):
@@ -125,14 +135,18 @@ def input_gain_for(x0: np.ndarray, x1: np.ndarray) -> float:
     return 1.0 / rms if rms > 0 else 1.0
 
 
-def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.ndarray:
-    """Transport a [B, D, F] batch jointly; returns the same shape.
+def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
+                   ) -> tuple[np.ndarray, odesolve.OdeTrace]:
+    """Transport a [B, D, F] batch jointly.
 
-    The ODE state keeps the input dtype; casts happen only at the network
-    boundary, so a zero velocity field transports exactly.
+    Returns the transported batch, of the input's shape, and the solver's
+    OdeTrace with its network-call and step counts (its final_state is the
+    padded, flattened state). The ODE state keeps the input dtype; casts
+    happen only at the network boundary, so a zero velocity field transports
+    exactly.
     """
     b, d, f = states.shape
-    padded = _pad_frame_axis(states)
+    padded = _pad_frame_axis(states, states.dtype)
     target = padded.shape[-1]
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:
@@ -142,4 +156,4 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind) -> np.n
             return net(x, tt).data.astype(y.dtype).reshape(-1)
 
     trace = odesolve.integrate(velocity, padded.reshape(-1), solver)
-    return trace.final_state.reshape(b, d, target)[:, :, :f]
+    return trace.final_state.reshape(b, d, target)[:, :, :f], trace

@@ -16,8 +16,22 @@ on the padded upstream gradient with the flipped, transposed kernel; that
 stacked product is K times the gradient's size (18 MB at Cin = 512 and
 B = 64). `concat` writes its parts straight into such a buffer with p = 1 and
 returns the [B, C, L] interior view, which the k=3 conv after it takes as its
-padded input without a copy; any other input is copied. backward() frees the
-graph it walks, so a loss can be differentiated once.
+padded input without a copy; any other input is copied.
+
+The graph holds only what backward reads. Each node in it is a handle: a
+tracked leaf is its own handle, and an op result made while tracking gets a
+data-free `_Node` with its tracked parents' handles and its backward closure.
+A closure captures handles and the arrays its gradient reads, never a parent
+Tensor of an op result: conv1d keeps its padded input and whether x is
+tracked, relu its mask, mse the difference, downsample2 the input's shape
+and dtype, and scale, upsample2 and concat nothing but handles. So an
+activation that no backward reads (a conv output before its ReLU, a skip
+once concat has copied it, a resampled or scaled copy, the head's output)
+is freed during the forward pass as soon as the caller drops it. A closure
+returns (parent, gradient) pairs; the walker maps a parent given as a Tensor
+to its handle and skips untracked ones, so an op may also capture its parent
+Tensors, keeping their data alive until its node has run. backward() drops
+each node's links once it has run, so a loss can be differentiated once.
 """
 
 from __future__ import annotations
@@ -50,19 +64,55 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
-class Tensor:
-    """A numpy array plus optional gradient tracking."""
+class _Node:
+    """A tracked op result's place in the graph: its parents' handles and its
+    backward closure, which maps the upstream gradient to (parent, gradient)
+    pairs. It holds no array of its own."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward: Callable):
+        self.parents = parents
+        self.backward = backward
+
+
+class Tensor:
+    """A numpy array plus optional gradient tracking.
+
+    A tracked leaf has a `grad` buffer and is its own handle in the graph; an
+    op result made while tracking holds a `_Node`. A result's requires_grad
+    turns False once backward() has run its node.
+    """
+
+    __slots__ = ("data", "grad", "_node", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         _check_finite(self.data, "leaf")
-        self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
         self.op = "leaf"
+
+    @property
+    def _handle(self) -> Tensor | _Node | None:
+        """What the graph links to: a tracked leaf itself, an op result its
+        node while that has not run, None when untracked."""
+        node = self._node
+        if node is None:
+            return self if self.grad is not None else None
+        return node if node.backward is not None else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._handle is not None
+
+    @property
+    def _backward(self) -> Callable | None:
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, backward: Callable) -> None:
+        self._node.backward = backward
 
     @property
     def shape(self):
@@ -83,40 +133,42 @@ class Tensor:
         """Populate grads of every tracked leaf reachable from this scalar."""
         if self.data.size != 1:
             raise NumericError("backward requires a scalar loss")
-        if not self.requires_grad:
+        root = self._handle
+        if root is None:
             raise NumericError("backward on an untracked graph")
-        topo: list[Tensor] = []
+        topo: list[Tensor | _Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
         while stack:
-            node, done = stack.pop()
+            handle, done = stack.pop()
             if done:
-                topo.append(node)
+                topo.append(handle)
                 continue
-            if id(node) in seen:
+            if id(handle) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        # walk in reverse topological order, dropping each op node's links
-        # once its closure has run, so activations and saved buffers are
-        # freed as the walk goes; a second backward() finds an untracked loss
+            seen.add(id(handle))
+            stack.append((handle, True))
+            if isinstance(handle, _Node):
+                stack.extend((p, False) for p in handle.parents if id(p) not in seen)
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
+        # walk in reverse topological order, dropping each node's links once
+        # its closure has run, so the arrays it captured are freed as the walk
+        # goes; a second backward() finds an untracked loss
         while topo:
-            node = topo.pop()
-            g = grads.pop(id(node), None)
-            backward = node._backward
-            if backward is None:
+            handle = topo.pop()
+            g = grads.pop(id(handle), None)
+            if isinstance(handle, Tensor):
                 if g is not None:
-                    node.grad += g
+                    handle.grad += g
                 continue
-            node._parents, node._backward, node.requires_grad = (), None, False
+            backward = handle.backward
+            handle.parents, handle.backward = (), None
             if g is None:
                 continue
             for parent, pg in backward(g):
-                if not parent.requires_grad:
+                if isinstance(parent, Tensor):
+                    parent = parent._handle
+                if parent is None:
                     continue
                 if id(parent) in grads:
                     grads[id(parent)] += pg
@@ -129,34 +181,33 @@ class Tensor:
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             backward, check: bool = True) -> Tensor:
+    """The op's output Tensor; tracked, with a node over its parents' handles,
+    when grad is enabled and a parent is tracked. Keeps no parent Tensor."""
     if check:
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.op = op
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = track
     out.grad = None
-    if track:
-        out._parents = parents
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    handles = tuple(h for h in (p._handle for p in parents) if h is not None)
+    out._node = _Node(handles, backward) if _grad_enabled and handles else None
     return out
 
 
 def scale(a: Tensor, s: float) -> Tensor:
+    ha = a._handle
+
     def backward(g):
-        return ((a, g * s),)
+        return ((ha, g * s),)
     return _result(a.data * s, "scale", (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0 if _grad_enabled and a.requires_grad else None
+    ha = a._handle
+    mask = a.data > 0 if _grad_enabled and ha is not None else None
 
     def backward(g):
-        return ((a, g * mask),)
+        return ((ha, g * mask),)
     # max(x, +0.0) gives the bytes of where(x > 0, x, 0.0), -0.0 included,
     # in one vectorized pass where np.where takes a slow path
     return _result(np.maximum(a.data, np.zeros((), a.data.dtype)), "relu", (a,),
@@ -223,11 +274,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the gradient with the shifted input.
     """
     batch, _, length = x.data.shape
-    k = w.data.shape[2]
+    w_data = w.data
+    k = w_data.shape[2]
     pad = k // 2
+    hx, hw, hb = x._handle, w._handle, b._handle
     xf = _pad_channel_major(x.data, pad)                    # [Cin, B*(L+2p)]
     n = xf.shape[1] - 2 * pad
-    cropped = _tap_sum(w.data, xf, batch, length)
+    cropped = _tap_sum(w_data, xf, batch, length)
     out = np.empty(cropped.shape, dtype=cropped.dtype)
     np.add(cropped, b.data[None, :, None], out=out)
 
@@ -235,11 +288,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gf = _pad_channel_major(g, pad)                     # [Cout, B*(L+2p)]
         g_valid = gf[:, pad:pad + n]
         gw = np.stack([g_valid @ xf[:, i:i + n].T for i in range(k)], axis=2)
-        grads = [(w, gw)]
-        if x.requires_grad:
-            wt = w.data[:, :, ::-1].transpose(1, 0, 2)      # [Cin, Cout, K]
-            grads.append((x, np.ascontiguousarray(_tap_sum(wt, gf, batch, length))))
-        grads.append((b, g.sum(axis=(0, 2))))
+        grads = [(hw, gw)]
+        if hx is not None:
+            wt = w_data[:, :, ::-1].transpose(1, 0, 2)      # [Cin, Cout, K]
+            grads.append((hx, np.ascontiguousarray(_tap_sum(wt, gf, batch, length))))
+        grads.append((hb, g.sum(axis=(0, 2))))
         return grads
 
     return _result(out, "conv1d", (x, w, b), backward)
@@ -247,22 +300,26 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def downsample2(x: Tensor) -> Tensor:
     """Keep every second sample along the last axis."""
+    hx, shape, dtype = x._handle, x.data.shape, x.data.dtype
+
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[..., ::2] = g
-        return ((x, gx),)
+        return ((hx, gx),)
     return _result(np.ascontiguousarray(x.data[..., ::2]), "downsample2", (x,), backward,
                    check=False)
 
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsample along the last axis."""
+    hx = x._handle
+
     def backward(g):
         gx = g[..., 0::2] + g[..., 1::2]
         # the pairs' sum as g.reshape(..., 2).sum(-1) gives it: that reduction
         # starts from +0.0, so two -0.0 halves sum to +0.0
         gx += 0.0
-        return ((x, gx),)
+        return ((hx, gx),)
     return _result(np.repeat(x.data, 2, axis=-1), "upsample2", (x,), backward,
                    check=False)
 
@@ -280,17 +337,19 @@ def concat(tensors: list[Tensor]) -> Tensor:
     out = _channel_major_interior(batch, int(splits[-1]), length, 1, dtype)
     for t, lo, hi in zip(tensors, [0, *splits[:-1]], splits):
         out[:, lo:hi] = t.data
+    handles = [t._handle for t in tensors]
 
     def backward(g):
-        return tuple(zip(tensors, np.split(g, splits[:-1], axis=1)))
+        return tuple(zip(handles, np.split(g, splits[:-1], axis=1)))
     return _result(out, "concat", tuple(tensors), backward, check=False)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean over all elements of the squared difference."""
+    ha, hb = a._handle, b._handle
     diff = a.data - b.data
 
     def backward(g):
         gd = (2.0 * float(g) / diff.size) * diff
-        return ((a, gd), (b, -gd))
+        return ((ha, gd),) if hb is None else ((ha, gd), (hb, -gd))
     return _result(np.asarray(np.mean(diff * diff)), "mse", (a, b), backward)

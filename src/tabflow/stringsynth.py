@@ -191,8 +191,9 @@ def _synth_group(buf: np.ndarray, rows: list[_Row], a1: float, a2: float
         frac = pos - idx
         idx += base[:k]
         y0, y1, y2 = buf[idx], mid[idx], high[idx]
-        d1 = y1 * (1.0 - frac) + y2 * frac
-        d2 = y0 * (1.0 - frac) + y1 * frac
+        rest = 1.0 - frac
+        d1 = y1 * rest + y2 * frac
+        d2 = y0 * rest + y1 * frac
         y = rho[:k] * (a1 * d1 + a2 * d2)
         if start < excitation.shape[1]:
             burst = excitation[:k, start:end]

@@ -138,6 +138,16 @@ def test_transfer_zero_checkpoint_is_near_identity(tiny_cfg, tmp_path):
     assert np.sqrt(np.mean(err ** 2)) < 0.05 * rms_in
 
 
+def test_transfer_prints_ode_counts(tiny_cfg, tmp_path, capsys):
+    cli.cmd_synthdata(tiny_cfg)
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    src = cli._audio_dir(tiny_cfg, "synthetic") / "score_000.wav"
+    capsys.readouterr()
+    cli.cmd_transfer(tiny_cfg, ckpt, src, tmp_path / "out.wav")
+    assert capsys.readouterr().out == (
+        "ode euler: 8 network calls, 8 accepted and 0 rejected steps\n")
+
+
 def test_transfer_accepts_score_input(tiny_cfg, tmp_path):
     cli.cmd_synthdata(tiny_cfg)
     ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")

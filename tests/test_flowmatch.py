@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,17 +59,19 @@ def test_midpoint_arithmetic():
 
 
 def test_interpolant_invariants_exact():
+    """The sample is built in the endpoints' dtype, t included."""
     # B == D == F, so a t broadcast along the wrong axis gives wrong values
     # instead of a shape error
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x0 = rng.standard_normal((5, 5, 5))
-        x1 = rng.standard_normal((5, 5, 5))
+    for dtype in [np.float64, np.float32] * 10:
+        x0 = rng.standard_normal((5, 5, 5)).astype(dtype)
+        x1 = rng.standard_normal((5, 5, 5)).astype(dtype)
         t = rng.uniform(size=5)
         s = make_sample(x0, x1, t)
-        np.testing.assert_array_equal(s.t, t)
+        assert s.t.dtype == s.x_t.dtype == s.u.dtype == dtype
+        np.testing.assert_array_equal(s.t, t.astype(dtype))
         for i in range(5):
-            ti = float(t[i])
+            ti = dtype(t[i])
             np.testing.assert_array_equal(s.x_t[i], (1 - ti) * x0[i] + ti * x1[i])
         np.testing.assert_array_equal(s.u, x1 - x0)
 
@@ -146,6 +150,65 @@ def test_training_is_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_train_gives_the_net_float32_batches_without_copies(monkeypatch):
+    """float64 endpoints are cast to the net's float32 once, when padded, so
+    every batch is built in float32 and reaches the net as the sample's own
+    array."""
+    net = nn.VelocityNet(dims=4, base_channels=2, seed=0)
+    samples, inputs = [], []
+
+    def spy_loss(net_, sample):
+        samples.append(sample)
+        return cfm_loss(net_, sample)
+
+    def spy_forward(x, t, forward=net.forward):
+        inputs.append((x.data, t.data))
+        return forward(x, t)
+
+    monkeypatch.setattr(flowmatch, "cfm_loss", spy_loss)
+    monkeypatch.setattr(net, "forward", spy_forward)
+    rng = np.random.default_rng(4)
+    x0, x1 = rng.standard_normal((2, 6, 4, 20))
+    train(x0, x1, _cfg(4, 1e-3, 1, 0), net=net)
+    assert len(samples) == len(inputs) == 2
+    for sample, (x, t) in zip(samples, inputs):
+        assert sample.x_t.dtype == sample.u.dtype == sample.t.dtype == np.float32
+        assert sample.x_t.shape[1:] == (4, 32)
+        assert x is sample.x_t and t is sample.t
+
+
+def test_loss_and_backward_peak_memory_bound():
+    """One cfm_loss + backward holds little beyond the arrays backward reads:
+    each conv's padded input, each ReLU's mask and the loss's difference.
+    The peak comes at the loss, which adds the head's output and the
+    squared difference; one more array of that size is slack. A graph that
+    keeps activations no backward reads, or a batch cast from float64 each
+    step, exceeds it."""
+    dims, batch, frames = 64, 8, 64
+    net = nn.VelocityNet(dims, base_channels=8, seed=0)
+    rng = np.random.default_rng(0)
+    x0, x1 = rng.standard_normal((2, batch, dims, frames)).astype(np.float32)
+    sample = make_sample(x0, x1, rng.uniform(size=batch))
+    item = net.dtype.itemsize
+    out_bytes = batch * dims * frames * item
+    saved = out_bytes                                       # the loss's difference
+    for name, p in net.params.items():
+        if name.endswith(".w"):
+            c_out, c_in, k = p.shape
+            level = 0 if name == "out.w" else int(name[3])  # enc<i>, dec<i>: frames / 2**i
+            length = frames >> level
+            saved += c_in * batch * (length + k - 1) * item  # padded conv input
+            if name != "out.w":
+                saved += c_out * batch * length             # relu mask
+    tracemalloc.start()
+    try:
+        cfm_loss(net, sample).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < saved + 3 * out_bytes
+
+
 def test_train_requires_consistent_pairs():
     cfg = load_config()
     with pytest.raises(DataError, match="bad endpoint arrays"):
@@ -158,10 +221,12 @@ def test_transfer_identity_with_zero_net():
     net = nn.VelocityNet(dims=64, base_channels=4, seed=0)
     rng = np.random.default_rng(6)
     states = rng.standard_normal((1, 64, 40))
-    for solver in (odesolve.Euler(10), odesolve.Dopri5()):
-        out = transfer_batch(net, states, solver)
+    for solver, nfe in ((odesolve.Euler(10), 10), (odesolve.Dopri5(), None)):
+        out, trace = transfer_batch(net, states, solver)
         assert out.shape == states.shape
         np.testing.assert_array_equal(out, states)
+        if nfe is not None:
+            assert (trace.f_evals, trace.accepted_steps, trace.rejected_steps) == (nfe, nfe, 0)
 
 
 def test_transfer_constant_velocity_closed_form():
@@ -174,7 +239,8 @@ def test_transfer_constant_velocity_closed_form():
     rng = np.random.default_rng(7)
     states = rng.standard_normal((2, 3, 8))
     for solver in (odesolve.Euler(100), odesolve.RK4(10), odesolve.Dopri5()):
-        out = transfer_batch(ConstField(), states, solver)
+        out, trace = transfer_batch(ConstField(), states, solver)
+        assert trace.final_state.size == states.size * 2  # F = 8 padded to 16
         np.testing.assert_allclose(out, states + 0.75, atol=1e-6)
 
 

@@ -366,6 +366,27 @@ def test_backward_releases_graph_and_runs_once():
         loss.backward()
 
 
+def test_conv_output_is_freed_before_backward():
+    """The graph keeps only what backward reads (relu its mask, conv1d its
+    padded input), so the conv output is freed as soon as the forward drops
+    it. Integer data makes every sum exact, so the gradients are the bytes
+    of the im2col oracle whatever the summation order."""
+    rng = np.random.default_rng(8)
+    x, w = (rng.integers(-3, 4, s).astype(np.float64) for s in ((2, 3, 8), (4, 3, 3)))
+    b = np.arange(-2.0, 2.0)
+    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    pre = T.conv1d(xt, wt, bt)
+    conv_out = weakref.ref(pre.data)
+    hidden = T.relu(pre)
+    del pre
+    assert conv_out() is None
+    mean(mul(hidden, hidden)).backward()
+    out, gx, gw, gb = _im2col_conv1d(x, w, b, (2.0 / hidden.data.size) * hidden.data)
+    assert hidden.data.tobytes() == np.maximum(out, 0.0).tobytes()
+    for got, want in ((xt.grad, gx), (wt.grad, gw), (bt.grad, gb)):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_small_unet_gradcheck_against_finite_differences():
     net = nn.VelocityNet(dims=8, base_channels=4, seed=3, dtype=np.float64)
     rng = np.random.default_rng(5)
