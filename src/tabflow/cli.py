@@ -231,17 +231,13 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
         audio = _load_audio(cfg, input_path)
 
     chunks = latentcodec.chunk(audio, cfg.chunk_seconds)
-    # full-band analysis; the flow transports the first cfg.dims coefficients
-    # and the remaining high bands pass through from the source unchanged
-    full = latentcodec.encode(chunks, 1024)
-    moved, trace = flowmatch.transfer_batch(net, full[:, :cfg.dims], cfg.solver())
-    full[:, :cfg.dims] = moved
+    # the flow moves the first cfg.dims coefficients of each frame; decode
+    # passes the source's other bands through unchanged
+    z = latentcodec.encode(chunks, cfg.dims)
+    moved, trace = flowmatch.transfer_batch(net, z, cfg.solver())
     print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
           f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
-    decoded = latentcodec.decode(full)
-    # a decoded chunk falls short of its chunk by less than a hop; zeros fill it
-    pieces = np.zeros(chunks.shape, dtype=np.float32)
-    pieces[:, :decoded.shape[-1]] = decoded
+    pieces = latentcodec.decode(moved - z, chunks)
     out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)], audio.sample_rate)
 
     output_path = Path(output_path)

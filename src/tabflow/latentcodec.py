@@ -9,15 +9,24 @@ The codec works on plain arrays, in the layout the velocity net reads:
 chunk cuts audio into an [N, size] sample array, encode maps [..., n]
 samples to [..., D, F] latents (D coefficients by F frames; row d holds
 coefficient d of every frame, and frame k starts at sample k * FRAME_HOP),
-and decode maps [..., D, F] back to [..., (F + 1) * FRAME_HOP] samples.
-windowed_frames slices and windows the frames for the 1024-dim encode and
-audiodist.embed, so the latent and embedding frame grids always match.
+and decode maps a [..., D, F] latent change and its [..., n] source samples
+back to [..., n] samples. windowed_frames slices and windows the frames for
+the 1024-dim encode and audiodist.embed, so the latent and embedding frame
+grids always match.
 
 The 64-dim encode skips the frame copy and the full DCT: frame k is the
 hop-long segments k and k + 1, so one GEMM of the [..., F + 1, FRAME_HOP]
 segment view with the windowed basis, its first and second halves side by
 side, gives both halves' products, and coefficient row f is the first-half
 product of segment f plus the second-half product of segment f + 1.
+
+decode never transforms the band it leaves alone. Analysis and synthesis
+windows are both Hann, so resynthesizing all 1024 coefficients of the
+source gives x times the overlap-added squared window W; decode adds the
+synthesis of the change alone and divides by max(W, 0.25). At 64 dims that
+synthesis mirrors the encode: one GEMM of each frame's coefficients beside
+the previous frame's with the transposed half-frame basis gives every
+hop-long segment at once.
 """
 
 from __future__ import annotations
@@ -80,7 +89,7 @@ def _half_frame_basis(dims: int) -> np.ndarray:
     return out
 
 
-def encode(x: np.ndarray, dims: int = 64) -> np.ndarray:
+def encode(x: np.ndarray, dims: int) -> np.ndarray:
     """[..., n] samples -> owned [..., dims, F] float64 latents: the windowed
     orthonormal DCT-II of each frame, truncated to the first dims.
 
@@ -102,28 +111,59 @@ def encode(x: np.ndarray, dims: int = 64) -> np.ndarray:
     return z
 
 
-def decode(z: np.ndarray) -> np.ndarray:
-    """[..., D, F] latents -> [..., (F + 1) * FRAME_HOP] float32 samples by
-    synthesis-windowed overlap-add, normalized by the squared-window sum.
+def decode(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[..., D, F] latent change dz of the [..., n] source samples x ->
+    [..., n] float32 samples: x with the first D coefficients of each frame
+    moved by dz, summed in float64 and rounded once.
 
-    Interior samples (half a frame in from each edge) reconstruct exactly in
-    full 1024-dim mode. The synthesis window matters once coefficients have
-    been modified: it tapers frame edges instead of letting the edge
-    normalization amplify content the analysis window never produced.
+    This is (x * W + OLA(synth(dz))) / max(W, 0.25), W being the overlap-added
+    squared window: the 1024-dim encode of x with its first D rows moved,
+    decoded by IDCT and synthesis-windowed overlap-add, without either
+    1024-point transform. Where dz is zero, interior samples (half a frame in
+    from each edge) come back exactly; samples past the last frame, less than
+    a hop, are zero. The synthesis window tapers frame edges instead of
+    letting the edge normalization amplify content the analysis window never
+    produced.
     """
-    *lead, dims, n_frames = np.shape(z)
+    *lead, dims, n_frames = np.shape(dz)
     _check_dims(dims)
-    coeffs = np.zeros((*lead, n_frames, FRAME_LEN))
-    coeffs[..., :dims] = np.swapaxes(z, -1, -2)
-    # transformed and windowed in place: a stack's temporaries are large
-    frames = idct(coeffs, type=2, norm="ortho", axis=-1, overwrite_x=True)
-    frames *= _WINDOW
-    out = _overlap_add(frames)
+    x = np.asarray(x)
+    if frame_count(x.shape[-1]) != n_frames:
+        raise DataError(f"latent change has {n_frames} frames but its source "
+                        f"has {frame_count(x.shape[-1])}")
+    span = (n_frames + 1) * FRAME_HOP
+    moved = _synthesize(dz)
     weight = _overlap_add(np.broadcast_to(_WINDOW * _WINDOW, (n_frames, FRAME_LEN)))
-    # interior double coverage keeps sum(w^2) >= 0.5; the floor only tapers
-    # the half-frame chunk edges
-    out /= np.maximum(weight, 0.25)
-    return out.astype(np.float32)
+    moved += x[..., :span] * weight
+    # interior double coverage keeps W >= 0.5; the floor only tapers the
+    # half-frame chunk edges
+    moved /= np.maximum(weight, 0.25)
+    out = np.zeros((*lead, x.shape[-1]), dtype=np.float32)
+    out[..., :span] = moved
+    return out
+
+
+def _synthesize(dz: np.ndarray) -> np.ndarray:
+    """[..., D, F] coefficients -> [..., (F + 1) * FRAME_HOP] overlap-add of
+    their synthesis-windowed inverse-DCT frames.
+
+    64 dims mirror encode: hop-long segment s is frame s's first half plus
+    frame s - 1's second half, so one GEMM of the [..., F + 1, 2 * D] pairs
+    (frame s's coefficients beside frame s - 1's) with the transposed
+    half-frame basis gives the segments. 1024 dims run the FFT IDCT.
+    """
+    *lead, dims, n_frames = np.shape(dz)
+    if dims == FRAME_LEN:
+        # transformed and windowed in place: a stack's temporaries are large
+        frames = idct(np.swapaxes(dz, -1, -2).copy(), type=2, norm="ortho", axis=-1,
+                      overwrite_x=True)
+        frames *= _WINDOW
+        return _overlap_add(frames)
+    pairs = np.zeros((*lead, n_frames + 1, 2 * dims))
+    pairs[..., :-1, :dims] = np.swapaxes(dz, -1, -2)
+    pairs[..., 1:, dims:] = np.swapaxes(dz, -1, -2)
+    segments = pairs.reshape(-1, 2 * dims) @ _half_frame_basis(dims).T
+    return segments.reshape(*lead, -1)
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -138,7 +178,7 @@ def _overlap_add(frames: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, -1)
 
 
-def chunk(audio: AudioBuffer, seconds: float = 4.0) -> np.ndarray:
+def chunk(audio: AudioBuffer, seconds: float) -> np.ndarray:
     """[N, size] consecutive non-overlapping chunks of the samples, size being
     seconds at the audio's rate; the last row is zero-padded."""
     # no render is longer than MAX_RENDER_SECONDS, so a longer chunk would only

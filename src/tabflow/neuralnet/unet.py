@@ -90,7 +90,8 @@ class VelocityNet:
             h = T.downsample2(h)
         for i in reversed(range(4)):
             h = T.upsample2(h)
-            h = T.concat([h, skips[i]])
+            # concat copies the skip, so it need not outlive this level
+            h = T.concat([h, skips.pop()])
             h = T.relu(T.conv1d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"]))
         return T.conv1d(h, self.params["out.w"], self.params["out.b"])
 

@@ -5,8 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from tabflow import audiodist, cli, wavio
+from tabflow import audiodist, cli, flowmatch, latentcodec, wavio
 from tabflow.config import load_config
 from tabflow.neuralnet import VelocityNet, AdamState, save_checkpoint
 from tabflow.tabscore import parse_score
@@ -181,12 +182,58 @@ def test_transfer_crops_chunk_padding_to_input_length(tiny_cfg, tmp_path):
                            src, tmp_path / "out.wav")
     y, _ = wavio.read_wav(out)
     assert len(y) == len(x)
-    # a zero field transports exactly, so every chunk reconstructs its
-    # interior in place, the final partial chunk up to the last input sample
+    # a zero field transports exactly, so every chunk gives its interior back
+    # bit for bit, the final partial chunk up to the last input sample
     size = 4 * 44100
     for k in range(3):
         lo, hi = k * size + 512, min((k + 1) * size - 1024, len(x))
-        np.testing.assert_allclose(y[lo:hi], x[lo:hi], rtol=0, atol=1e-5)
+        assert y[lo:hi].tobytes() == x[lo:hi].tobytes()
+
+
+def test_transfer_moves_the_latents_train_encodes(tiny_cfg, tmp_path, monkeypatch):
+    """The flow starts from the bytes _encode_stem trains on, not from a
+    truncated 1024-dim analysis."""
+    stem = cli.cmd_synthdata(tiny_cfg)[0]
+    seen = []
+    real = flowmatch.transfer_batch
+
+    def spy(net, states, solver):
+        seen.append(states.copy())
+        return real(net, states, solver)
+
+    monkeypatch.setattr(flowmatch, "transfer_batch", spy)
+    cli.cmd_transfer(tiny_cfg, _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"),
+                     cli._audio_dir(tiny_cfg, "synthetic") / f"{stem}.wav", tmp_path / "out.wav")
+    want = cli._encode_stem(tiny_cfg, "synthetic", stem)
+    assert len(seen) == 1
+    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+
+
+def test_default_transfer_codes_once_without_full_dct(tmp_path, monkeypatch):
+    """One 64-dim encode and one decode per file, and no 1024-point DCT or
+    IDCT: perfbench's encode_calls and decode_calls count these."""
+    cfg = load_config(None, {"paths": {"workdir": str(tmp_path / "work")}})
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, int(5.5 * cfg.sample_rate))
+    src = tmp_path / "in.wav"
+    wavio.write_wav(src, x.astype(np.float32), cfg.sample_rate, comment="")
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1] if name == "encode" else None))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-band DCT called")
+
+    monkeypatch.setattr(latentcodec, "encode", counting("encode", latentcodec.encode))
+    monkeypatch.setattr(latentcodec, "decode", counting("decode", latentcodec.decode))
+    for module in (latentcodec, scipy.fft):
+        monkeypatch.setattr(module, "dct", forbidden)
+        monkeypatch.setattr(module, "idct", forbidden)
+    cli.cmd_transfer(cfg, _zero_checkpoint(cfg, tmp_path / "zero.ckpt"), src, tmp_path / "out.wav")
+    assert calls == [("encode", 64), ("decode", None)]
 
 
 def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path):

@@ -41,7 +41,24 @@ def test_all_zero_audio_encodes_to_zero_latent():
 
 
 def test_all_zero_latent_decodes_to_silence():
-    assert np.array_equal(decode(np.zeros((64, 7))), np.zeros(7 * 512 + 512, dtype=np.float32))
+    assert np.array_equal(decode(np.zeros((64, 7)), np.zeros(4096)), np.zeros(4096, dtype=np.float32))
+
+
+@pytest.mark.parametrize("size", [1024, 5000, 4 * FS])
+@pytest.mark.parametrize("dims", [64, 1024])
+def test_zero_change_returns_source_interior_bit_for_bit(size, dims):
+    x = _noise(size, seed=size).astype(np.float32)
+    n_frames = frame_count(size)
+    y = decode(np.zeros((dims, n_frames)), x)
+    assert y.dtype == np.float32 and y.shape == x.shape
+    span = (n_frames + 1) * FRAME_HOP
+    assert y[512:span - 512].tobytes() == x[512:span - 512].tobytes()
+    assert not y[span:].any()  # past the last frame
+
+
+def test_decode_rejects_latent_of_other_frame_count():
+    with pytest.raises(DataError, match="frames"):
+        decode(np.zeros((64, 6)), np.zeros(4096))
 
 
 def gather_frames(x):
@@ -63,7 +80,7 @@ def test_windowed_frames_match_index_gather(n):
 
 def loop_decode(z):
     """Reference oracle: decode a [D, F] latent with the frame-by-frame
-    overlap-add loop."""
+    overlap-add loop, [(F + 1) * FRAME_HOP] samples."""
     dims, n_frames = z.shape
     coeffs = np.zeros((n_frames, FRAME_LEN))
     coeffs[:, :dims] = z.T
@@ -79,11 +96,48 @@ def loop_decode(z):
     return out.astype(np.float32)
 
 
+def assert_within_one_ulp(got, want):
+    """float32 samples at most one float32 ulp apart. Near zero the floor is
+    the float64 sums' own rounding, about 1e-16 of their unit-scale terms,
+    which can exceed the ulp of a sample that cancels to almost nothing."""
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    ulp = np.spacing(np.maximum(np.maximum(np.abs(got), np.abs(want)), np.float32(2.0 ** -30)))
+    assert np.all(np.abs(got - want) <= ulp)
+
+
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 40])
 @pytest.mark.parametrize("dims", [64, 1024])
 def test_decode_matches_frame_loop(n_frames, dims):
+    """Silent source: decode is the synthesis of z alone. 1024 dims run the
+    IDCT the loop runs, so the bytes agree; 64 dims synthesize by GEMM, whose
+    float64 sums may round to the neighbouring float32."""
     z = np.random.default_rng(n_frames + dims).standard_normal((n_frames, dims)).T
-    assert decode(z).tobytes() == loop_decode(z).tobytes()
+    got = decode(z, np.zeros((n_frames + 1) * FRAME_HOP))
+    if dims == FRAME_LEN:
+        assert got.tobytes() == loop_decode(z).tobytes()
+    else:
+        assert_within_one_ulp(got, loop_decode(z))
+
+
+@given(size=st.integers(1024, 6000), dims=st.sampled_from([64, 1024]),
+       seed=st.integers(0, 2 ** 16))
+@example(size=1024, dims=64, seed=0)  # one frame
+@example(size=1024, dims=1024, seed=0)
+@example(size=5000, dims=64, seed=1)  # not a whole number of hops
+@example(size=5000, dims=1024, seed=1)
+@settings(max_examples=25, deadline=None)
+def test_decode_matches_full_band_round_trip(size, dims, seed):
+    """decode(dz, x) is the 1024-dim encode of x with its first dims rows
+    moved by dz, decoded by IDCT, and zeros past the last frame."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size).astype(np.float32)
+    full = encode(x, 1024)
+    dz = 0.1 * rng.standard_normal((dims, full.shape[-1]))
+    full[:dims] += dz
+    want = np.zeros(size, dtype=np.float32)
+    decoded = loop_decode(full)
+    want[:len(decoded)] = decoded
+    assert_within_one_ulp(decode(dz, x), want)
 
 
 @given(n_chunks=st.integers(1, 4), size=st.integers(1024, 6000),
@@ -97,7 +151,7 @@ def test_stack_codec_matches_per_row_calls(n_chunks, size, dims, seed, f32):
     assert z.shape == (n_chunks, dims, frame_count(size)) and z.flags.owndata
     rows = [encode(row, dims) for row in x]
     assert z.tobytes() == np.stack(rows).tobytes()
-    assert decode(z).tobytes() == np.stack([decode(r) for r in rows]).tobytes()
+    assert decode(z, x).tobytes() == np.stack([decode(r, row) for r, row in zip(rows, x)]).tobytes()
 
 
 @given(n_chunks=st.integers(1, 4), size=st.integers(1024, 6000),
@@ -138,15 +192,16 @@ def test_codec_matches_direct_sum_dct_oracle():
 
 def test_full_mode_round_trip_below_minus_80_dbfs():
     x = _noise(4 * FS, seed=3)
-    out = decode(encode(x, 1024)).astype(np.float64)
-    n = len(out)
-    err = out[512:n - 512] - x[512:n - 512]
+    out = decode(encode(x, 1024), np.zeros_like(x)).astype(np.float64)
+    span = (frame_count(len(x)) + 1) * FRAME_HOP  # zeros follow the last frame
+    err = out[512:span - 512] - x[512:span - 512]
     assert rms_db(err) < -80.0
 
 
 def test_lossy_mode_preserves_fundamental():
     t = np.arange(4 * FS) / FS
-    out = decode(encode(0.5 * np.sin(2 * np.pi * 440.0 * t), 64))
+    x = 0.5 * np.sin(2 * np.pi * 440.0 * t)
+    out = decode(encode(x, 64), np.zeros_like(x))
     f = oracle_pitch(out[FS:2 * FS], FS)
     assert abs(cents_between(f, 440.0)) < 5.0
 
@@ -196,7 +251,7 @@ def test_latent_dims_validated():
     with pytest.raises(DataError, match="dims"):
         encode(_noise(4096), 100)
     with pytest.raises(DataError, match="dims"):
-        decode(np.zeros((10, 3)))
+        decode(np.zeros((10, 3)), np.zeros(2048))
 
 
 def test_encode_returns_owned_frames():
