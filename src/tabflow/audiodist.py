@@ -51,14 +51,13 @@ def _mel_inv(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def band_edges(n_bands: int = EMBED_DIMS, fmin: float = FMIN_HZ,
-               fmax: float = FMAX_HZ) -> np.ndarray:
-    """n_bands + 2 triangle edge frequencies, mel spaced."""
-    return _mel_inv(np.linspace(_mel(fmin), _mel(fmax), n_bands + 2))
+def band_edges() -> np.ndarray:
+    """EMBED_DIMS + 2 triangle edge frequencies, mel spaced."""
+    return _mel_inv(np.linspace(_mel(FMIN_HZ), _mel(FMAX_HZ), EMBED_DIMS + 2))
 
 
 def _filterbank(sample_rate: int) -> np.ndarray:
-    """[n_bands, n_bins] triangular weights over the rFFT bin grid."""
+    """[EMBED_DIMS, n_bins] triangular weights over the rFFT bin grid."""
     freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / sample_rate)
     edges = band_edges()
     bank = np.zeros((EMBED_DIMS, len(freqs)))
@@ -79,7 +78,7 @@ _PANEL_BINS = 256
 
 @functools.cache
 def _band_limited_bank(sample_rate: int) -> np.ndarray:
-    """[n_bands, bins] weights: the filterbank cut after its last nonzero
+    """[EMBED_DIMS, bins] weights: the filterbank cut after its last nonzero
     column (no columns if it has none), or whole when that column lies past
     _PANEL_BINS; built once per sample rate."""
     bank = _filterbank(sample_rate)

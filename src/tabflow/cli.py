@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
+import math
 import sys
 import time
 from pathlib import Path
@@ -189,23 +191,30 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
 
 def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
     params, _, echo = nn.load_checkpoint(checkpoint)
-    for key in ("dims", "base_channels", "input_gain"):
-        value = echo.get(key)
-        if type(value) not in (int, float) or not 0 < value < np.inf:  # NaN fails too
-            raise DataError(f"{checkpoint}: config echo needs a positive number for "
-                            f"{key!r}, got {value!r}")
-    # every weight is overwritten below, so the init seed does not matter
-    net = nn.VelocityNet(int(echo["dims"]), base_channels=int(echo["base_channels"]),
-                         input_gain=echo["input_gain"])
-    missing = [name for name in net.params if name not in params]
+    for key in ("dims", "base_channels"):
+        if type(echo.get(key)) is not int or echo[key] < 1:
+            raise DataError(f"{checkpoint}: config echo needs a positive int for "
+                            f"{key!r}, got {echo.get(key)!r}")
+    gain = echo.get("input_gain")
+    if type(gain) not in (int, float) or not 0 < gain < np.inf:  # NaN fails too
+        raise DataError(f"{checkpoint}: config echo needs a positive number for "
+                        f"'input_gain', got {gain!r}")
+    # checked before the net is built, so a huge echo allocates nothing
+    shapes = nn.param_shapes(echo["dims"], echo["base_channels"])
+    missing = [name for name in shapes if name not in params]
     if missing:
         raise DataError(f"{checkpoint}: checkpoint lacks parameters {', '.join(missing)}")
     for name, arr in params.items():
-        if name not in net.params:
+        if name not in shapes:
             raise DataError(f"checkpoint parameter {name} not in model")
-        if net.params[name].data.shape != arr.shape:
-            raise DataError(f"checkpoint shape mismatch for {name}: "
-                            f"{arr.shape} vs {net.params[name].data.shape}")
+        if shapes[name] != arr.shape:
+            raise DataError(f"{checkpoint}: parameter {name} has shape {arr.shape}, but "
+                            f"'dims' {echo['dims']} and 'base_channels' "
+                            f"{echo['base_channels']} imply {shapes[name]}")
+    # every weight is overwritten below, so the init seed does not matter
+    net = nn.VelocityNet(echo["dims"], base_channels=echo["base_channels"], seed=0,
+                         input_gain=gain)
+    for name, arr in params.items():
         net.params[name].data[...] = arr
     return net, echo
 
@@ -336,32 +345,39 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float):
     ratings_csv = Path(ratings_csv)
     if not ratings_csv.is_file():
         raise DataError(f"ratings file not found: {ratings_csv}")
-    with open(ratings_csv, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None:
-            raise DataError(f"{ratings_csv}: empty ratings CSV")
-        required = {"rater", "item", "system", "score"}
-        if not required.issubset(set(reader.fieldnames)):
-            raise DataError(f"{ratings_csv}: header must contain {sorted(required)}")
-        has_condition = "condition" in reader.fieldnames
-        labels = ("rater", "item", "system") + (("condition",) if has_condition else ())
-        by_condition: dict[str, list] = {}
-        for k, row in enumerate(reader, 1):
-            try:
-                score = float(row["score"])
-            except (TypeError, ValueError):
-                raise DataError(f"{ratings_csv}: rating row {k} has no numeric score: "
-                                f"{row['score']!r}") from None
-            # DictReader fills a short row's fields with None, a long row's extras under None
-            missing = [f for f in labels if row[f] is None]
-            if missing:
-                raise DataError(f"{ratings_csv}: rating row {k} lacks {', '.join(missing)}")
-            if None in row:
-                raise DataError(f"{ratings_csv}: rating row {k} has more fields than the "
-                                f"header: {row[None]!r}")
-            cond = row["condition"] if has_condition else "all"
-            by_condition.setdefault(cond, []).append(
-                (row["rater"], row["item"], row["system"], score))
+    try:
+        text = ratings_csv.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{ratings_csv}: ratings file is not UTF-8 text") from None
+    # newline="" hands csv each line with its ending, as a file opened so would
+    reader = csv.DictReader(row for row in io.StringIO(text, newline="")
+                            if not row.startswith("#"))
+    if reader.fieldnames is None:
+        raise DataError(f"{ratings_csv}: empty ratings CSV")
+    required = {"rater", "item", "system", "score"}
+    if not required.issubset(set(reader.fieldnames)):
+        raise DataError(f"{ratings_csv}: header must contain {sorted(required)}")
+    has_condition = "condition" in reader.fieldnames
+    labels = ("rater", "item", "system") + (("condition",) if has_condition else ())
+    by_condition: dict[str, list] = {}
+    for k, row in enumerate(reader, 1):
+        try:
+            score = float(row["score"])
+        except (TypeError, ValueError):
+            score = math.nan
+        if not math.isfinite(score):
+            raise DataError(f"{ratings_csv}: rating row {k} has no numeric score: "
+                            f"{row['score']!r}")
+        # DictReader fills a short row's fields with None, a long row's extras under None
+        missing = [f for f in labels if row[f] is None]
+        if missing:
+            raise DataError(f"{ratings_csv}: rating row {k} lacks {', '.join(missing)}")
+        if None in row:
+            raise DataError(f"{ratings_csv}: rating row {k} has more fields than the "
+                            f"header: {row[None]!r}")
+        cond = row["condition"] if has_condition else "all"
+        by_condition.setdefault(cond, []).append(
+            (row["rater"], row["item"], row["system"], score))
     if not by_condition:
         raise DataError(f"{ratings_csv}: no rating rows")
 
@@ -432,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", type=Path, required=True)
     p.add_argument("--render", type=Path, required=True)
     p.add_argument("--guitarflow", type=Path, required=True)
-    p.add_argument("--conditions", default="di,amp")
+    p.add_argument("--conditions", default=",".join(_CONDITIONS))
 
     p = sub.add_parser("stats", help="Friedman/Wilcoxon analysis of a ratings CSV")
     p.add_argument("ratings", type=Path)

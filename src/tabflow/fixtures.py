@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
 from .tabscore import DEFAULT_VELOCITY, NoteEvent, Score, Technique, TechniqueKind
 
 
@@ -57,7 +56,5 @@ def random_score(rng: np.random.Generator, target_seconds: float) -> Score:
 
 def toy_corpus(n_scores: int, seed: int, target_seconds: float) -> list[Score]:
     """Seed-fixed list of generated scores; same seed, same scores."""
-    if n_scores < 1:
-        raise DataError(f"need n_scores >= 1, got {n_scores}")
     rng = np.random.default_rng(seed)
     return [random_score(rng, target_seconds=target_seconds) for _ in range(n_scores)]

@@ -12,7 +12,7 @@ from .tensor import Tensor
 
 @dataclass
 class AdamState:
-    lr: float = 1e-4
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

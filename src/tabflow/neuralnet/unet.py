@@ -21,6 +21,28 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def param_shapes(dims: int, base_channels: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every VelocityNet parameter, in creation order.
+
+    Pure arithmetic on the two ints, so a checkpoint's arrays can be checked
+    against it before any parameter is allocated.
+    """
+    widths = [base_channels * (2 ** i) for i in range(4)]
+    convs = []  # (name, c_out, c_in, k)
+    c_in = dims + 1
+    for i, c_out in enumerate(widths):
+        convs.append((f"enc{i}", c_out, c_in, 3))
+        c_in = c_out
+    for i in reversed(range(4)):
+        convs.append((f"dec{i}", widths[i - 1] if i > 0 else widths[0], 2 * widths[i], 3))
+    convs.append(("out", dims, widths[0], 1))
+    shapes = {}
+    for name, c_out, c_in, k in convs:
+        shapes[f"{name}.w"] = (c_out, c_in, k)
+        shapes[f"{name}.b"] = (c_out,)
+    return shapes
+
+
 class VelocityNet:
     """UNet over latent frame sequences.
 
@@ -35,35 +57,19 @@ class VelocityNet:
     match the state's.
     """
 
-    def __init__(self, dims: int, base_channels: int = 32, seed: int = 0,
+    def __init__(self, dims: int, base_channels: int, seed: int,
                  dtype=np.float32, input_gain: float = 1.0):
         self.dims = dims
-        self.base_channels = base_channels
-        self.seed = seed
         self.input_gain = float(input_gain)
         self.dtype = np.dtype(dtype)
-        widths = [base_channels * (2 ** i) for i in range(4)]
-        self.widths = widths
         rng = np.random.default_rng(seed)
         self.params: dict[str, T.Tensor] = {}
-
-        def conv_param(name: str, c_out: int, c_in: int, k: int, zero: bool = False):
-            if zero:
-                w = np.zeros((c_out, c_in, k), dtype=self.dtype)
+        for name, shape in param_shapes(dims, base_channels).items():
+            if name.endswith(".b") or name == "out.w":  # biases and the head start at zero
+                data = np.zeros(shape, dtype=self.dtype)
             else:
-                w = _kaiming_uniform(rng, (c_out, c_in, k), c_in * k, self.dtype)
-            self.params[f"{name}.w"] = T.Tensor(w, requires_grad=True)
-            self.params[f"{name}.b"] = T.Tensor(np.zeros(c_out, dtype=self.dtype),
-                                                requires_grad=True)
-
-        c_in = dims + 1
-        for i, c_out in enumerate(widths):
-            conv_param(f"enc{i}", c_out, c_in, 3)
-            c_in = c_out
-        for i in reversed(range(4)):
-            c_out = widths[i - 1] if i > 0 else widths[0]
-            conv_param(f"dec{i}", c_out, 2 * widths[i], 3)
-        conv_param("out", dims, widths[0], 1, zero=True)
+                data = _kaiming_uniform(rng, shape, shape[1] * shape[2], self.dtype)
+            self.params[name] = T.Tensor(data, requires_grad=True)
 
     def parameters(self) -> dict[str, T.Tensor]:
         return self.params

@@ -18,7 +18,7 @@ from .errors import NumericError
 
 @dataclass(frozen=True)
 class Euler:
-    steps: int = 100
+    steps: int
 
     def __post_init__(self):
         if self.steps < 1:
@@ -27,7 +27,7 @@ class Euler:
 
 @dataclass(frozen=True)
 class RK4:
-    steps: int = 100
+    steps: int
 
     def __post_init__(self):
         if self.steps < 1:
@@ -36,9 +36,9 @@ class RK4:
 
 @dataclass(frozen=True)
 class Dopri5:
-    rtol: float = 1e-4
-    atol: float = 1e-4
-    max_steps: int = 10_000
+    rtol: float
+    atol: float
+    max_steps: int
 
     def __post_init__(self):
         if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):  # NaN fails too

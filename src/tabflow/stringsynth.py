@@ -28,7 +28,6 @@ from scipy.signal import lfilter
 from .errors import DataError
 from .tabscore import Score, TechniqueKind, event_pitch, midi_hz
 
-DEFAULT_SAMPLE_RATE = 44100
 MIN_SAMPLE_RATE = 8000
 # Highest render rate; a 600-s render at 192 kHz is a 922 MB float64 mix.
 MAX_SAMPLE_RATE = 192000
@@ -50,7 +49,7 @@ class AudioBuffer:
     """Mono audio: float samples plus their sample rate."""
 
     samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    sample_rate: int
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -131,7 +130,7 @@ class _Note(NamedTuple):
     s0: int
     rho: float
     excitation: np.ndarray
-    pick: np.ndarray | None = None
+    pick: np.ndarray | None
 
 
 class _Row(NamedTuple):
@@ -301,8 +300,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
         yield _Note(s0, rho, excitation, pick), delay
 
 
-def render(score: Score, style: RenderStyle,
-           sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
+def render(score: Score, style: RenderStyle, sample_rate: int) -> AudioBuffer:
     """Render a score deterministically; same length for every style so that
     two renders of one score stay sample-aligned.
 

@@ -18,9 +18,9 @@ def _set(arr):
     return np.asarray(arr, dtype=np.float64)
 
 
-def band_of(freq: float, n_bands: int = EMBED_DIMS) -> int:
+def band_of(freq: float) -> int:
     """Index of the band with the strongest triangle response at freq."""
-    edges = band_edges(n_bands)
+    edges = band_edges()
     lo, mid, hi = edges[:-2], edges[1:-1], edges[2:]
     up = (freq - lo) / (mid - lo)
     down = (hi - freq) / (hi - mid)

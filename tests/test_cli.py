@@ -29,7 +29,7 @@ def _zero_checkpoint(cfg, path):
     net = VelocityNet(cfg.dims, base_channels=cfg.base_channels, seed=0)
     echo = {"config_hash": cfg.hash(), "dims": cfg.dims,
             "base_channels": cfg.base_channels, "seed": 0, "input_gain": 1.0}
-    save_checkpoint(path, net.params, AdamState(), echo)
+    save_checkpoint(path, net.params, AdamState(lr=cfg.lr), echo)
     return path
 
 
@@ -597,9 +597,14 @@ def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path
 
 
 @pytest.mark.parametrize("key, value", [("dims", "x"), ("base_channels", None),
-                                        ("input_gain", None), ("input_gain", True)])
+                                        ("input_gain", None), ("input_gain", True),
+                                        ("base_channels", 10**9), ("base_channels", 4.7),
+                                        ("dims", 10**12)])
 def test_main_transfer_bad_checkpoint_echo_is_exit_2(tiny_cfg, tmp_path, capsys,
                                                      key, value):
+    """The echo's ints are checked against the checkpoint's array shapes
+    before the net is built: a net of base_channels 10**9 or dims 10**12
+    would ask for terabytes, and 4.7 is not truncated to 4."""
     net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
     echo = {"dims": tiny_cfg.dims, "base_channels": tiny_cfg.base_channels,
             "input_gain": 1.0}
@@ -692,7 +697,9 @@ def test_main_stats_exit_0_even_when_not_significant(tmp_path):
 
 
 @pytest.mark.parametrize("last_row, shown", [("r1,i0,b,good", "'good'"),
-                                             ("r1,i0,b", "None")])
+                                             ("r1,i0,b", "None"),
+                                             ("r1,i0,b,nan", "'nan'"),
+                                             ("r1,i0,b,inf", "'inf'")])
 def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, shown):
     ratings = tmp_path / "bad.csv"
     ratings.write_text(f"# note\nrater,item,system,score\nr0,i0,a,3\nr0,i0,b,4\nr1,i0,a,2\n"
@@ -700,6 +707,13 @@ def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, show
     assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
+
+
+def test_main_stats_non_utf8_ratings_is_exit_2(tmp_path, capsys):
+    ratings = tmp_path / "latin1.csv"
+    ratings.write_bytes("rater,item,system,score\nRen\u00e9,i0,a,3\n".encode("latin-1"))
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert f"{ratings}: ratings file is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_main_stats_long_row_is_exit_2(tmp_path, capsys):

@@ -99,8 +99,3 @@ def test_toy_corpus_deterministic():
     assert a == b
     c = toy_corpus(4, seed=8, target_seconds=6.0)
     assert a != c
-
-
-def test_toy_corpus_size_validated():
-    with pytest.raises(DataError):
-        toy_corpus(0, seed=0, target_seconds=6.0)

@@ -221,7 +221,7 @@ def test_transfer_identity_with_zero_net():
     net = nn.VelocityNet(dims=64, base_channels=4, seed=0)
     rng = np.random.default_rng(6)
     states = rng.standard_normal((1, 64, 40))
-    for solver, nfe in ((odesolve.Euler(10), 10), (odesolve.Dopri5(), None)):
+    for solver, nfe in ((odesolve.Euler(10), 10), (load_config().solver(), None)):
         out, trace = transfer_batch(net, states, solver)
         assert out.shape == states.shape
         np.testing.assert_array_equal(out, states)
@@ -238,7 +238,7 @@ def test_transfer_constant_velocity_closed_form():
 
     rng = np.random.default_rng(7)
     states = rng.standard_normal((2, 3, 8))
-    for solver in (odesolve.Euler(100), odesolve.RK4(10), odesolve.Dopri5()):
+    for solver in (odesolve.Euler(100), odesolve.RK4(10), load_config().solver()):
         out, trace = transfer_batch(ConstField(), states, solver)
         assert trace.final_state.size == states.size * 2  # F = 8 padded to 16
         np.testing.assert_allclose(out, states + 0.75, atol=1e-6)
@@ -257,7 +257,7 @@ def test_transfer_solver_agreement_on_trained_toy_net():
 
     y0 = x0[:32].reshape(-1)
     euler = odesolve.integrate(velocity, y0, odesolve.Euler(100)).final_state
-    dopri = odesolve.integrate(velocity, y0, odesolve.Dopri5(1e-4, 1e-4)).final_state
+    dopri = odesolve.integrate(velocity, y0, load_config().solver()).final_state
     assert np.abs(euler - dopri).max() < 0.05
 
 
@@ -282,7 +282,7 @@ def test_two_dimensional_transport_sanity():
             tt = T.Tensor(np.full(len(x.data), t))
             return net(x, tt).data.reshape(-1)
 
-    trace = odesolve.integrate(velocity, x0.reshape(-1), odesolve.Dopri5())
+    trace = odesolve.integrate(velocity, x0.reshape(-1), load_config().solver())
     moved = trace.final_state.reshape(-1, 2)
     assert np.linalg.norm(moved.mean(axis=0) - 3.0) < 0.3
     assert np.all(moved.var(axis=0) > 0.25 / 2) and np.all(moved.var(axis=0) < 0.25 * 2)

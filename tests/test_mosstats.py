@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import friedmanchisquare, rankdata
 
+from tabflow import mosstats
 from tabflow.errors import DataError, NumericError
-from tabflow.mosstats import (RatingTable, TestResult, bonferroni, friedman,
+# TestResult is reached through the module: a Test* name imported here
+# would be collected by pytest as a test class
+from tabflow.mosstats import (RatingTable, bonferroni, friedman,
                               mos_summary, mos_summary_csv,
                               wilcoxon_signed_rank)
 
@@ -175,7 +178,7 @@ def test_p_values_always_valid():
 
 def test_test_result_validates_p():
     with pytest.raises(NumericError):
-        TestResult(1.0, 1.5, "bad")
+        mosstats.TestResult(1.0, 1.5, "bad")
 
 
 def test_mos_summary_constant():

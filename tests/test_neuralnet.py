@@ -47,8 +47,8 @@ def test_nan_aborts_naming_op():
     a = T.Tensor(np.array([700.0]))
     with pytest.raises(NumericError, match="leaf"):
         T.Tensor(np.array([np.nan]))
-    with pytest.raises(NumericError, match="mul"):
-        mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul"):
+        mul(T.Tensor(np.array([1e300])), T.Tensor(np.array([1e300])))  # overflows to inf
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -502,7 +502,7 @@ def test_checkpoint_magic_validated(tmp_path):
 def test_truncated_or_garbled_checkpoint_names_path(tmp_path):
     net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
     good = tmp_path / "good.ckpt"
-    nn.save_checkpoint(good, net.params, nn.AdamState(), {"dims": 4})
+    nn.save_checkpoint(good, net.params, nn.AdamState(lr=1e-3), {"dims": 4})
     blob = good.read_bytes()
     cases = {"head.ckpt": blob[:20], "body.ckpt": blob[:len(blob) // 2],
              "json.ckpt": blob[:11] + b"\xff" * (len(blob) - 11),

@@ -5,11 +5,16 @@ src/tabflow. A name counts as used when it appears as a whole word anywhere
 under src/ or perfbench/ outside its own definition: a call, an import, an
 attribute, or a string (perfbench/tracer.py names the functions it wraps in
 strings). Code that only the tests run belongs under tests/.
+
+A second scan fails on a parameter or field default named after a
+config._TABLE key: each pipeline setting has its one home in the config.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from tabflow.config import _TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tabflow"
@@ -55,3 +60,34 @@ def test_allowlist_names_only_unused_definitions():
     for name in ALLOWED:
         hits = sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in texts)
         assert hits == 1, f"{name} appears {hits} times; only its definition expected"
+
+
+def _defaults(tree: ast.AST):
+    """(line, name) of each function parameter and class-body field that has
+    a default: dataclass and NamedTuple fields are annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            for arg in positional[len(positional) - len(a.defaults):]:
+                yield arg.lineno, arg.arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield arg.lineno, arg.arg
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                        and isinstance(stmt.target, ast.Name)):
+                    yield stmt.lineno, stmt.target.id
+
+
+def test_no_default_copies_a_config_setting():
+    """config._TABLE is the one home of each pipeline setting: a default
+    named after one of its keys (steps, sample_rate, seed, lr, ...) is a
+    second copy that can drift from it, so every caller passes the value."""
+    keys = {key for _, key, _, _, _ in _TABLE}
+    copies = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for line, name in _defaults(ast.parse(path.read_text(encoding="utf-8")))
+              if name in keys]
+    assert not copies, "defaults that copy a config._TABLE setting:\n" + "\n".join(copies)

@@ -260,7 +260,7 @@ def test_lockstep_matches_one_note_loop(seed, count, brightness, fill):
     notes = random_notes(seed, count, brightness)
     sizes = [int(np.ceil(delay.max())) + 4 + len(delay) for _, _, delay in notes]
     budget = max(1, int(fill * sum(sizes)))
-    pairs = [(stringsynth._Note(k, rho, excitation), delay)
+    pairs = [(stringsynth._Note(k, rho, excitation, None), delay)
              for k, (rho, excitation, delay) in enumerate(notes)]
     with mock.patch.object(stringsynth, "GROUP_SAMPLES", budget), \
             mock.patch.object(stringsynth, "_synth_group",

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tabflow.config import load_config
 from tabflow.neuralnet import VelocityNet, no_grad
 from tabflow.neuralnet import tensor as T
 
@@ -55,9 +56,11 @@ def test_unet_conv_keys_match_benchmark_metrics(monkeypatch):
         return conv1d(x, w, b)
 
     monkeypatch.setattr(T, "conv1d", recording)
-    x = T.Tensor(np.zeros((2, 64, 352), dtype=np.float32))
+    cfg = load_config()
+    x = T.Tensor(np.zeros((2, cfg.dims, 352), dtype=np.float32))
     with no_grad():
-        VelocityNet(64)(x, T.Tensor(np.full(2, 0.5, dtype=np.float32)))
+        net = VelocityNet(cfg.dims, cfg.base_channels, cfg.seed)
+        net(x, T.Tensor(np.full(2, 0.5, dtype=np.float32)))
     prefix = "neuralnet.tensor.conv1d_fwd_s."
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     suffixes = [m["name"][len(prefix):] for m in metrics if m["name"].startswith(prefix)]
