@@ -206,7 +206,7 @@ def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
         raise DataError(f"{checkpoint}: checkpoint lacks parameters {', '.join(missing)}")
     for name, arr in params.items():
         if name not in shapes:
-            raise DataError(f"checkpoint parameter {name} not in model")
+            raise DataError(f"{checkpoint}: checkpoint parameter {name} not in model")
         if shapes[name] != arr.shape:
             raise DataError(f"{checkpoint}: parameter {name} has shape {arr.shape}, but "
                             f"'dims' {echo['dims']} and 'base_channels' "

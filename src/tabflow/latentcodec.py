@@ -36,7 +36,6 @@ import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct, idct
 
 from .errors import DataError
 from .stringsynth import MAX_RENDER_SECONDS, AudioBuffer
@@ -99,6 +98,7 @@ def encode(x: np.ndarray, dims: int) -> np.ndarray:
     """
     _check_dims(dims)
     if dims == FRAME_LEN:
+        from scipy.fft import dct  # loaded on first use: 64 dims need no scipy
         coeffs = dct(windowed_frames(x), type=2, norm="ortho", axis=-1, overwrite_x=True)
         return coeffs.swapaxes(-1, -2).copy()
     x = np.asarray(x)
@@ -154,6 +154,7 @@ def _synthesize(dz: np.ndarray) -> np.ndarray:
     """
     *lead, dims, n_frames = np.shape(dz)
     if dims == FRAME_LEN:
+        from scipy.fft import idct  # loaded on first use: 64 dims need no scipy
         # transformed and windowed in place: a stack's temporaries are large
         frames = idct(np.swapaxes(dz, -1, -2).copy(), type=2, norm="ortho", axis=-1,
                       overwrite_x=True)

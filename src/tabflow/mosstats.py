@@ -14,7 +14,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
 
 from .errors import DataError, NumericError
 
@@ -70,6 +69,7 @@ class RatingTable:
 
 def friedman(table: RatingTable) -> TestResult:
     """Friedman chi-square over within-block mid-ranks, tie corrected."""
+    from scipy.stats import chi2, rankdata  # loaded on first use: only stats needs it
     n, k = table.values.shape
     if k < 2 or n < 2:
         raise DataError(f"need >= 2 systems and >= 2 blocks, got {k} x {n}")
@@ -106,6 +106,7 @@ def _exact_signed_rank_p(double_ranks: np.ndarray, w_plus_doubled: int) -> float
 
 def wilcoxon_signed_rank(x, y, mode: str = "auto") -> TestResult:
     """Two-sided paired signed-rank test; zero differences are dropped."""
+    from scipy.stats import norm, rankdata  # loaded on first use: only stats needs it
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:

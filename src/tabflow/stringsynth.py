@@ -14,6 +14,11 @@ Python loop runs a few thousand times per score, not once per block of
 every note. Every sample is computed exactly as a loop over one note
 computes it, and the notes are mixed in event order, so the rendered bytes
 do not depend on the grouping.
+
+The pluck lowpass runs scipy.signal.lfilter's own recurrence as a scalar
+loop over each note's short burst, so rendering needs no scipy and its
+bytes do not depend on the installed scipy. amp_process filters whole files
+with lfilter, which it imports on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError
 from .tabscore import Score, TechniqueKind, event_pitch, midi_hz
@@ -229,6 +233,24 @@ def _synth_notes(notes: Iterable[tuple[_Note, np.ndarray]], a1: float, a2: float
         yield from _synth_group(buf, rows, a1, a2)
 
 
+def _one_pole_lowpass(x: np.ndarray, a: float) -> np.ndarray:
+    """lfilter([a], [1.0, -(1.0 - a)], x) in lfilter's own arithmetic, for
+    the few hundred samples of a pluck burst.
+
+    lfilter pads b to [a, 0.0] and runs transposed direct form II: each
+    sample is y = z + a*x, then z = 0.0*x - a1*y with a1 = -(1.0 - a). The
+    0.0*x term is kept so that signed zeros come out as lfilter's do.
+    """
+    a1 = -(1.0 - a)
+    y = []
+    z = 0.0
+    for v in x.tolist():
+        out = z + a * v
+        z = v * 0.0 - out * a1
+        y.append(out)
+    return np.array(y)
+
+
 def _notes(score: Score, style: RenderStyle, sample_rate: int,
            total: int) -> Iterator[tuple[_Note, np.ndarray]]:
     """Each event's note and per-sample loop delay, in event order.
@@ -289,7 +311,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
         excitation = rng.uniform(-1.0, 1.0, burst)
         if style.excitation_cutoff is not None:
             a_lp = 1.0 - np.exp(-2.0 * np.pi * style.excitation_cutoff / fs)
-            excitation = lfilter([a_lp], [1.0, -(1.0 - a_lp)], excitation)
+            excitation = _one_pole_lowpass(excitation, a_lp)
         excitation = (excitation - excitation.mean()) * amp
 
         pick = None
@@ -348,6 +370,9 @@ def amp_process(audio: AudioBuffer, drive: float, tone_cutoff: float) -> AudioBu
     x = audio.samples.astype(np.float64)
     y = np.tanh(drive * x)
     if tone_cutoff < audio.sample_rate / 2.0:
+        # imported here: only eval's amp condition filters, and scipy.signal
+        # costs about a second and 70 MB to load
+        from scipy.signal import lfilter
         a = 1.0 - np.exp(-2.0 * np.pi * tone_cutoff / audio.sample_rate)
         y = lfilter([a], [1.0, -(1.0 - a)], y)
     peak = np.max(np.abs(y)) if len(y) else 0.0

@@ -229,9 +229,9 @@ def test_default_transfer_codes_once_without_full_dct(tmp_path, monkeypatch):
 
     monkeypatch.setattr(latentcodec, "encode", counting("encode", latentcodec.encode))
     monkeypatch.setattr(latentcodec, "decode", counting("decode", latentcodec.decode))
-    for module in (latentcodec, scipy.fft):
-        monkeypatch.setattr(module, "dct", forbidden)
-        monkeypatch.setattr(module, "idct", forbidden)
+    # latentcodec looks dct and idct up in scipy.fft at call time
+    monkeypatch.setattr(scipy.fft, "dct", forbidden)
+    monkeypatch.setattr(scipy.fft, "idct", forbidden)
     cli.cmd_transfer(cfg, _zero_checkpoint(cfg, tmp_path / "zero.ckpt"), src, tmp_path / "out.wav")
     assert calls == [("encode", 64), ("decode", None)]
 
@@ -593,6 +593,18 @@ def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
     err = capsys.readouterr().err
     assert "lacks parameters out.w" in err and str(ckpt) in err
+    assert not out.exists()
+
+
+def test_main_transfer_checkpoint_extra_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
+    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
+    ckpt = tmp_path / "extra.ckpt"
+    params = {**net.params, "stray.w": net.params["out.w"]}
+    save_checkpoint(ckpt, params, None, {"dims": tiny_cfg.dims, "input_gain": 1.0,
+                                         "base_channels": tiny_cfg.base_channels})
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    assert f"{ckpt}: checkpoint parameter stray.w not in model" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -203,6 +203,22 @@ def test_render_golden_digests():
     assert got == GOLDEN_DIGESTS
 
 
+@pytest.mark.parametrize("cutoff, rate", [(PSEUDO_REAL.excitation_cutoff, FS),
+                                          (500.0, 22050), (8000.0, 48000), (150.0, 8000)])
+def test_pluck_lowpass_equals_lfilter_byte_for_byte(cutoff, rate):
+    """The scalar recurrence is lfilter's own arithmetic, so a render's bytes
+    do not depend on whether scipy filters the burst."""
+    from scipy.signal import lfilter
+    a = 1.0 - np.exp(-2.0 * np.pi * cutoff / rate)
+    rng = np.random.default_rng(int(cutoff) + rate)
+    bursts = [rng.uniform(-1.0, 1.0, n) for n in (1, 2, *rng.integers(1, 601, 300))]
+    signed_zeros = rng.uniform(-1.0, 1.0, 64)
+    signed_zeros[::3], signed_zeros[1::4] = 0.0, -0.0
+    for x in (*bursts, signed_zeros, np.full(8, -0.0)):
+        want = lfilter([a], [1.0, -(1.0 - a)], x)
+        assert stringsynth._one_pole_lowpass(x, a).tobytes() == want.tobytes()
+
+
 # --- lockstep synthesis against the one-note loop -------------------------------
 
 def one_note_loop(delay, a1, a2, rho, excitation):
