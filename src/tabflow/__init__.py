@@ -8,7 +8,7 @@ the learned ODE, and score the results with FAD / KAD / reconstruction
 distances plus nonparametric rating statistics.
 
 Latents and embeddings are plain arrays. encode maps an [N, size] chunk
-stack to [N, D, F] (D transform coefficients by F frames), the layout the
+stack to [N, 64, F] (64 transform coefficients by F frames), the layout the
 velocity net reads, and decode maps it back to samples. embed maps audio to
 [F, 64] float64 filterbank rows, one per frame, and fad, kad and
 recon_distance compare two such [M, E] arrays.

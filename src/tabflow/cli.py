@@ -131,9 +131,9 @@ def _paired_stems(dirs: dict[str, Path]) -> list[str]:
 
 
 def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
-    """[chunks, dims, frames] latents of one stem, in the UNet's channel layout."""
+    """[chunks, DIMS, frames] latents of one stem, in the UNet's channel layout."""
     audio = _load_audio(cfg, _audio_dir(cfg, style) / f"{stem}.wav")
-    return latentcodec.encode(latentcodec.chunk(audio, cfg.chunk_seconds), cfg.dims)
+    return latentcodec.encode(latentcodec.chunk(audio, cfg.chunk_seconds))
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -142,6 +142,13 @@ def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str],
     train = sorted(stems[i] for i in order[:n_train])
     test = sorted(stems[i] for i in order[n_train:])
     return train, test
+
+
+def _drain_concat(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.concatenate(arrays), emptying the list so its pieces can be freed."""
+    out = np.concatenate(arrays)
+    arrays.clear()
+    return out
 
 
 def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
@@ -157,15 +164,18 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
             raise DataError(f"chunk count mismatch for {stem}: {len(src)} vs {len(tgt)}")
         sources.append(src)
         targets.append(tgt)
+    del src, tgt
 
     t0 = time.perf_counter()
-    net, state, history = flowmatch.train(np.concatenate(sources),
-                                          np.concatenate(targets), cfg)
+    # the concatenations are passed as temporaries, which train drops once
+    # it has cast them, so no float64 latents live through training
+    net, state, history = flowmatch.train(_drain_concat(sources),
+                                          _drain_concat(targets), cfg)
     elapsed = time.perf_counter() - t0
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     ckpt = out_checkpoint or cfg.workdir / "model.ckpt"
-    echo = {"config_hash": cfg.hash(), "dims": cfg.dims,
+    echo = {"config_hash": cfg.hash(), "dims": net.dims,
             "base_channels": cfg.base_channels, "seed": cfg.seed,
             "input_gain": net.input_gain,
             "train_stems": train_stems, "test_stems": test_stems,
@@ -189,12 +199,15 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
 
 # ----------------------------------------------------------------- transfer
 
-def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
+def _load_net(checkpoint: Path) -> nn.VelocityNet:
     params, _, echo = nn.load_checkpoint(checkpoint)
     for key in ("dims", "base_channels"):
         if type(echo.get(key)) is not int or echo[key] < 1:
             raise DataError(f"{checkpoint}: config echo needs a positive int for "
                             f"{key!r}, got {echo.get(key)!r}")
+    if echo["dims"] != latentcodec.DIMS:
+        raise DataError(f"{checkpoint}: config echo 'dims' is {echo['dims']}, but the "
+                        f"codec's latent width is {latentcodec.DIMS}")
     gain = echo.get("input_gain")
     if type(gain) not in (int, float) or not 0 < gain < np.inf:  # NaN fails too
         raise DataError(f"{checkpoint}: config echo needs a positive number for "
@@ -216,7 +229,7 @@ def _load_net(checkpoint: Path) -> tuple[nn.VelocityNet, dict]:
                          input_gain=gain)
     for name, arr in params.items():
         net.params[name].data[...] = arr
-    return net, echo
+    return net
 
 
 def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
@@ -229,9 +242,7 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     input_path = Path(input_path)
     if not checkpoint.is_file():
         raise DataError(f"checkpoint not found: {checkpoint}")
-    net, echo = _load_net(checkpoint)
-    if net.dims != cfg.dims:
-        raise DataError(f"checkpoint dims {net.dims} do not match config dims {cfg.dims}")
+    net = _load_net(checkpoint)
 
     if input_path.suffix == ".gftab":
         audio = render(_read_score(input_path),
@@ -240,9 +251,9 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
         audio = _load_audio(cfg, input_path)
 
     chunks = latentcodec.chunk(audio, cfg.chunk_seconds)
-    # the flow moves the first cfg.dims coefficients of each frame; decode
-    # passes the source's other bands through unchanged
-    z = latentcodec.encode(chunks, cfg.dims)
+    # the flow moves the first latentcodec.DIMS coefficients of each frame;
+    # decode passes the source's other bands through unchanged
+    z = latentcodec.encode(chunks)
     moved, trace = flowmatch.transfer_batch(net, z, cfg.solver())
     print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
           f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")

@@ -2,7 +2,7 @@
 module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
 
-_TABLE is the one listing of the 23 keys: each row is (section, key, type,
+_TABLE is the one listing of the 22 keys: each row is (section, key, type,
 default text, rule), the type being Path, int, float or str, applied to the
 text as typ(text), and the rule a (predicate, condition) pair. The defaults,
 the PipelineConfig fields, the parsing and the checks all derive from it.
@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import odesolve
 from .errors import DataError, UsageError
-from .latentcodec import LATENT_DIMS
 from .stringsynth import MAX_RENDER_SECONDS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
 
 # rules shared by several keys; NaN fails every comparison
@@ -34,8 +33,6 @@ _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("paths", "scores_dir", Path, "scores", _PATH),
     ("paths", "audio_dir", Path, "audio", _PATH),
     ("paths", "workdir", Path, "work", _PATH),
-    ("latentcodec", "dims", int, "64",
-     (lambda v: v in LATENT_DIMS, "one of " + ", ".join(map(str, LATENT_DIMS)))),
     ("latentcodec", "chunk_seconds", float, "4.0", _SECONDS),
     ("flowmatch", "batch_size", int, "64", _POSITIVE),
     ("flowmatch", "lr", float, "0.0001", _POSITIVE),

@@ -87,9 +87,9 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     the net's dtype, [N, D, F] latents zero-padded on the frame axis by
     _pad_frame_axis in the same copy, so every batch is gathered and
     interpolated in that dtype (float32 for a VelocityNet) and reaches the
-    net without a cast. With no net, builds a VelocityNet from cfg (dims,
-    base_channels, seed) whose input_gain comes from the unpadded endpoints
-    as given. Reads batch_size, lr, epochs and seed from
+    net without a cast. With no net, builds a VelocityNet of D = x0.shape[1]
+    channels from cfg (base_channels, seed) whose input_gain comes from the
+    unpadded endpoints as given. Reads batch_size, lr, epochs and seed from
     cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
     steps with a ragged final batch (the batch is clamped to N).
     Deterministic for a fixed cfg.seed and BLAS thread count: OpenBLAS picks
@@ -100,7 +100,7 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     if x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
     if net is None:
-        net = nn.VelocityNet(cfg.dims, base_channels=cfg.base_channels, seed=cfg.seed,
+        net = nn.VelocityNet(x0.shape[1], base_channels=cfg.base_channels, seed=cfg.seed,
                              input_gain=input_gain_for(x0, x1))
     n = len(x0)
     batch = min(cfg.batch_size, n)

@@ -2,31 +2,30 @@
 
 Frames of 1024 samples at hop 512 are Hann windowed (periodic window, so the
 50% overlap-add sums to one) and transformed with an orthonormal DCT-II.
-Keeping all 1024 coefficients gives perfect interior reconstruction; keeping
-the first 64 gives the compact space the flow model trains in.
+The first DIMS = 64 coefficients of each frame are the compact space the
+flow model trains in.
 
 The codec works on plain arrays, in the layout the velocity net reads:
 chunk cuts audio into an [N, size] sample array, encode maps [..., n]
-samples to [..., D, F] latents (D coefficients by F frames; row d holds
-coefficient d of every frame, and frame k starts at sample k * FRAME_HOP),
-and decode maps a [..., D, F] latent change and its [..., n] source samples
-back to [..., n] samples. windowed_frames slices and windows the frames for
-the 1024-dim encode and audiodist.embed, so the latent and embedding frame
-grids always match.
+samples to [..., DIMS, F] latents (coefficient d of frame k in row d,
+column k; frame k starts at sample k * FRAME_HOP), and decode maps a
+[..., DIMS, F] latent change and its [..., n] source samples back to
+[..., n] samples. windowed_frames slices and windows the same frames for
+audiodist.embed, so the latent and embedding frame grids always match.
 
-The 64-dim encode skips the frame copy and the full DCT: frame k is the
-hop-long segments k and k + 1, so one GEMM of the [..., F + 1, FRAME_HOP]
-segment view with the windowed basis, its first and second halves side by
-side, gives both halves' products, and coefficient row f is the first-half
+encode skips the frame copy and the full DCT: frame k is the hop-long
+segments k and k + 1, so one GEMM of the [..., F + 1, FRAME_HOP] segment
+view with the windowed basis, its first and second halves side by side,
+gives both halves' products, and coefficient row f is the first-half
 product of segment f plus the second-half product of segment f + 1.
 
 decode never transforms the band it leaves alone. Analysis and synthesis
 windows are both Hann, so resynthesizing all 1024 coefficients of the
 source gives x times the overlap-added squared window W; decode adds the
-synthesis of the change alone and divides by max(W, 0.25). At 64 dims that
-synthesis mirrors the encode: one GEMM of each frame's coefficients beside
-the previous frame's with the transposed half-frame basis gives every
-hop-long segment at once.
+synthesis of the change alone and divides by max(W, 0.25). That synthesis
+mirrors the encode: one GEMM of each frame's coefficients beside the
+previous frame's with the transposed half-frame basis gives every hop-long
+segment at once.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .stringsynth import MAX_RENDER_SECONDS, AudioBuffer
 
 FRAME_LEN = 1024
 FRAME_HOP = 512
-LATENT_DIMS = (64, 1024)
+DIMS = 64
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -50,11 +49,6 @@ def hann_periodic(n: int) -> np.ndarray:
 
 
 _WINDOW = hann_periodic(FRAME_LEN)
-
-
-def _check_dims(dims: int) -> None:
-    if dims not in LATENT_DIMS:
-        raise DataError(f"latent dims must be one of {LATENT_DIMS}, got {dims}")
 
 
 def frame_count(n_samples: int) -> int:
@@ -72,14 +66,14 @@ def windowed_frames(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _half_frame_basis(dims: int) -> np.ndarray:
-    """[FRAME_HOP, 2 * dims] read-only windowed orthonormal DCT-II basis,
-    coefficients 0..dims-1: rows are a frame's first half of samples beside
-    its second half; built once per dims."""
+def _half_frame_basis() -> np.ndarray:
+    """[FRAME_HOP, 2 * DIMS] read-only windowed orthonormal DCT-II basis,
+    coefficients 0..DIMS-1: rows are a frame's first half of samples beside
+    its second half; built once."""
     n = np.arange(FRAME_LEN)[:, None]
     # the angle pi * (2n + 1) * c / (2 * FRAME_LEN) reduced to one period in
     # exact integers first: cos of the unreduced angle is 50x further off
-    turns = (2 * n + 1) * np.arange(dims) % (4 * FRAME_LEN)
+    turns = (2 * n + 1) * np.arange(DIMS) % (4 * FRAME_LEN)
     basis = np.cos(np.pi * turns / (2 * FRAME_LEN)) * np.sqrt(2.0 / FRAME_LEN)
     basis[:, 0] = np.sqrt(1.0 / FRAME_LEN)
     basis *= _WINDOW[:, None]
@@ -88,52 +82,48 @@ def _half_frame_basis(dims: int) -> np.ndarray:
     return out
 
 
-def encode(x: np.ndarray, dims: int) -> np.ndarray:
-    """[..., n] samples -> owned [..., dims, F] float64 latents: the windowed
-    orthonormal DCT-II of each frame, truncated to the first dims.
-
-    64 dims run one GEMM of the hop-long segments with the half-frame basis.
-    1024 dims run the FFT DCT of the windowed frames: there the basis GEMM
-    would cost 2.9 GFLOP per stack of four 4-s chunks, more than the FFT.
-    """
-    _check_dims(dims)
-    if dims == FRAME_LEN:
-        from scipy.fft import dct  # loaded on first use: 64 dims need no scipy
-        coeffs = dct(windowed_frames(x), type=2, norm="ortho", axis=-1, overwrite_x=True)
-        return coeffs.swapaxes(-1, -2).copy()
+def encode(x: np.ndarray) -> np.ndarray:
+    """[..., n] samples -> owned [..., DIMS, F] float64 latents: the first
+    DIMS coefficients of the windowed orthonormal DCT-II of each frame, by
+    one GEMM of the hop-long segments with the half-frame basis."""
     x = np.asarray(x)
     *lead, n = x.shape
     n_frames = frame_count(n)
     segments = x[..., :(n_frames + 1) * FRAME_HOP].reshape(*lead, n_frames + 1, FRAME_HOP)
-    halves = segments @ _half_frame_basis(dims)        # [..., F + 1, 2 * dims]
-    z = np.empty((*lead, dims, n_frames))
-    np.add(halves[..., :-1, :dims], halves[..., 1:, dims:], out=z.swapaxes(-1, -2))
+    halves = segments @ _half_frame_basis()        # [..., F + 1, 2 * DIMS]
+    z = np.empty((*lead, DIMS, n_frames))
+    np.add(halves[..., :-1, :DIMS], halves[..., 1:, DIMS:], out=z.swapaxes(-1, -2))
     return z
 
 
 def decode(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[..., D, F] latent change dz of the [..., n] source samples x ->
-    [..., n] float32 samples: x with the first D coefficients of each frame
-    moved by dz, summed in float64 and rounded once.
+    """[..., DIMS, F] latent change dz of the [..., n] source samples x ->
+    [..., n] float32 samples: x with the first DIMS coefficients of each
+    frame moved by dz, summed in float64 and rounded once.
 
     This is (x * W + OLA(synth(dz))) / max(W, 0.25), W being the overlap-added
-    squared window: the 1024-dim encode of x with its first D rows moved,
-    decoded by IDCT and synthesis-windowed overlap-add, without either
-    1024-point transform. Where dz is zero, interior samples (half a frame in
-    from each edge) come back exactly; samples past the last frame, less than
-    a hop, are zero. The synthesis window tapers frame edges instead of
-    letting the edge normalization amplify content the analysis window never
-    produced.
+    squared window: the full 1024-coefficient DCT of x with its first DIMS
+    rows moved, decoded by IDCT and synthesis-windowed overlap-add, without
+    either 1024-point transform. Where dz is zero, interior samples (half a
+    frame in from each edge) come back exactly; samples past the last frame,
+    less than a hop, are zero. The synthesis window tapers frame edges
+    instead of letting the edge normalization amplify content the analysis
+    window never produced.
     """
     *lead, dims, n_frames = np.shape(dz)
-    _check_dims(dims)
+    if dims != DIMS:
+        raise DataError(f"latent change has {dims} dims; the codec keeps {DIMS}")
     x = np.asarray(x)
     if frame_count(x.shape[-1]) != n_frames:
         raise DataError(f"latent change has {n_frames} frames but its source "
                         f"has {frame_count(x.shape[-1])}")
     span = (n_frames + 1) * FRAME_HOP
     moved = _synthesize(dz)
-    weight = _overlap_add(np.broadcast_to(_WINDOW * _WINDOW, (n_frames, FRAME_LEN)))
+    # W: each hop-long segment is the second half of one frame's squared
+    # window plus the first half of the next frame's
+    first, second = (_WINDOW * _WINDOW).reshape(2, FRAME_HOP)
+    weight = np.tile(second + first, n_frames + 1)
+    weight[:FRAME_HOP], weight[-FRAME_HOP:] = first, second
     moved += x[..., :span] * weight
     # interior double coverage keeps W >= 0.5; the floor only tapers the
     # half-frame chunk edges
@@ -144,39 +134,19 @@ def decode(dz: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _synthesize(dz: np.ndarray) -> np.ndarray:
-    """[..., D, F] coefficients -> [..., (F + 1) * FRAME_HOP] overlap-add of
-    their synthesis-windowed inverse-DCT frames.
-
-    64 dims mirror encode: hop-long segment s is frame s's first half plus
-    frame s - 1's second half, so one GEMM of the [..., F + 1, 2 * D] pairs
-    (frame s's coefficients beside frame s - 1's) with the transposed
-    half-frame basis gives the segments. 1024 dims run the FFT IDCT.
+    """[..., DIMS, F] coefficients -> [..., (F + 1) * FRAME_HOP] overlap-add
+    of their synthesis-windowed inverse-DCT frames, mirroring encode:
+    hop-long segment s is frame s's first half plus frame s - 1's second
+    half, so one GEMM of the [..., F + 1, 2 * DIMS] pairs (frame s's
+    coefficients beside frame s - 1's) with the transposed half-frame basis
+    gives the segments.
     """
-    *lead, dims, n_frames = np.shape(dz)
-    if dims == FRAME_LEN:
-        from scipy.fft import idct  # loaded on first use: 64 dims need no scipy
-        # transformed and windowed in place: a stack's temporaries are large
-        frames = idct(np.swapaxes(dz, -1, -2).copy(), type=2, norm="ortho", axis=-1,
-                      overwrite_x=True)
-        frames *= _WINDOW
-        return _overlap_add(frames)
-    pairs = np.zeros((*lead, n_frames + 1, 2 * dims))
-    pairs[..., :-1, :dims] = np.swapaxes(dz, -1, -2)
-    pairs[..., 1:, dims:] = np.swapaxes(dz, -1, -2)
-    segments = pairs.reshape(-1, 2 * dims) @ _half_frame_basis(dims).T
+    *lead, _, n_frames = np.shape(dz)
+    pairs = np.zeros((*lead, n_frames + 1, 2 * DIMS))
+    pairs[..., :-1, :DIMS] = np.swapaxes(dz, -1, -2)
+    pairs[..., 1:, DIMS:] = np.swapaxes(dz, -1, -2)
+    segments = pairs.reshape(-1, 2 * DIMS) @ _half_frame_basis().T
     return segments.reshape(*lead, -1)
-
-
-def _overlap_add(frames: np.ndarray) -> np.ndarray:
-    """Sum [..., F, FRAME_LEN] frames at FRAME_HOP into [..., (F + 1) * FRAME_HOP]
-    samples: every hop-long segment is the second half of one frame plus the
-    first half of the next."""
-    *lead, n_frames, _ = frames.shape
-    halves = frames.reshape(*lead, n_frames, 2, FRAME_HOP)
-    out = np.zeros((*lead, n_frames + 1, FRAME_HOP))
-    out[..., 1:, :] += halves[..., 1, :]
-    out[..., :-1, :] += halves[..., 0, :]
-    return out.reshape(*lead, -1)
 
 
 def chunk(audio: AudioBuffer, seconds: float) -> np.ndarray:
@@ -218,8 +188,8 @@ def load_latent(path) -> tuple[np.ndarray, int]:
                         f"the codec uses hop {FRAME_HOP}, length {FRAME_LEN}")
     if f < 1:
         raise DataError(f"{path}: latent has no frames")
-    if d not in LATENT_DIMS:
-        raise DataError(f"{path}: latent dims must be one of {LATENT_DIMS}, got {d}")
+    if d != DIMS:
+        raise DataError(f"{path}: latent has {d} dims; the codec keeps {DIMS}")
     if data.size != f * d:
         raise DataError(f"{path}: expected {f * d} coefficients, found {data.size}")
     if not np.all(np.isfinite(data)):

@@ -65,7 +65,7 @@ def test_sine_activates_band_containing_440():
 def test_frame_count_matches_codec():
     rng = np.random.default_rng(0)
     audio = AudioBuffer(rng.uniform(-0.3, 0.3, 50000), FS)
-    assert len(embed(audio)) == encode(audio.samples, 64).shape[-1]
+    assert len(embed(audio)) == encode(audio.samples).shape[-1]
 
 
 def test_embed_rejects_short_audio():

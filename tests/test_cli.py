@@ -5,7 +5,6 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from tabflow import audiodist, cli, flowmatch, latentcodec, wavio
 from tabflow.config import load_config
@@ -26,8 +25,8 @@ def tiny_cfg(tmp_path):
 
 
 def _zero_checkpoint(cfg, path):
-    net = VelocityNet(cfg.dims, base_channels=cfg.base_channels, seed=0)
-    echo = {"config_hash": cfg.hash(), "dims": cfg.dims,
+    net = VelocityNet(latentcodec.DIMS, base_channels=cfg.base_channels, seed=0)
+    echo = {"config_hash": cfg.hash(), "dims": latentcodec.DIMS,
             "base_channels": cfg.base_channels, "seed": 0, "input_gain": 1.0}
     save_checkpoint(path, net.params, AdamState(lr=cfg.lr), echo)
     return path
@@ -191,8 +190,7 @@ def test_transfer_crops_chunk_padding_to_input_length(tiny_cfg, tmp_path):
 
 
 def test_transfer_moves_the_latents_train_encodes(tiny_cfg, tmp_path, monkeypatch):
-    """The flow starts from the bytes _encode_stem trains on, not from a
-    truncated 1024-dim analysis."""
+    """The flow starts from the bytes _encode_stem trains on."""
     stem = cli.cmd_synthdata(tiny_cfg)[0]
     seen = []
     real = flowmatch.transfer_batch
@@ -210,8 +208,8 @@ def test_transfer_moves_the_latents_train_encodes(tiny_cfg, tmp_path, monkeypatc
 
 
 def test_default_transfer_codes_once_without_full_dct(tmp_path, monkeypatch):
-    """One 64-dim encode and one decode per file, and no 1024-point DCT or
-    IDCT: perfbench's encode_calls and decode_calls count these."""
+    """One encode and one decode per file: perfbench's encode_calls and
+    decode_calls count these."""
     cfg = load_config(None, {"paths": {"workdir": str(tmp_path / "work")}})
     x = np.random.default_rng(3).uniform(-0.5, 0.5, int(5.5 * cfg.sample_rate))
     src = tmp_path / "in.wav"
@@ -220,32 +218,35 @@ def test_default_transfer_codes_once_without_full_dct(tmp_path, monkeypatch):
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, args[1] if name == "encode" else None))
+            calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("full-band DCT called")
-
     monkeypatch.setattr(latentcodec, "encode", counting("encode", latentcodec.encode))
     monkeypatch.setattr(latentcodec, "decode", counting("decode", latentcodec.decode))
-    # latentcodec looks dct and idct up in scipy.fft at call time
-    monkeypatch.setattr(scipy.fft, "dct", forbidden)
-    monkeypatch.setattr(scipy.fft, "idct", forbidden)
     cli.cmd_transfer(cfg, _zero_checkpoint(cfg, tmp_path / "zero.ckpt"), src, tmp_path / "out.wav")
-    assert calls == [("encode", 64), ("decode", None)]
+    assert calls == ["encode", "decode"]
 
 
-def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path):
+def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path, monkeypatch, capsys):
+    """A checkpoint of another latent width is refused before a net is built."""
     from tabflow.errors import DataError
-    cli.cmd_synthdata(tiny_cfg)
-    net = VelocityNet(1024, base_channels=4, seed=0)
+    net = VelocityNet(32, base_channels=4, seed=0)
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, net.params, None,
-                    {"dims": 1024, "base_channels": 4, "input_gain": 1.0})
+                    {"dims": 32, "base_channels": 4, "input_gain": 1.0})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("net built for a rejected checkpoint")
+
+    monkeypatch.setattr(cli.nn, "VelocityNet", forbidden)
+    src, out = _noise_wav(tmp_path / "in.wav"), tmp_path / "x.wav"
     with pytest.raises(DataError, match="dims"):
-        cli.cmd_transfer(tiny_cfg, bad, cli._audio_dir(tiny_cfg, "synthetic") / "score_000.wav",
-                         tmp_path / "x.wav")
+        cli.cmd_transfer(tiny_cfg, bad, src, out)
+    assert cli.main(_transfer_argv(tiny_cfg, bad, src, out)) == 2
+    err = capsys.readouterr().err
+    assert "'dims' is 32" in err and str(bad) in err
+    assert not out.exists()
 
 
 def test_eval_self_distance_zero(tiny_cfg, capsys):
@@ -583,10 +584,10 @@ def test_main_eval_wrong_sample_rate_is_exit_2(tmp_path, capsys):
 
 
 def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
-    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "headless.ckpt"
     params = {name: p for name, p in net.params.items() if name != "out.w"}
-    save_checkpoint(ckpt, params, None, {"dims": tiny_cfg.dims, "input_gain": 1.0,
+    save_checkpoint(ckpt, params, None, {"dims": latentcodec.DIMS, "input_gain": 1.0,
                                          "base_channels": tiny_cfg.base_channels})
     src = _noise_wav(tmp_path / "in.wav")
     out = tmp_path / "o.wav"
@@ -597,10 +598,10 @@ def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path
 
 
 def test_main_transfer_checkpoint_extra_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
-    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "extra.ckpt"
     params = {**net.params, "stray.w": net.params["out.w"]}
-    save_checkpoint(ckpt, params, None, {"dims": tiny_cfg.dims, "input_gain": 1.0,
+    save_checkpoint(ckpt, params, None, {"dims": latentcodec.DIMS, "input_gain": 1.0,
                                          "base_channels": tiny_cfg.base_channels})
     out = tmp_path / "o.wav"
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
@@ -617,8 +618,8 @@ def test_main_transfer_bad_checkpoint_echo_is_exit_2(tiny_cfg, tmp_path, capsys,
     """The echo's ints are checked against the checkpoint's array shapes
     before the net is built: a net of base_channels 10**9 or dims 10**12
     would ask for terabytes, and 4.7 is not truncated to 4."""
-    net = VelocityNet(tiny_cfg.dims, base_channels=tiny_cfg.base_channels, seed=0)
-    echo = {"dims": tiny_cfg.dims, "base_channels": tiny_cfg.base_channels,
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
+    echo = {"dims": latentcodec.DIMS, "base_channels": tiny_cfg.base_channels,
             "input_gain": 1.0}
     if value is None:
         del echo[key]

@@ -1,8 +1,10 @@
-"""Rendering, training and a 64-dim transfer load no heavy scipy module.
+"""synthdata, train and transfer load no heavy scipy module.
 
 scipy.signal, scipy.stats and scipy.fft cost over a second and about 70 MB
-to import, so only amp_process, the rating statistics and the 1024-dim codec
-import them, on first use. A fresh interpreter shows what a command loads.
+to import, so only amp_process and the rating statistics import them, on
+first use. A fresh interpreter shows what a command loads: here synthdata
+renders both styles, train encodes them, and transfer encodes and decodes,
+at test_cli.py's tiny config.
 """
 
 import os
@@ -12,28 +14,42 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
+_TINY_INI = """\
+[synthdata]
+n_scores = 2
+score_seconds = 6.0
+[flowmatch]
+epochs = 2
+batch_size = 4
+base_channels = 8
+[odesolve]
+solver = euler
+steps = 8
+"""
+
 _PROGRAM = """
 import sys
-import numpy as np
-import tabflow.cli
-from tabflow import decode, encode, render
-from tabflow.config import load_config
-from tabflow.stringsynth import STYLE_PRESETS
-from tabflow.tabscore import NoteEvent, Score
+from pathlib import Path
+from tabflow.cli import main
 
-score = Score(events=(NoteEvent(0, 960, 6, 0), NoteEvent(480, 960, 2, 5)))
-rate = load_config().sample_rate
-for style in STYLE_PRESETS.values():
-    x = render(score, style, rate).samples[None]
-    z = encode(x, 64)
-    decode(np.zeros_like(z), x)
-print(" ".join(m for m in ("scipy.signal", "scipy.stats", "scipy.fft") if m in sys.modules))
+ini, work = sys.argv[1], Path(sys.argv[2])
+common = ["--config", ini, "--workdir", str(work)]
+assert main(common + ["synthdata"]) == 0
+assert main(common + ["train"]) == 0
+stem = work / "audio" / "synthetic" / "score_000.wav"
+assert main(common + ["transfer", str(work / "model.ckpt"), str(stem),
+                      str(work / "out.wav")]) == 0
+print("loaded:", *(m for m in ("scipy.signal", "scipy.stats", "scipy.fft")
+                   if m in sys.modules))
 """
 
 
-def test_render_and_64_dim_codec_load_no_heavy_scipy_module():
+def test_render_and_64_dim_codec_load_no_heavy_scipy_module(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(_TINY_INI)
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
-    done = subprocess.run([sys.executable, "-c", _PROGRAM], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _PROGRAM, str(ini), str(tmp_path / "work")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert (tmp_path / "work" / "out.wav").is_file()
+    assert done.stdout.splitlines()[-1] == "loaded:"

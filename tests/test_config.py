@@ -17,20 +17,19 @@ def test_defaults_match_pipeline_settings():
     assert cfg.lr == pytest.approx(1e-4)
     assert cfg.epochs == 50
     assert cfg.steps == 100
-    assert cfg.dims == 64
     assert cfg.sample_rate == 44100
     assert cfg.normalize_db == -9.0
     assert isinstance(cfg.solver(), Dopri5)
     expected = {
         "scores_dir": Path("scores"), "audio_dir": Path("audio"), "workdir": Path("work"),
-        "dims": 64, "chunk_seconds": 4.0,
+        "chunk_seconds": 4.0,
         "batch_size": 64, "lr": 0.0001, "epochs": 50, "base_channels": 32,
         "solver_name": "dopri5", "steps": 100, "rtol": 0.0001, "atol": 0.0001,
         "max_steps": 10000, "sample_rate": 44100, "amp_drive": 6.0,
         "amp_tone_cutoff": 5000.0, "normalize_db": -9.0, "kad_max_frames": 2048,
         "n_scores": 10, "score_seconds": 60.0, "seed": 0, "train_split": 0.9,
     }
-    assert len(expected) == 23
+    assert len(expected) == 22
     for name, value in expected.items():
         got = getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
@@ -52,6 +51,9 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(ini)
     ini.write_text("[nosuch]\nx = 1\n")
     with pytest.raises(UsageError, match="unknown config section"):
+        load_config(ini)
+    ini.write_text("[latentcodec]\ndims = 64\n")  # the latent width is a constant
+    with pytest.raises(UsageError, match="unknown config key"):
         load_config(ini)
 
 
@@ -82,7 +84,7 @@ def test_hash_stable_and_sensitive():
     c = load_config(None, {"flowmatch": {"epochs": "49"}})
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
-    assert load_config().hash() == "454bd2fc9f41682b"
+    assert load_config().hash() == "0a903b362bdaaa16"
 
 
 def with_updates(cfg, **sections):
@@ -105,7 +107,7 @@ def test_with_updates_rederives():
 # one value outside the rule of each row that has one
 _OUT_OF_RANGE = {
     "scores_dir": "sc\0ores", "audio_dir": "au\0dio", "workdir": "wo\0rk",
-    "dims": "32", "chunk_seconds": "0", "batch_size": "0", "lr": "-0.0001",
+    "chunk_seconds": "0", "batch_size": "0", "lr": "-0.0001",
     "epochs": "0", "base_channels": "-8", "steps": "0", "rtol": "nan", "atol": "-1",
     "max_steps": "0", "sample_rate": "7999", "amp_drive": "0", "amp_tone_cutoff": "nan",
     "normalize_db": "inf", "kad_max_frames": "1", "n_scores": "0", "score_seconds": "inf",

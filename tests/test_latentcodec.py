@@ -8,10 +8,10 @@ from scipy.fft import dct, idct
 from tabflow.errors import DataError
 from tabflow.latentcodec import (chunk, decode, encode, frame_count, load_latent,
                                  save_latent, windowed_frames,
-                                 FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
+                                 DIMS, FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
 
-from oracles import cents_between, oracle_dct, oracle_pitch, rms_db
+from oracles import cents_between, oracle_dct, oracle_pitch
 
 FS = 44100
 
@@ -21,7 +21,7 @@ def _noise(n, seed=0, amp=0.5):
 
 
 def test_four_second_chunk_has_343_frames():
-    z = encode(_noise(4 * FS), 64)
+    z = encode(_noise(4 * FS))
     assert z.shape == (64, 343)
     assert z.shape[-1] == (176400 - 1024) // 512 + 1
 
@@ -33,11 +33,11 @@ def test_frame_count_formula_property():
 
 def test_encode_rejects_short_audio():
     with pytest.raises(DataError, match="shorter than one frame"):
-        encode(_noise(1023), 64)
+        encode(_noise(1023))
 
 
 def test_all_zero_audio_encodes_to_zero_latent():
-    assert np.array_equal(encode(np.zeros(4096), 64), np.zeros((64, 7)))
+    assert np.array_equal(encode(np.zeros(4096)), np.zeros((64, 7)))
 
 
 def test_all_zero_latent_decodes_to_silence():
@@ -45,7 +45,7 @@ def test_all_zero_latent_decodes_to_silence():
 
 
 @pytest.mark.parametrize("size", [1024, 5000, 4 * FS])
-@pytest.mark.parametrize("dims", [64, 1024])
+@pytest.mark.parametrize("dims", [DIMS])
 def test_zero_change_returns_source_interior_bit_for_bit(size, dims):
     x = _noise(size, seed=size).astype(np.float32)
     n_frames = frame_count(size)
@@ -106,34 +106,27 @@ def assert_within_one_ulp(got, want):
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 40])
-@pytest.mark.parametrize("dims", [64, 1024])
+@pytest.mark.parametrize("dims", [DIMS])
 def test_decode_matches_frame_loop(n_frames, dims):
-    """Silent source: decode is the synthesis of z alone. 1024 dims run the
-    IDCT the loop runs, so the bytes agree; 64 dims synthesize by GEMM, whose
-    float64 sums may round to the neighbouring float32."""
+    """Silent source: decode is the synthesis of z alone. It synthesizes by
+    GEMM, whose float64 sums may round to the neighbouring float32."""
     z = np.random.default_rng(n_frames + dims).standard_normal((n_frames, dims)).T
     got = decode(z, np.zeros((n_frames + 1) * FRAME_HOP))
-    if dims == FRAME_LEN:
-        assert got.tobytes() == loop_decode(z).tobytes()
-    else:
-        assert_within_one_ulp(got, loop_decode(z))
+    assert_within_one_ulp(got, loop_decode(z))
 
 
-@given(size=st.integers(1024, 6000), dims=st.sampled_from([64, 1024]),
-       seed=st.integers(0, 2 ** 16))
-@example(size=1024, dims=64, seed=0)  # one frame
-@example(size=1024, dims=1024, seed=0)
-@example(size=5000, dims=64, seed=1)  # not a whole number of hops
-@example(size=5000, dims=1024, seed=1)
+@given(size=st.integers(1024, 6000), seed=st.integers(0, 2 ** 16))
+@example(size=1024, seed=0)  # one frame
+@example(size=5000, seed=1)  # not a whole number of hops
 @settings(max_examples=25, deadline=None)
-def test_decode_matches_full_band_round_trip(size, dims, seed):
-    """decode(dz, x) is the 1024-dim encode of x with its first dims rows
-    moved by dz, decoded by IDCT, and zeros past the last frame."""
+def test_decode_matches_full_band_round_trip(size, seed):
+    """decode(dz, x) is the full 1024-coefficient DCT of x with its first
+    DIMS rows moved by dz, decoded by IDCT, and zeros past the last frame."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size).astype(np.float32)
-    full = encode(x, 1024)
-    dz = 0.1 * rng.standard_normal((dims, full.shape[-1]))
-    full[:dims] += dz
+    full = dct(windowed_frames(x), type=2, norm="ortho", axis=-1).T
+    dz = 0.1 * rng.standard_normal((DIMS, full.shape[-1]))
+    full[:DIMS] += dz
     want = np.zeros(size, dtype=np.float32)
     decoded = loop_decode(full)
     want[:len(decoded)] = decoded
@@ -141,15 +134,14 @@ def test_decode_matches_full_band_round_trip(size, dims, seed):
 
 
 @given(n_chunks=st.integers(1, 4), size=st.integers(1024, 6000),
-       dims=st.sampled_from([64, 1024]), seed=st.integers(0, 2 ** 16),
-       f32=st.booleans())
+       seed=st.integers(0, 2 ** 16), f32=st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_stack_codec_matches_per_row_calls(n_chunks, size, dims, seed, f32):
+def test_stack_codec_matches_per_row_calls(n_chunks, size, seed, f32):
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_chunks, size))
     x = x.astype(np.float32) if f32 else x
-    z = encode(x, dims)
-    assert z.shape == (n_chunks, dims, frame_count(size)) and z.flags.owndata
-    rows = [encode(row, dims) for row in x]
+    z = encode(x)
+    assert z.shape == (n_chunks, DIMS, frame_count(size)) and z.flags.owndata
+    rows = [encode(row) for row in x]
     assert z.tobytes() == np.stack(rows).tobytes()
     assert decode(z, x).tobytes() == np.stack([decode(r, row) for r, row in zip(rows, x)]).tobytes()
 
@@ -163,8 +155,8 @@ def test_64_dim_encode_matches_dct_of_windowed_frames(n_chunks, size, seed, f32)
     """The half-frame GEMM gives the FFT DCT's leading 64 coefficients."""
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_chunks, size))
     x = x.astype(np.float32) if f32 else x
-    z = encode(x, 64)
-    want = dct(windowed_frames(x), type=2, norm="ortho", axis=-1)[..., :64].swapaxes(-1, -2)
+    z = encode(x)
+    want = dct(windowed_frames(x), type=2, norm="ortho", axis=-1)[..., :DIMS].swapaxes(-1, -2)
     assert z.shape == want.shape and z.dtype == np.float64
     assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -172,10 +164,10 @@ def test_64_dim_encode_matches_dct_of_windowed_frames(n_chunks, size, seed, f32)
 def test_impulse_frame_zero_matches_windowed_dct():
     x = np.zeros(4096)
     x[0] = 1.0
-    z = encode(x, 1024)
+    z = encode(x)
     windowed = np.zeros(FRAME_LEN)
     windowed[0] = hann_periodic(FRAME_LEN)[0]
-    np.testing.assert_allclose(z[:, 0], oracle_dct(windowed), atol=1e-12)
+    np.testing.assert_allclose(z[:, 0], oracle_dct(windowed)[:DIMS], atol=1e-12)
     # frames 2+ never see sample 0
     assert np.abs(z[:, 2:]).max() == 0.0
 
@@ -183,25 +175,17 @@ def test_impulse_frame_zero_matches_windowed_dct():
 def test_codec_matches_direct_sum_dct_oracle():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(2048)
-    z = encode(x, 1024)
+    z = encode(x)
     frame0 = x[:FRAME_LEN] * hann_periodic(FRAME_LEN)
-    expected = oracle_dct(frame0)
+    expected = oracle_dct(frame0)[:DIMS]
     worst = np.max(np.abs(z[:, 0] - expected)) / np.max(np.abs(expected))
     assert worst < 1e-9
-
-
-def test_full_mode_round_trip_below_minus_80_dbfs():
-    x = _noise(4 * FS, seed=3)
-    out = decode(encode(x, 1024), np.zeros_like(x)).astype(np.float64)
-    span = (frame_count(len(x)) + 1) * FRAME_HOP  # zeros follow the last frame
-    err = out[512:span - 512] - x[512:span - 512]
-    assert rms_db(err) < -80.0
 
 
 def test_lossy_mode_preserves_fundamental():
     t = np.arange(4 * FS) / FS
     x = 0.5 * np.sin(2 * np.pi * 440.0 * t)
-    out = decode(encode(x, 64), np.zeros_like(x))
+    out = decode(encode(x), np.zeros_like(x))
     f = oracle_pitch(out[FS:2 * FS], FS)
     assert abs(cents_between(f, 440.0)) < 5.0
 
@@ -210,19 +194,8 @@ def test_encode_linearity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(8192)
     y = rng.standard_normal(8192)
-    np.testing.assert_allclose(encode(2.0 * x - 0.5 * y, 64),
-                               2.0 * encode(x, 64) - 0.5 * encode(y, 64), atol=1e-12)
-
-
-def test_orthonormal_energy_per_frame():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(4096)
-    z = encode(x, 1024)
-    w = hann_periodic(FRAME_LEN)
-    for k in range(z.shape[-1]):
-        frame = x[k * 512:k * 512 + FRAME_LEN] * w
-        rel = abs(np.linalg.norm(z[:, k]) - np.linalg.norm(frame))
-        assert rel / np.linalg.norm(frame) < 1e-9
+    np.testing.assert_allclose(encode(2.0 * x - 0.5 * y),
+                               2.0 * encode(x) - 0.5 * encode(y), atol=1e-12)
 
 
 def test_chunk_arithmetic():
@@ -243,26 +216,24 @@ def test_exact_multiple_needs_no_padding():
 @given(st.integers(1024, 20000))
 @settings(max_examples=30, deadline=None)
 def test_frame_count_matches_closed_form(n):
-    z = encode(_noise(n, seed=n % 7), 64)
+    z = encode(_noise(n, seed=n % 7))
     assert z.shape[-1] == (n - 1024) // 512 + 1
 
 
 def test_latent_dims_validated():
-    with pytest.raises(DataError, match="dims"):
-        encode(_noise(4096), 100)
-    with pytest.raises(DataError, match="dims"):
-        decode(np.zeros((10, 3)), np.zeros(2048))
+    for dims in (10, FRAME_LEN):
+        with pytest.raises(DataError, match="dims"):
+            decode(np.zeros((dims, 3)), np.zeros(2048))
 
 
 def test_encode_returns_owned_frames():
-    # a view would keep the whole FRAME_LEN-coefficient DCT alive
-    for dims in (64, 1024):
-        assert encode(_noise(8192), dims).flags.owndata
-        assert encode(_noise(1024), dims).flags.owndata  # one frame
+    # a view would keep the [F + 1, 2 * DIMS] half-frame products alive
+    assert encode(_noise(8192)).flags.owndata
+    assert encode(_noise(1024)).flags.owndata  # one frame
 
 
 def test_latent_cache_round_trip(tmp_path):
-    z = encode(_noise(8192, seed=8), 64)
+    z = encode(_noise(8192, seed=8))
     path = tmp_path / "x.chunk0.lat"
     save_latent(path, z, FS)
     data = path.read_bytes()
@@ -276,7 +247,7 @@ def test_latent_cache_round_trip(tmp_path):
 
 def test_latent_file_with_other_framing_rejected(tmp_path):
     path = tmp_path / "x.chunk0.lat"
-    save_latent(path, encode(_noise(8192), 64), FS)
+    save_latent(path, encode(_noise(8192)), FS)
     data = bytearray(path.read_bytes())
     data[8:12] = struct.pack("<I", 256)  # header hop field
     path.write_bytes(bytes(data))
@@ -286,7 +257,7 @@ def test_latent_file_with_other_framing_rejected(tmp_path):
 
 def test_latent_cache_rejects_truncation(tmp_path):
     path = tmp_path / "x.chunk0.lat"
-    save_latent(path, encode(_noise(8192), 64), FS)
+    save_latent(path, encode(_noise(8192)), FS)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(DataError, match="coefficients"):

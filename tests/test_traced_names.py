@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from tabflow.config import load_config
+from tabflow.latentcodec import DIMS
 from tabflow.neuralnet import VelocityNet, no_grad
 from tabflow.neuralnet import tensor as T
 
@@ -57,9 +58,9 @@ def test_unet_conv_keys_match_benchmark_metrics(monkeypatch):
 
     monkeypatch.setattr(T, "conv1d", recording)
     cfg = load_config()
-    x = T.Tensor(np.zeros((2, cfg.dims, 352), dtype=np.float32))
+    x = T.Tensor(np.zeros((2, DIMS, 352), dtype=np.float32))
     with no_grad():
-        net = VelocityNet(cfg.dims, cfg.base_channels, cfg.seed)
+        net = VelocityNet(DIMS, cfg.base_channels, cfg.seed)
         net(x, T.Tensor(np.full(2, 0.5, dtype=np.float32)))
     prefix = "neuralnet.tensor.conv1d_fwd_s."
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
