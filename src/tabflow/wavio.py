@@ -63,6 +63,9 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     while pos + 8 <= len(blob):
         tag = blob[pos:pos + 4]
         size = struct.unpack_from("<I", blob, pos + 4)[0]
+        if pos + 8 + size > len(blob):
+            raise DataError(f"{path}: {tag!r} chunk declares {size} bytes, but only "
+                            f"{len(blob) - pos - 8} remain (truncated file?)")
         payload = blob[pos + 8:pos + 8 + size]
         if tag == b"fmt ":
             if len(payload) < 16:
@@ -75,6 +78,9 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
             while p + 8 <= len(payload):
                 sub, sublen = payload[p:p + 4], struct.unpack_from("<I", payload, p + 4)[0]
                 if sub == b"ICMT":
+                    if p + 8 + sublen > len(payload):
+                        raise DataError(f"{path}: ICMT comment declares {sublen} bytes, but "
+                                        f"its LIST chunk holds only {len(payload) - p - 8}")
                     try:
                         comment = payload[p + 8:p + 8 + sublen].rstrip(b"\x00").decode("utf-8")
                     except UnicodeDecodeError:

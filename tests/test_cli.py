@@ -848,3 +848,14 @@ def test_main_transfer_partial_sample_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{src}: data chunk of {size - 2} bytes is not a whole number of 32-bit samples" in err
     assert not out.exists()
+
+
+def test_main_transfer_truncated_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    src = _noise_wav(tmp_path / "in.wav")
+    src.write_bytes(src.read_bytes()[:-400])
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    assert f"{src}: b'data' chunk declares 176400 bytes, but only 176000 remain" in \
+        capsys.readouterr().err
+    assert not out.exists()

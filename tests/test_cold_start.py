@@ -1,10 +1,11 @@
-"""synthdata, train and transfer load no heavy scipy module.
+"""The pipeline commands load no heavy scipy module.
 
 scipy.signal, scipy.stats and scipy.fft cost over a second and about 70 MB
-to import, so only amp_process and the rating statistics import them, on
-first use. A fresh interpreter shows what a command loads: here synthdata
-renders both styles, train encodes them, and transfer encodes and decodes,
-at test_cli.py's tiny config.
+to import, so only the rating statistics import scipy.stats, on first use,
+and nothing imports the other two. A fresh interpreter shows what a command
+loads: here synthdata renders both styles, train encodes them, transfer
+encodes and decodes, and eval scores both conditions, the amp condition's
+tone filter included, at test_cli.py's tiny config.
 """
 
 import os
@@ -39,12 +40,16 @@ assert main(common + ["train"]) == 0
 stem = work / "audio" / "synthetic" / "score_000.wav"
 assert main(common + ["transfer", str(work / "model.ckpt"), str(stem),
                       str(work / "out.wav")]) == 0
+audio = work / "audio"
+assert main(common + ["eval", "--real", str(audio / "pseudo_real"),
+                      "--render", str(audio / "synthetic"),
+                      "--guitarflow", str(audio / "synthetic")]) == 0
 print("loaded:", *(m for m in ("scipy.signal", "scipy.stats", "scipy.fft")
                    if m in sys.modules))
 """
 
 
-def test_render_and_64_dim_codec_load_no_heavy_scipy_module(tmp_path):
+def test_pipeline_commands_load_no_heavy_scipy_module(tmp_path):
     ini = tmp_path / "tiny.ini"
     ini.write_text(_TINY_INI)
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
@@ -52,4 +57,5 @@ def test_render_and_64_dim_codec_load_no_heavy_scipy_module(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "work" / "out.wav").is_file()
+    assert (tmp_path / "work" / "metrics.csv").is_file()
     assert done.stdout.splitlines()[-1] == "loaded:"

@@ -326,6 +326,45 @@ def test_amp_is_monotone_memoryless_before_filter():
     assert np.all(np.diff(out) > 0)
 
 
+_SCAN_CASES = [(cutoff, rate) for rate in (8000, 44100, 192000)
+               for cutoff in (20.0, 200.0, 5000.0, 20000.0) if cutoff < rate / 2]
+
+
+@pytest.mark.parametrize("cutoff, rate", _SCAN_CASES)
+def test_one_pole_scan_matches_lfilter(cutoff, rate):
+    """The blocked scan is the tone filter's recurrence to within 1e-15, at
+    lengths around one block and one block of blocks, and over 14 s."""
+    from scipy.signal import lfilter
+    a = 1.0 - np.exp(-2.0 * np.pi * cutoff / rate)
+    block = stringsynth.SCAN_BLOCK
+    rng = np.random.default_rng([int(cutoff), rate])
+    for n in (0, 1, block - 1, block, block + 1, block * block + 1, 14 * rate):
+        x = np.tanh(6.0 * rng.standard_normal(n))
+        got = stringsynth._one_pole_scan(x, a, 1.0 - a)
+        want = lfilter([a], [1.0, -(1.0 - a)], x)
+        assert got.shape == (n,)
+        assert n == 0 or np.max(np.abs(got - want)) <= 1e-15, n
+
+
+def test_amp_process_within_one_float32_ulp_of_lfilter():
+    """At the default config, the amp condition of a rendered 6-s stem comes
+    out as amp_process with scipy's lfilter made it, or 1 float32 ulp off."""
+    from scipy.signal import lfilter
+    from tabflow.config import load_config
+    from tabflow.fixtures import toy_corpus
+    cfg = load_config(None)
+    score = toy_corpus(1, seed=cfg.seed, target_seconds=6.0)[0]
+    audio = normalize_rms(render(score, PSEUDO_REAL, cfg.sample_rate), cfg.normalize_db)
+    got = amp_process(audio, cfg.amp_drive, cfg.amp_tone_cutoff).samples
+
+    a = 1.0 - np.exp(-2.0 * np.pi * cfg.amp_tone_cutoff / cfg.sample_rate)
+    y = lfilter([a], [1.0, -(1.0 - a)], np.tanh(cfg.amp_drive * audio.samples.astype(np.float64)))
+    want = (y / max(1.0, np.max(np.abs(y)))).astype(np.float32)
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert len(got) >= 6 * cfg.sample_rate
+    assert np.all(np.abs(got - want) <= ulp)
+
+
 # --- RMS normalization --------------------------------------------------------
 
 def test_normalize_sine_to_minus_9_db():

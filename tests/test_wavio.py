@@ -86,6 +86,36 @@ def test_non_utf8_comment_is_data_error(tmp_path):
         read_wav_with_comment(path)
 
 
+def test_truncated_data_chunk_is_data_error(tmp_path):
+    path = tmp_path / "cut.wav"
+    write_wav(path, np.zeros(1000, dtype=np.float32), 44100, comment="")
+    path.write_bytes(path.read_bytes()[:-400])
+    with pytest.raises(DataError, match=r"cut\.wav: b'data' chunk declares 4000 bytes, "
+                                        r"but only 3600 remain"):
+        read_wav_with_comment(path)
+
+
+def test_comment_overrunning_its_list_chunk_is_data_error(tmp_path):
+    path = tmp_path / "long_comment.wav"
+    write_wav(path, np.zeros(8, dtype=np.float32), 8000, comment="cfg=abcdef")
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, blob.index(b"ICMT") + 4, 200)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=r"long_comment\.wav: ICMT comment declares 200 bytes, "
+                                        r"but its LIST chunk holds only 12"):
+        read_wav_with_comment(path)
+
+
+def test_missing_final_pad_byte_is_accepted(tmp_path):
+    """A last chunk of odd size may end the file without its pad byte."""
+    path = tmp_path / "nopad.wav"
+    path.write_bytes(_riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)),
+                           (b"data", np.arange(3, dtype="<f4").tobytes()),
+                           (b"junk", b"odd")))
+    samples, rate, _ = read_wav_with_comment(path)
+    assert samples.tolist() == [0.0, 1.0, 2.0] and rate == 8000
+
+
 _FMT = st.builds(lambda tag, channels, rate, bits: struct.pack(
     "<HHIIHH", tag, channels, rate, rate * max(bits, 8) // 8 % 2 ** 32, max(bits, 8) // 8,
     bits), st.sampled_from([1, 3, 0xFFFE]), st.integers(0, 2), st.integers(0, 2 ** 32 - 1),
