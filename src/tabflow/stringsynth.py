@@ -15,6 +15,14 @@ every note. Every sample is computed exactly as a loop over one note
 computes it, and the notes are mixed in event order, so the rendered bytes
 do not depend on the grouping.
 
+Where a note reads its delay line depends only on its delay, never on its
+output. So the read positions (write front, tap index, fraction and one
+minus it) are computed ahead for a window of READ_WINDOW note-local samples
+at a time, and the loop over blocks is left with the three tap gathers, the
+interpolation and loop-filter arithmetic, the pluck and the write. Only a
+bend, slide or vibrato builds a per-sample pitch curve; every other note
+carries its delay as one float, which fills its stretch of the buffer.
+
 The pluck lowpass runs scipy.signal.lfilter's own recurrence as a scalar
 loop over each note's short burst, so rendering needs no scipy and its
 bytes do not depend on the installed scipy. amp_process filters whole files
@@ -48,6 +56,9 @@ MAX_RENDER_SECONDS = 600.0
 # Samples of the one float64 buffer (8 MB) that holds each lockstep group of
 # consecutive events: every note's guard zeros, delay and output.
 GROUP_SAMPLES = 1 << 20
+# Note-local samples per read-ahead window of _synth_group: a window is the
+# most whole blocks that fit, or one block where a block is longer.
+READ_WINDOW = 1024
 # Samples per block of _one_pole_scan: each level of the scan runs this many
 # vector operations, over one element per block. Fewer, longer operations
 # cost more in the transposes: on a fresh 14-s input (2-core Xeon), blocks
@@ -120,25 +131,30 @@ PSEUDO_REAL = RenderStyle("pseudo_real", excitation_seed=11, brightness=0.70,
 STYLE_PRESETS = {s.name: s for s in (SYNTHETIC, PSEUDO_REAL)}
 
 
+# the techniques whose pitch moves within the note
+_PITCH_CURVES = (TechniqueKind.BEND, TechniqueKind.SLIDE, TechniqueKind.VIBRATO)
+
+
 def _pitch_curve(f0: float, n: int, dur_samples: int, technique, target_f: float | None,
                  sample_rate: int) -> np.ndarray:
-    """Per-sample fundamental over the note buffer (tail holds the end value)."""
-    t_frac = np.minimum(np.arange(n, dtype=np.float64) / max(dur_samples, 1), 1.0)
-    if technique.kind is TechniqueKind.BEND:
-        return f0 * 2.0 ** (technique.bend_semitones * t_frac / 12.0)
-    if technique.kind is TechniqueKind.SLIDE:
-        return f0 * (target_f / f0) ** t_frac
+    """Per-sample fundamental over the note buffer of a bend, slide or
+    vibrato (a bend or slide holds its end value through the tail)."""
     if technique.kind is TechniqueKind.VIBRATO:
         t = np.arange(n, dtype=np.float64) / sample_rate
         return f0 * 2.0 ** ((VIBRATO_CENTS / 1200.0) * np.sin(2 * np.pi * VIBRATO_RATE_HZ * t))
-    return np.full(n, f0)
+    t_frac = np.minimum(np.arange(n, dtype=np.float64) / max(dur_samples, 1), 1.0)
+    if technique.kind is TechniqueKind.BEND:
+        return f0 * 2.0 ** (technique.bend_semitones * t_frac / 12.0)
+    return f0 * (target_f / f0) ** t_frac
 
 
 class _Note(NamedTuple):
-    """One event ready for the delay loop, apart from its per-sample delay:
-    where it starts in the score, its loop gain, excitation and pick noise."""
+    """One event ready for the delay loop, apart from its delay: where it
+    starts in the score, its sample count, loop gain, excitation and pick
+    noise."""
 
     s0: int
+    length: int
     rho: float
     excitation: np.ndarray
     pick: np.ndarray | None
@@ -150,7 +166,6 @@ class _Row(NamedTuple):
     note: _Note
     first: int   # buffer index of the note's first sample
     guard: int   # zeros before it: the delay line's reach, plus margin
-    length: int
     block: int   # longest block the note's smallest delay allows
 
 
@@ -169,11 +184,14 @@ def _synth_group(buf: np.ndarray, rows: list[_Row], a1: float, a2: float
     loop over that note alone computes it (past the excitation a zero may
     come out as -0.0 where that loop gives +0.0; mixing into the score
     turns both into +0.0).
+
+    The read positions of a read-ahead window are laid out [block, row,
+    sample], so that each block's slice is contiguous.
     """
-    by_length = sorted(rows, key=lambda row: -row.length)
+    by_length = sorted(rows, key=lambda row: -row.note.length)
     first = np.array([row.first for row in by_length])[:, None]
     guard = np.array([row.guard for row in by_length])[:, None]
-    lengths = [row.length for row in by_length]
+    lengths = [row.note.length for row in by_length]
     # the block the first k rows allow is block[k - 1]
     block = np.minimum.accumulate([row.block for row in by_length])
     rho = np.array([row.note.rho for row in by_length])[:, None]
@@ -185,8 +203,6 @@ def _synth_group(buf: np.ndarray, rows: list[_Row], a1: float, a2: float
     base = first - guard - 1
     mid, high = buf[1:], buf[2:]
     guard = guard.astype(np.float64)
-    t_int = np.arange(lengths[0])
-    t_float = t_int.astype(np.float64)
 
     start, k = 0, len(rows)
     while True:
@@ -194,30 +210,38 @@ def _synth_group(buf: np.ndarray, rows: list[_Row], a1: float, a2: float
             k -= 1
         if not k:
             break
-        end = min(start + int(block[k - 1]), lengths[k - 1])
-        front = first[:k] + t_int[start:end]
-        pos = (t_float[start:end] - buf[front]) + guard[:k]
-        idx = pos.astype(np.int64)
-        frac = pos - idx
-        idx += base[:k]
-        y0, y1, y2 = buf[idx], mid[idx], high[idx]
-        rest = 1.0 - frac
-        d1 = y1 * rest + y2 * frac
-        d2 = y0 * rest + y1 * frac
-        y = rho[:k] * (a1 * d1 + a2 * d2)
-        if start < excitation.shape[1]:
-            burst = excitation[:k, start:end]
-            y[:, :burst.shape[1]] += burst
-        buf[front] = y
-        start = end
-    return [(row.note, buf[row.first:row.first + row.length]) for row in rows]
+        # a window is whole blocks of one size and ends no later than the
+        # shortest sounding row; a shorter last block has a window to itself
+        size = min(int(block[k - 1]), lengths[k - 1] - start)
+        count = max(1, min(READ_WINDOW, lengths[k - 1] - start) // size)
+        t = np.arange(start, start + count * size).reshape(count, 1, size)
+        fronts = first[:k] + t
+        pos = np.subtract(t.astype(np.float64), buf[fronts])
+        pos += guard[:k]
+        idxs = pos.astype(np.int64)
+        fracs = np.subtract(pos, idxs, out=pos)
+        idxs += base[:k]
+        rests = 1.0 - fracs
+        rho_k = rho[:k]
+        for front, idx, frac, rest in zip(fronts, idxs, fracs, rests):
+            y0, y1, y2 = buf[idx], mid[idx], high[idx]
+            d1 = y1 * rest + y2 * frac
+            d2 = y0 * rest + y1 * frac
+            y = rho_k * (a1 * d1 + a2 * d2)
+            if start < excitation.shape[1]:
+                burst = excitation[:k, start:start + size]
+                y[:, :burst.shape[1]] += burst
+            buf[front] = y
+            start += size
+    return [(row.note, buf[row.first:row.first + row.note.length]) for row in rows]
 
 
-def _synth_notes(notes: Iterable[tuple[_Note, np.ndarray]], a1: float, a2: float
+def _synth_notes(notes: Iterable[tuple[_Note, float | np.ndarray]], a1: float, a2: float
                  ) -> Iterator[tuple[_Note, np.ndarray]]:
     """Synthesize (note, delay) pairs in groups of consecutive notes that fit
     one buffer of GROUP_SAMPLES samples (a longer note forms a group alone);
-    yields each note with its samples, in input order.
+    yields each note with its samples, in input order. A delay is one float
+    for a note of constant pitch, else one per sample of the note.
 
     The samples are a view of the buffer, which the next group reuses: use
     them before asking for the next note.
@@ -226,7 +250,7 @@ def _synth_notes(notes: Iterable[tuple[_Note, np.ndarray]], a1: float, a2: float
     rows: list[_Row] = []
     used = 0
     for note, delay in notes:
-        guard, n = int(np.ceil(delay.max())) + 4, len(delay)
+        guard, n = int(np.ceil(np.max(delay))) + 4, note.length
         if rows and used + guard + n > GROUP_SAMPLES:
             yield from _synth_group(buf, rows, a1, a2)
             rows, used = [], 0
@@ -234,7 +258,7 @@ def _synth_notes(notes: Iterable[tuple[_Note, np.ndarray]], a1: float, a2: float
             buf = np.empty(guard + n)
         buf[used:used + guard] = 0.0
         buf[used + guard:used + guard + n] = delay
-        rows.append(_Row(note, used + guard, guard, n, max(1, int(delay.min()) - 4)))
+        rows.append(_Row(note, used + guard, guard, max(1, int(np.min(delay)) - 4)))
         used += guard + n
     if rows:
         yield from _synth_group(buf, rows, a1, a2)
@@ -291,8 +315,9 @@ def _one_pole_scan(x: np.ndarray, b: float, c: float) -> np.ndarray:
 
 
 def _notes(score: Score, style: RenderStyle, sample_rate: int,
-           total: int) -> Iterator[tuple[_Note, np.ndarray]]:
-    """Each event's note and per-sample loop delay, in event order.
+           total: int) -> Iterator[tuple[_Note, float | np.ndarray]]:
+    """Each event's note and loop delay, in event order: one float for a
+    note of constant pitch, else one per sample.
 
     A note draws its random values from its own generator in a fixed order:
     detune, jitter, excitation, pick noise. Events starting at or after
@@ -326,13 +351,17 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
         dur_samples = max(1, int(round(ev.duration_ticks * spt * fs)))
         n = min(dur_samples + int(RELEASE_TAIL_SEC * fs), total - s0)
 
-        target_f = None
-        if ev.technique.kind is TechniqueKind.SLIDE:
-            target_f = midi_hz(score.string_pitch(ev.string) + ev.technique.slide_to_fret)
-        freq = _pitch_curve(f0, n, dur_samples, ev.technique, target_f, sample_rate)
-        if freq.max() > fs / 4.0:
+        if ev.technique.kind in _PITCH_CURVES:
+            target_f = None
+            if ev.technique.kind is TechniqueKind.SLIDE:
+                target_f = midi_hz(score.string_pitch(ev.string) + ev.technique.slide_to_fret)
+            freq = _pitch_curve(f0, n, dur_samples, ev.technique, target_f, sample_rate)
+            top = freq.max()
+        else:
+            freq = top = f0
+        if top > fs / 4.0:
             raise DataError(
-                f"event pitch {freq.max():.1f} Hz exceeds {fs / 4:.0f} Hz "
+                f"event pitch {top:.1f} Hz exceeds {fs / 4:.0f} Hz "
                 f"(string {ev.string}, fret {ev.fret} at rate {sample_rate})"
             )
         b = style.brightness
@@ -358,7 +387,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
             m = min(n, int(0.003 * fs))
             fade = np.linspace(1.0, 0.0, m) ** 2
             pick = style.pick_noise_gain * amp * rng.uniform(-1.0, 1.0, m) * fade
-        yield _Note(s0, rho, excitation, pick), delay
+        yield _Note(s0, n, rho, excitation, pick), delay
 
 
 def render(score: Score, style: RenderStyle, sample_rate: int) -> AudioBuffer:

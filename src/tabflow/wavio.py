@@ -20,25 +20,27 @@ _FMT_FLOAT = 3
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int, comment: str) -> None:
-    """Write a mono WAV file of float32 samples with an ICMT comment."""
+    """Write a mono WAV file of float32 samples with an ICMT comment.
+
+    The samples go to the file straight from their array, so the file is
+    never built in memory.
+    """
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise DataError(f"expected mono 1-D samples, got shape {samples.shape}")
-    data = samples.astype("<f4", copy=False).tobytes()
+    data = np.ascontiguousarray(samples, dtype="<f4")
     fmt_chunk = struct.pack("<HHIIHH", _FMT_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
     text = comment.encode("utf-8") + b"\x00"
     info = b"INFO" + b"ICMT" + struct.pack("<I", len(text)) + text
     if len(text) % 2:
         info += b"\x00"
-    chunks = [(b"fmt ", fmt_chunk), (b"LIST", info), (b"data", data)]
-
-    body = b"WAVE"
-    for tag, payload in chunks:
-        body += tag + struct.pack("<I", len(payload)) + payload
-        if len(payload) % 2:
-            body += b"\x00"
+    # every chunk has an even size, so none takes a pad byte
+    head = (b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+            + b"LIST" + struct.pack("<I", len(info)) + info
+            + b"data" + struct.pack("<I", data.nbytes))
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(head) + data.nbytes) + b"WAVE" + head)
+        fh.write(data)
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -52,7 +54,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # chunks are slices of it, not copies
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
 
@@ -61,7 +63,7 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     data = None
     comment = None
     while pos + 8 <= len(blob):
-        tag = blob[pos:pos + 4]
+        tag = bytes(blob[pos:pos + 4])
         size = struct.unpack_from("<I", blob, pos + 4)[0]
         if pos + 8 + size > len(blob):
             raise DataError(f"{path}: {tag!r} chunk declares {size} bytes, but only "
@@ -81,8 +83,9 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
                     if p + 8 + sublen > len(payload):
                         raise DataError(f"{path}: ICMT comment declares {sublen} bytes, but "
                                         f"its LIST chunk holds only {len(payload) - p - 8}")
+                    text = bytes(payload[p + 8:p + 8 + sublen]).rstrip(b"\x00")
                     try:
-                        comment = payload[p + 8:p + 8 + sublen].rstrip(b"\x00").decode("utf-8")
+                        comment = text.decode("utf-8")
                     except UnicodeDecodeError:
                         raise DataError(f"{path}: ICMT comment is not UTF-8") from None
                 p += 8 + sublen + (sublen % 2)
@@ -101,5 +104,5 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
                         f"number of {bits}-bit samples")
     samples = np.frombuffer(data, dtype=dtype)
     if fmt_tag == _FMT_PCM:
-        samples = samples.astype(np.float32) / 32767.0
+        return samples.astype(np.float32) / 32767.0, rate, comment
     return samples.copy(), rate, comment

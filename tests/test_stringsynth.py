@@ -141,6 +141,18 @@ def test_pitch_above_quarter_rate_rejected():
         render(score, SYNTHETIC, 8000)  # limit is 2 kHz at 8 kHz rate
 
 
+def test_bend_past_quarter_rate_rejected():
+    """A note that starts under the fs/4 bound but bends past it fails on
+    its per-sample pitch."""
+    high_tuning = tuple(p + 14 for p in Score().tuning)
+    plain = Score(tuning=high_tuning, events=(NoteEvent(0, 1920, 1, 17),))  # MIDI 95 ~ 1976 Hz
+    render(plain, SYNTHETIC, 8000)
+    bent = Score(tuning=high_tuning, events=(
+        NoteEvent(0, 1920, 1, 17, technique=Technique(TechniqueKind.BEND, bend_semitones=1.0)),))
+    with pytest.raises(DataError, match="event pitch 2093.0 Hz exceeds 2000 Hz"):
+        render(bent, SYNTHETIC, 8000)
+
+
 def test_low_sample_rate_bound():
     with pytest.raises(DataError, match="8000"):
         render(one_note_score(), SYNTHETIC, 4000)
@@ -267,27 +279,36 @@ def random_notes(seed, count, brightness):
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6),
-       brightness=st.floats(0.0, 1.0), fill=st.floats(0.05, 1.5))
-@example(seed=7, count=6, brightness=0.0, fill=0.3)
-def test_lockstep_matches_one_note_loop(seed, count, brightness, fill):
+       brightness=st.floats(0.0, 1.0), fill=st.floats(0.05, 1.5),
+       window=st.integers(1, 1200))
+@example(seed=7, count=6, brightness=0.0, fill=0.3, window=1024)
+@example(seed=3, count=5, brightness=1.0, fill=1.5, window=1)
+def test_lockstep_matches_one_note_loop(seed, count, brightness, fill, window):
     """Groups of random notes match the one-note loop sample for sample; a
-    buffer smaller than the notes splits them into several groups."""
+    buffer smaller than the notes splits them into several groups. Read
+    windows from 1 sample up to a few blocks end between block ends and row
+    ends, and a constant delay gives the same samples as one float as it
+    does as an array."""
     a1, a2 = (1.0 + brightness) / 2.0, (1.0 - brightness) / 2.0
     notes = random_notes(seed, count, brightness)
     sizes = [int(np.ceil(delay.max())) + 4 + len(delay) for _, _, delay in notes]
     budget = max(1, int(fill * sum(sizes)))
-    pairs = [(stringsynth._Note(k, rho, excitation, None), delay)
-             for k, (rho, excitation, delay) in enumerate(notes)]
-    with mock.patch.object(stringsynth, "GROUP_SAMPLES", budget), \
-            mock.patch.object(stringsynth, "_synth_group",
-                              wraps=stringsynth._synth_group) as group:
-        synthesized = [(note.s0, samples.copy())
-                       for note, samples in stringsynth._synth_notes(pairs, a1, a2)]
-    assert [k for k, _ in synthesized] == list(range(count))
-    for (_, samples), (rho, excitation, delay) in zip(synthesized, notes):
-        np.testing.assert_array_equal(samples, one_note_loop(delay, a1, a2, rho, excitation))
-    if budget < sum(sizes) and count > 1:
-        assert group.call_count >= 2
+    for scalar in (False, True):
+        pairs = [(stringsynth._Note(k, len(delay), rho, excitation, None),
+                  float(delay[0]) if scalar and np.all(delay == delay[0]) else delay)
+                 for k, (rho, excitation, delay) in enumerate(notes)]
+        with mock.patch.object(stringsynth, "GROUP_SAMPLES", budget), \
+                mock.patch.object(stringsynth, "READ_WINDOW", window), \
+                mock.patch.object(stringsynth, "_synth_group",
+                                  wraps=stringsynth._synth_group) as group:
+            synthesized = [(note.s0, samples.copy())
+                           for note, samples in stringsynth._synth_notes(pairs, a1, a2)]
+        assert [k for k, _ in synthesized] == list(range(count))
+        for (_, samples), (rho, excitation, delay) in zip(synthesized, notes):
+            np.testing.assert_array_equal(samples,
+                                          one_note_loop(delay, a1, a2, rho, excitation))
+        if budget < sum(sizes) and count > 1:
+            assert group.call_count >= 2
 
 
 # --- amplifier ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,55 @@ def test_rejects_stereo_and_garbage(tmp_path):
     bad.write_bytes(b"not a wav file at all")
     with pytest.raises(DataError, match="RIFF"):
         read_wav(bad)
+
+
+def _old_write_wav_bytes(samples, sample_rate, comment):
+    """The file write_wav wrote when it built the whole file as one bytes
+    object."""
+    data = np.asarray(samples).astype("<f4", copy=False).tobytes()
+    fmt_chunk = struct.pack("<HHIIHH", 3, 1, sample_rate, sample_rate * 4, 4, 32)
+    text = comment.encode("utf-8") + b"\x00"
+    info = b"INFO" + b"ICMT" + struct.pack("<I", len(text)) + text
+    if len(text) % 2:
+        info += b"\x00"
+    body = b"WAVE"
+    for tag, payload in [(b"fmt ", fmt_chunk), (b"LIST", info), (b"data", data)]:
+        body += tag + struct.pack("<I", len(payload)) + payload
+        if len(payload) % 2:
+            body += b"\x00"
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("comment", ["", "a", "cfg=abc123", "cfg=abc1234", "caf\u00e9"])
+@pytest.mark.parametrize("n", [0, 1, 4099])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_writer_bytes_match_whole_file_reference(tmp_path, comment, n, dtype):
+    """Odd and even comment lengths (with the NUL), 0, 1 and many samples,
+    from float32 and float64 arrays and from a strided view."""
+    samples = np.random.default_rng(n).uniform(-1.0, 1.0, 2 * n).astype(dtype)
+    for x in (samples[:n], samples[::2]):
+        path = tmp_path / "w.wav"
+        write_wav(path, x, 22050, comment=comment)
+        assert path.read_bytes() == _old_write_wav_bytes(x, 22050, comment)
+
+
+def test_writer_and_reader_peak_memory(tmp_path):
+    """The writer sends float32 samples to the file without copying them;
+    the reader holds the file once and the samples once."""
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 1 << 20).astype(np.float32)
+    path = tmp_path / "big.wav"
+    tracemalloc.start()
+    try:
+        write_wav(path, x, 44100, comment="cfg=abc")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        y, _ = read_wav(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, y)
+    assert write_peak < 0.1 * x.nbytes
+    assert read_peak < 2.2 * x.nbytes
 
 
 def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
