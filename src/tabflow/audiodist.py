@@ -10,19 +10,21 @@ sigma its caller passes, and median_bandwidth computes the median-distance
 heuristic for it; the reconstruction distance is the per-frame embedding
 difference norm averaged over time.
 
-embed takes the magnitude spectrum and the filterbank product only up to the
-bank's last nonzero bin (186 of 513 at 44.1 kHz): the bins above 8000 Hz
-carry zero weights, and the rows keep the full product's bytes.
+embed streams its frames in blocks of about EMBED_BLOCK frames into the
+one output array, so its temporary memory does not grow with the file's
+length. It takes the magnitude spectrum and the filterbank product only up
+to the bank's last nonzero bin (186 of 513 at 44.1 kHz): the bins above
+8000 Hz carry zero weights, and the rows keep the full product's bytes.
 
 Neither median_bandwidth nor kad holds the pooled N x N distance matrix.
 The distances are streamed in row tiles of the upper triangle, rebuilt on
 each pass: median_bandwidth's sigma is the exact median of those tiled
 distances, found by a bracketed gather (of every distance when the bracket
-misses), and kad's one pass turns each tile into kernel values and sums
-them. Each tile is one GEMM of [N, E + 2] operands
-that carry the squared norms, so the GEMM gives the squared distances
-whole; a tile is sized to stay in one core's L2 cache while its clip and
-kernel values are applied.
+misses) whose bracket comes from a sample of pairs built in chunks, and
+kad's one pass turns each tile into kernel values and sums them. Each tile
+is one GEMM of [N, E + 2] operands that carry the squared norms, so the
+GEMM gives the squared distances whole; a tile is sized to stay in one
+core's L2 cache while its clip and kernel values are applied.
 """
 
 from __future__ import annotations
@@ -33,10 +35,18 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericError
-from .latentcodec import FRAME_LEN, windowed_frames
+from .latentcodec import FRAME_HOP, FRAME_LEN, frame_count, windowed_frames
 from .stringsynth import AudioBuffer
 
 EMBED_DIMS = 64
+# embed's frames per block: about 4 MB of windowed frames and spectrum at a
+# time, whatever the file's length. The blocks start at multiples of
+# EMBED_BLOCK, where the BLAS kernels' row tiles start in the whole product
+# too, and a tail shorter than half a block joins the block before it (so a
+# block holds up to 1.5 EMBED_BLOCK frames): an OpenBLAS dgemm of fewer than
+# 19 rows takes another path, whose sums differ in the last bits. So each
+# row keeps the bytes of one product over all frames.
+EMBED_BLOCK = 256
 FMIN_HZ = 60.0
 FMAX_HZ = 8000.0
 COV_JITTER = 1e-6
@@ -92,15 +102,22 @@ def _band_limited_bank(sample_rate: int) -> np.ndarray:
 
 
 def embed(audio: AudioBuffer) -> np.ndarray:
-    """[F, EMBED_DIMS] float64 log filterbank rows over the latent codec's frames."""
+    """[F, EMBED_DIMS] float64 log filterbank rows over the latent codec's
+    frames, computed in blocks of EMBED_BLOCK frames."""
     samples = audio.samples
     if samples.dtype != np.float32:
         samples = np.asarray(samples, dtype=np.float64)
-    # float32 samples times the float64 window are the bytes of a cast first
-    frames = windowed_frames(samples)
     bank = _band_limited_bank(audio.sample_rate)
-    mags = np.abs(np.fft.rfft(frames, axis=1)[:, :bank.shape[1]])
-    return np.log(mags @ bank.T + LOG_FLOOR)
+    out = np.empty((frame_count(len(samples)), EMBED_DIMS))
+    cuts = list(range(0, len(out) - EMBED_BLOCK // 2, EMBED_BLOCK)) or [0]
+    cuts.append(len(out))
+    for f0, f1 in zip(cuts[:-1], cuts[1:]):
+        # float32 samples times the float64 window are the bytes of a cast first
+        frames = windowed_frames(samples[f0 * FRAME_HOP:(f1 - 1) * FRAME_HOP + FRAME_LEN])
+        mags = np.abs(np.fft.rfft(frames, axis=1)[:, :bank.shape[1]])
+        np.matmul(mags, bank.T, out=out[f0:f1])
+    out += LOG_FLOOR
+    return np.log(out, out=out)
 
 
 def _checked(a, b, min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -173,6 +190,9 @@ _LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 # middle rank with a chance below 1e-9, and a miss only costs time.
 _SAMPLE_PAIRS = 16384
 _BRACKET = 0.025
+# The sampled pairs' rows are gathered this many pairs at a time (two 512 kB
+# gathers at 64 dims, where all pairs at once take 8 MB each).
+_SAMPLE_CHUNK = 1024
 
 # The bracket that holds every finite entry: it gathers every pair.
 _EVERY_PAIR = (0.0, np.finfo(np.float64).max)
@@ -189,10 +209,11 @@ def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pooled, sq
 
 
-def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
+def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray, clip: bool = True):
     """Yield (r0, r1, d2) over tiles of BLOCK_ROWS pooled rows.
 
-    d2[i, j] is max(<left_i, right_j>, 0) for rows r0 + i and r0 + j, with
+    d2[i, j] is max(<left_i, right_j>, 0) for rows r0 + i and r0 + j (the
+    product itself, which may be below 0, when clip is False), with
     the augmented rows left_i = [-2 p_i | sq_i | 1] and right_j =
     [p_j | 1 | sq_j], so the tile's one GEMM gives -2 <p_i, p_j> + sq_i +
     sq_j; the leading (r1 - r0) square is +inf on and below its diagonal:
@@ -213,7 +234,8 @@ def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray):
         r1 = min(r0 + BLOCK_ROWS, n)
         d2 = tile[:(r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
         np.matmul(left[r0:r1], right[r0:].T, out=d2)
-        np.clip(d2, 0.0, None, out=d2)
+        if clip:
+            np.clip(d2, 0.0, None, out=d2)
         np.copyto(d2[:, :r1 - r0], np.inf, where=_LOWER[:r1 - r0, :r1 - r0])
         yield r0, r1, d2
 
@@ -240,19 +262,22 @@ def _median_sqrt(passes, count: int, bracket: tuple[float, float]) -> float:
     """Median of sqrt over the finite entries of one pass, exactly as
     np.median gives it; 1.0 if it is 0 or there are no entries.
 
-    Each passes() call yields the C-contiguous float64 arrays of one pass
-    anew, and they may be overwritten. Their finite entries, count in all,
-    are >= 0; +inf marks an entry to skip. sqrt is monotone, so the middle
-    order statistics of the entries give the median. A bracket (lo, hi)
-    that holds them costs one gather pass; when it misses, a second pass
-    gathers every finite entry.
+    Each passes(clip) call yields the C-contiguous float64 arrays of one
+    pass anew, and they may be overwritten. Their finite entries, count in
+    all, are >= 0; +inf marks an entry to skip. clip is False only for a
+    bracket with lo > 0: the pass may then leave an entry that is 0 below
+    0, where it counts below lo either way, and the entries inside the
+    bracket are the same. sqrt is monotone, so the middle order statistics
+    of the entries give the median. A bracket (lo, hi) that holds them costs
+    one gather pass; when it misses, a second pass gathers every finite
+    entry.
     """
     if count == 0:
         return 1.0
     ranks = np.array([(count - 1) // 2, count // 2])
-    mid = _gather_ranks(passes(), *bracket, ranks)
+    mid = _gather_ranks(passes(not bracket[0] > 0.0), *bracket, ranks)
     if mid is None:
-        mid = _gather_ranks(passes(), *_EVERY_PAIR, ranks)
+        mid = _gather_ranks(passes(True), *_EVERY_PAIR, ranks)
     # np.median takes the mean of the middle pair (of one entry twice if odd)
     med = float(np.mean(np.sqrt(mid)))
     return med if med > 0.0 else 1.0
@@ -269,9 +294,13 @@ def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
         i = rng.integers(0, n, _SAMPLE_PAIRS)
         j = rng.integers(0, n - 1, _SAMPLE_PAIRS)
         j += j >= i
-        sample = sq[i] + sq[j] - 2.0 * np.einsum("ij,ij->i", pooled[i], pooled[j])
+        sample = np.empty(_SAMPLE_PAIRS)
+        for c in range(0, _SAMPLE_PAIRS, _SAMPLE_CHUNK):
+            ic, jc = i[c:c + _SAMPLE_CHUNK], j[c:c + _SAMPLE_CHUNK]
+            sample[c:c + _SAMPLE_CHUNK] = sq[ic] + sq[jc] - 2.0 * np.einsum(
+                "ij,ij->i", pooled[ic], pooled[jc])
         bracket = np.quantile(sample, [0.5 - _BRACKET, 0.5 + _BRACKET])
-    return _median_sqrt(lambda: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq)),
+    return _median_sqrt(lambda clip: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq, clip)),
                         count, bracket)
 
 

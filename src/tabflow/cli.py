@@ -313,7 +313,8 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
 
     rows = []  # (condition, metric, system, value)
     for condition in conditions:
-        pooled = {label: np.vstack(embeds[label][condition]) for label in dirs}
+        # each list goes once it is stacked: the stack copies its rows
+        pooled = {label: np.vstack(embeds[label].pop(condition)) for label in dirs}
         real = pooled["real"]
         # one real subsample (seed cfg.seed) serves both systems
         real_kad = _subsample(real, cfg.kad_max_frames, cfg.seed)

@@ -142,10 +142,15 @@ def _pitch_curve(f0: float, n: int, dur_samples: int, technique, target_f: float
     if technique.kind is TechniqueKind.VIBRATO:
         t = np.arange(n, dtype=np.float64) / sample_rate
         return f0 * 2.0 ** ((VIBRATO_CENTS / 1200.0) * np.sin(2 * np.pi * VIBRATO_RATE_HZ * t))
-    t_frac = np.minimum(np.arange(n, dtype=np.float64) / max(dur_samples, 1), 1.0)
+    # t_frac = min(i / d, 1) reaches 1 at i = d: the samples after it repeat
+    # that sample's value
+    d = max(dur_samples, 1)
+    t_frac = np.arange(min(n, d + 1), dtype=np.float64) / d
     if technique.kind is TechniqueKind.BEND:
-        return f0 * 2.0 ** (technique.bend_semitones * t_frac / 12.0)
-    return f0 * (target_f / f0) ** t_frac
+        head = f0 * 2.0 ** (technique.bend_semitones * t_frac / 12.0)
+    else:
+        head = f0 * (target_f / f0) ** t_frac
+    return np.pad(head, (0, n - len(head)), mode="edge")
 
 
 class _Note(NamedTuple):
@@ -282,8 +287,10 @@ def _one_pole_lowpass(x: np.ndarray, a: float) -> np.ndarray:
     return np.array(y)
 
 
-def _one_pole_scan(x: np.ndarray, b: float, c: float) -> np.ndarray:
-    """y[n] = c*y[n-1] + b*x[n] from zero state, as a blocked scan.
+def _one_pole_scan(x: np.ndarray, b: float, c: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """y[n] = c*y[n-1] + b*x[n] from zero state, as a blocked scan, written
+    to out (which may be x) or to a new array.
 
     x is cut into m blocks of SCAN_BLOCK samples, laid out as SCAN_BLOCK
     rows of m columns, and the recurrence runs down the rows, one vector
@@ -308,10 +315,14 @@ def _one_pole_scan(x: np.ndarray, b: float, c: float) -> np.ndarray:
         t[i] += step
     if m > 1:
         carry = _one_pole_scan(t[-1, :-1], 1.0, c ** SCAN_BLOCK)
-        t[:, 1:] += np.power(c, np.arange(1, SCAN_BLOCK + 1))[:, None] * carry
-    y = np.empty(SCAN_BLOCK * m)
-    y.reshape(m, SCAN_BLOCK)[:] = blocks
-    return y[:n]
+        # row by row, so the products take one row of memory, not all of t
+        for i, gain in enumerate(np.power(c, np.arange(1, SCAN_BLOCK + 1))):
+            np.multiply(carry, gain, out=step[1:])
+            t[i, 1:] += step[1:]
+    y = np.empty(n) if out is None else out
+    y[:full].reshape(m - 1, SCAN_BLOCK)[:] = blocks[:m - 1]
+    y[full:] = blocks[m - 1, :n - full]
+    return y
 
 
 def _notes(score: Score, style: RenderStyle, sample_rate: int,
@@ -435,12 +446,15 @@ def amp_process(audio: AudioBuffer, drive: float, tone_cutoff: float) -> AudioBu
     """
     if drive <= 0:
         raise DataError(f"drive must be > 0, got {drive}")
-    x = audio.samples.astype(np.float64)
-    y = np.tanh(drive * x)
+    # drive, tanh and the tone filter in place on the one float64 copy
+    y = audio.samples.astype(np.float64)
+    y *= drive
+    np.tanh(y, out=y)
     if tone_cutoff < audio.sample_rate / 2.0:
         a = 1.0 - np.exp(-2.0 * np.pi * tone_cutoff / audio.sample_rate)
-        y = _one_pole_scan(y, a, 1.0 - a)
-    peak = np.max(np.abs(y)) if len(y) else 0.0
+        _one_pole_scan(y, a, 1.0 - a, out=y)
+    # max |y| without an array of |y|
+    peak = max(y.max(), -y.min()) if len(y) else 0.0
     if peak > 1.0:
         y /= peak
     return AudioBuffer(y.astype(np.float32), audio.sample_rate)
@@ -448,9 +462,11 @@ def amp_process(audio: AudioBuffer, drive: float, tone_cutoff: float) -> AudioBu
 
 def normalize_rms(audio: AudioBuffer, target_db: float) -> AudioBuffer:
     """Scale so the RMS level hits target_db (dB re full scale)."""
-    x = audio.samples.astype(np.float64)
-    rms = float(np.sqrt(np.mean(np.square(x))))
+    # the squares of the float64 samples, then those samples scaled, in one buffer
+    x = np.square(audio.samples, dtype=np.float64)
+    rms = float(np.sqrt(np.mean(x)))
     if rms == 0.0:
         raise DataError("cannot normalize silence")
     gain = 10.0 ** (target_db / 20.0) / rms
-    return AudioBuffer((x * gain).astype(np.float32), audio.sample_rate)
+    np.multiply(audio.samples, gain, out=x, dtype=np.float64)
+    return AudioBuffer(x.astype(np.float32), audio.sample_rate)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tabflow.audiodist import (BLOCK_ROWS, EMBED_DIMS, _filterbank, _median_sqrt,
+from tabflow.audiodist import (BLOCK_ROWS, EMBED_BLOCK, EMBED_DIMS, _filterbank, _median_sqrt,
                                _sq_dist_blocks, band_edges, embed, fad, frechet_gaussian,
                                kad, median_bandwidth, recon_distance, LOG_FLOOR)
 from tabflow.errors import DataError, NumericError
-from tabflow.latentcodec import encode, windowed_frames
+from tabflow.latentcodec import FRAME_HOP, FRAME_LEN, encode, windowed_frames
 from tabflow.stringsynth import AudioBuffer
 
 FS = 44100
@@ -16,6 +16,16 @@ FS = 44100
 
 def _set(arr):
     return np.asarray(arr, dtype=np.float64)
+
+
+def _traced_peak(f):
+    """f() and the traced peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def band_of(freq: float) -> int:
@@ -29,17 +39,45 @@ def band_of(freq: float) -> int:
 
 # --- embedding ----------------------------------------------------------------
 
+def _full_bin_oracle(samples, rate):
+    """The embedding of a float64 cast over all frames at once, all 513
+    bins and a freshly built bank."""
+    frames = windowed_frames(np.asarray(samples, dtype=np.float64))
+    mags = np.abs(np.fft.rfft(frames, axis=1))
+    return np.log(mags @ _filterbank(rate).T + LOG_FLOOR)
+
+
 @pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_embed_bytes_match_full_bin_oracle(rate, dtype):
     """embed frames the samples as given and stops the spectrum at the bank's
-    last nonzero bin; its rows are still the bytes of a float64 cast, all 513
-    bins and a freshly built bank."""
+    last nonzero bin; its rows are still the bytes of the full-bin oracle."""
     samples = (0.3 * np.random.default_rng(rate).standard_normal(30000)).astype(dtype)
-    frames = windowed_frames(np.asarray(samples, dtype=np.float64))
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    want = np.log(mags @ _filterbank(rate).T + LOG_FLOOR)
-    assert np.array_equal(embed(AudioBuffer(samples, rate)), want)
+    assert np.array_equal(embed(AudioBuffer(samples, rate)), _full_bin_oracle(samples, rate))
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frames", [1, EMBED_BLOCK - 1, EMBED_BLOCK, EMBED_BLOCK + 1,
+                                    2 * EMBED_BLOCK + 3])
+def test_embed_blocks_match_full_bin_oracle(frames, dtype, rate):
+    """On either side of embed's block edges, with samples left over past
+    the last frame, the rows keep the bytes of the whole-array oracle."""
+    n = FRAME_LEN + (frames - 1) * FRAME_HOP + FRAME_HOP // 3
+    samples = (0.3 * np.random.default_rng(frames).standard_normal(n)).astype(dtype)
+    e = embed(AudioBuffer(samples, rate))
+    assert e.shape == (frames, EMBED_DIMS)
+    assert np.array_equal(e, _full_bin_oracle(samples, rate))
+
+
+def test_embed_peak_memory_does_not_grow_with_length():
+    """embed holds its output and one block of frames and spectrum, a few
+    MB at any length: whole-file frames and spectrum of these 30 s would
+    take over 40 MB."""
+    audio = AudioBuffer((0.3 * np.random.default_rng(5).standard_normal(30 * FS))
+                        .astype(np.float32), FS)
+    e, peak = _traced_peak(lambda: embed(audio))
+    assert peak - e.nbytes < 8e6
 
 
 def test_embed_with_no_band_below_nyquist_is_log_floor():
@@ -327,7 +365,7 @@ def test_median_selector_matches_np_median(values, width, data):
     rows = np.full((-(-len(vals) // width), width), np.inf)
     rows.reshape(-1)[:len(vals)] = vals
 
-    def passes():
+    def passes(clip):  # the values are >= 0: clipping would change nothing
         return (rows[r:r + 2].copy() for r in range(0, len(rows), 2))
 
     brackets = [(0.0, np.finfo(np.float64).max), (1.0, 2.25), (7.0, 5e5)]
@@ -339,12 +377,41 @@ def test_median_selector_matches_np_median(values, width, data):
 
 
 def test_median_selector_no_entries():
-    assert _median_sqrt(lambda: iter(()), 0, (0.0, 1.0)) == 1.0
+    assert _median_sqrt(lambda clip: iter(()), 0, (0.0, 1.0)) == 1.0
 
 
 def test_median_bandwidth_of_identical_points_is_one():
     x = _set(np.full((400, 3), 2.5))
     assert median_bandwidth(x, x) == 1.0
+
+
+def test_median_bandwidth_clips_copies_rounded_below_zero():
+    """Copies of one point whose unclipped tile entries mostly round below 0
+    (11175 pairs, so every pair is gathered): clipped, they are distance 0,
+    and the median heuristic gives 1.0."""
+    for seed in range(50):
+        x = _set(np.tile(np.random.default_rng(seed).standard_normal(64), (75, 1)))
+        pooled = np.vstack([x, x])
+        sq = np.sum(pooled ** 2, axis=1)
+        unclipped = np.concatenate([d2[np.isfinite(d2)] for _, _, d2
+                                    in _sq_dist_blocks(pooled, sq, clip=False)])
+        if np.median(unclipped) < 0.0:
+            break
+    else:
+        raise AssertionError("no point of the 50 rounds most self distances below 0")
+    assert _triu_median(x, x) == 0.0
+    assert median_bandwidth(x, x) == 1.0
+
+
+def test_median_bandwidth_peak_memory_bound():
+    """At the default cap (2048 + 2048 frames of 64 dims) the bracket's
+    16384 sampled pairs gather their rows in chunks: gathering both rows of
+    every pair at once takes 8 MB each, and would exceed this bound."""
+    rng = np.random.default_rng(21)
+    a = _set(rng.standard_normal((2048, 64)))
+    b = _set(rng.standard_normal((2048, 64)) + 0.1)
+    _, peak = _traced_peak(lambda: median_bandwidth(a, b))
+    assert peak < 16e6
 
 
 def test_kad_peak_memory_bound():
@@ -354,12 +421,7 @@ def test_kad_peak_memory_bound():
     rng = np.random.default_rng(21)
     a = _set(rng.standard_normal((2048, 64)))
     b = _set(rng.standard_normal((2048, 64)) + 0.1)
-    tracemalloc.start()
-    try:
-        _kad_median(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: _kad_median(a, b))
     assert peak < 30e6
 
 

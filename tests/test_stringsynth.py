@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -365,6 +366,32 @@ def test_one_pole_scan_matches_lfilter(cutoff, rate):
         want = lfilter([a], [1.0, -(1.0 - a)], x)
         assert got.shape == (n,)
         assert n == 0 or np.max(np.abs(got - want)) <= 1e-15, n
+
+
+def test_one_pole_scan_into_its_input_is_the_same_bytes():
+    """Written to out=x, the scan gives the bytes of a new array."""
+    rng = np.random.default_rng(8)
+    block = stringsynth.SCAN_BLOCK
+    for n in (0, 1, block - 1, block + 1, block * block + 1, 40000):
+        x = np.tanh(6.0 * rng.standard_normal(n))
+        want = stringsynth._one_pole_scan(x, 0.3, 0.7)
+        assert stringsynth._one_pole_scan(x, 0.3, 0.7, out=x) is x
+        assert np.array_equal(x, want), n
+
+
+def test_amp_condition_peak_memory():
+    """normalize_rms then amp_process hold the float32 input and output and
+    one float64 copy, plus the scan's blocks: about 21 bytes per sample,
+    where a new float64 array per step took 36."""
+    x = 0.3 * np.random.default_rng(9).standard_normal(30 * FS)
+    audio = AudioBuffer(x.astype(np.float32), FS)
+    tracemalloc.start()
+    try:
+        amp_process(normalize_rms(audio, -18.0), drive=4.0, tone_cutoff=5000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * len(x)
 
 
 def test_amp_process_within_one_float32_ulp_of_lfilter():
