@@ -284,7 +284,8 @@ def _median_sqrt(passes, count: int, bracket: tuple[float, float]) -> float:
 
 
 def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
-    """Median of the tiled distances over the strict upper triangle."""
+    """Median of the tiled distances over the strict upper triangle; 1.0 if
+    it is 0 to within the tiles' rounding."""
     n = len(pooled)
     count = n * (n - 1) // 2
     if count <= _SAMPLE_PAIRS:
@@ -300,8 +301,13 @@ def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
             sample[c:c + _SAMPLE_CHUNK] = sq[ic] + sq[jc] - 2.0 * np.einsum(
                 "ij,ij->i", pooled[ic], pooled[jc])
         bracket = np.quantile(sample, [0.5 - _BRACKET, 0.5 + _BRACKET])
-    return _median_sqrt(lambda clip: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq, clip)),
-                        count, bracket)
+    med = _median_sqrt(lambda clip: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq, clip)),
+                       count, bracket)
+    # A tile's GEMM sums E + 2 products of up to 4 max(sq) each, so it may
+    # leave a copy's distance 0 as a square up to this rounding bound: such
+    # a median is 0, and falls back to 1.0 as in _median_sqrt.
+    noise = (pooled.shape[1] + 2) * 4.0 * np.finfo(np.float64).eps * sq.max(initial=0.0)
+    return med if med > math.sqrt(noise) else 1.0
 
 
 def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:

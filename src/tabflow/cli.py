@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -236,8 +237,8 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
                  output_path: Path) -> Path:
     """Encode, transport each chunk through the flow ODE, decode, write WAV.
 
-    Prints the solver's counts: network calls (NFE), accepted and rejected
-    steps."""
+    Prints the solver's counts once the WAV is written: network calls (NFE),
+    accepted and rejected steps."""
     checkpoint = Path(checkpoint)
     input_path = Path(input_path)
     if not checkpoint.is_file():
@@ -255,14 +256,14 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     # decode passes the source's other bands through unchanged
     z = latentcodec.encode(chunks)
     moved, trace = flowmatch.transfer_batch(net, z, cfg.solver())
-    print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
-          f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
     pieces = latentcodec.decode(moved - z, chunks)
     out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)], audio.sample_rate)
 
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     wavio.write_wav(output_path, out.samples, out.sample_rate, comment=f"cfg={cfg.hash()}")
+    print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
+          f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
     return output_path
 
 
@@ -289,7 +290,10 @@ def _subsample(e: np.ndarray, limit: int, seed_key: int) -> np.ndarray:
 
 def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
              guitarflow_dir: Path, conditions: tuple[str, ...]):
-    """FAD/KAD/reconstruction metrics of both systems against the real corpus."""
+    """FAD/KAD/reconstruction metrics of both systems against the real corpus.
+
+    Writes metrics.csv before it prints anything: each KAD bandwidth, then
+    the table."""
     if not conditions or len(set(conditions)) < len(conditions) or any(
             c not in _CONDITIONS for c in conditions):
         raise UsageError(f"conditions must be distinct names from {', '.join(_CONDITIONS)}; "
@@ -312,6 +316,7 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
                 raise DataError(f"stem {stem}: embeddings not frame-aligned ({a} vs {b})")
 
     rows = []  # (condition, metric, system, value)
+    sigma_lines = []
     for condition in conditions:
         # each list goes once it is stacked: the stack copies its rows
         pooled = {label: np.vstack(embeds[label].pop(condition)) for label in dirs}
@@ -323,8 +328,8 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
             system_kad = _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j)
             # kad's bandwidth: the median heuristic over the two sets it scores
             sigma = audiodist.median_bandwidth(real_kad, system_kad)
-            print(f"kad {condition} {system}: sigma {sigma!r} over {len(real_kad)} real "
-                  f"+ {len(system_kad)} {system} frames")
+            sigma_lines.append(f"kad {condition} {system}: sigma {sigma!r} over "
+                               f"{len(real_kad)} real + {len(system_kad)} {system} frames")
             rows.append((condition, "kad", system,
                          audiodist.kad(real_kad, system_kad, sigma)))
         for system in _SYSTEMS:
@@ -341,6 +346,7 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
         for row in rows:
             writer.writerow([row[0], row[1], row[2], repr(row[3])])
 
+    print(*sigma_lines, sep="\n")
     print(f"{'condition':<10} {'metric':<7} {'render':>14} {'guitarflow':>14}")
     table = {(c, m): {} for c, m, _, _ in rows}
     for c, m, s, v in rows:
@@ -496,6 +502,13 @@ def main(argv=None) -> int:
             cmd_eval(cfg, args.real, args.render, args.guitarflow, conditions)
         elif args.command == "stats":
             cmd_stats(cfg, args.ratings, args.m, args.alpha)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return 0
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`) after the command's files
+        # were written; stdout goes to devnull so the exit-time flush of what
+        # is still buffered cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

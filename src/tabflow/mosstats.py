@@ -1,16 +1,23 @@
 """Rating-table statistics: Friedman, Wilcoxon signed-rank, Bonferroni, MOS.
 
-Ranks use mid-ranks for ties throughout. The Wilcoxon exact mode walks the
-null distribution of the positive-rank sum by dynamic programming over
-doubled ranks (mid-ranks stay integral after doubling); the approximate mode
-uses the normal approximation with tie and continuity corrections. Quartiles
-use the inclusive (Tukey) method.
+Ranks are mid-ranks: a stable argsort puts tied values next to each other,
+and each tie group at sorted positions e0..e1 - 1 takes the average rank
+(e0 + e1 + 1) / 2, a half-integer, the value scipy.stats.rankdata gives.
+Friedman's p-value is the chi-square survival at its integer df = k - 1 in
+closed form: exp(-x/2) times the Poisson sum of (x/2)^i / i! over i < df/2
+for even df, erfc(sqrt(x/2)) plus the matching finite sum for odd df. The
+Wilcoxon test is exact for at most EXACT_LIMIT nonzero differences: it walks
+the null distribution of the positive-rank sum by dynamic programming over
+doubled ranks (mid-ranks stay integral after doubling). Above that it uses
+the normal approximation with tie and continuity corrections, whose normal
+tail is 0.5 erfc(z / sqrt(2)). Quartiles use the inclusive (Tukey) method.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,26 +74,50 @@ class RatingTable:
         return self.values[:, self.systems.index(system)]
 
 
+def _mid_ranks(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """1-based mid-ranks of the vector v, and the sum of t^3 - t over the
+    sizes t of its tie groups, in ascending order of value."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    # edges[g]:edges[g + 1] are the sorted positions of tie group g
+    edges = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1], [True]]))
+    sizes = np.diff(edges)
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((edges[:-1] + edges[1:] + 1) / 2.0, sizes)
+    return ranks, np.sum(sizes.astype(np.float64) ** 3 - sizes)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square with the integer df >= 1, in closed form.
+
+    With h = x / 2 and s = (df mod 2) / 2 it is the sum over i < df // 2 of
+    h^(i + s) e^-h / Gamma(i + s + 1), plus erfc(sqrt(h)) for odd df. Each
+    term is taken in logs, so e^-h may underflow where the sum does not."""
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    s = 0.5 * (df % 2)
+    p = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    log_h = math.log(h)
+    for i in range(df // 2):
+        p += math.exp((i + s) * log_h - h - math.lgamma(i + s + 1.0))
+    return min(p, 1.0)
+
+
 def friedman(table: RatingTable) -> TestResult:
     """Friedman chi-square over within-block mid-ranks, tie corrected."""
-    from scipy.stats import chi2, rankdata  # loaded on first use: only stats needs it
     n, k = table.values.shape
     if k < 2 or n < 2:
         raise DataError(f"need >= 2 systems and >= 2 blocks, got {k} x {n}")
-    ranks = rankdata(table.values, axis=1)
-    mean_ranks = ranks.mean(axis=0)
+    ranks, ties = zip(*(_mid_ranks(row) for row in table.values))
+    mean_ranks = np.array(ranks).mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * np.sum(mean_ranks ** 2) - 3.0 * n * (k + 1)
 
-    tie_sum = 0.0
-    for row in table.values:
-        _, counts = np.unique(row, return_counts=True)
-        tie_sum += np.sum(counts.astype(np.float64) ** 3 - counts)
-    correction = 1.0 - tie_sum / (n * k * (k * k - 1))
+    correction = 1.0 - sum(ties) / (n * k * (k * k - 1))
     if correction <= 0.0:
         return TestResult(0.0, 1.0, "friedman (all tied)", df=k - 1)
-    stat = max(0.0, stat / correction)
-    p = float(chi2.sf(stat, df=k - 1))
-    return TestResult(float(stat), p, "friedman", df=k - 1)
+    stat = float(max(0.0, stat / correction))
+    return TestResult(stat, _chi2_sf(stat, k - 1), "friedman", df=k - 1)
 
 
 def _exact_signed_rank_p(double_ranks: np.ndarray, w_plus_doubled: int) -> float:
@@ -104,9 +135,11 @@ def _exact_signed_rank_p(double_ranks: np.ndarray, w_plus_doubled: int) -> float
     return float(min(1.0, 2.0 * min(p_low, p_high)))
 
 
-def wilcoxon_signed_rank(x, y, mode: str = "auto") -> TestResult:
-    """Two-sided paired signed-rank test; zero differences are dropped."""
-    from scipy.stats import norm, rankdata  # loaded on first use: only stats needs it
+def wilcoxon_signed_rank(x, y) -> TestResult:
+    """Two-sided paired signed-rank test; zero differences are dropped.
+
+    Exact for at most EXACT_LIMIT nonzero differences, the normal
+    approximation above."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -118,29 +151,22 @@ def wilcoxon_signed_rank(x, y, mode: str = "auto") -> TestResult:
     n = len(d)
     if n == 0:
         raise NumericError("degenerate sample: all differences are zero")
-    ranks = rankdata(np.abs(d))
+    ranks, tie_sum = _mid_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_LIMIT else "approx"
-    if mode == "exact":
-        if n > EXACT_LIMIT:
-            raise DataError(f"exact mode limited to n <= {EXACT_LIMIT}, got {n}")
+    if n <= EXACT_LIMIT:
         double_ranks = np.round(2.0 * ranks).astype(int)
         p = _exact_signed_rank_p(double_ranks, int(round(2.0 * w_plus)))
         return TestResult(w_plus, p, "wilcoxon signed-rank (exact)",
                           zeros_dropped=zeros)
-    if mode != "approx":
-        raise DataError(f"mode must be exact, approx or auto, got {mode!r}")
 
     mean_w = n * (n + 1) / 4.0
-    _, counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = np.sum(counts.astype(np.float64) ** 3 - counts) / 48.0
-    var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
+    var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
     if var_w <= 0.0:
         raise NumericError("degenerate sample: zero variance after ties")
     z = (abs(w_plus - mean_w) - 0.5) / np.sqrt(var_w)  # continuity corrected
-    p = float(min(1.0, 2.0 * norm.sf(max(z, 0.0))))
+    # twice the normal tail 0.5 erfc(z / sqrt(2))
+    p = min(1.0, math.erfc(max(z, 0.0) / math.sqrt(2.0)))
     return TestResult(w_plus, p, "wilcoxon signed-rank (normal approx)",
                       zeros_dropped=zeros)
 

@@ -25,10 +25,11 @@ carries its delay as one float, which fills its stretch of the buffer.
 
 The pluck lowpass runs scipy.signal.lfilter's own recurrence as a scalar
 loop over each note's short burst, so rendering needs no scipy and its
-bytes do not depend on the installed scipy. amp_process filters whole files
-with the same one-pole recurrence as a blocked scan (_one_pole_scan), a
-fixed number of vector operations whatever the file's length, so no
-command but the rating statistics loads scipy.
+bytes do not depend on whether scipy is installed. amp_process filters
+whole files with the same one-pole recurrence as a blocked scan
+(_one_pole_scan), a fixed number of vector operations whatever the file's
+length. No command loads scipy: numpy is the package's only run-time
+dependency.
 """
 
 from __future__ import annotations

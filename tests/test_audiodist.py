@@ -403,6 +403,17 @@ def test_median_bandwidth_clips_copies_rounded_below_zero():
     assert median_bandwidth(x, x) == 1.0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_median_bandwidth_of_copies_is_one_whatever_their_rounding(seed):
+    """75 copies of one point: every pairwise distance is 0, but a tile's
+    GEMM leaves some of them as squares of about 1e-14 (seeds 4-6), whose
+    median sigma of about 1e-7 would make every kernel value 0 or 1. A
+    median within the GEMM's rounding bound is the distance 0, so sigma is
+    the fallback 1.0."""
+    x = _set(np.tile(np.random.default_rng(seed).standard_normal(64), (75, 1)))
+    assert median_bandwidth(x, x) == 1.0
+
+
 def test_median_bandwidth_peak_memory_bound():
     """At the default cap (2048 + 2048 frames of 64 dims) the bracket's
     16384 sampled pairs gather their rows in chunks: gathering both rows of

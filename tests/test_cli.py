@@ -1,7 +1,11 @@
 import csv
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from tabflow.neuralnet import VelocityNet, AdamState, save_checkpoint
 from tabflow.tabscore import parse_score
 
 from test_config import with_updates
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -859,3 +865,47 @@ def test_main_transfer_truncated_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
     assert f"{src}: b'data' chunk declares 176400 bytes, but only 176000 remain" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+_TINY_INI = """\
+[odesolve]
+solver = euler
+steps = 8
+"""
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["eval", "transfer"])
+def test_main_stdout_closed_early_writes_files_and_exits_0(tiny_cfg, tmp_path, command,
+                                                           buffered):
+    """`tabflow eval ... | head -1`, at its extreme: the reader of stdout is
+    gone before the command prints. The command's file is still written,
+    and it exits 0 with nothing on stderr (no "data error", and no
+    "Exception ignored" from the exit-time flush of a buffered stdout)."""
+    cli.cmd_synthdata(tiny_cfg)
+    audio = tiny_cfg.workdir / "audio"
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(_TINY_INI)
+    argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir)]
+    if command == "eval":
+        written = tiny_cfg.workdir / "metrics.csv"
+        argv += ["eval", "--real", str(audio / "pseudo_real"), "--render",
+                 str(audio / "synthetic"), "--guitarflow", str(audio / "synthetic")]
+    else:
+        written = tmp_path / "out.wav"
+        argv += ["transfer", str(_zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")),
+                 str(audio / "synthetic" / "score_000.wav"), str(written)]
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, *([] if buffered else ["-u"]), "-c",
+             "import sys; from tabflow.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert written.is_file()

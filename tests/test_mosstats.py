@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare, rankdata
+from scipy.stats import chi2, friedmanchisquare, rankdata, wilcoxon
 
 from tabflow import mosstats
 from tabflow.errors import DataError, NumericError
@@ -55,6 +55,49 @@ def test_friedman_matches_rank_sum_oracle_without_ties():
     assert res.p_value == pytest.approx(ref.pvalue, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", range(3, 12))
+def test_friedman_p_matches_scipy(k):
+    """Tied integer ratings over k systems: the closed-form chi-square
+    survival at df = k - 1 gives scipy's p within rel 1e-12."""
+    rng = np.random.default_rng(k)
+    for n in (2, 7, 30):
+        values = rng.integers(1, 6, size=(n, k)).astype(float)
+        values[:, -1] += rng.integers(0, 3)  # a shifted system: small p too
+        res = friedman(_table(values))
+        if res.method != "friedman":
+            continue
+        ref = friedmanchisquare(*values.T)
+        assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("df", range(1, 11))
+def test_chi2_survival_matches_scipy(df):
+    xs = np.geomspace(1e-6, 300.0, 400)
+    got = np.array([mosstats._chi2_sf(float(x), df) for x in xs])
+    np.testing.assert_allclose(got, chi2.sf(xs, df), rtol=1e-12, atol=0)
+    assert mosstats._chi2_sf(0.0, df) == 1.0
+
+
+@pytest.mark.parametrize("df", [99, 999, 2001])
+def test_chi2_survival_of_many_systems_matches_scipy(df):
+    """Near x = df with df above 1490, e^(-x/2) underflows to 0, yet the
+    survival is near 1/2: the terms are summed in logs."""
+    xs = np.linspace(0.5 * df, 2.0 * df, 50)
+    got = np.array([mosstats._chi2_sf(float(x), df) for x in xs])
+    np.testing.assert_allclose(got, chi2.sf(xs, df), rtol=1e-11, atol=1e-300)
+
+
+def test_mid_ranks_match_rankdata_on_tied_data():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        v = rng.integers(0, rng.integers(1, 12), rng.integers(1, 40)).astype(float)
+        ranks, tie_sum = mosstats._mid_ranks(v)
+        assert np.array_equal(ranks, rankdata(v))
+        counts = np.unique(v, return_counts=True)[1].astype(float)
+        assert tie_sum == np.sum(counts ** 3 - counts)
+
+
 def test_friedman_dominant_system_significant():
     rng = np.random.default_rng(1)
     base = rng.integers(1, 4, size=(12, 3)).astype(float)
@@ -102,7 +145,8 @@ def test_wilcoxon_all_equal_degenerate():
 
 
 def test_wilcoxon_n5_all_positive_exact():
-    res = wilcoxon_signed_rank([2, 3, 4, 5, 6], [1, 2, 3, 4, 5], mode="exact")
+    res = wilcoxon_signed_rank([2, 3, 4, 5, 6], [1, 2, 3, 4, 5])
+    assert "exact" in res.method
     assert res.p_value == pytest.approx(2 / 32)
     assert res.statistic == 15.0
 
@@ -114,7 +158,7 @@ def test_wilcoxon_exact_matches_brute_force_all_n_up_to_10():
         d = rng.integers(-4, 5, n).astype(float)
         if np.all(d == 0):
             continue
-        res = wilcoxon_signed_rank(d, np.zeros(n), mode="exact")
+        res = wilcoxon_signed_rank(d, np.zeros(n))
         nz = d[d != 0]
         ranks = rankdata(np.abs(nz))
         w_obs = ranks[nz > 0].sum()
@@ -127,31 +171,48 @@ def test_wilcoxon_exact_matches_brute_force_all_n_up_to_10():
 
 
 def test_wilcoxon_reports_dropped_zeros():
-    res = wilcoxon_signed_rank([1, 2, 2, 5], [1, 1, 2, 1], mode="exact")
+    res = wilcoxon_signed_rank([1, 2, 2, 5], [1, 1, 2, 1])
     assert res.zeros_dropped == 2
 
 
-def test_wilcoxon_exact_and_approx_agree_at_n15():
+def test_wilcoxon_exact_and_approx_agree_at_n16():
+    """Just above EXACT_LIMIT the public test is the normal approximation;
+    the exact null of the same ranks gives nearly the same p."""
     rng = np.random.default_rng(4)
-    x = rng.normal(0.8, 1.0, 15)
-    y = np.zeros(15)
-    pe = wilcoxon_signed_rank(x, y, mode="exact").p_value
-    pa = wilcoxon_signed_rank(x, y, mode="approx").p_value
-    assert abs(pe - pa) < 0.02
-
-
-def test_wilcoxon_auto_mode_switches():
-    x = np.arange(1.0, 17.0)
-    y = np.zeros(16)
-    res = wilcoxon_signed_rank(x, y, mode="auto")
+    x = rng.normal(0.8, 1.0, 16)
+    res = wilcoxon_signed_rank(x, np.zeros(16))
     assert "approx" in res.method
-    res_small = wilcoxon_signed_rank(x[:8], y[:8], mode="auto")
-    assert "exact" in res_small.method
+    ranks = rankdata(np.abs(x))
+    pe = mosstats._exact_signed_rank_p(np.round(2.0 * ranks).astype(int),
+                                       int(round(2.0 * ranks[x > 0].sum())))
+    assert abs(pe - res.p_value) < 0.02
 
 
-def test_wilcoxon_exact_limit_enforced():
-    with pytest.raises(DataError, match="exact mode"):
-        wilcoxon_signed_rank(np.arange(1.0, 21.0), np.zeros(20), mode="exact")
+def test_wilcoxon_exact_up_to_limit_then_approx():
+    """The switch counts nonzero differences: n = EXACT_LIMIT is exact,
+    one more is approximate, and a zero difference does not count."""
+    limit = mosstats.EXACT_LIMIT
+    x = np.arange(1.0, limit + 2.0)
+    y = np.zeros(limit + 1)
+    assert "exact" in wilcoxon_signed_rank(x[:limit], y[:limit]).method
+    assert "approx" in wilcoxon_signed_rank(x, y).method
+    y[0] = x[0]
+    res = wilcoxon_signed_rank(x, y)
+    assert "exact" in res.method and res.zeros_dropped == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wilcoxon_approx_p_matches_scipy(seed):
+    """Tied differences above EXACT_LIMIT: the tie- and continuity-corrected
+    normal approximation gives scipy's p within rel 1e-12."""
+    rng = np.random.default_rng(seed)
+    for n in (30, 45, 60):
+        x = rng.integers(1, 6, n).astype(float) + seed * 0.25
+        y = rng.integers(1, 6, n).astype(float)
+        res = wilcoxon_signed_rank(x, y)
+        assert "approx" in res.method
+        ref = wilcoxon(x, y, zero_method="wilcox", correction=True, method="approx")
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
 
 
 def test_bonferroni_values():
@@ -167,12 +228,10 @@ def test_bonferroni_values():
 def test_p_values_always_valid():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = rng.normal(0, 1, 12)
-        y = rng.normal(0, 1, 12)
-        if np.all(x == y):
-            continue
-        for mode in ("exact", "approx"):
-            p = wilcoxon_signed_rank(x, y, mode=mode).p_value
+        for n in (12, 24):  # exact, then approximate
+            x = rng.normal(0, 1, n)
+            y = rng.normal(0, 1, n)
+            p = wilcoxon_signed_rank(x, y).p_value
             assert 0.0 <= p <= 1.0
 
 
