@@ -339,9 +339,9 @@ def kad(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     m, n = len(a), len(b)
     sum_aa = sum_ab = sum_bb = 0.0
     for r0, r1, k in _sq_dist_blocks(pooled, sq):
+        # the +inf on and below the leading square's diagonal becomes 0.0
         k *= -gamma
         np.exp(k, out=k)
-        np.copyto(k[:, :r1 - r0], 0.0, where=_LOWER[:r1 - r0, :r1 - r0])
         col = max(m - r0, 0)  # the first b column of the tile
         row = min(col, r1 - r0)  # the first b row
         sum_aa += k[:row, :col].sum()

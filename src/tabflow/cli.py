@@ -6,6 +6,10 @@ codes: 0 success, 1 usage, 2 data error (a config value out of range exits 2
 naming its [section] key, before any file is read or written), 3 numeric
 failure. Every written artifact embeds the config hash (WAV comment chunk,
 CSV comment line, checkpoint config echo).
+
+eval scores each system in a DI condition (the audio as it is) and an amp
+condition: RMS-normalized to AMP_LEVEL_DB dBFS, driven into tanh with gain
+AMP_DRIVE, then through a one-pole tone filter at AMP_TONE_CUTOFF_HZ.
 """
 
 from __future__ import annotations
@@ -176,9 +180,7 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     ckpt = out_checkpoint or cfg.workdir / "model.ckpt"
-    echo = {"config_hash": cfg.hash(), "dims": net.dims,
-            "base_channels": cfg.base_channels, "seed": cfg.seed,
-            "input_gain": net.input_gain,
+    echo = {"config_hash": cfg.hash(), "input_gain": net.input_gain,
             "train_stems": train_stems, "test_stems": test_stems,
             "config": cfg.raw}
     nn.save_checkpoint(ckpt, net.params, state, echo)
@@ -202,19 +204,18 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
 
 def _load_net(checkpoint: Path) -> nn.VelocityNet:
     params, _, echo = nn.load_checkpoint(checkpoint)
-    for key in ("dims", "base_channels"):
-        if type(echo.get(key)) is not int or echo[key] < 1:
-            raise DataError(f"{checkpoint}: config echo needs a positive int for "
-                            f"{key!r}, got {echo.get(key)!r}")
-    if echo["dims"] != latentcodec.DIMS:
-        raise DataError(f"{checkpoint}: config echo 'dims' is {echo['dims']}, but the "
-                        f"codec's latent width is {latentcodec.DIMS}")
     gain = echo.get("input_gain")
     if type(gain) not in (int, float) or not 0 < gain < np.inf:  # NaN fails too
         raise DataError(f"{checkpoint}: config echo needs a positive number for "
                         f"'input_gain', got {gain!r}")
-    # checked before the net is built, so a huge echo allocates nothing
-    shapes = nn.param_shapes(echo["dims"], echo["base_channels"])
+    # the net's width is enc0.w's output channels, and every array is held to
+    # the shapes it implies before a net is built
+    enc0 = params.get("enc0.w")
+    if enc0 is None or enc0.ndim != 3 or enc0.shape[0] < 1:
+        raise DataError(f"{checkpoint}: enc0.w must have shape (width >= 1, "
+                        f"{latentcodec.DIMS + 1}, 3), got {getattr(enc0, 'shape', None)}")
+    width = enc0.shape[0]
+    shapes = nn.param_shapes(latentcodec.DIMS, width)
     missing = [name for name in shapes if name not in params]
     if missing:
         raise DataError(f"{checkpoint}: checkpoint lacks parameters {', '.join(missing)}")
@@ -223,11 +224,10 @@ def _load_net(checkpoint: Path) -> nn.VelocityNet:
             raise DataError(f"{checkpoint}: checkpoint parameter {name} not in model")
         if shapes[name] != arr.shape:
             raise DataError(f"{checkpoint}: parameter {name} has shape {arr.shape}, but "
-                            f"'dims' {echo['dims']} and 'base_channels' "
-                            f"{echo['base_channels']} imply {shapes[name]}")
+                            f"latent width {latentcodec.DIMS} and net width {width} "
+                            f"imply {shapes[name]}")
     # every weight is overwritten below, so the init seed does not matter
-    net = nn.VelocityNet(echo["dims"], base_channels=echo["base_channels"], seed=0,
-                         input_gain=gain)
+    net = nn.VelocityNet(latentcodec.DIMS, base_channels=width, seed=0, input_gain=gain)
     for name, arr in params.items():
         net.params[name].data[...] = arr
     return net
@@ -270,15 +270,18 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
 # --------------------------------------------------------------------- eval
 
 _CONDITIONS = ("di", "amp")
+AMP_LEVEL_DB = -9.0
+AMP_DRIVE = 6.0
+AMP_TONE_CUTOFF_HZ = 5000.0
 _SYSTEMS = ("render", "guitarflow")
 
 
-def _condition_audio(cfg: PipelineConfig, audio: AudioBuffer, condition: str) -> AudioBuffer:
+def _condition_audio(audio: AudioBuffer, condition: str) -> AudioBuffer:
     """condition is one of _CONDITIONS, which cmd_eval checks."""
     if condition == "di":
         return audio
-    normalized = normalize_rms(audio, cfg.normalize_db)
-    return amp_process(normalized, cfg.amp_drive, cfg.amp_tone_cutoff)
+    normalized = normalize_rms(audio, AMP_LEVEL_DB)
+    return amp_process(normalized, AMP_DRIVE, AMP_TONE_CUTOFF_HZ)
 
 
 def _subsample(e: np.ndarray, limit: int, seed_key: int) -> np.ndarray:
@@ -308,9 +311,14 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
     embeds = {label: {c: [] for c in conditions} for label in dirs}
     for label, d in dirs.items():
         for k, stem in enumerate(stems):
-            audio = _load_audio(cfg, d / f"{stem}.wav")
+            path = d / f"{stem}.wav"
+            audio = _load_audio(cfg, path)
             for c in conditions:
-                embeds[label][c].append(audiodist.embed(_condition_audio(cfg, audio, c)))
+                # a silent stem, which has no RMS level to set, is named
+                try:
+                    embeds[label][c].append(audiodist.embed(_condition_audio(audio, c)))
+                except DataError as exc:
+                    raise DataError(f"{label} stem {path}, {c} condition: {exc}") from None
             a, b = embeds[label][c][k].shape, embeds["real"][c][k].shape
             if a != b:
                 raise DataError(f"stem {stem}: embeddings not frame-aligned ({a} vs {b})")

@@ -2,7 +2,7 @@
 module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
 
-_TABLE is the one listing of the 22 keys: each row is (section, key, type,
+_TABLE is the one listing of the 19 keys: each row is (section, key, type,
 default text, rule), the type being Path, int, float or str, applied to the
 text as typ(text), and the rule a (predicate, condition) pair. The defaults,
 the PipelineConfig fields, the parsing and the checks all derive from it.
@@ -28,6 +28,9 @@ from .stringsynth import MAX_RENDER_SECONDS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
 _SECONDS = (lambda v: 0 < v <= MAX_RENDER_SECONDS, f"in (0, {MAX_RENDER_SECONDS:g}]")
 _PATH = (lambda v: "\0" not in str(v), "free of NUL characters")
+# Widest UNet: eight times the default, 25.2M parameters (101 MB of float32
+# weights); the weights grow with the square of the width.
+MAX_BASE_CHANNELS = 256
 
 _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("paths", "scores_dir", Path, "scores", _PATH),
@@ -37,7 +40,8 @@ _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("flowmatch", "batch_size", int, "64", _POSITIVE),
     ("flowmatch", "lr", float, "0.0001", _POSITIVE),
     ("flowmatch", "epochs", int, "50", _POSITIVE),
-    ("flowmatch", "base_channels", int, "32", _POSITIVE),
+    ("flowmatch", "base_channels", int, "32",
+     (lambda v: 0 < v <= MAX_BASE_CHANNELS, f"in [1, {MAX_BASE_CHANNELS}]")),
     ("odesolve", "solver", str, "dopri5", None),  # load_config checks the name
     ("odesolve", "steps", int, "100", _POSITIVE),
     ("odesolve", "rtol", float, "0.0001", _POSITIVE),
@@ -46,9 +50,6 @@ _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("stringsynth", "sample_rate", int, "44100",
      (lambda v: MIN_SAMPLE_RATE <= v <= MAX_SAMPLE_RATE,
       f"in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}]")),
-    ("stringsynth", "amp_drive", float, "6.0", _POSITIVE),
-    ("stringsynth", "amp_tone_cutoff", float, "5000.0", _POSITIVE),
-    ("stringsynth", "normalize_db", float, "-9.0", (math.isfinite, "finite")),
     ("audiodist", "kad_max_frames", int, "2048", (lambda v: v >= 2, ">= 2")),
     ("synthdata", "n_scores", int, "10", _POSITIVE),
     ("synthdata", "score_seconds", float, "60.0", _SECONDS),

@@ -141,19 +141,16 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
 
     Returns the transported batch, of the input's shape, and the solver's
     OdeTrace with its network-call and step counts (its final_state is the
-    padded, flattened state). The ODE state keeps the input dtype; casts
-    happen only at the network boundary, so a zero velocity field transports
-    exactly.
+    [B, D, F'] state, its frame axis padded). The ODE state keeps the input
+    dtype; casts happen only at the network boundary, so a zero velocity
+    field transports exactly.
     """
-    b, d, f = states.shape
-    padded = _pad_frame_axis(states, states.dtype)
-    target = padded.shape[-1]
+    b, _, f = states.shape
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:
         with nn.no_grad():
-            x = T.Tensor(y.reshape(b, d, target).astype(net.dtype))
             tt = T.Tensor(np.full(b, t, dtype=net.dtype))
-            return net(x, tt).data.astype(y.dtype).reshape(-1)
+            return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
 
-    trace = odesolve.integrate(velocity, padded.reshape(-1), solver)
-    return trace.final_state.reshape(b, d, target)[:, :, :f], trace
+    trace = odesolve.integrate(velocity, _pad_frame_axis(states, states.dtype), solver)
+    return trace.final_state[:, :, :f], trace

@@ -61,7 +61,11 @@ class RatingTable:
         systems = sorted({r[2] for r in rows})
         cells: dict[tuple[str, str], dict[str, float]] = {}
         for rater, item, system, score in rows:
-            cells.setdefault((rater, item), {})[system] = float(score)
+            cell = cells.setdefault((rater, item), {})
+            if system in cell:
+                raise DataError(f"duplicate rating of rater {rater!r}, item {item!r}, "
+                                f"system {system!r}")
+            cell[system] = float(score)
         blocks = sorted(cells)
         incomplete = [b for b in blocks if set(cells[b]) != set(systems)]
         if incomplete:

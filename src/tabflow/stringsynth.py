@@ -95,11 +95,8 @@ class AudioBuffer:
 @dataclass(frozen=True)
 class RenderStyle:
     name: str
-    excitation_seed: int
     brightness: float       # 0 dark .. 1 bright (loop-filter blend)
     decay_scale: float      # multiplies the base ring time
-    detune_cents: float     # per-note random detune bound
-    timing_jitter_ms: float  # per-note random onset shift bound
     pick_noise_gain: float  # attack transient level relative to the pluck
     excitation_cutoff: float | None = None  # one-pole lowpass on the pluck noise
 
@@ -108,26 +105,24 @@ class RenderStyle:
             raise DataError(f"brightness must be in [0, 1], got {self.brightness}")
         if self.decay_scale <= 0:
             raise DataError(f"decay_scale must be > 0, got {self.decay_scale}")
-        if self.timing_jitter_ms < 0 or self.pick_noise_gain < 0:
-            raise DataError("timing_jitter_ms and pick_noise_gain must be >= 0")
+        if self.pick_noise_gain < 0:
+            raise DataError(f"pick_noise_gain must be >= 0, got {self.pick_noise_gain}")
         if self.excitation_cutoff is not None and self.excitation_cutoff <= 0:
             raise DataError("excitation_cutoff must be > 0 when set")
 
 
-# The presets share the excitation seed, so both styles pluck the same noise
-# burst per note: a pair differs by loop filtering, decay, excitation color,
-# and pick noise (the style), not by the excitation realization (the
-# content). Jitter and detune stay zero in the presets to keep pairs
-# sample-aligned; nonzero values work and are exercised in the tests. The
-# brightness gap is kept small because the loop filter's dispersion differs
-# with its blend, and strongly different blends drift partial phases apart
-# mid-note; the audible contrast comes mostly from the phase-neutral knobs
-# (decay, excitation color, pick noise).
-SYNTHETIC = RenderStyle("synthetic", excitation_seed=11, brightness=0.82,
-                        decay_scale=1.0, detune_cents=0.0, timing_jitter_ms=0.0,
+# Every style draws its per-note random values from this one seed, so both
+# presets pluck the same noise burst per note at the same onset: a pair
+# differs by loop filtering, decay, excitation color and pick noise (the
+# style), not by the excitation realization or the timing (the content), and
+# stays sample-aligned. The brightness gap is kept small because the loop
+# filter's dispersion differs with its blend, and strongly different blends
+# drift partial phases apart mid-note; the audible contrast comes mostly from
+# the phase-neutral knobs (decay, excitation color, pick noise).
+EXCITATION_SEED = 11
+SYNTHETIC = RenderStyle("synthetic", brightness=0.82, decay_scale=1.0,
                         pick_noise_gain=0.0)
-PSEUDO_REAL = RenderStyle("pseudo_real", excitation_seed=11, brightness=0.70,
-                          decay_scale=0.55, detune_cents=0.0, timing_jitter_ms=0.0,
+PSEUDO_REAL = RenderStyle("pseudo_real", brightness=0.70, decay_scale=0.55,
                           pick_noise_gain=0.3, excitation_cutoff=2200.0)
 STYLE_PRESETS = {s.name: s for s in (SYNTHETIC, PSEUDO_REAL)}
 
@@ -332,12 +327,12 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
     note of constant pitch, else one per sample.
 
     A note draws its random values from its own generator in a fixed order:
-    detune, jitter, excitation, pick noise. Events starting at or after
+    one unused value, excitation, pick noise. Events starting at or after
     sample `total` are skipped.
     """
     fs = float(sample_rate)
     spt = score.seconds_per_tick()
-    seeds = np.random.SeedSequence(style.excitation_seed).spawn(len(score.events))
+    seeds = np.random.SeedSequence(EXCITATION_SEED).spawn(len(score.events))
     events = list(score.events)
 
     # same-onset events strum low string first, 8 ms apart
@@ -352,11 +347,10 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
     for k, ev in enumerate(events):
         rng = np.random.default_rng(seeds[k])
         f0 = event_pitch(score, ev)
-        if style.detune_cents:
-            f0 *= 2.0 ** (rng.uniform(-style.detune_cents, style.detune_cents) / 1200.0)
-        jitter = rng.uniform(-1.0, 1.0) * style.timing_jitter_ms / 1000.0
-        onset = max(0.0, ev.onset_ticks * spt + stagger[k] + jitter)
-        s0 = int(round(onset * fs))
+        # one discarded draw: the excitation starts at the generator's second
+        # value, which the recorded render digests pin
+        rng.uniform(-1.0, 1.0)
+        s0 = int(round((ev.onset_ticks * spt + stagger[k]) * fs))
         if s0 >= total:
             continue
 

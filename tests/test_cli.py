@@ -12,7 +12,7 @@ import pytest
 
 from tabflow import audiodist, cli, flowmatch, latentcodec, wavio
 from tabflow.config import load_config
-from tabflow.neuralnet import VelocityNet, AdamState, save_checkpoint
+from tabflow.neuralnet import VelocityNet, AdamState, Tensor, save_checkpoint
 from tabflow.tabscore import parse_score
 
 from test_config import with_updates
@@ -30,10 +30,18 @@ def tiny_cfg(tmp_path):
     })
 
 
+@pytest.fixture()
+def no_net_built(monkeypatch):
+    """Fails the test when a command builds a VelocityNet."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("net built for a rejected checkpoint")
+
+    monkeypatch.setattr(cli.nn, "VelocityNet", forbidden)
+
+
 def _zero_checkpoint(cfg, path):
     net = VelocityNet(latentcodec.DIMS, base_channels=cfg.base_channels, seed=0)
-    echo = {"config_hash": cfg.hash(), "dims": latentcodec.DIMS,
-            "base_channels": cfg.base_channels, "seed": 0, "input_gain": 1.0}
+    echo = {"config_hash": cfg.hash(), "input_gain": 1.0}
     save_checkpoint(path, net.params, AdamState(lr=cfg.lr), echo)
     return path
 
@@ -234,24 +242,19 @@ def test_default_transfer_codes_once_without_full_dct(tmp_path, monkeypatch):
     assert calls == ["encode", "decode"]
 
 
-def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path, monkeypatch, capsys):
+def test_transfer_dim_mismatch_rejected(tiny_cfg, tmp_path, capsys, no_net_built):
     """A checkpoint of another latent width is refused before a net is built."""
     from tabflow.errors import DataError
     net = VelocityNet(32, base_channels=4, seed=0)
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, net.params, None,
-                    {"dims": 32, "base_channels": 4, "input_gain": 1.0})
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("net built for a rejected checkpoint")
-
-    monkeypatch.setattr(cli.nn, "VelocityNet", forbidden)
+    save_checkpoint(bad, net.params, None, {"input_gain": 1.0})
     src, out = _noise_wav(tmp_path / "in.wav"), tmp_path / "x.wav"
-    with pytest.raises(DataError, match="dims"):
+    with pytest.raises(DataError, match="latent width 64"):
         cli.cmd_transfer(tiny_cfg, bad, src, out)
     assert cli.main(_transfer_argv(tiny_cfg, bad, src, out)) == 2
     err = capsys.readouterr().err
-    assert "'dims' is 32" in err and str(bad) in err
+    assert f"{bad}: parameter enc0.w has shape (4, 33, 3), but latent width 64 " \
+        "and net width 4 imply (4, 65, 3)" in err
     assert not out.exists()
 
 
@@ -589,12 +592,28 @@ def test_main_eval_wrong_sample_rate_is_exit_2(tmp_path, capsys):
     assert f"{bad}: sample rate 22050 Hz does not match config sample_rate 44100 Hz" in err
 
 
+def test_main_eval_silent_stem_names_it(tmp_path, capsys):
+    """The amp condition cannot set a silent stem's level; the error says
+    which system's WAV it is."""
+    dirs = {label: tmp_path / label for label in ("real", "render", "guitarflow")}
+    for d in dirs.values():
+        d.mkdir()
+        _noise_wav(d / "a.wav")
+    silent = dirs["render"] / "a.wav"
+    wavio.write_wav(silent, np.zeros(44100, np.float32), 44100, comment="")
+    argv = ["--workdir", str(tmp_path / "work"), "eval", "--real", str(dirs["real"]),
+            "--render", str(dirs["render"]), "--guitarflow", str(dirs["guitarflow"])]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: render stem {silent}, amp condition: cannot normalize silence" in err
+    assert not (tmp_path / "work" / "metrics.csv").exists()
+
+
 def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
     net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "headless.ckpt"
     params = {name: p for name, p in net.params.items() if name != "out.w"}
-    save_checkpoint(ckpt, params, None, {"dims": latentcodec.DIMS, "input_gain": 1.0,
-                                         "base_channels": tiny_cfg.base_channels})
+    save_checkpoint(ckpt, params, None, {"input_gain": 1.0})
     src = _noise_wav(tmp_path / "in.wav")
     out = tmp_path / "o.wav"
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
@@ -607,36 +626,61 @@ def test_main_transfer_checkpoint_extra_parameter_is_exit_2(tiny_cfg, tmp_path, 
     net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "extra.ckpt"
     params = {**net.params, "stray.w": net.params["out.w"]}
-    save_checkpoint(ckpt, params, None, {"dims": latentcodec.DIMS, "input_gain": 1.0,
-                                         "base_channels": tiny_cfg.base_channels})
+    save_checkpoint(ckpt, params, None, {"input_gain": 1.0})
     out = tmp_path / "o.wav"
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
     assert f"{ckpt}: checkpoint parameter stray.w not in model" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("dims", "x"), ("base_channels", None),
-                                        ("input_gain", None), ("input_gain", True),
-                                        ("base_channels", 10**9), ("base_channels", 4.7),
-                                        ("dims", 10**12)])
+@pytest.mark.parametrize("key, value", [("input_gain", None), ("input_gain", True),
+                                        ("input_gain", "1.0"), ("input_gain", 0.0)])
 def test_main_transfer_bad_checkpoint_echo_is_exit_2(tiny_cfg, tmp_path, capsys,
                                                      key, value):
-    """The echo's ints are checked against the checkpoint's array shapes
-    before the net is built: a net of base_channels 10**9 or dims 10**12
-    would ask for terabytes, and 4.7 is not truncated to 4."""
+    """input_gain is the one echo field transfer reads; the net's shape
+    comes from the checkpoint's arrays."""
     net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
-    echo = {"dims": latentcodec.DIMS, "base_channels": tiny_cfg.base_channels,
-            "input_gain": 1.0}
-    if value is None:
-        del echo[key]
-    else:
-        echo[key] = value
+    echo = {} if value is None else {key: value}
     ckpt = tmp_path / "echo.ckpt"
     save_checkpoint(ckpt, net.params, None, echo)
     out = tmp_path / "o.wav"
     assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and str(ckpt) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, shown", [(None, "None"), ((8, 65), "(8, 65)"),
+                                          ((0, 65, 3), "(0, 65, 3)")],
+                         ids=["missing", "2-D", "no-channels"])
+def test_main_transfer_bad_enc0_is_exit_2(tiny_cfg, tmp_path, capsys, no_net_built,
+                                          shape, shown):
+    """The net's width comes from enc0.w, which must be there, 3-D and of at
+    least one channel; no net is built for a checkpoint without it."""
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
+    params = {name: p for name, p in net.params.items() if name != "enc0.w"}
+    if shape is not None:
+        params["enc0.w"] = Tensor(np.zeros(shape, np.float32))
+    ckpt = tmp_path / "enc0.ckpt"
+    save_checkpoint(ckpt, params, None, {"input_gain": 1.0})
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    assert f"{ckpt}: enc0.w must have shape (width >= 1, 65, 3), got {shown}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_transfer_other_net_width_is_exit_2(tiny_cfg, tmp_path, capsys, no_net_built):
+    """enc0.w sets the width; a later array of another width is named."""
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
+    wide = VelocityNet(latentcodec.DIMS, base_channels=2 * tiny_cfg.base_channels, seed=0)
+    ckpt = tmp_path / "mixed.ckpt"
+    save_checkpoint(ckpt, {**net.params, "enc1.w": wide.params["enc1.w"]}, None,
+                    {"input_gain": 1.0})
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    assert (f"{ckpt}: parameter enc1.w has shape (32, 16, 3), but latent width 64 and "
+            f"net width 8 imply (16, 8, 3)") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -726,6 +770,17 @@ def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, show
     assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
+
+
+def test_main_stats_duplicate_rating_is_exit_2(tmp_path, capsys):
+    """The 1 is not dropped for the 5: a repeated rating is a data error."""
+    ratings = tmp_path / "dup.csv"
+    ratings.write_text("rater,item,system,score\nr0,i0,A,1\nr0,i0,B,2\nr0,i0,A,5\n"
+                       "r1,i0,A,2\nr1,i0,B,3\n")
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert "duplicate rating of rater 'r0', item 'i0', system 'A'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "mos_summary.csv").exists()
 
 
 def test_main_stats_non_utf8_ratings_is_exit_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tabflow import cli
-from tabflow.config import _TABLE, load_config
+from tabflow.config import _TABLE, MAX_BASE_CHANNELS, load_config
 from tabflow.errors import DataError, TabflowError, UsageError
 from tabflow.odesolve import Dopri5, Euler, RK4
 
@@ -18,18 +18,16 @@ def test_defaults_match_pipeline_settings():
     assert cfg.epochs == 50
     assert cfg.steps == 100
     assert cfg.sample_rate == 44100
-    assert cfg.normalize_db == -9.0
     assert isinstance(cfg.solver(), Dopri5)
     expected = {
         "scores_dir": Path("scores"), "audio_dir": Path("audio"), "workdir": Path("work"),
         "chunk_seconds": 4.0,
         "batch_size": 64, "lr": 0.0001, "epochs": 50, "base_channels": 32,
         "solver_name": "dopri5", "steps": 100, "rtol": 0.0001, "atol": 0.0001,
-        "max_steps": 10000, "sample_rate": 44100, "amp_drive": 6.0,
-        "amp_tone_cutoff": 5000.0, "normalize_db": -9.0, "kad_max_frames": 2048,
+        "max_steps": 10000, "sample_rate": 44100, "kad_max_frames": 2048,
         "n_scores": 10, "score_seconds": 60.0, "seed": 0, "train_split": 0.9,
     }
-    assert len(expected) == 22
+    assert len(expected) == len(_TABLE) == 19
     for name, value in expected.items():
         got = getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
@@ -55,6 +53,27 @@ def test_unknown_keys_rejected(tmp_path):
     ini.write_text("[latentcodec]\ndims = 64\n")  # the latent width is a constant
     with pytest.raises(UsageError, match="unknown config key"):
         load_config(ini)
+
+
+@pytest.mark.parametrize("key", ["amp_drive", "amp_tone_cutoff", "normalize_db"])
+def test_amp_condition_is_not_configurable(tmp_path, capsys, key):
+    """The amp condition is cli's constants: an INI that sets one is exit 1."""
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[stringsynth]\n{key} = 1.0\n")
+    with pytest.raises(UsageError, match=f"unknown config key '{key}' in \\[stringsynth\\]"):
+        load_config(ini)
+    assert cli.main(["--config", str(ini), "stats", "ratings.csv", "--m", "1"]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["257", "100000"])
+def test_base_channels_ceiling(value):
+    """A UNet wider than MAX_BASE_CHANNELS is refused before numpy is asked
+    for its weights (100000 channels ask for 447 GiB)."""
+    with pytest.raises(DataError, match=re.escape(
+            f"[flowmatch] base_channels must be in [1, {MAX_BASE_CHANNELS}], got '{value}'")):
+        load_config(None, {"flowmatch": {"base_channels": value}})
+    assert load_config(None, {"flowmatch": {"base_channels": "256"}}).base_channels == 256
 
 
 def test_missing_file_rejected(tmp_path):
@@ -84,7 +103,7 @@ def test_hash_stable_and_sensitive():
     c = load_config(None, {"flowmatch": {"epochs": "49"}})
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
-    assert load_config().hash() == "0a903b362bdaaa16"
+    assert load_config().hash() == "20cb366f3d9f55a1"
 
 
 def with_updates(cfg, **sections):
@@ -109,9 +128,8 @@ _OUT_OF_RANGE = {
     "scores_dir": "sc\0ores", "audio_dir": "au\0dio", "workdir": "wo\0rk",
     "chunk_seconds": "0", "batch_size": "0", "lr": "-0.0001",
     "epochs": "0", "base_channels": "-8", "steps": "0", "rtol": "nan", "atol": "-1",
-    "max_steps": "0", "sample_rate": "7999", "amp_drive": "0", "amp_tone_cutoff": "nan",
-    "normalize_db": "inf", "kad_max_frames": "1", "n_scores": "0", "score_seconds": "inf",
-    "seed": "-1", "train_split": "1.5",
+    "max_steps": "0", "sample_rate": "7999", "kad_max_frames": "1", "n_scores": "0",
+    "score_seconds": "inf", "seed": "-1", "train_split": "1.5",
 }
 
 
@@ -146,7 +164,7 @@ _VALUES = (st.text(max_size=12) | st.integers().map(str) | st.floats().map(repr)
 @example(entries=[("cli", "seed", "-1")])
 @example(entries=[("paths", "workdir", "a\0b")])
 @example(entries=[("synthdata", "score_seconds", "inf")])
-@example(entries=[("stringsynth", "amp_tone_cutoff", "nan")])
+@example(entries=[("flowmatch", "lr", "nan")])
 def test_load_config_returns_valid_config_or_raises_tabflow_error(tmp_path_factory, entries):
     sections: dict[str, dict[str, str]] = {}
     for section, key, value in entries:

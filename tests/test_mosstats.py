@@ -130,6 +130,15 @@ def test_rating_table_rejects_incomplete_blocks():
         RatingTable.from_rows(rows)
 
 
+def test_rating_table_rejects_duplicate_rating():
+    """A second score for one (rater, item, system) is refused, not kept in
+    place of the first."""
+    rows = [("r0", "i0", "A", 1), ("r0", "i0", "B", 2), ("r0", "i0", "A", 5)]
+    with pytest.raises(DataError, match="duplicate rating of rater 'r0', item 'i0', "
+                                        "system 'A'"):
+        RatingTable.from_rows(rows)
+
+
 def test_rating_table_from_rows_roundtrip():
     rows = [("r1", "i1", "b", 4.0), ("r1", "i1", "a", 3.0),
             ("r2", "i1", "a", 2.0), ("r2", "i1", "b", 5.0)]
