@@ -64,32 +64,47 @@ def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
     if rate != cfg.sample_rate:
         raise DataError(f"{path}: sample rate {rate} Hz does not match "
                         f"config sample_rate {cfg.sample_rate} Hz")
-    return AudioBuffer(samples, rate)
+    try:
+        return AudioBuffer(samples, rate)
+    except DataError as exc:  # a NaN sample, say: name the file
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- synthdata
 
 def cmd_synthdata(cfg: PipelineConfig) -> list[str]:
-    """Generate scores and render both styles; returns the stems written."""
+    """Generate scores and render both styles; returns the stems written.
+
+    Both styles are rendered from the written .gftab files by render's own
+    loop, so the audio is what `render` makes of them; other scores already
+    in the directory are not rendered."""
     scores_dir = _scores_dir(cfg)
     scores_dir.mkdir(parents=True, exist_ok=True)
-    for style in (SOURCE_STYLE, TARGET_STYLE):
-        _audio_dir(cfg, style).mkdir(parents=True, exist_ok=True)
-
-    stems = []
+    paths = []
     scores = toy_corpus(cfg.n_scores, seed=cfg.seed, target_seconds=cfg.score_seconds)
     for i, score in enumerate(scores):
-        stem = f"score_{i:03d}"
-        (scores_dir / f"{stem}.gftab").write_text(serialize_score(score))
-        for style in (SOURCE_STYLE, TARGET_STYLE):
-            audio = render(score, STYLE_PRESETS[style], cfg.sample_rate)
-            wavio.write_wav(_audio_dir(cfg, style) / f"{stem}.wav", audio.samples,
-                            audio.sample_rate, comment=f"cfg={cfg.hash()}")
-        stems.append(stem)
-    return stems
+        path = scores_dir / f"score_{i:03d}.gftab"
+        path.write_text(serialize_score(score))
+        paths.append(path)
+    for style in (SOURCE_STYLE, TARGET_STYLE):
+        _render_scores(cfg, style, paths)
+    return [path.stem for path in paths]
 
 
 # ------------------------------------------------------------------- render
+
+def _render_scores(cfg: PipelineConfig, style: str, paths: list[Path]) -> list[Path]:
+    """Render each .gftab score in paths to <audio_dir>/<style>/<stem>.wav."""
+    out_dir = _audio_dir(cfg, style)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for path in paths:
+        audio = render(_read_score(path), STYLE_PRESETS[style], cfg.sample_rate)
+        out = out_dir / f"{path.stem}.wav"
+        wavio.write_wav(out, audio.samples, audio.sample_rate, comment=f"cfg={cfg.hash()}")
+        written.append(out)
+    return written
+
 
 def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
     """Render every score in the scores dir with one style preset."""
@@ -101,16 +116,7 @@ def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
     paths = sorted(scores_dir.glob("*.gftab"))
     if not paths:
         raise DataError(f"no .gftab scores in {scores_dir}")
-    out_dir = _audio_dir(cfg, style)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for path in paths:
-        score = _read_score(path)
-        audio = render(score, STYLE_PRESETS[style], cfg.sample_rate)
-        out = out_dir / f"{path.stem}.wav"
-        wavio.write_wav(out, audio.samples, audio.sample_rate, comment=f"cfg={cfg.hash()}")
-        written.append(out)
-    return written
+    return _render_scores(cfg, style, paths)
 
 
 # -------------------------------------------------------------------- train

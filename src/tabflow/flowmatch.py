@@ -87,7 +87,8 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     the net's dtype, [N, D, F] latents zero-padded on the frame axis by
     _pad_frame_axis in the same copy, so every batch is gathered and
     interpolated in that dtype (float32 for a VelocityNet) and reaches the
-    net without a cast. With no net, builds a VelocityNet of D = x0.shape[1]
+    net without a cast. A given net needs a dtype and a params dict of the
+    Tensors Adam updates. With no net, builds a VelocityNet of D = x0.shape[1]
     channels from cfg (base_channels, seed) whose input_gain comes from the
     unpadded endpoints as given. Reads batch_size, lr, epochs and seed from
     cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
@@ -107,7 +108,7 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
     steps_per_epoch = -(-n // batch)
     rng = np.random.default_rng(cfg.seed)
     state = nn.AdamState(lr=cfg.lr)
-    params = net.parameters()
+    params = net.params
 
     x0, x1 = _pad_frame_axis(x0, net.dtype), _pad_frame_axis(x1, net.dtype)
 

@@ -174,24 +174,3 @@ def save_latent(path, z: np.ndarray, sample_rate: int) -> None:
         fh.write(header)
         fh.write(z.T.astype("<f4").tobytes())
 
-
-def load_latent(path) -> tuple[np.ndarray, int]:
-    """The [D, F] float64 latent and the sample rate of a save_latent record."""
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        if len(header) != 20:
-            raise DataError(f"{path}: truncated latent header")
-        f, d, hop, flen, rate = struct.unpack("<5I", header)
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if (hop, flen) != (FRAME_HOP, FRAME_LEN):
-        raise DataError(f"{path}: framing hop {hop}, length {flen}; "
-                        f"the codec uses hop {FRAME_HOP}, length {FRAME_LEN}")
-    if f < 1:
-        raise DataError(f"{path}: latent has no frames")
-    if d != DIMS:
-        raise DataError(f"{path}: latent has {d} dims; the codec keeps {DIMS}")
-    if data.size != f * d:
-        raise DataError(f"{path}: expected {f * d} coefficients, found {data.size}")
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: latent contains non-finite values")
-    return data.reshape(f, d).T.astype(np.float64), rate

@@ -71,9 +71,6 @@ class VelocityNet:
                 data = _kaiming_uniform(rng, shape, shape[1] * shape[2], self.dtype)
             self.params[name] = T.Tensor(data, requires_grad=True)
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
-
     def __call__(self, x: T.Tensor, t: T.Tensor) -> T.Tensor:
         return self.forward(x, t)
 

@@ -71,7 +71,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
@@ -152,7 +151,9 @@ def _dopri5(cf, y, solver: Dopri5) -> OdeTrace:
         for i in range(6):
             yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]) if a != 0.0)
             k[i + 1] = cf(t + _C[i] * h, yi)
-        y_new = y + h * sum(b * k[j] for j, b in enumerate(_B5) if b != 0.0)
+        # first-same-as-last: row _A[5] is the 5th-order weights, so the sixth
+        # stage's state is the step's solution, summed in the same order
+        y_new = yi
         err_vec = h * sum(e * k[j] for j, e in enumerate(_ERR) if e != 0.0)
         scale_ = atol + rtol * np.maximum(np.abs(y_new), np.abs(y_new - err_vec))
         err = _rms(err_vec / scale_)

@@ -103,12 +103,15 @@ class RenderStyle:
     def __post_init__(self):
         if not (0.0 <= self.brightness <= 1.0):
             raise DataError(f"brightness must be in [0, 1], got {self.brightness}")
-        if self.decay_scale <= 0:
-            raise DataError(f"decay_scale must be > 0, got {self.decay_scale}")
-        if self.pick_noise_gain < 0:
-            raise DataError(f"pick_noise_gain must be >= 0, got {self.pick_noise_gain}")
-        if self.excitation_cutoff is not None and self.excitation_cutoff <= 0:
-            raise DataError("excitation_cutoff must be > 0 when set")
+        # NaN fails each of these comparisons
+        if not 0 < self.decay_scale < np.inf:
+            raise DataError(f"decay_scale must be finite and > 0, got {self.decay_scale}")
+        if not 0 <= self.pick_noise_gain < np.inf:
+            raise DataError(f"pick_noise_gain must be finite and >= 0, "
+                            f"got {self.pick_noise_gain}")
+        if self.excitation_cutoff is not None and not 0 < self.excitation_cutoff < np.inf:
+            raise DataError(f"excitation_cutoff must be finite and > 0 when set, "
+                            f"got {self.excitation_cutoff}")
 
 
 # Every style draws its per-note random values from this one seed, so both

@@ -12,6 +12,10 @@ GFTab is line based, UTF-8, one note event per line:
 Modifiers are ``bend:<semitones>``, ``hammer``, ``pull``, ``slide:<fret>``,
 ``mute``, ``vibrato`` and the optional ``vel:<1-127>`` velocity override
 (default 96). ``#`` starts a comment.
+
+parse_score checks values by building the model objects (Technique,
+NoteEvent, Score), so the rules live once, in the model; a ParseError names
+the line and column of the failing model check.
 """
 
 from __future__ import annotations
@@ -163,16 +167,13 @@ def _fmt_number(x: float) -> str:
     return repr(float(x))
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-
-    def significant(self):
-        """Yield (line_no, token list), skipping blanks and comments."""
-        for i, line in enumerate(self.raw, start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                yield i, body.split()
+def _build_at(line: int, column: int, model, *args, **kwargs):
+    """model(*args, **kwargs), with a DataError from the model's checks
+    raised as a ParseError at line and column."""
+    try:
+        return model(*args, **kwargs)
+    except DataError as exc:
+        raise ParseError(str(exc), line, column) from None
 
 
 def _parse_int(token: str, what: str, line: int, column: int) -> int:
@@ -199,16 +200,12 @@ def _parse_technique(tokens: list[str], line: int, column: int) -> tuple[Techniq
                 semis = float(arg)
             except ValueError:
                 raise ParseError(f"bad bend amount {arg!r}", line, column) from None
-            try:
-                technique = Technique(TechniqueKind.BEND, bend_semitones=semis)
-            except DataError as exc:
-                raise ParseError(str(exc), line, column) from None
+            technique = _build_at(line, column, Technique, TechniqueKind.BEND,
+                                  bend_semitones=semis)
         elif name == "slide":
             to_fret = _parse_int(arg, "slide fret", line, column)
-            try:
-                technique = Technique(TechniqueKind.SLIDE, slide_to_fret=to_fret)
-            except DataError as exc:
-                raise ParseError(str(exc), line, column) from None
+            technique = _build_at(line, column, Technique, TechniqueKind.SLIDE,
+                                  slide_to_fret=to_fret)
         elif name in ("hammer", "pull", "mute", "vibrato"):
             if arg:
                 raise ParseError(f"technique {name!r} takes no argument", line, column)
@@ -222,7 +219,9 @@ def _parse_technique(tokens: list[str], line: int, column: int) -> tuple[Techniq
 
 def parse_score(text: str) -> Score:
     """Parse GFTab text into a Score; rejects invalid input with ParseError."""
-    lines = list(_Lines(text).significant())
+    # (line number, tokens) of every line that is not blank or a comment
+    lines = [(i, line.split("#", 1)[0].split()) for i, line in enumerate(text.splitlines(), 1)]
+    lines = [(i, toks) for i, toks in lines if toks]
     if len(lines) < 3:
         raise ParseError("missing header (need 'gftab 1', 'tempo', 'tuning' lines)", 1)
 
@@ -235,15 +234,11 @@ def parse_score(text: str) -> Score:
         tempo = float(tempo_toks[1])
     except ValueError:
         raise ParseError(f"bad tempo {tempo_toks[1]!r}", ln1, 2) from None
-    if not 0 < tempo < math.inf:  # NaN fails too
-        raise ParseError(f"tempo must be finite and > 0, got {tempo}", ln1, 2)
+    _build_at(ln1, 2, Score, tempo_bpm=tempo)
     if len(tuning_toks) != 7 or tuning_toks[0] != "tuning":
         raise ParseError("expected 'tuning <6 MIDI ints, string 6 to 1>'", ln2)
     tuning = tuple(_parse_int(t, "tuning pitch", ln2, k + 2) for k, t in enumerate(tuning_toks[1:]))
-    try:
-        Score(tempo_bpm=tempo, tuning=tuning)  # the tuning's order, on its own line
-    except DataError as exc:
-        raise ParseError(str(exc), ln2) from None
+    _build_at(ln2, 1, Score, tempo_bpm=tempo, tuning=tuning)
 
     tagged: list[tuple[int, NoteEvent]] = []
     for ln, toks in lines[3:]:
@@ -254,20 +249,15 @@ def parse_score(text: str) -> Score:
         fret = _parse_int(toks[2], "fret", ln, 3)
         duration = _parse_int(toks[3], "duration", ln, 4)
         technique, velocity = _parse_technique(toks[4:], ln, 5)
-        try:
-            tagged.append((ln, NoteEvent(onset, duration, string, fret, velocity, technique)))
-        except DataError as exc:
-            raise ParseError(str(exc), ln) from None
+        tagged.append((ln, _build_at(ln, 1, NoteEvent, onset, duration, string, fret,
+                                     velocity, technique)))
 
-    try:
-        return Score(tempo_bpm=tempo, tuning=tuning, events=tuple(e for _, e in tagged))
-    except DataError:
-        # the header passed, so events overlap: rerun the overlap check with
-        # source lines to name the line; events may appear in any line order,
-        # overlap is judged on the sorted view
-        tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
-        _check_no_overlap([ev for _, ev in tagged], [ln for ln, _ in tagged])
-        raise
+    # events may appear in any line order; overlap is judged in time order,
+    # with each event's line at hand to name
+    tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
+    events = tuple(ev for _, ev in tagged)
+    _check_no_overlap(events, [ln for ln, _ in tagged])
+    return Score(tempo_bpm=tempo, tuning=tuning, events=events)
 
 
 def serialize_score(score: Score) -> str:

@@ -90,9 +90,6 @@ class DenseVelocityNet:
             self.params[f"fc{i}.b"] = T.Tensor(np.zeros(b, dtype=self.dtype),
                                                requires_grad=True)
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
-
     def __call__(self, x: T.Tensor, t: T.Tensor) -> T.Tensor:
         t_col = T.Tensor(np.asarray(t.data, dtype=x.dtype).reshape(-1, 1))
         h = concat2d(x, t_col)

@@ -96,6 +96,26 @@ def test_synthdata_n_is_the_n_scores_override(tmp_path):
     assert [p.name for p in cli._scores_dir(cfg).iterdir()] == ["score_000.gftab"]
 
 
+def test_synthdata_audio_is_render_of_the_scores_it_wrote(tiny_cfg):
+    """synthdata's WAVs equal, byte for byte, `render` of its .gftab files,
+    and a score already in the directory is left unrendered."""
+    scores_dir = cli._scores_dir(tiny_cfg)
+    scores_dir.mkdir(parents=True)
+    stale = scores_dir / "old.gftab"
+    stale.write_text("gftab 1\ntempo 120\ntuning 40 45 50 55 59 64\n0 6 0 960\n")
+    stems = cli.cmd_synthdata(tiny_cfg)
+    styles = ("synthetic", "pseudo_real")
+    wavs = {style: sorted(cli._audio_dir(tiny_cfg, style).iterdir()) for style in styles}
+    assert all([p.stem for p in paths] == stems for paths in wavs.values())
+    synthdata_bytes = {p: p.read_bytes() for paths in wavs.values() for p in paths}
+
+    stale.unlink()
+    for style in styles:
+        shutil.rmtree(cli._audio_dir(tiny_cfg, style))
+        assert cli.cmd_render(tiny_cfg, style) == wavs[style]
+    assert {p: p.read_bytes() for p in synthdata_bytes} == synthdata_bytes
+
+
 def test_render_command(tiny_cfg):
     cli.cmd_synthdata(tiny_cfg)
     written = cli.cmd_render(tiny_cfg, "synthetic")
@@ -590,6 +610,26 @@ def test_main_eval_wrong_sample_rate_is_exit_2(tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: sample rate 22050 Hz does not match config sample_rate 44100 Hz" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_main_non_finite_sample_names_the_wav(tmp_path, capsys, command):
+    """A WAV holding a NaN sample exits 2 with its path in the message."""
+    cfg = load_config(None, {"paths": {"workdir": str(tmp_path / "work")}})
+    dirs = [cli._audio_dir(cfg, style) for style in ("synthetic", "pseudo_real")]
+    dirs.append(tmp_path / "guitarflow")
+    for d in dirs:
+        d.mkdir(parents=True)
+        _noise_wav(d / "a.wav")
+    bad = dirs[1] / "a.wav"
+    x = np.full(44100, 0.1, np.float32)
+    x[1000] = np.nan
+    wavio.write_wav(bad, x, 44100, comment="")
+    argv = {"train": ["train"],
+            "eval": ["eval", "--real", str(dirs[1]), "--render", str(dirs[0]),
+                     "--guitarflow", str(dirs[2])]}[command]
+    assert cli.main(["--workdir", str(cfg.workdir)] + argv) == 2
+    assert f"data error: {bad}: audio contains non-finite samples" in capsys.readouterr().err
 
 
 def test_main_eval_silent_stem_names_it(tmp_path, capsys):

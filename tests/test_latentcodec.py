@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dct, idct
 
 from tabflow.errors import DataError
-from tabflow.latentcodec import (chunk, decode, encode, frame_count, load_latent,
-                                 save_latent, windowed_frames,
+from tabflow.latentcodec import (chunk, decode, encode, frame_count, save_latent,
+                                 windowed_frames,
                                  DIMS, FRAME_HOP, FRAME_LEN, _WINDOW, hann_periodic)
 from tabflow.stringsynth import AudioBuffer
 
@@ -240,37 +240,3 @@ def test_latent_cache_round_trip(tmp_path):
     # header (F, D, hop, frame length, rate), then the coefficients frame by frame
     assert data[:20] == struct.pack("<5I", 15, 64, FRAME_HOP, FRAME_LEN, FS)
     assert data[20:] == z.T.astype("<f4").tobytes()
-    back, rate = load_latent(path)
-    assert rate == FS and back.shape == z.shape and back.dtype == np.float64
-    np.testing.assert_allclose(back, z.astype(np.float32), rtol=0, atol=0)
-
-
-def test_latent_file_with_other_framing_rejected(tmp_path):
-    path = tmp_path / "x.chunk0.lat"
-    save_latent(path, encode(_noise(8192)), FS)
-    data = bytearray(path.read_bytes())
-    data[8:12] = struct.pack("<I", 256)  # header hop field
-    path.write_bytes(bytes(data))
-    with pytest.raises(DataError, match="hop 256"):
-        load_latent(path)
-
-
-def test_latent_cache_rejects_truncation(tmp_path):
-    path = tmp_path / "x.chunk0.lat"
-    save_latent(path, encode(_noise(8192)), FS)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(DataError, match="coefficients"):
-        load_latent(path)
-
-
-@pytest.mark.parametrize("z, match", [
-    (np.zeros((64, 0)), "no frames"),
-    (np.zeros((10, 3)), "dims"),
-    (np.full((64, 3), np.nan), "non-finite"),
-])
-def test_latent_file_rejects_bad_records(tmp_path, z, match):
-    path = tmp_path / "x.lat"
-    save_latent(path, z, FS)
-    with pytest.raises(DataError, match=match):
-        load_latent(path)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,27 @@ def test_harmonic_oscillator_time_reversal():
     forward = integrate(ho, y0, DOPRI5).final_state
     back = integrate(lambda t, y: -ho(t, y), forward, DOPRI5).final_state
     assert np.abs(back - y0).max() < 1e-3
+
+
+def _ring_field(t, y):
+    """A nonlinear field on a [16, 5] state from elementwise arithmetic and
+    np.roll alone, so no BLAS or libm kernel choice can move its bits."""
+    ring = np.roll(y, 1, axis=0) - np.roll(y, -1, axis=1)
+    return 4.0 * ring * (1.0 - y * y) / (1.0 + y * y) - 2.0 * y + 3.0 * t * (1.0 - t)
+
+
+# (tolerance, sha256 of final_state, accepted, rejected, network calls); each
+# tolerance rejects a step, so the step-size control is pinned as well
+@pytest.mark.parametrize("tol, digest, accepted, rejected, calls", [
+    (1e-4, "b879d1a5678f4736d5b57f41674e229b63f008e6a759b940e76859436f425ae5", 8, 3, 68),
+    (1e-8, "1f2e503b9272644355d4ec90db81585254af74f94d2302e0b74bce8f4767e3b8", 38, 1, 236),
+])
+def test_dopri5_golden(tol, digest, accepted, rejected, calls):
+    y0 = np.linspace(-1.5, 1.5, 80).reshape(16, 5)
+    trace = integrate(_ring_field, y0, Dopri5(tol, tol, 1000))
+    assert hashlib.sha256(trace.final_state.tobytes()).hexdigest() == digest
+    assert (trace.accepted_steps, trace.rejected_steps, trace.f_evals) == (
+        accepted, rejected, calls)
 
 
 def test_max_steps_exceeded_raises():

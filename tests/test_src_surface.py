@@ -4,7 +4,8 @@ An AST scan lists the top-level definitions of each module under
 src/tabflow. A name counts as used when it appears as a whole word anywhere
 under src/ or perfbench/ outside its own definition: a call, an import, an
 attribute, or a string (perfbench/tracer.py names the functions it wraps in
-strings). Code that only the tests run belongs under tests/.
+strings). No name is exempt: code that only the tests run belongs under
+tests/.
 
 A second scan fails on a parameter or field default named after a
 config._TABLE key: each pipeline setting has its one home in the config.
@@ -18,10 +19,6 @@ from tabflow.config import _TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tabflow"
-
-# latentcodec.load_latent goes with save_latent and the .lat format, which
-# perfbench's tracer still wraps; both leave in one change with the tracer.
-ALLOWED = {"load_latent"}
 
 
 def _program_files():
@@ -48,18 +45,10 @@ def test_every_top_level_definition_is_used_by_the_program():
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             used = any(word.search(_without(text, node) if other == path else text)
                        for other, text in texts.items())
-            if not used and node.name not in ALLOWED:
+            if not used:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined in src/ but used only by tests or not at all:\n" + \
         "\n".join(unused)
-
-
-def test_allowlist_names_only_unused_definitions():
-    """An allowlisted name that gains a user must leave the allowlist."""
-    texts = [path.read_text(encoding="utf-8") for path in _program_files()]
-    for name in ALLOWED:
-        hits = sum(len(re.findall(rf"\b{re.escape(name)}\b", text)) for text in texts)
-        assert hits == 1, f"{name} appears {hits} times; only its definition expected"
 
 
 def _defaults(tree: ast.AST):

@@ -455,3 +455,17 @@ def test_style_validation():
         RenderStyle("bad", brightness=1.5, decay_scale=1.0, pick_noise_gain=0)
     with pytest.raises(DataError):
         RenderStyle("bad", brightness=0.5, decay_scale=0.0, pick_noise_gain=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("decay_scale", float("nan")),
+    ("decay_scale", float("inf")),
+    ("pick_noise_gain", float("nan")),
+    ("pick_noise_gain", float("inf")),
+    ("excitation_cutoff", float("nan")),
+])
+def test_style_rejects_non_finite_values(field, value):
+    kwargs = {"brightness": 0.5, "decay_scale": 1.0, "pick_noise_gain": 0.0,
+              "excitation_cutoff": None, field: value}
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        RenderStyle("x", **kwargs)

@@ -59,8 +59,12 @@ def test_empty_score_serializes_header_only():
     ("x 6 3 960", "expected integer"),
 ])
 def test_bad_event_lines_rejected(line, msg):
-    with pytest.raises(ParseError, match=msg):
+    with pytest.raises(ParseError, match=msg) as info:
         parse_score(HEADER + line + "\n")
+    # the event is on line 4; a modifier's error points at the modifiers
+    # (column 5), any other at the event (column 1)
+    assert info.value.line == 4
+    assert info.value.column == (5 if len(line.split()) > 4 else 1)
 
 
 def test_error_carries_line_number():
