@@ -53,7 +53,7 @@ def _audio_dir(cfg, style: str) -> Path:
 
 def _read_score(path: Path) -> Score:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is skipped
     except UnicodeDecodeError:
         raise DataError(f"{path}: score is not UTF-8 text") from None
     return parse_score(text)
@@ -68,6 +68,20 @@ def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
         return AudioBuffer(samples, rate)
     except DataError as exc:  # a NaN sample, say: name the file
         raise DataError(f"{path}: {exc}") from None
+
+
+def _write_table(cfg: PipelineConfig, name: str, header: list[str], rows,
+                 note: str | None = None) -> None:
+    """Write <workdir>/<name>: the line '# config <hash>', then '# <note>' if
+    given, then the header and rows as CSV, every line ending in LF."""
+    cfg.workdir.mkdir(parents=True, exist_ok=True)
+    with open(cfg.workdir / name, "w", newline="") as fh:
+        fh.write(f"# config {cfg.hash()}\n")
+        if note is not None:
+            fh.write(f"# {note}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- synthdata
@@ -191,13 +205,8 @@ def cmd_train(cfg: PipelineConfig, out_checkpoint: Path | None = None):
             "config": cfg.raw}
     nn.save_checkpoint(ckpt, net.params, state, echo)
 
-    loss_csv = cfg.workdir / "loss_history.csv"
-    with open(loss_csv, "w", newline="") as fh:
-        fh.write(f"# config {cfg.hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "epoch", "loss"])
-        for step, epoch, loss in history:
-            writer.writerow([step, epoch, repr(loss)])
+    _write_table(cfg, "loss_history.csv", ["step", "epoch", "loss"],
+                 ([step, epoch, repr(loss)] for step, epoch, loss in history))
 
     steps = len(history)
     rate = steps / elapsed if elapsed > 0 else float("inf")
@@ -351,14 +360,8 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
             rows.append((condition, "recon", system,
                          audiodist.recon_distance(real, pooled[system])))
 
-    cfg.workdir.mkdir(parents=True, exist_ok=True)
-    out_csv = cfg.workdir / "metrics.csv"
-    with open(out_csv, "w", newline="") as fh:
-        fh.write(f"# config {cfg.hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "metric", "system", "value"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], repr(row[3])])
+    _write_table(cfg, "metrics.csv", ["condition", "metric", "system", "value"],
+                 ([c, m, s, repr(v)] for c, m, s, v in rows))
 
     print(*sigma_lines, sep="\n")
     print(f"{'condition':<10} {'metric':<7} {'render':>14} {'guitarflow':>14}")
@@ -378,7 +381,7 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float):
     if not ratings_csv.is_file():
         raise DataError(f"ratings file not found: {ratings_csv}")
     try:
-        text = ratings_csv.read_bytes().decode("utf-8")
+        text = ratings_csv.read_bytes().decode("utf-8-sig")  # a leading BOM is skipped
     except UnicodeDecodeError:
         raise DataError(f"{ratings_csv}: ratings file is not UTF-8 text") from None
     # newline="" hands csv each line with its ending, as a file opened so would
@@ -423,24 +426,27 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float):
             res = mosstats.wilcoxon_signed_rank(table.column(a), table.column(b))
             results.append((cond, f"{a}-vs-{b}", res))
 
-    cfg.workdir.mkdir(parents=True, exist_ok=True)
-    tests_csv = cfg.workdir / "stats_tests.csv"
-    with open(tests_csv, "w", newline="") as fh:
-        fh.write(f"# config {cfg.hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "comparison", "method", "statistic", "df",
-                         "p_value", "alpha_corrected", "zeros_dropped", "significant"])
-        for cond, comp, r in results:
-            # the omnibus Friedman test runs at alpha, each pairwise test at
-            # the Bonferroni-corrected alpha
-            pairwise = comp != "all-systems"
-            threshold = alpha_corr if pairwise else alpha
-            writer.writerow([cond, comp, r.method, repr(r.statistic),
-                             "" if r.df is None else r.df, repr(r.p_value),
-                             f"{alpha_corr:.4f}" if pairwise else "",
-                             r.zeros_dropped, str(r.p_value < threshold).lower()])
-    (cfg.workdir / "mos_summary.csv").write_text(
-        f"# config {cfg.hash()}\n" + mosstats.mos_summary_csv(tables))
+    test_rows = []
+    for cond, comp, r in results:
+        # the omnibus Friedman test runs at alpha, each pairwise test at the
+        # Bonferroni-corrected alpha
+        pairwise = comp != "all-systems"
+        threshold = alpha_corr if pairwise else alpha
+        test_rows.append([cond, comp, r.method, repr(r.statistic),
+                          "" if r.df is None else r.df, repr(r.p_value),
+                          f"{alpha_corr:.4f}" if pairwise else "",
+                          r.zeros_dropped, str(r.p_value < threshold).lower()])
+    _write_table(cfg, "stats_tests.csv",
+                 ["condition", "comparison", "method", "statistic", "df", "p_value",
+                  "alpha_corrected", "zeros_dropped", "significant"], test_rows)
+    # one row per condition and system, for boxplots
+    _write_table(cfg, "mos_summary.csv",
+                 ["condition", "system", "mean", "median", "q1", "q3", "min", "max", "n"],
+                 ([cond, s, q["mean"], q["median"], q["q1"], q["q3"], q["min"], q["max"],
+                   int(q["n"])]
+                  for cond, table in tables.items()
+                  for s, q in mosstats.mos_summary(table).items()),
+                 note="quartiles: inclusive (Tukey hinges)")
 
     print(f"bonferroni: alpha {alpha} / m {m} -> {alpha_corr:.4f}")
     for cond, comp, r in results:

@@ -122,7 +122,7 @@ def load_config(path: str | Path | None = None,
             raise UsageError(f"config file path must be {_PATH[1]}, got {str(path)!r}")
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(str(path), encoding="utf-8")
+            read = parser.read(str(path), encoding="utf-8-sig")  # a leading BOM is skipped
             file_dict = {s: dict(parser.items(s)) for s in parser.sections()}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise UsageError(f"malformed config file {path}: {exc}") from None

@@ -15,8 +15,6 @@ tail is 0.5 erfc(z / sqrt(2)). Quartiles use the inclusive (Tukey) method.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -207,17 +205,3 @@ def mos_summary(table: RatingTable) -> dict[str, dict[str, float]]:
             "n": float(len(col)),
         }
     return out
-
-
-def mos_summary_csv(tables: dict[str, RatingTable]) -> str:
-    """CSV export for boxplot rendering: one row per condition and system, in
-    the order of tables; quartile convention in the header."""
-    buf = io.StringIO()
-    buf.write("# quartiles: inclusive (Tukey hinges)\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["condition", "system", "mean", "median", "q1", "q3", "min", "max", "n"])
-    for cond, table in tables.items():
-        for s, row in mos_summary(table).items():
-            writer.writerow([cond, s, row["mean"], row["median"], row["q1"], row["q3"],
-                             row["min"], row["max"], int(row["n"])])
-    return buf.getvalue()

@@ -15,7 +15,9 @@ Modifiers are ``bend:<semitones>``, ``hammer``, ``pull``, ``slide:<fret>``,
 
 parse_score checks values by building the model objects (Technique,
 NoteEvent, Score), so the rules live once, in the model; a ParseError names
-the line and column of the failing model check.
+the line and column of the failing model check. Score.__post_init__ is the
+one place that sorts the events and checks them for overlap; parse_score
+names the line of the event it rejects.
 """
 
 from __future__ import annotations
@@ -127,19 +129,20 @@ class Score:
         return 60.0 / (self.tempo_bpm * TICKS_PER_QUARTER)
 
 
-def _check_no_overlap(events, lines: list[int] | None = None) -> None:
+def _check_no_overlap(events) -> None:
     """Reject a note that starts before the previous note on its string ends.
 
-    events must be in (onset, string) order. With lines (the source line of
-    each event) the error is a ParseError naming the offending line.
+    events must be in (onset, string) order. The DataError carries the
+    offending event as its .event.
     """
     last_offset: dict[int, int] = {}
-    for k, ev in enumerate(events):
+    for ev in events:
         prev = last_offset.get(ev.string, -1)
         if ev.onset_ticks < prev:
-            msg = (f"overlapping events on string {ev.string}: "
-                   f"onset {ev.onset_ticks} < previous offset {prev}")
-            raise DataError(msg) if lines is None else ParseError(msg, lines[k])
+            exc = DataError(f"overlapping events on string {ev.string}: "
+                            f"onset {ev.onset_ticks} < previous offset {prev}")
+            exc.event = ev
+            raise exc
         last_offset[ev.string] = max(prev, ev.offset_ticks)
 
 
@@ -183,13 +186,18 @@ def _parse_int(token: str, what: str, line: int, column: int) -> int:
         raise ParseError(f"expected integer {what}, got {token!r}", line, column) from None
 
 
-def _parse_technique(tokens: list[str], line: int, column: int) -> tuple[Technique, int]:
+def _parse_technique(tokens: list[str], line: int, first_column: int) -> tuple[Technique, int]:
+    """The technique and velocity of an event's modifier tokens, the first at
+    first_column; an error names its own token's column."""
     technique = NO_TECHNIQUE
     velocity = DEFAULT_VELOCITY
-    seen_tech = False
-    for tok in tokens:
+    seen_tech = seen_vel = False
+    for column, tok in enumerate(tokens, first_column):
         name, _, arg = tok.partition(":")
         if name == "vel":
+            if seen_vel:
+                raise ParseError(f"multiple velocities on one event: {tok!r}", line, column)
+            seen_vel = True
             velocity = _parse_int(arg, "velocity", line, column)
             continue
         if seen_tech:
@@ -252,12 +260,12 @@ def parse_score(text: str) -> Score:
         tagged.append((ln, _build_at(ln, 1, NoteEvent, onset, duration, string, fret,
                                      velocity, technique)))
 
-    # events may appear in any line order; overlap is judged in time order,
-    # with each event's line at hand to name
-    tagged.sort(key=lambda item: (item[1].onset_ticks, item[1].string))
-    events = tuple(ev for _, ev in tagged)
-    _check_no_overlap(events, [ln for ln, _ in tagged])
-    return Score(tempo_bpm=tempo, tuning=tuning, events=events)
+    # Score sorts the events and checks them for overlap; tempo and tuning
+    # have passed, so an error here names the event it rejects
+    try:
+        return Score(tempo_bpm=tempo, tuning=tuning, events=tuple(ev for _, ev in tagged))
+    except DataError as exc:
+        raise ParseError(str(exc), next(ln for ln, ev in tagged if ev is exc.event)) from None
 
 
 def serialize_score(score: Score) -> str:

@@ -3,8 +3,8 @@
 Mono only. The writer writes IEEE 32-bit float samples, which round-trip bit
 exactly; the reader reads those and PCM 16-bit integer samples. The writer
 stores a comment string in a LIST/INFO ICMT chunk (the pipeline config
-hash); the reader returns it when present, and readers that do not know the
-chunk skip it.
+hash). The reader reads only the fmt and data chunks and skips every other
+chunk, the comment's too.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
     float32 data is returned untouched; int16 is scaled by 1/32767.
     """
-    samples, rate, _ = read_wav_with_comment(path)
-    return samples, rate
-
-
-def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())  # chunks are slices of it, not copies
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
@@ -61,7 +56,6 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
     pos = 12
     fmt = None
     data = None
-    comment = None
     while pos + 8 <= len(blob):
         tag = bytes(blob[pos:pos + 4])
         size = struct.unpack_from("<I", blob, pos + 4)[0]
@@ -75,20 +69,6 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
             fmt = struct.unpack_from("<HHIIHH", payload)
         elif tag == b"data":
             data = payload
-        elif tag == b"LIST" and payload[:4] == b"INFO":
-            p = 4
-            while p + 8 <= len(payload):
-                sub, sublen = payload[p:p + 4], struct.unpack_from("<I", payload, p + 4)[0]
-                if sub == b"ICMT":
-                    if p + 8 + sublen > len(payload):
-                        raise DataError(f"{path}: ICMT comment declares {sublen} bytes, but "
-                                        f"its LIST chunk holds only {len(payload) - p - 8}")
-                    text = bytes(payload[p + 8:p + 8 + sublen]).rstrip(b"\x00")
-                    try:
-                        comment = text.decode("utf-8")
-                    except UnicodeDecodeError:
-                        raise DataError(f"{path}: ICMT comment is not UTF-8") from None
-                p += 8 + sublen + (sublen % 2)
         pos += 8 + size + (size % 2)
 
     if fmt is None or data is None:
@@ -104,5 +84,5 @@ def read_wav_with_comment(path) -> tuple[np.ndarray, int, str | None]:
                         f"number of {bits}-bit samples")
     samples = np.frombuffer(data, dtype=dtype)
     if fmt_tag == _FMT_PCM:
-        return samples.astype(np.float32) / 32767.0, rate, comment
-    return samples.copy(), rate, comment
+        return samples.astype(np.float32) / 32767.0, rate
+    return samples.copy(), rate

@@ -83,8 +83,8 @@ def test_synthdata_rejects_zero(tmp_path, capsys):
 
 
 def test_synthdata_n_is_the_n_scores_override(tmp_path):
-    """--n reaches cmd_synthdata through the config, so the WAV comment's
-    config hash records the count."""
+    """--n reaches cmd_synthdata through the config, so the config hash in
+    the WAV's ICMT comment chunk records the count."""
     work = tmp_path / "w"
     argv = ["--config", str(_short_scores_ini(tmp_path)), "--workdir", str(work),
             "synthdata", "--n", "1"]
@@ -92,7 +92,8 @@ def test_synthdata_n_is_the_n_scores_override(tmp_path):
     cfg = load_config(tmp_path / "short.ini", {"paths": {"workdir": str(work)},
                                                "synthdata": {"n_scores": "1"}})
     wav = cli._audio_dir(cfg, "synthetic") / "score_000.wav"
-    assert wavio.read_wav_with_comment(wav)[2] == f"cfg={cfg.hash()}"
+    text = f"cfg={cfg.hash()}\x00".encode()
+    assert b"ICMT" + struct.pack("<I", len(text)) + text in wav.read_bytes()
     assert [p.name for p in cli._scores_dir(cfg).iterdir()] == ["score_000.gftab"]
 
 
@@ -453,6 +454,37 @@ def test_stats_condition_column_split(tiny_cfg, tmp_path):
         "di,guitarflow,3.125,3.0,2.5,4.0,2.0,4.0,24\n"
         "di,real,4.75,5.0,4.5,5.0,4.0,5.0,24\n"
         "di,render,1.2916666666666667,1.0,1.0,2.0,1.0,2.0,24\n")
+
+
+def test_stamped_tables_are_lf_only(tiny_cfg, tmp_path):
+    """Each of the four tables the pipeline writes starts with its config
+    stamp, and every line ends in LF alone."""
+    cli.cmd_synthdata(tiny_cfg)
+    cli.cmd_train(tiny_cfg)
+    render = cli._audio_dir(tiny_cfg, "synthetic")
+    cli.cmd_eval(tiny_cfg, cli._audio_dir(tiny_cfg, "pseudo_real"), render, render, ("di",))
+    cli.cmd_stats(tiny_cfg, _ratings_csv(tmp_path / "r.csv"), m=3, alpha=0.05)
+    for name in ("loss_history.csv", "metrics.csv", "stats_tests.csv", "mos_summary.csv"):
+        blob = (tiny_cfg.workdir / name).read_bytes()
+        assert b"\r" not in blob, name
+        assert blob.split(b"\n", 1)[0] == f"# config {tiny_cfg.hash()}".encode(), name
+
+
+@pytest.mark.parametrize("bom_file", ["config", "score", "ratings"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, bom_file):
+    """Spreadsheet and Windows editors often start a UTF-8 file with a BOM;
+    the config, a score and a ratings file each read as without it."""
+    work = tmp_path / "w"
+    files = {"config": (tmp_path / "c.ini", "[cli]\nseed = 3\n"),
+             "score": (work / "scores" / "s.gftab",
+                       "gftab 1\ntempo 120\ntuning 40 45 50 55 59 64\n0 6 0 960\n"),
+             "ratings": (tmp_path / "r.csv", _ratings_csv(tmp_path / "r.csv").read_text())}
+    for name, (path, text) in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(("\ufeff" if name == bom_file else "").encode() + text.encode())
+    common = ["--config", str(files["config"][0]), "--workdir", str(work)]
+    assert cli.main(common + ["render"]) == 0
+    assert cli.main(common + ["stats", str(files["ratings"][0]), "--m", "3"]) == 0
 
 
 def test_stats_empty_csv_rejected(tiny_cfg, tmp_path):

@@ -9,8 +9,7 @@ from tabflow.errors import DataError, NumericError
 # TestResult is reached through the module: a Test* name imported here
 # would be collected by pytest as a test class
 from tabflow.mosstats import (RatingTable, bonferroni, friedman,
-                              mos_summary, mos_summary_csv,
-                              wilcoxon_signed_rank)
+                              mos_summary, wilcoxon_signed_rank)
 
 
 def _table(values, systems=None):
@@ -269,9 +268,3 @@ def test_mos_summary_invariant_to_rater_permutation():
     t1 = _table(values)
     t2 = _table(values[::-1])
     assert mos_summary(t1) == mos_summary(t2)
-
-
-def test_mos_csv_header_documents_quartile_method():
-    rows = [("r", "i", "s", 3.0), ("r2", "i", "s", 4.0)]
-    text = mos_summary_csv({"all": RatingTable.from_rows(rows)})
-    assert "Tukey" in text.splitlines()[0]

@@ -57,14 +57,22 @@ def test_empty_score_serializes_header_only():
     ("0 6 3 960 wobble", "unknown technique"),
     ("0 6 3", "event line"),
     ("x 6 3 960", "expected integer"),
+    ("0 6 3 960 vel:90 bend:9", "bend"),
+    ("0 6 3 960 mute vibrato", "multiple techniques"),
+    ("0 6 3 960 vel:90 vel:100", "multiple velocities"),
+    ("0 6 3 960 vel:x", "expected integer velocity"),
+    ("0 6 3 960 mute vel:300", "velocity out of range"),
 ])
 def test_bad_event_lines_rejected(line, msg):
     with pytest.raises(ParseError, match=msg) as info:
         parse_score(HEADER + line + "\n")
-    # the event is on line 4; a modifier's error points at the modifiers
-    # (column 5), any other at the event (column 1)
+    # the event is on line 4; a modifier's own error points at its token (the
+    # last on each of these lines), a NoteEvent range check at the event
+    # (column 1)
+    toks = line.split()
     assert info.value.line == 4
-    assert info.value.column == (5 if len(line.split()) > 4 else 1)
+    modifier_error = len(toks) > 4 and "out of range" not in msg
+    assert info.value.column == (len(toks) if modifier_error else 1)
 
 
 def test_error_carries_line_number():

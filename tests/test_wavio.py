@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tabflow.errors import DataError, TabflowError
-from tabflow.wavio import read_wav, read_wav_with_comment, write_wav
+from tabflow.wavio import read_wav, write_wav
 
 
 def test_float32_round_trip_bit_exact(tmp_path):
@@ -18,14 +18,6 @@ def test_float32_round_trip_bit_exact(tmp_path):
     assert rate == 44100
     assert y.dtype == np.float32
     assert np.array_equal(x, y)
-
-
-def test_comment_chunk_round_trip(tmp_path):
-    path = tmp_path / "c.wav"
-    write_wav(path, np.zeros(100, dtype=np.float32), 44100, comment="cfg=abc123")
-    samples, rate, comment = read_wav_with_comment(path)
-    assert comment == "cfg=abc123"
-    assert len(samples) == 100
 
 
 def test_comment_chunk_invisible_to_plain_reader(tmp_path):
@@ -115,8 +107,8 @@ def test_int16_file_is_read_scaled(tmp_path):
     path = tmp_path / "i.wav"
     path.write_bytes(_riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 22050, 44100, 2, 16)),
                            (b"data", pcm.tobytes())))
-    y, rate, comment = read_wav_with_comment(path)
-    assert rate == 22050 and comment is None
+    y, rate = read_wav(path)
+    assert rate == 22050
     assert y.dtype == np.float32
     assert np.array_equal(y, pcm.astype(np.float32) / 32767.0)
 
@@ -125,15 +117,18 @@ def test_short_fmt_chunk_is_data_error(tmp_path):
     path = tmp_path / "short.wav"
     path.write_bytes(_riff((b"fmt ", b"\x03\x00\x01\x00"), (b"data", b"\x00" * 8)))
     with pytest.raises(DataError, match="fmt chunk"):
-        read_wav_with_comment(path)
+        read_wav(path)
 
 
-def test_non_utf8_comment_is_data_error(tmp_path):
+def test_non_utf8_comment_reads_samples(tmp_path):
+    """The reader skips the comment chunk, so a comment that is not UTF-8
+    does not stop the samples being read."""
     path = tmp_path / "latin1.wav"
-    write_wav(path, np.zeros(8, dtype=np.float32), 44100, comment="cfg=caf")
+    x = np.arange(8, dtype=np.float32)
+    write_wav(path, x, 44100, comment="cfg=caf")
     path.write_bytes(path.read_bytes().replace(b"cfg=caf", b"cfg=ca\xe9"))
-    with pytest.raises(DataError, match="ICMT comment is not UTF-8"):
-        read_wav_with_comment(path)
+    y, rate = read_wav(path)
+    assert np.array_equal(x, y) and rate == 44100
 
 
 def test_truncated_data_chunk_is_data_error(tmp_path):
@@ -142,18 +137,20 @@ def test_truncated_data_chunk_is_data_error(tmp_path):
     path.write_bytes(path.read_bytes()[:-400])
     with pytest.raises(DataError, match=r"cut\.wav: b'data' chunk declares 4000 bytes, "
                                         r"but only 3600 remain"):
-        read_wav_with_comment(path)
+        read_wav(path)
 
 
-def test_comment_overrunning_its_list_chunk_is_data_error(tmp_path):
+def test_comment_overrunning_its_list_chunk_reads_samples(tmp_path):
+    """A comment that claims more bytes than its LIST chunk holds is inside
+    a chunk the reader skips; the LIST chunk itself fits the file."""
     path = tmp_path / "long_comment.wav"
-    write_wav(path, np.zeros(8, dtype=np.float32), 8000, comment="cfg=abcdef")
+    x = np.arange(8, dtype=np.float32)
+    write_wav(path, x, 8000, comment="cfg=abcdef")
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, blob.index(b"ICMT") + 4, 200)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match=r"long_comment\.wav: ICMT comment declares 200 bytes, "
-                                        r"but its LIST chunk holds only 12"):
-        read_wav_with_comment(path)
+    y, rate = read_wav(path)
+    assert np.array_equal(x, y) and rate == 8000
 
 
 def test_missing_final_pad_byte_is_accepted(tmp_path):
@@ -162,7 +159,7 @@ def test_missing_final_pad_byte_is_accepted(tmp_path):
     path.write_bytes(_riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)),
                            (b"data", np.arange(3, dtype="<f4").tobytes()),
                            (b"junk", b"odd")))
-    samples, rate, _ = read_wav_with_comment(path)
+    samples, rate = read_wav(path)
     assert samples.tolist() == [0.0, 1.0, 2.0] and rate == 8000
 
 
@@ -186,15 +183,15 @@ _VALID = _riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32)),
                    st.integers(0, len(_VALID)), st.binary(max_size=16)))
 @example(blob=_VALID)
 def test_read_wav_of_arbitrary_bytes(tmp_path_factory, blob):
-    """Any bytes read as mono float32 samples, a rate and an optional comment,
-    or raise a TabflowError."""
+    """Any bytes read as mono float32 samples and a rate, or raise a
+    TabflowError."""
     path = tmp_path_factory.getbasetemp() / "arbitrary.wav"
     path.write_bytes(blob)
     try:
-        samples, rate, comment = read_wav_with_comment(path)
+        samples, rate = read_wav(path)
     except TabflowError:
         return
     assert samples.ndim == 1 and samples.dtype == np.float32
-    assert isinstance(rate, int) and (comment is None or isinstance(comment, str))
+    assert isinstance(rate, int)
     if blob == _VALID:
-        assert (samples.tolist(), rate, comment) == ([0.0, 1.0, 2.0], 44100, "cfg=a")
+        assert (samples.tolist(), rate) == ([0.0, 1.0, 2.0], 44100)
