@@ -25,6 +25,13 @@ kad's one pass turns each tile into kernel values and sums them. Each tile
 is one GEMM of [N, E + 2] operands that carry the squared norms, so the
 GEMM gives the squared distances whole; a tile is sized to stay in one
 core's L2 cache while its clip and kernel values are applied.
+
+Both passes run in float32. The pooled rows are centred on their column
+mean in float64 and only then rounded to float32, so a distance keeps
+float32's relative precision whatever offset the two sets share; the tiles,
+their clip, the kernel values and the sum of each tile row are float32, and
+the row sums add up in float64. Against float64 tiles this moves sigma by
+about 1e-8 and KAD by about 4e-8 relative on 2048 + 2048 filterbank rows.
 """
 
 from __future__ import annotations
@@ -175,13 +182,13 @@ def fad(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # The pooled distance matrix is streamed in tiles of BLOCK_ROWS rows, each
-# against the columns from its own first row on: at most 64 x 4096 float64
-# (2 MB) at the default kad_max_frames, where the whole matrix would be
-# 134 MB. Each tile is one GEMM of the [N, E + 2] augmented operands, and its
-# 2 MB fit one core's L2 cache, so the clip and the kernel values of a tile
-# are applied in cache rather than streamed from memory. The kernel sums are
-# taken per tile, so the tile height also fixes the order of summation and
-# with it the last bits of KAD.
+# against the columns from its own first row on: at most 64 x 4096 float32
+# (1 MB) at the default kad_max_frames, where the whole matrix would be
+# 67 MB. Each tile is one GEMM of the [N, E + 2] augmented operands, and its
+# 1 MB fits one core's L2 cache, so the clip and the kernel values of a tile
+# are applied in cache rather than streamed from memory (tiles of 128 and 256
+# rows were no faster). The kernel sums are taken per tile, so the tile height
+# also fixes the order of summation and with it the last bits of KAD.
 BLOCK_ROWS = 64
 _LOWER = np.tri(BLOCK_ROWS, dtype=bool)  # the diagonal and below of a square
 
@@ -194,24 +201,34 @@ _BRACKET = 0.025
 # gathers at 64 dims, where all pairs at once take 8 MB each).
 _SAMPLE_CHUNK = 1024
 
+_F32 = np.finfo(np.float32)
 # The bracket that holds every finite entry: it gathers every pair.
-_EVERY_PAIR = (0.0, np.finfo(np.float64).max)
+_EVERY_PAIR = (np.float32(0.0), _F32.max)
 
 
 def _pooled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a then b as one [N, E] array, and their squared norms."""
+    """The rows of a then b less their column mean, as one float32 [N, E]
+    array, and their float32 squared norms.
+
+    The mean is subtracted in float64, before the rows are rounded: a common
+    offset would otherwise set the squared norms' scale, and float32
+    rounding at that scale would swamp the distances between the rows.
+    """
     pooled = np.vstack([a, b])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled -= pooled.sum(axis=0) / max(len(pooled), 1)
         sq = np.sum(pooled ** 2, axis=1)
-        # no partial sum of a tile's GEMM exceeds 4 max(sq) (_sq_dist_blocks)
-        if not np.isfinite(4.0 * sq.max(initial=0.0)):
+        # no partial sum of a tile's GEMM exceeds 4 max(sq) (_sq_dist_blocks);
+        # NaN, from an overflowing mean, fails the comparison too
+        if not 4.0 * sq.max(initial=0.0) <= _F32.max:
             raise NumericError("embedding norms overflow the squared distances")
-    return pooled, sq
+    return pooled.astype(np.float32), sq.astype(np.float32)
 
 
 def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray, clip: bool = True):
-    """Yield (r0, r1, d2) over tiles of BLOCK_ROWS pooled rows.
+    """Yield (r0, r1, d2) over float32 tiles of BLOCK_ROWS pooled rows.
 
+    pooled and sq are _pooled's float32 rows and squared norms.
     d2[i, j] is max(<left_i, right_j>, 0) for rows r0 + i and r0 + j (the
     product itself, which may be below 0, when clip is False), with
     the augmented rows left_i = [-2 p_i | sq_i | 1] and right_j =
@@ -226,10 +243,10 @@ def _sq_dist_blocks(pooled: np.ndarray, sq: np.ndarray, clip: bool = True):
     only until the next one is yielded.
     """
     n = len(pooled)
-    col, ones = sq[:, None], np.ones((n, 1))
+    col, ones = sq[:, None], np.ones((n, 1), dtype=np.float32)
     left = np.hstack([-2.0 * pooled, col, ones])
     right = np.hstack([pooled, ones, col])
-    tile = np.empty(min(BLOCK_ROWS, n) * n)
+    tile = np.empty(min(BLOCK_ROWS, n) * n, dtype=np.float32)
     for r0 in range(0, n, BLOCK_ROWS):
         r1 = min(r0 + BLOCK_ROWS, n)
         d2 = tile[:(r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
@@ -260,9 +277,10 @@ def _gather_ranks(arrays, lo: float, hi: float, ranks: np.ndarray) -> np.ndarray
 
 def _median_sqrt(passes, count: int, bracket: tuple[float, float]) -> float:
     """Median of sqrt over the finite entries of one pass, exactly as
-    np.median gives it; 1.0 if it is 0 or there are no entries.
+    np.median gives it over the entries cast to float64; 1.0 if it is 0 or
+    there are no entries.
 
-    Each passes(clip) call yields the C-contiguous float64 arrays of one
+    Each passes(clip) call yields the C-contiguous float32 arrays of one
     pass anew, and they may be overwritten. Their finite entries, count in
     all, are >= 0; +inf marks an entry to skip. clip is False only for a
     bracket with lo > 0: the pass may then leave an entry that is 0 below
@@ -279,7 +297,7 @@ def _median_sqrt(passes, count: int, bracket: tuple[float, float]) -> float:
     if mid is None:
         mid = _gather_ranks(passes(True), *_EVERY_PAIR, ranks)
     # np.median takes the mean of the middle pair (of one entry twice if odd)
-    med = float(np.mean(np.sqrt(mid)))
+    med = float(np.mean(np.sqrt(mid, dtype=np.float64)))
     return med if med > 0.0 else 1.0
 
 
@@ -295,23 +313,30 @@ def _median_distance(pooled: np.ndarray, sq: np.ndarray) -> float:
         i = rng.integers(0, n, _SAMPLE_PAIRS)
         j = rng.integers(0, n - 1, _SAMPLE_PAIRS)
         j += j >= i
-        sample = np.empty(_SAMPLE_PAIRS)
+        sample = np.empty(_SAMPLE_PAIRS, dtype=np.float32)
         for c in range(0, _SAMPLE_PAIRS, _SAMPLE_CHUNK):
             ic, jc = i[c:c + _SAMPLE_CHUNK], j[c:c + _SAMPLE_CHUNK]
             sample[c:c + _SAMPLE_CHUNK] = sq[ic] + sq[jc] - 2.0 * np.einsum(
                 "ij,ij->i", pooled[ic], pooled[jc])
-        bracket = np.quantile(sample, [0.5 - _BRACKET, 0.5 + _BRACKET])
+        # float32 bounds, so that the gather compares the tiles in float32
+        bracket = np.quantile(sample, [0.5 - _BRACKET, 0.5 + _BRACKET]).astype(np.float32)
     med = _median_sqrt(lambda clip: (d2 for _, _, d2 in _sq_dist_blocks(pooled, sq, clip)),
                        count, bracket)
     # A tile's GEMM sums E + 2 products of up to 4 max(sq) each, so it may
     # leave a copy's distance 0 as a square up to this rounding bound: such
     # a median is 0, and falls back to 1.0 as in _median_sqrt.
-    noise = (pooled.shape[1] + 2) * 4.0 * np.finfo(np.float64).eps * sq.max(initial=0.0)
+    noise = (pooled.shape[1] + 2) * 4.0 * float(_F32.eps) * float(sq.max(initial=0.0))
     return med if med > math.sqrt(noise) else 1.0
 
 
 def median_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over the pooled sets (self pairs excluded)."""
+    """Median pairwise Euclidean distance over the pooled sets (self pairs excluded).
+
+    The distances are float32 tiles (1 MB each at 2048 + 2048 rows) over the
+    pooled rows centred in float64, and sigma is the exact median of their
+    square roots taken in float64; 1.0 when that median is 0 to within the
+    tiles' float32 rounding.
+    """
     a, b = _checked(a, b, min_rows=0)
     return _median_distance(*_pooled(a, b))
 
@@ -325,28 +350,38 @@ def kad(a: np.ndarray, b: np.ndarray, sigma: float) -> float:
     streamed in row tiles of the upper triangle and never held whole; one
     pass turns each tile into kernel values and sums them by position into
     the aa, ab and bb parts.
+
+    The tiles are float32 (1 MB each at 2048 + 2048 rows) over the pooled
+    rows centred in float64; the kernel values and each tile row's sum are
+    float32, and the row sums add up in float64. So 1 / (2 sigma^2) must be
+    a normal float32.
     """
     a, b = _checked(a, b)
     pooled, sq = _pooled(a, b)
     sigma = float(sigma)
     twice_var = 2.0 * sigma * sigma
-    # NaN fails every comparison; a tiny sigma's square underflows to 0 or
-    # its inverse overflows
-    if not (0.0 < sigma < math.inf and twice_var > 0.0 and 1.0 / twice_var < math.inf):
-        raise DataError(f"kad bandwidth must be finite and > 0 with a finite "
-                        f"1 / (2 sigma^2), got {sigma!r}")
+    # NaN fails every comparison; a tiny sigma's square underflows to 0, and
+    # a gamma outside float32's normal range would turn the tiles' 0 and +inf
+    # into NaN
+    if not (sigma > 0.0 and twice_var > 0.0
+            and float(_F32.tiny) <= 1.0 / twice_var <= float(_F32.max)):
+        raise DataError(f"kad bandwidth must be finite and > 0 with 1 / (2 sigma^2) "
+                        f"a normal float32, got {sigma!r}")
     gamma = 1.0 / twice_var
     m, n = len(a), len(b)
     sum_aa = sum_ab = sum_bb = 0.0
     for r0, r1, k in _sq_dist_blocks(pooled, sq):
-        # the +inf on and below the leading square's diagonal becomes 0.0
-        k *= -gamma
+        # the +inf on and below the leading square's diagonal becomes 0.0, as
+        # does a product past float32's range
+        with np.errstate(over="ignore"):
+            k *= -gamma
         np.exp(k, out=k)
         col = max(m - r0, 0)  # the first b column of the tile
         row = min(col, r1 - r0)  # the first b row
-        sum_aa += k[:row, :col].sum()
-        sum_ab += k[:row, col:].sum()
-        sum_bb += k[row:, col:].sum()
+        # each row sums pairwise in float32, and the row sums add up in float64
+        sum_aa += k[:row, :col].sum(axis=1).sum(dtype=np.float64)
+        sum_ab += k[:row, col:].sum(axis=1).sum(dtype=np.float64)
+        sum_bb += k[row:, col:].sum(axis=1).sum(dtype=np.float64)
     # the aa and bb kernel blocks are symmetric: twice their upper sums
     term_a = 2.0 * sum_aa / (m * (m - 1))
     term_b = 2.0 * sum_bb / (n * (n - 1))

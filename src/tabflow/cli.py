@@ -241,11 +241,8 @@ def _load_net(checkpoint: Path) -> nn.VelocityNet:
             raise DataError(f"{checkpoint}: parameter {name} has shape {arr.shape}, but "
                             f"latent width {latentcodec.DIMS} and net width {width} "
                             f"imply {shapes[name]}")
-    # every weight is overwritten below, so the init seed does not matter
-    net = nn.VelocityNet(latentcodec.DIMS, base_channels=width, seed=0, input_gain=gain)
-    for name, arr in params.items():
-        net.params[name].data[...] = arr
-    return net
+    return nn.VelocityNet.from_arrays(latentcodec.DIMS, {name: params[name] for name in shapes},
+                                      gain)
 
 
 def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,

@@ -71,6 +71,20 @@ class VelocityNet:
                 data = _kaiming_uniform(rng, shape, shape[1] * shape[2], self.dtype)
             self.params[name] = T.Tensor(data, requires_grad=True)
 
+    @classmethod
+    def from_arrays(cls, dims: int, arrays: dict[str, np.ndarray],
+                    input_gain: float) -> VelocityNet:
+        """A float32 net whose parameters are arrays, in their order; no
+        weights are drawn. The caller has checked their names and shapes
+        against param_shapes."""
+        net = cls.__new__(cls)
+        net.dims = dims
+        net.input_gain = float(input_gain)
+        net.dtype = np.dtype(np.float32)
+        net.params = {name: T.Tensor(np.asarray(arr, dtype=net.dtype), requires_grad=True)
+                      for name, arr in arrays.items()}
+        return net
+
     def __call__(self, x: T.Tensor, t: T.Tensor) -> T.Tensor:
         return self.forward(x, t)
 

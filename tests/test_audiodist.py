@@ -3,15 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from tabflow.audiodist import (BLOCK_ROWS, EMBED_BLOCK, EMBED_DIMS, _filterbank, _median_sqrt,
-                               _sq_dist_blocks, band_edges, embed, fad, frechet_gaussian,
-                               kad, median_bandwidth, recon_distance, LOG_FLOOR)
+                               _pooled, _sq_dist_blocks, band_edges, embed, fad,
+                               frechet_gaussian, kad, median_bandwidth, recon_distance,
+                               LOG_FLOOR)
 from tabflow.errors import DataError, NumericError
 from tabflow.latentcodec import FRAME_HOP, FRAME_LEN, encode, windowed_frames
 from tabflow.stringsynth import AudioBuffer
 
 FS = 44100
+EPS32 = float(np.finfo(np.float32).eps)
+# The KAD tiles are float32. Against a float64 formula, a KAD value of the
+# small sets below moved by at most 6e-8, a few float32 eps of the kernel
+# values, so this bound leaves a margin of over 15.
+KAD_ATOL = 1e-6
 
 
 def _set(arr):
@@ -199,14 +206,19 @@ def test_kad_hand_computed_two_point_sets():
     a = _set(np.zeros((2, 1)))
     b = _set(np.ones((2, 1)))
     expected = 1.0 + 1.0 - 2.0 * np.exp(-0.5)  # k(0,0)=k(1,1)=1, k(0,1)=e^-1/2
-    assert kad(a, b, 1.0) == pytest.approx(expected, abs=1e-12)
+    # centred, the points are -+0.5 and every distance is exact in float32;
+    # only the float32 exp(-0.5), weighted 2, rounds: its ulp is eps / 2, so
+    # up to 4 ulp stay within 4 eps
+    assert kad(a, b, 1.0) == pytest.approx(expected, abs=4 * EPS32)
 
 
-@pytest.mark.parametrize("bandwidth", [0.0, -1.0, 1e-200, 1e-160, float("nan"),
-                                       float("inf"), float("-inf")])
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, 1e-200, 1e-160, 1e-20, 1e19, 1e155,
+                                       float("nan"), float("inf"), float("-inf")])
 def test_kad_rejects_bad_bandwidth(bandwidth):
-    """Not finite and > 0, or 1 / (2 sigma^2) not finite (sigma^2 underflows to
-    0 at 1e-200, 1 / (2 sigma^2) overflows at 1e-160)."""
+    """Not finite and > 0, or 1 / (2 sigma^2) not a normal float32: sigma^2
+    underflows to 0 at 1e-200, 1 / (2 sigma^2) overflows float64 at 1e-160
+    and float32 at 1e-20, and is below float32's normal range at 1e19 and 0
+    in float64 at 1e155 (a gamma of 0 would turn the tiles' +inf into NaN)."""
     with pytest.raises(DataError, match="kad bandwidth must be finite and > 0"):
         kad(_set(np.zeros((3, 2))), _set(np.ones((3, 2))), bandwidth)
 
@@ -215,7 +227,8 @@ def test_kad_symmetry():
     rng = np.random.default_rng(9)
     a = _set(rng.standard_normal((200, 3)))
     b = _set(rng.standard_normal((200, 3)) + 0.4)
-    assert _kad_median(a, b) == pytest.approx(_kad_median(b, a), abs=1e-9)
+    # swapped, the pooled rows and so the float32 tiles' roundings differ
+    assert _kad_median(a, b) == pytest.approx(_kad_median(b, a), abs=KAD_ATOL)
 
 
 def test_median_bandwidth_positive():
@@ -225,32 +238,50 @@ def test_median_bandwidth_positive():
     assert median_bandwidth(a, b) > 0
 
 
-def _augmented(pooled):
+def _augmented(rows, sq):
     """The operands [-2P | sq | 1] and [P | 1 | sq] whose product is the
-    pooled squared-distance matrix, built apart from audiodist."""
-    sq = np.sum(pooled ** 2, axis=1)[:, None]
+    squared-distance matrix of the rows, built apart from audiodist."""
+    sq = sq[:, None]
     ones = np.ones_like(sq)
-    return np.hstack([-2.0 * pooled, sq, ones]), np.hstack([pooled, ones, sq])
+    return np.hstack([-2.0 * rows, sq, ones]), np.hstack([rows, ones, sq])
+
+
+def _centred32(pooled):
+    """The rows less their column mean, taken in float64, and their squared
+    norms, both rounded to float32: the tiles' operands, built apart from
+    audiodist."""
+    centred = pooled - pooled.mean(axis=0)
+    return centred.astype(np.float32), np.sum(centred ** 2, axis=1).astype(np.float32)
 
 
 def _triu_median(a, b):
     """np.median of the distances over the strict upper triangle of the
-    whole augmented product."""
-    left, right = _augmented(np.vstack([a, b]))
+    whole float64 augmented product of the rows as given."""
+    pooled = np.vstack([a, b])
+    left, right = _augmented(pooled, np.sum(pooled ** 2, axis=1))
     d2 = left @ right.T
     iu = np.triu_indices(len(d2), k=1)
     return float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
 
 
+def _triu_median32(a, b):
+    """The same over the float32 product of the centred operands, each
+    distance taken in float64 from its float32 square."""
+    left, right = _augmented(*_centred32(np.vstack([a, b])))
+    d2 = np.clip(left @ right.T, 0.0, None)
+    iu = np.triu_indices(len(d2), k=1)
+    return float(np.median(np.sqrt(d2[iu].astype(np.float64))))
+
+
 def test_tile_distances_are_the_three_term_formula():
-    """Each tile's finite entries are its rows of the augmented GEMM clipped
-    at 0, bit for bit, and +inf marks exactly the diagonal and below of its
-    leading square."""
-    pooled = 3.0 * np.random.default_rng(0).standard_normal((300, 64))
-    sq = np.sum(pooled ** 2, axis=1)
-    left, right = _augmented(pooled)
+    """Each tile's finite entries are its rows of the float32 GEMM of the
+    centred operands clipped at 0, bit for bit, and +inf marks exactly the
+    diagonal and below of its leading square."""
+    pooled = 3.0 * np.random.default_rng(0).standard_normal((300, 64)) + 5.0
+    left, right = _augmented(*_centred32(pooled))
     spans = []
-    for r0, r1, d2 in _sq_dist_blocks(pooled, sq):
+    for r0, r1, d2 in _sq_dist_blocks(*_pooled(pooled[:120], pooled[120:])):
+        assert d2.dtype == np.float32
         spans.append((r0, r1))
         want = np.clip(left[r0:r1] @ right[r0:].T, 0.0, None)
         lower = np.zeros(d2.shape, dtype=bool)
@@ -268,7 +299,14 @@ def test_median_bandwidth_matches_triu_index_formula(seed):
     scale = 10.0 ** rng.uniform(-3, 3)
     a = _set(scale * rng.standard_normal((m, dims)))
     b = _set(scale * rng.standard_normal((n, dims)) + 0.3)
-    assert median_bandwidth(a, b) == _triu_median(a, b)
+    sigma = median_bandwidth(a, b)
+    assert sigma == _triu_median32(a, b)
+    # Against float64: rounding the centred rows and the float32 GEMM move
+    # each squared distance by at most this bound, and so the middle ones;
+    # sigma then moves by about bound / (2 sigma).
+    centred = np.vstack([a, b]) - np.vstack([a, b]).mean(axis=0)
+    bound = 4 * (dims + 4) * EPS32 * np.max(np.sum(centred ** 2, axis=1))
+    assert abs(sigma - _triu_median(a, b)) * sigma <= bound
 
 
 @pytest.mark.parametrize("m, n, dims", [(150, 190, 8), (300, 260, 64)])
@@ -303,14 +341,17 @@ def test_kad_matches_three_gram_formula(seed):
     expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
-    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=KAD_ATOL)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_median_bandwidth_exact_over_many_blocks(seed):
     """Small-integer points make every distance exact in float64 and tie
     many of them; pooled over more than one block, the streamed median is
-    still the triu_indices formula's exactly."""
+    still the float64 triu_indices formula's exactly. The float32 tiles of
+    the centred rows leave 14-39% of these distances an ulp or so off, but
+    the middle ranks fall where a tie group's entries are exact (under the
+    SkylakeX, Haswell, Zen and Sandybridge kernels alike)."""
     rng = np.random.default_rng(100 + seed)
     m, n = rng.integers(300, 900, size=2).tolist()
     dims = int(rng.integers(1, 9))
@@ -342,33 +383,36 @@ def test_kad_split_off_block_boundary(m, n):
     expected = ((kaa.sum() - np.trace(kaa)) / (m * (m - 1))
                 + (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
                 - 2.0 * gram(a, b).mean())
-    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=1e-12)
+    assert kad(a, b, sigma) == pytest.approx(expected, rel=0, abs=KAD_ATOL)
 
 
-_TIED = st.sampled_from([0.0, 0.0, 1.0, 2.25, 2.25, 4.0, 1e-300, 1e300])
+# float32 values: the tiles' dtype, with its smallest subnormal and a value
+# near its largest finite
+_TIED = st.sampled_from([0.0, 0.0, 1.0, 2.25, 2.25, 4.0, 1e-45, 3e38])
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(_TIED | st.floats(0.0, 1e6), min_size=1, max_size=400),
+@given(values=st.lists(_TIED | st.floats(0.0, 1e6, width=32), min_size=1, max_size=400),
        width=st.integers(1, 64), data=st.data())
 @example(values=[0.0] * 10, width=3, data=None)     # all equal: sigma 1.0
 @example(values=[3.0], width=1, data=None)          # a single pair
 @example(values=[0.0, 0.0, 9.0, 9.0], width=3, data=None)
 def test_median_selector_matches_np_median(values, width, data):
-    """The streamed selector gives np.median of sqrt exactly, through the
-    every-pair bracket, through a bracket that holds the middle, and through
-    brackets that miss it, which fall back to gathering every entry."""
-    vals = np.array(values)
-    med = float(np.median(np.sqrt(vals)))
+    """Over float32 entries, the streamed selector gives np.median of sqrt
+    of the entries cast to float64 exactly, through the every-pair bracket,
+    through a bracket that holds the middle, and through brackets that miss
+    it, which fall back to gathering every entry."""
+    vals = np.array(values, dtype=np.float32)
+    med = float(np.median(np.sqrt(vals.astype(np.float64))))
     expected = med if med > 0.0 else 1.0
     # rows of `width` entries, the last one padded with skipped (+inf) entries
-    rows = np.full((-(-len(vals) // width), width), np.inf)
+    rows = np.full((-(-len(vals) // width), width), np.inf, dtype=np.float32)
     rows.reshape(-1)[:len(vals)] = vals
 
     def passes(clip):  # the values are >= 0: clipping would change nothing
         return (rows[r:r + 2].copy() for r in range(0, len(rows), 2))
 
-    brackets = [(0.0, np.finfo(np.float64).max), (1.0, 2.25), (7.0, 5e5)]
+    brackets = [(0.0, float(np.finfo(np.float32).max)), (1.0, 2.25), (7.0, 5e5)]
     if data is not None:
         lo, hi = sorted(data.draw(st.sampled_from(values)) for _ in range(2))
         brackets.append((lo, hi))
@@ -386,30 +430,31 @@ def test_median_bandwidth_of_identical_points_is_one():
 
 
 def test_median_bandwidth_clips_copies_rounded_below_zero():
-    """Copies of one point whose unclipped tile entries mostly round below 0
-    (11175 pairs, so every pair is gathered): clipped, they are distance 0,
-    and the median heuristic gives 1.0."""
+    """75 copies of one point pooled with 10 copies of another: centring
+    leaves the copies away from 0, and the float32 tiles round most of their
+    distance-0 entries below 0 unclipped (2820 of 3570 pairs are copies, and
+    every pair is gathered). Clipped, they are distance 0, and the median
+    heuristic gives 1.0."""
     for seed in range(50):
-        x = _set(np.tile(np.random.default_rng(seed).standard_normal(64), (75, 1)))
-        pooled = np.vstack([x, x])
-        sq = np.sum(pooled ** 2, axis=1)
+        rng = np.random.default_rng(seed)
+        x = _set(np.tile(rng.standard_normal(64), (75, 1)))
+        y = _set(np.tile(rng.standard_normal(64), (10, 1)))
         unclipped = np.concatenate([d2[np.isfinite(d2)] for _, _, d2
-                                    in _sq_dist_blocks(pooled, sq, clip=False)])
+                                    in _sq_dist_blocks(*_pooled(x, y), clip=False)])
         if np.median(unclipped) < 0.0:
             break
     else:
-        raise AssertionError("no point of the 50 rounds most self distances below 0")
-    assert _triu_median(x, x) == 0.0
-    assert median_bandwidth(x, x) == 1.0
+        raise AssertionError("no pair of points of the 50 rounds most copy distances below 0")
+    assert median_bandwidth(x, y) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_median_bandwidth_of_copies_is_one_whatever_their_rounding(seed):
-    """75 copies of one point: every pairwise distance is 0, but a tile's
-    GEMM leaves some of them as squares of about 1e-14 (seeds 4-6), whose
-    median sigma of about 1e-7 would make every kernel value 0 or 1. A
-    median within the GEMM's rounding bound is the distance 0, so sigma is
-    the fallback 1.0."""
+    """75 copies of one point: every pairwise distance is 0, and sigma is
+    the fallback 1.0. Centring makes every row 0, so the tiles are exactly 0;
+    copies left away from 0 (as in the test above) would leave some squares
+    at the GEMM's rounding scale, and a median within that bound is the
+    distance 0 too."""
     x = _set(np.tile(np.random.default_rng(seed).standard_normal(64), (75, 1)))
     assert median_bandwidth(x, x) == 1.0
 
@@ -427,8 +472,8 @@ def test_median_bandwidth_peak_memory_bound():
 
 def test_kad_peak_memory_bound():
     """The median bandwidth and one kad at the default cap (2048 + 2048
-    frames of 64 dims) stream their distances in 64 x 4096 tiles (2 MB
-    each): the pooled 4096 x 4096 matrix alone would be 134 MB."""
+    frames of 64 dims) stream their distances in 64 x 4096 float32 tiles
+    (1 MB each): the pooled 4096 x 4096 matrix alone would be 67 MB."""
     rng = np.random.default_rng(21)
     a = _set(rng.standard_normal((2048, 64)))
     b = _set(rng.standard_normal((2048, 64)) + 0.1)
@@ -437,11 +482,54 @@ def test_kad_peak_memory_bound():
 
 
 def test_kad_norm_overflow_is_numeric_error():
-    a = _set(np.full((3, 2), 1e154))
-    with pytest.raises(NumericError, match="overflow"):
-        kad(a, -a, 1.0)
-    with pytest.raises(NumericError, match="overflow"):
-        median_bandwidth(a, -a)
+    """Centred rows whose squared distances overflow float64 (1e154) or
+    float32 (1e19: squares of 1e38), or whose mean overflows (1e308)."""
+    for value in (1e154, 1e19, 1e308):
+        a = _set(np.full((3, 2), value))
+        with pytest.raises(NumericError, match="overflow"):
+            kad(a, -a, 1.0)
+        with pytest.raises(NumericError, match="overflow"):
+            median_bandwidth(a, -a)
+
+
+def _float64_kad(a, b):
+    """sigma and KAD from scipy's float64 distances: the median of every
+    pooled pair's distance, and the unbiased MMD over three Gram matrices."""
+    sigma = float(np.median(pdist(np.vstack([a, b]))))
+    m, n = len(a), len(b)
+    parts = []
+    for x, y in ((a, a), (b, b), (a, b)):
+        parts.append(np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * sigma * sigma)).sum())
+    value = ((parts[0] - m) / (m * (m - 1)) + (parts[1] - n) / (n * (n - 1))
+             - 2.0 * parts[2] / (m * n))
+    return sigma, value
+
+
+def _near_duplicates(rng, rows, dims):
+    """rows / 4 distinct points, each repeated 4 times with a jitter of 1e-4."""
+    base = np.repeat(rng.standard_normal((rows // 4, dims)), 4, axis=0)
+    return base + 1e-4 * rng.standard_normal((rows, dims))
+
+
+@pytest.mark.parametrize("case", ["2048x2", "offset", "near_duplicates"])
+def test_float32_tiles_match_float64_oracle(case):
+    """sigma within rel 1e-6 and KAD within rel 1e-5 of scipy's float64
+    distances: at the default cap (2048 + 2048 rows of 64 dims), for a
+    cloud offset by 1e3, whose squared norms are 1e6 times its distances
+    until it is centred, and for near-duplicate rows, whose distances of
+    about 1e-3 sit beside ones of about 10."""
+    rng = np.random.default_rng(31)
+    m, n = (2048, 2048) if case == "2048x2" else (700, 500)
+    if case == "near_duplicates":
+        a, b = _near_duplicates(rng, m, 64), _near_duplicates(rng, n, 64) + 0.3
+    else:
+        a = rng.standard_normal((m, 64))
+        b = 1.2 * rng.standard_normal((n, 64)) + 0.3
+        if case == "offset":
+            a, b = a + 1e3, b + 1e3
+    sigma, value = _float64_kad(a, b)
+    assert median_bandwidth(a, b) == pytest.approx(sigma, rel=1e-6)
+    assert kad(a, b, median_bandwidth(a, b)) == pytest.approx(value, rel=1e-5)
 
 
 # --- reconstruction distance ---------------------------------------------------
