@@ -241,6 +241,8 @@ def _load_net(checkpoint: Path) -> nn.VelocityNet:
             raise DataError(f"{checkpoint}: parameter {name} has shape {arr.shape}, but "
                             f"latent width {latentcodec.DIMS} and net width {width} "
                             f"imply {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{checkpoint}: parameter {name} holds NaN or Inf values")
     return nn.VelocityNet.from_arrays(latentcodec.DIMS, {name: params[name] for name in shapes},
                                       gain)
 

@@ -1,10 +1,10 @@
 """Rectified-flow training and transport over paired latent chunks.
 
-Training regresses a velocity field v(t, x_t) onto the constant target
-velocity x1 - x0 along the straight interpolant x_t = (1-t) x0 + t x1, built
-for a whole [B, D, F] batch in one broadcast; the loss is the mean squared
-error over batch and elements. Transport solves dx/dt = v(t, x) from t=0 to
-t=1.
+Training fits the float32 UNet to [N, D, F] latent endpoints, regressing
+v(t, x_t) onto the constant target velocity x1 - x0 along the straight
+interpolant x_t = (1-t) x0 + t x1, one float32 [B, D, F] batch per step; the
+loss is the mean squared error over batch and elements. Transport solves
+dx/dt = v(t, x) from t=0 to t=1.
 """
 
 from __future__ import annotations
@@ -22,87 +22,64 @@ from .neuralnet import tensor as T
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One training batch: times [B], interpolants and target velocities [B, ...]."""
+    """One training batch: times [B], interpolants and target velocities [B, D, F]."""
 
     t: np.ndarray
     x_t: np.ndarray
     u: np.ndarray
 
 
-def make_sample(x0, x1, t) -> FlowSample:
+def make_sample(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> FlowSample:
     """Build the interpolants x_t and target velocities u = x1 - x0 of a batch.
 
-    x0 and x1 are [B, ...] endpoints and t is [B] times in [0, 1]; row i gets
-    x_t[i] = (1 - t[i]) x0[i] + t[i] x1[i]. t is checked in float64. When
-    both endpoints are float32 (as `train` gathers them for a float32 net),
-    t and the arithmetic are float32 too; any other input is float64.
+    x0 and x1 are float32 [B, D, F] endpoints and t is float32 [B] times in
+    [0, 1], as `train` draws them; row i gets x_t[i] = (1 - t[i]) x0[i] +
+    t[i] x1[i], all in float32.
     """
-    x0, x1 = np.asarray(x0), np.asarray(x1)
-    dtype = np.float32 if x0.dtype == x1.dtype == np.float32 else np.float64
-    x0, x1 = x0.astype(dtype, copy=False), x1.astype(dtype, copy=False)
-    t = np.asarray(t, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise DataError(f"endpoint shapes differ: {x0.shape} vs {x1.shape}")
-    if t.shape != x0.shape[:1]:
-        raise DataError(f"need one t per pair, got t {t.shape} for endpoints {x0.shape}")
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise DataError(f"t must be in [0, 1], got {t}")
-    t = t.astype(dtype, copy=False)
-    tb = t.reshape((-1,) + (1,) * (x0.ndim - 1))
+    tb = t[:, None, None]
     return FlowSample(t=t, x_t=(1.0 - tb) * x0 + tb * x1, u=x1 - x0)
 
 
 def cfm_loss(net, sample: FlowSample) -> T.Tensor:
     """Mean over batch and elements of ||v(t, x_t) - (x1 - x0)||^2.
 
-    net may be any callable with a `dtype` taking (states, times) Tensors and
-    returning a Tensor of matching shape. The sample is cast to that dtype;
-    arrays already in it are passed to the net as they are, not copied.
+    net may be any callable taking (states, times) Tensors and returning a
+    Tensor of matching shape. The sample's arrays reach it as they are, not
+    copied.
     """
-    if len(sample.t) == 0:
-        raise DataError("empty batch")
-    x_t = T.Tensor(sample.x_t.astype(net.dtype, copy=False))
-    u = T.Tensor(sample.u.astype(net.dtype, copy=False))
-    t = T.Tensor(sample.t.astype(net.dtype, copy=False))
-    return T.mse(net(x_t, t), u)
+    return T.mse(net(T.Tensor(sample.x_t), T.Tensor(sample.t)), T.Tensor(sample.u))
 
 
 def _pad_frame_axis(x: np.ndarray, dtype) -> np.ndarray:
-    """x in dtype, with the frame axis of an [N, D, F] array zero-padded to
-    the next multiple of the UNet's DOWN_FACTOR in one new array. Arrays of
-    any other rank have no frame axis and are only cast (not copied when
-    already in dtype)."""
-    if x.ndim != 3:
-        return x.astype(dtype, copy=False)
+    """x in dtype, with the frame axis of the [N, D, F] array zero-padded to
+    the next multiple of the UNet's DOWN_FACTOR in one new array."""
     n, d, f = x.shape
     out = np.zeros((n, d, -(-f // nn.unet.DOWN_FACTOR) * nn.unet.DOWN_FACTOR), dtype)
     out[:, :, :f] = x
     return out
 
 
-def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
-    """Fit a velocity field to paired endpoints by rectified flow matching.
+def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig):
+    """Fit a VelocityNet to paired [N, D, F] endpoints by rectified flow matching.
 
-    x0 and x1 are [N, ...] source and target arrays. Each is cast once to
-    the net's dtype, [N, D, F] latents zero-padded on the frame axis by
-    _pad_frame_axis in the same copy, so every batch is gathered and
-    interpolated in that dtype (float32 for a VelocityNet) and reaches the
-    net without a cast. A given net needs a dtype and a params dict of the
-    Tensors Adam updates. With no net, builds a VelocityNet of D = x0.shape[1]
-    channels from cfg (base_channels, seed) whose input_gain comes from the
-    unpadded endpoints as given. Reads batch_size, lr, epochs and seed from
-    cfg: batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
+    x0 and x1 are the source and target latents, of one shape with N >= 1;
+    any other pair is a DataError, checked here once. The net has D =
+    x0.shape[1] channels, cfg's base_channels and seed, and an input_gain
+    from the endpoints as given. Each endpoint array is cast once to the
+    net's float32, its frame axis zero-padded by _pad_frame_axis in the same
+    copy, so every batch is gathered and interpolated in float32 and reaches
+    the net without a cast. Reads batch_size, lr, epochs and seed from cfg:
+    batches are reshuffled every epoch, and an epoch runs ceil(N / batch)
     steps with a ragged final batch (the batch is clamped to N).
     Deterministic for a fixed cfg.seed and BLAS thread count: OpenBLAS picks
     its sgemm kernel by size and by thread count, so the bytes can differ
     between thread counts. Returns (net, AdamState, history), with history
     rows (step, epoch, loss).
     """
-    if x0.shape != x1.shape or len(x0) < 1:
+    if x0.ndim != 3 or x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
-    if net is None:
-        net = nn.VelocityNet(x0.shape[1], base_channels=cfg.base_channels, seed=cfg.seed,
-                             input_gain=input_gain_for(x0, x1))
+    net = nn.VelocityNet(x0.shape[1], base_channels=cfg.base_channels, seed=cfg.seed,
+                         input_gain=input_gain_for(x0, x1))
     n = len(x0)
     batch = min(cfg.batch_size, n)
     steps_per_epoch = -(-n // batch)
@@ -117,7 +94,8 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig, net=None):
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
             idx = order[b * batch:(b + 1) * batch]
-            sample = make_sample(x0[idx], x1[idx], rng.uniform(size=len(idx)))
+            t = rng.uniform(size=len(idx)).astype(net.dtype)
+            sample = make_sample(x0[idx], x1[idx], t)
             for p in params.values():
                 p.zero_grad()
             try:

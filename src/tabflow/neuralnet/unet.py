@@ -1,9 +1,10 @@
 """1-D UNet velocity field with four encoder/decoder levels.
 
-The integration time t enters as one extra constant channel concatenated to
-the state, so the network maps [B, D+1, F] -> [B, D, F]. The final 1x1
-convolution starts at zero, which makes the untrained field the zero velocity
-and the untrained transport the identity.
+The net is float32: its parameters, and the [B, D, F] states and [B] times
+that flowmatch gives it. The integration time t enters as one extra constant
+channel concatenated to the state, so the network maps [B, D+1, F] ->
+[B, D, F]. The final 1x1 convolution starts at zero, which makes the
+untrained field the zero velocity and the untrained transport the identity.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def param_shapes(dims: int, base_channels: int) -> dict[str, tuple[int, ...]]:
 
 
 class VelocityNet:
-    """UNet over latent frame sequences.
+    """UNet over float32 [B, D, F] latent frame sequences.
 
     Encoder level: conv(k=3) -> ReLU -> stride-2 downsample, widths C..8C.
     Decoder level: 2x nearest upsample -> concat skip -> conv(k=3) -> ReLU.
@@ -57,11 +58,11 @@ class VelocityNet:
     match the state's.
     """
 
-    def __init__(self, dims: int, base_channels: int, seed: int,
-                 dtype=np.float32, input_gain: float = 1.0):
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, dims: int, base_channels: int, seed: int, input_gain: float = 1.0):
         self.dims = dims
         self.input_gain = float(input_gain)
-        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
         self.params: dict[str, T.Tensor] = {}
         for name, shape in param_shapes(dims, base_channels).items():
@@ -80,7 +81,6 @@ class VelocityNet:
         net = cls.__new__(cls)
         net.dims = dims
         net.input_gain = float(input_gain)
-        net.dtype = np.dtype(np.float32)
         net.params = {name: T.Tensor(np.asarray(arr, dtype=net.dtype), requires_grad=True)
                       for name, arr in arrays.items()}
         return net

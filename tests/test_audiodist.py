@@ -346,19 +346,26 @@ def test_kad_matches_three_gram_formula(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_median_bandwidth_exact_over_many_blocks(seed):
-    """Small-integer points make every distance exact in float64 and tie
-    many of them; pooled over more than one block, the streamed median is
-    still the float64 triu_indices formula's exactly. The float32 tiles of
-    the centred rows leave 14-39% of these distances an ulp or so off, but
-    the middle ranks fall where a tie group's entries are exact (under the
-    SkylakeX, Haswell, Zen and Sandybridge kernels alike)."""
+    """Small-integer points tie many distances; pooled over more than one
+    block, the streamed median is exactly np.median of the square roots
+    over the finite entries of every float32 tile, and within the tiles'
+    rounding bound of the float64 triu_indices formula. (The centred rows
+    leave some of these distances an ulp or so off their integer, so the
+    float64 formula is not matched exactly.)"""
     rng = np.random.default_rng(100 + seed)
     m, n = rng.integers(300, 900, size=2).tolist()
     dims = int(rng.integers(1, 9))
     a = _set(rng.integers(-3, 4, size=(m, dims)))
     b = _set(rng.integers(-2, 5, size=(n, dims)))
     assert m + n > BLOCK_ROWS
-    assert median_bandwidth(a, b) == _triu_median(a, b)
+    sigma = median_bandwidth(a, b)
+    # each tile is overwritten by the next, so its entries are copied out
+    d2 = np.concatenate([d2[np.isfinite(d2)] for _, _, d2 in _sq_dist_blocks(*_pooled(a, b))])
+    assert len(d2) == (m + n) * (m + n - 1) // 2
+    assert sigma == float(np.median(np.sqrt(d2.astype(np.float64))))
+    centred = np.vstack([a, b]) - np.vstack([a, b]).mean(axis=0)
+    bound = 4 * (dims + 4) * EPS32 * np.max(np.sum(centred ** 2, axis=1))
+    assert abs(sigma - _triu_median(a, b)) * sigma <= bound
 
 
 @pytest.mark.parametrize("m, n", [(300, 700), (700, 300), (8 * BLOCK_ROWS + 37, 260),

@@ -756,6 +756,21 @@ def test_main_transfer_other_net_width_is_exit_2(tiny_cfg, tmp_path, capsys, no_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_main_transfer_non_finite_weight_is_exit_2(tiny_cfg, tmp_path, capsys, no_net_built,
+                                                    value):
+    """A weight that is NaN or Inf is a bad checkpoint, named with its
+    parameter before a net is built, not a numeric error in the first conv."""
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
+    net.params["enc1.w"].data[0, 0, 0] = value
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, net.params, None, {"input_gain": 1.0})
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 2
+    assert f"{ckpt}: parameter enc1.w holds NaN or Inf values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("settings, key", [
     ({"rtol": "nan"}, "rtol"),
     ({"atol": "inf"}, "atol"),

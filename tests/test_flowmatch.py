@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,21 +11,29 @@ from tabflow.errors import DataError
 from tabflow.flowmatch import cfm_loss, make_sample, train, transfer_batch
 from tabflow.neuralnet import tensor as T
 
-from netcheck import DenseVelocityNet
 from oracles import gaussian_2d_pairs
 
 
-def _cfg(batch_size, lr, epochs, seed):
-    """Pipeline settings with the given training values."""
+def _cfg(batch_size, lr, epochs, seed, base_channels=8):
+    """Pipeline settings with the given training values and a narrow UNet."""
     return load_config(None, {
-        "flowmatch": {"batch_size": str(batch_size), "lr": str(lr), "epochs": str(epochs)},
+        "flowmatch": {"batch_size": str(batch_size), "lr": str(lr), "epochs": str(epochs),
+                      "base_channels": str(base_channels)},
         "cli": {"seed": str(seed)}})
+
+
+def _frames(points):
+    """[N, 2] points as [N / 16, 2, 16] latents: each frame is one point."""
+    return points.reshape(-1, 16, 2).transpose(0, 2, 1)
+
+
+def _points(latents):
+    """The inverse of _frames."""
+    return latents.transpose(0, 2, 1).reshape(-1, 2)
 
 
 class OracleNet:
     """Velocity stub returning the batch's exact target velocities."""
-
-    dtype = np.float64
 
     def __init__(self, u):
         self.u = np.asarray(u)
@@ -34,8 +43,6 @@ class OracleNet:
 
 
 class ConstantNet:
-    dtype = np.float64
-
     def __init__(self, c):
         self.c = c
 
@@ -43,63 +50,55 @@ class ConstantNet:
         return T.Tensor(np.full(x.data.shape, self.c, dtype=x.dtype))
 
 
+def _f32(*arrays):
+    """The arrays in float32, the dtype of train's batches."""
+    return [np.asarray(a, dtype=np.float32) for a in arrays]
+
+
 def test_interpolant_endpoints():
-    x0 = np.array([[1.0, -2.0]])
-    x1 = np.array([[3.0, 4.0]])
-    assert np.array_equal(make_sample(x0, x1, [0.0]).x_t, x0)
-    assert np.array_equal(make_sample(x0, x1, [1.0]).x_t, x1)
+    x0, x1 = _f32([[[1.0, -2.0]]], [[[3.0, 4.0]]])
+    for t, want in ((0.0, x0), (1.0, x1)):
+        assert np.array_equal(make_sample(x0, x1, *_f32([t])).x_t, want)
 
 
 def test_midpoint_arithmetic():
-    s = make_sample(np.array([[0.0]]), np.array([[2.0]]), [0.5])
-    assert s.x_t[0, 0] == 1.0 and s.u[0, 0] == 2.0
+    s = make_sample(*_f32([[[0.0]]], [[[2.0]]], [0.5]))
+    assert s.x_t[0, 0, 0] == 1.0 and s.u[0, 0, 0] == 2.0
 
 
 def test_interpolant_invariants_exact():
-    """The sample is built in the endpoints' dtype, t included."""
+    """The sample is float32, t included, and row i is interpolated at t[i]."""
     # B == D == F, so a t broadcast along the wrong axis gives wrong values
     # instead of a shape error
     rng = np.random.default_rng(0)
-    for dtype in [np.float64, np.float32] * 10:
-        x0 = rng.standard_normal((5, 5, 5)).astype(dtype)
-        x1 = rng.standard_normal((5, 5, 5)).astype(dtype)
-        t = rng.uniform(size=5)
+    for _ in range(10):
+        x0, x1 = _f32(rng.standard_normal((5, 5, 5)), rng.standard_normal((5, 5, 5)))
+        t, = _f32(rng.uniform(size=5))
         s = make_sample(x0, x1, t)
-        assert s.t.dtype == s.x_t.dtype == s.u.dtype == dtype
-        np.testing.assert_array_equal(s.t, t.astype(dtype))
+        assert s.t.dtype == s.x_t.dtype == s.u.dtype == np.float32
+        np.testing.assert_array_equal(s.t, t)
         for i in range(5):
-            ti = dtype(t[i])
-            np.testing.assert_array_equal(s.x_t[i], (1 - ti) * x0[i] + ti * x1[i])
+            np.testing.assert_array_equal(s.x_t[i], (1 - t[i]) * x0[i] + t[i] * x1[i])
         np.testing.assert_array_equal(s.u, x1 - x0)
-
-
-def test_make_sample_rejects_shape_mismatch_and_bad_t():
-    with pytest.raises(DataError, match="shapes"):
-        make_sample(np.zeros((1, 2)), np.zeros((1, 3)), [0.5])
-    with pytest.raises(DataError, match="t must be"):
-        make_sample(np.zeros((1, 2)), np.zeros((1, 2)), [1.5])
-    for t in ([0.5], [0.5, 0.5, 0.5], 0.5, [[0.5, 0.5]]):
-        with pytest.raises(DataError, match="one t per pair"):
-            make_sample(np.zeros((2, 3)), np.zeros((2, 3)), t)
 
 
 def test_cfm_loss_zero_at_oracle():
     rng = np.random.default_rng(1)
-    sample = make_sample(rng.standard_normal((6, 4, 16)), rng.standard_normal((6, 4, 16)),
-                         rng.uniform(size=6))
+    sample = make_sample(*_f32(rng.standard_normal((6, 4, 16)),
+                               rng.standard_normal((6, 4, 16)), rng.uniform(size=6)))
     loss = cfm_loss(OracleNet(sample.u), sample)
     assert loss.item() < 1e-12
 
 
 def test_cfm_loss_zero_net_unit_velocities():
-    sample = make_sample(np.zeros((3, 2, 8)), np.ones((3, 2, 8)), np.full(3, 0.3))
+    sample = make_sample(*_f32(np.zeros((3, 2, 8)), np.ones((3, 2, 8)), np.full(3, 0.3)))
     assert cfm_loss(ConstantNet(0.0), sample).item() == pytest.approx(1.0)
 
 
 def test_cfm_loss_invariant_to_batch_order():
     rng = np.random.default_rng(2)
-    x0, x1 = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
-    t = rng.uniform(size=8)
+    x0, x1, t = _f32(rng.standard_normal((8, 6, 4)), rng.standard_normal((8, 6, 4)),
+                     rng.uniform(size=8))
     net = ConstantNet(0.25)
     a = cfm_loss(net, make_sample(x0, x1, t)).item()
     b = cfm_loss(net, make_sample(x0[::-1], x1[::-1], t[::-1])).item()
@@ -108,27 +107,20 @@ def test_cfm_loss_invariant_to_batch_order():
 
 def test_cfm_loss_nonnegative():
     rng = np.random.default_rng(3)
-    sample = make_sample(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
-                         np.full(4, 0.5))
+    sample = make_sample(*_f32(rng.standard_normal((4, 4, 4)),
+                               rng.standard_normal((4, 4, 4)), np.full(4, 0.5)))
     assert cfm_loss(ConstantNet(1.3), sample).item() >= 0.0
 
 
-def test_cfm_loss_rejects_empty_batch():
-    with pytest.raises(DataError, match="empty"):
-        cfm_loss(ConstantNet(0.0), make_sample(np.zeros((0, 2)), np.zeros((0, 2)), []))
-
-
 def test_step_arithmetic_single_pair():
-    net = DenseVelocityNet(2, hidden=4, seed=0)
     cfg = _cfg(64, 1e-4, 50, 0)
-    _, state, hist = train(np.zeros((1, 2)), np.ones((1, 2)), cfg, net=net)
+    _, state, hist = train(np.zeros((1, 2, 16)), np.ones((1, 2, 16)), cfg)
     assert len(hist) == 50 and state.step == 50
 
 
 def test_step_arithmetic_ceil_batches():
-    net = DenseVelocityNet(2, hidden=4, seed=0)
     cfg = _cfg(4, 1e-4, 3, 0)
-    _, _, hist = train(np.zeros((10, 2)), np.ones((10, 2)), cfg, net=net)
+    _, _, hist = train(np.zeros((10, 2, 16)), np.ones((10, 2, 16)), cfg)
     assert len(hist) == 3 * 3  # ceil(10 / 4) = 3 steps per epoch
 
 
@@ -138,35 +130,37 @@ def test_paper_step_budget_consistency():
 
 
 def test_training_is_deterministic():
-    x0, x1 = gaussian_2d_pairs(64, seed=5)
-    cfg = _cfg(32, 1e-3, 3, 9)
-    runs = []
-    for _ in range(2):
-        net = DenseVelocityNet(2, hidden=8, seed=1)
-        runs.append(train(x0, x1, cfg, net=net)[2])
-    assert runs[0] == runs[1]
+    x0, x1 = map(_frames, gaussian_2d_pairs(64, seed=5))
+    cfg = _cfg(2, 1e-3, 3, 9)
+    runs = [train(x0, x1, cfg)[2] for _ in range(2)]
+    assert len(runs[0]) == 3 * 2 and runs[0] == runs[1]
+
+
+def test_train_takes_endpoints_and_config_only():
+    assert list(inspect.signature(train).parameters) == ["x0", "x1", "cfg"]
 
 
 def test_train_gives_the_net_float32_batches_without_copies(monkeypatch):
     """float64 endpoints are cast to the net's float32 once, when padded, so
-    every batch is built in float32 and reaches the net as the sample's own
-    array."""
-    net = nn.VelocityNet(dims=4, base_channels=2, seed=0)
+    every batch is built in float32 and reaches the net train builds as the
+    sample's own array."""
     samples, inputs = [], []
 
     def spy_loss(net_, sample):
         samples.append(sample)
         return cfm_loss(net_, sample)
 
-    def spy_forward(x, t, forward=net.forward):
-        inputs.append((x.data, t.data))
-        return forward(x, t)
+    class SpyNet(nn.VelocityNet):
+        def forward(self, x, t):
+            inputs.append((x.data, t.data))
+            return super().forward(x, t)
 
     monkeypatch.setattr(flowmatch, "cfm_loss", spy_loss)
-    monkeypatch.setattr(net, "forward", spy_forward)
+    monkeypatch.setattr(nn, "VelocityNet", SpyNet)
     rng = np.random.default_rng(4)
     x0, x1 = rng.standard_normal((2, 6, 4, 20))
-    train(x0, x1, _cfg(4, 1e-3, 1, 0), net=net)
+    net, _, _ = train(x0, x1, _cfg(4, 1e-3, 1, 0, base_channels=2))
+    assert type(net) is SpyNet
     assert len(samples) == len(inputs) == 2
     for sample, (x, t) in zip(samples, inputs):
         assert sample.x_t.dtype == sample.u.dtype == sample.t.dtype == np.float32
@@ -185,7 +179,7 @@ def test_loss_and_backward_peak_memory_bound():
     net = nn.VelocityNet(dims, base_channels=8, seed=0)
     rng = np.random.default_rng(0)
     x0, x1 = rng.standard_normal((2, batch, dims, frames)).astype(np.float32)
-    sample = make_sample(x0, x1, rng.uniform(size=batch))
+    sample = make_sample(x0, x1, rng.uniform(size=batch).astype(np.float32))
     item = net.dtype.itemsize
     out_bytes = batch * dims * frames * item
     saved = out_bytes                                       # the loss's difference
@@ -207,11 +201,13 @@ def test_loss_and_backward_peak_memory_bound():
 
 
 def test_train_requires_consistent_pairs():
+    """Pairs of one [N, D, F] shape with N >= 1; other ranks stop here too,
+    not in the net."""
     cfg = load_config()
-    with pytest.raises(DataError, match="bad endpoint arrays"):
-        train(np.zeros((0, 64, 4)), np.zeros((0, 64, 4)), cfg)
-    with pytest.raises(DataError, match="bad endpoint arrays"):
-        train(np.zeros((2, 64, 4)), np.zeros((2, 64, 6)), cfg)
+    for shape0, shape1 in (((0, 64, 4), (0, 64, 4)), ((2, 64, 4), (2, 64, 6)),
+                           ((4, 2), (4, 2)), ((2, 1, 4, 16), (2, 1, 4, 16))):
+        with pytest.raises(DataError, match="bad endpoint arrays"):
+            train(np.zeros(shape0), np.ones(shape1), cfg)
 
 
 def test_transfer_identity_with_zero_net():
@@ -242,44 +238,29 @@ def test_transfer_constant_velocity_closed_form():
 
 
 def test_transfer_solver_agreement_on_trained_toy_net():
-    x0, x1 = gaussian_2d_pairs(256, seed=10)
-    cfg = _cfg(64, 5e-3, 40, 3)
-    net, _, _ = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=16, seed=2))
-
-    def velocity(t, y):
-        with nn.no_grad():
-            x = T.Tensor(y.reshape(-1, 2))
-            tt = T.Tensor(np.full(len(x.data), t))
-            return net(x, tt).data.reshape(-1)
-
-    y0 = x0[:32].reshape(-1)
-    euler = odesolve.integrate(velocity, y0, odesolve.Euler(100)).final_state
-    dopri = odesolve.integrate(velocity, y0, load_config().solver()).final_state
+    x0, x1 = map(_frames, gaussian_2d_pairs(256, seed=10))
+    net, _, _ = train(x0, x1, _cfg(4, 5e-3, 40, 3))
+    states = x0[:2]
+    euler, _ = transfer_batch(net, states, odesolve.Euler(100))
+    dopri, _ = transfer_batch(net, states, load_config().solver())
     assert np.abs(euler - dopri).max() < 0.05
 
 
 def test_loss_history_decreases_on_learnable_problem():
-    x0, x1 = gaussian_2d_pairs(512, seed=11)
-    cfg = _cfg(128, 3e-3, 60, 5)
-    _, _, hist = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=32, seed=4))
+    x0, x1 = map(_frames, gaussian_2d_pairs(512, seed=11))
+    _, _, hist = train(x0, x1, _cfg(8, 3e-3, 20, 5))
     first = np.mean([h[2] for h in hist[:5]])
     last = np.mean([h[2] for h in hist[-5:]])
     assert last < first
 
 
 def test_two_dimensional_transport_sanity():
-    x0, x1 = gaussian_2d_pairs(2000, seed=42)
-    cfg = _cfg(256, 3e-3, 250, 1)
-    net, _, hist = train(x0, x1, cfg, net=DenseVelocityNet(2, hidden=64, seed=0))
+    """N(0, I) to N((3, 3), 0.25 I): the transported points have the
+    target's mean and, within a factor of 2, its variance."""
+    x0, x1 = map(_frames, gaussian_2d_pairs(2048, seed=42))
+    net, _, hist = train(x0, x1, _cfg(32, 3e-3, 150, 1))
     assert len(hist) <= 2000
-
-    def velocity(t, y):
-        with nn.no_grad():
-            x = T.Tensor(y.reshape(-1, 2))
-            tt = T.Tensor(np.full(len(x.data), t))
-            return net(x, tt).data.reshape(-1)
-
-    trace = odesolve.integrate(velocity, x0.reshape(-1), load_config().solver())
-    moved = trace.final_state.reshape(-1, 2)
+    out, _ = transfer_batch(net, x0, load_config().solver())
+    moved = _points(out)
     assert np.linalg.norm(moved.mean(axis=0) - 3.0) < 0.3
     assert np.all(moved.var(axis=0) > 0.25 / 2) and np.all(moved.var(axis=0) < 0.25 * 2)

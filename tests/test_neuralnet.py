@@ -388,10 +388,16 @@ def test_conv_output_is_freed_before_backward():
 
 
 def test_small_unet_gradcheck_against_finite_differences():
-    net = nn.VelocityNet(dims=8, base_channels=4, seed=3, dtype=np.float64)
+    """The float32 net's parameters and a sample, both cast to float64, so
+    the central differences resolve the gradient."""
+    net = nn.VelocityNet(dims=8, base_channels=4, seed=3)
+    net.params = {name: T.Tensor(p.data.astype(np.float64), requires_grad=True)
+                  for name, p in net.params.items()}
     rng = np.random.default_rng(5)
-    sample = flowmatch.make_sample(rng.standard_normal((2, 8, 32)),
-                                   rng.standard_normal((2, 8, 32)), [0.25, 0.75])
+    x0, x1 = rng.standard_normal((2, 2, 8, 32))
+    t = np.array([0.25, 0.75])
+    tb = t[:, None, None]
+    sample = flowmatch.FlowSample(t=t, x_t=(1.0 - tb) * x0 + tb * x1, u=x1 - x0)
 
     def loss_fn():
         return flowmatch.cfm_loss(net, sample)
