@@ -243,8 +243,7 @@ def _load_net(checkpoint: Path) -> nn.VelocityNet:
                             f"imply {shapes[name]}")
         if not np.isfinite(arr).all():
             raise DataError(f"{checkpoint}: parameter {name} holds NaN or Inf values")
-    return nn.VelocityNet.from_arrays(latentcodec.DIMS, {name: params[name] for name in shapes},
-                                      gain)
+    return nn.VelocityNet.from_arrays({name: params[name] for name in shapes}, gain)
 
 
 def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,

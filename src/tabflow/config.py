@@ -120,7 +120,7 @@ def load_config(path: str | Path | None = None,
     if path is not None:
         if not _PATH[0](path):  # open() would raise ValueError
             raise UsageError(f"config file path must be {_PATH[1]}, got {str(path)!r}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # '%' reads as itself
         try:
             read = parser.read(str(path), encoding="utf-8-sig")  # a leading BOM is skipped
             file_dict = {s: dict(parser.items(s)) for s in parser.sections()}

@@ -122,14 +122,14 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
     OdeTrace with its network-call and step counts (its final_state is the
     [B, D, F'] state, its frame axis padded). The ODE state keeps the input
     dtype; casts happen only at the network boundary, so a zero velocity
-    field transports exactly.
+    field transports exactly. A net from `VelocityNet.from_arrays` is
+    untracked, so the network calls record no graph.
     """
     b, _, f = states.shape
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:
-        with nn.no_grad():
-            tt = T.Tensor(np.full(b, t, dtype=net.dtype))
-            return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
+        tt = T.Tensor(np.full(b, t, dtype=net.dtype))
+        return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
 
     trace = odesolve.integrate(velocity, _pad_frame_axis(states, states.dtype), solver)
     return trace.final_state[:, :, :f], trace

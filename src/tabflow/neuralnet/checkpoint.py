@@ -4,7 +4,8 @@ Layout (all little-endian): 7-byte magic ``GFCKPT1``; uint32 JSON length and
 the UTF-8 config JSON; uint32 parameter count, then per parameter a
 length-prefixed name, uint8 ndim, uint32 dims, and raw float32 data; uint8
 flag for Adam state followed by step/lr/betas/eps and per-parameter moment
-arrays in the same order.
+arrays in the same order, which end the file. A repeated parameter name or
+bytes after the Adam state make a checkpoint corrupt.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
             for _ in range(n_params):
                 (name_len,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(name_len).decode("utf-8")
+                if name in params:
+                    raise ValueError(f"parameter {name} named twice")
                 params[name] = _read_array(fh, size)
             (has_state,) = struct.unpack("<B", fh.read(1))
             state = None
@@ -89,6 +92,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], AdamState | None, dict
                 for name in params:
                     state.m[name] = _read_array(fh, size)
                     state.v[name] = _read_array(fh, size)
+            if fh.tell() != size:
+                raise ValueError(f"{size - fh.tell()} bytes after its end")
         # ValueError covers bad JSON and UTF-8, RecursionError JSON nested too deep
         except (struct.error, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: truncated or corrupt checkpoint ({exc})") from None

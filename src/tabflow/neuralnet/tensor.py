@@ -18,44 +18,33 @@ B = 64). `concat` writes its parts straight into such a buffer with p = 1 and
 returns the [B, C, L] interior view, which the k=3 conv after it takes as its
 padded input without a copy; any other input is copied.
 
+One rule decides tracking: a leaf is tracked when made with
+requires_grad=True, and an op result is tracked iff one of its parents is.
+The training net's parameters are tracked leaves; a net loaded for transfer
+is built from untracked ones, so its forward pass builds no graph.
+
 The graph holds only what backward reads. Each node in it is a handle: a
-tracked leaf is its own handle, and an op result made while tracking gets a
-data-free `_Node` with its tracked parents' handles and its backward closure.
-A closure captures handles and the arrays its gradient reads, never a parent
-Tensor of an op result: conv1d keeps its padded input and whether x is
-tracked, relu its mask, mse the difference, downsample2 the input's shape
-and dtype, and scale, upsample2 and concat nothing but handles. So an
-activation that no backward reads (a conv output before its ReLU, a skip
-once concat has copied it, a resampled or scaled copy, the head's output)
-is freed during the forward pass as soon as the caller drops it. A closure
-returns (parent, gradient) pairs; the walker maps a parent given as a Tensor
-to its handle and skips untracked ones, so an op may also capture its parent
-Tensors, keeping their data alive until its node has run. backward() drops
-each node's links once it has run, so a loss can be differentiated once.
+tracked leaf is its own handle, and a tracked op result gets a data-free
+`_Node` with its tracked parents' handles and its backward closure. A
+closure captures handles and the arrays its gradient reads, never a parent
+Tensor: conv1d keeps its padded input and whether x is tracked, relu its
+mask, mse the difference, downsample2 the input's shape and dtype, and
+scale, upsample2 and concat nothing but handles. So an activation that no
+backward reads (a conv output before its ReLU, a skip once concat has copied
+it, a resampled or scaled copy, the head's output) is freed during the
+forward pass as soon as the caller drops it. A closure returns (handle,
+gradient) pairs; the walker skips a None handle, an untracked parent.
+backward() drops each node's links once it has run, so a loss can be
+differentiated once.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable
 
 import numpy as np
 
 from ..errors import NumericError
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction (inference / ODE right-hand sides)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -79,19 +68,18 @@ class _Node:
 class Tensor:
     """A numpy array plus optional gradient tracking.
 
-    A tracked leaf has a `grad` buffer and is its own handle in the graph; an
-    op result made while tracking holds a `_Node`. A result's requires_grad
-    turns False once backward() has run its node.
+    A tracked leaf has a `grad` buffer and is its own handle in the graph; a
+    tracked op result holds a `_Node`. A result's requires_grad turns False
+    once backward() has run its node.
     """
 
-    __slots__ = ("data", "grad", "_node", "op")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         _check_finite(self.data, "leaf")
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._node: _Node | None = None
-        self.op = "leaf"
 
     @property
     def _handle(self) -> Tensor | _Node | None:
@@ -166,8 +154,6 @@ class Tensor:
             if g is None:
                 continue
             for parent, pg in backward(g):
-                if isinstance(parent, Tensor):
-                    parent = parent._handle
                 if parent is None:
                     continue
                 if id(parent) in grads:
@@ -175,22 +161,18 @@ class Tensor:
                 else:
                     grads[id(parent)] = pg
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op})"
-
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...],
             backward, check: bool = True) -> Tensor:
     """The op's output Tensor; tracked, with a node over its parents' handles,
-    when grad is enabled and a parent is tracked. Keeps no parent Tensor."""
+    iff a parent is tracked. Keeps no parent Tensor."""
     if check:
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.op = op
     out.grad = None
     handles = tuple(h for h in (p._handle for p in parents) if h is not None)
-    out._node = _Node(handles, backward) if _grad_enabled and handles else None
+    out._node = _Node(handles, backward) if handles else None
     return out
 
 
@@ -204,7 +186,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     ha = a._handle
-    mask = a.data > 0 if _grad_enabled and ha is not None else None
+    mask = a.data > 0 if ha is not None else None
 
     def backward(g):
         return ((ha, g * mask),)

@@ -73,15 +73,16 @@ class VelocityNet:
             self.params[name] = T.Tensor(data, requires_grad=True)
 
     @classmethod
-    def from_arrays(cls, dims: int, arrays: dict[str, np.ndarray],
-                    input_gain: float) -> VelocityNet:
-        """A float32 net whose parameters are arrays, in their order; no
-        weights are drawn. The caller has checked their names and shapes
-        against param_shapes."""
+    def from_arrays(cls, arrays: dict[str, np.ndarray], input_gain: float) -> VelocityNet:
+        """A float32 net for inference whose parameters are arrays, in their
+        order, as untracked leaves: no weights are drawn, no gradient buffers
+        allocated, and its forward pass builds no graph. The caller has
+        checked their names and shapes against param_shapes; the latent
+        width is the head's output channels."""
         net = cls.__new__(cls)
-        net.dims = dims
+        net.dims = arrays["out.w"].shape[0]
         net.input_gain = float(input_gain)
-        net.params = {name: T.Tensor(np.asarray(arr, dtype=net.dtype), requires_grad=True)
+        net.params = {name: T.Tensor(np.asarray(arr, dtype=net.dtype))
                       for name, arr in arrays.items()}
         return net
 

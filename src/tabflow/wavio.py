@@ -3,8 +3,8 @@
 Mono only. The writer writes IEEE 32-bit float samples, which round-trip bit
 exactly; the reader reads those and PCM 16-bit integer samples. The writer
 stores a comment string in a LIST/INFO ICMT chunk (the pipeline config
-hash). The reader reads only the fmt and data chunks and skips every other
-chunk, the comment's too.
+hash). The reader reads only the fmt and data chunks, each of which must
+appear once, and skips every other chunk, the comment's too.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             raise DataError(f"{path}: {tag!r} chunk declares {size} bytes, but only "
                             f"{len(blob) - pos - 8} remain (truncated file?)")
         payload = blob[pos + 8:pos + 8 + size]
+        if (tag == b"fmt " and fmt is not None) or (tag == b"data" and data is not None):
+            raise DataError(f"{path}: second {tag.decode()!r} chunk")
         if tag == b"fmt ":
             if len(payload) < 16:
                 raise DataError(f"{path}: fmt chunk has {len(payload)} bytes, need 16")

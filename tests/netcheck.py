@@ -2,8 +2,10 @@
 
 add, sub, mul, matmul, mean and tensor_sum are elementwise, matrix and
 reduction ops that no pipeline path needs, built on the engine's
-`tensor._result` for toy losses; finite_difference_check compares the
-engine's analytic gradients against central differences.
+`tensor._result` for toy losses. Like the engine's ops, each closure captures
+its parents' handles and the arrays its gradient reads, never a parent
+Tensor. finite_difference_check compares the engine's analytic gradients
+against central differences.
 """
 
 from __future__ import annotations
@@ -25,40 +27,52 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    ha, hb, sa, sb = a._handle, b._handle, a.shape, b.shape
+
     def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        return ((ha, _unbroadcast(g, sa)), (hb, _unbroadcast(g, sb)))
     return T._result(a.data + b.data, "add", (a, b), backward)
 
 
 def sub(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    ha, hb, sa, sb = a._handle, b._handle, a.shape, b.shape
+
     def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
+        return ((ha, _unbroadcast(g, sa)), (hb, _unbroadcast(-g, sb)))
     return T._result(a.data - b.data, "sub", (a, b), backward)
 
 
 def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    ha, hb, da, db = a._handle, b._handle, a.data, b.data
+
     def backward(g):
-        return ((a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape)))
-    return T._result(a.data * b.data, "mul", (a, b), backward)
+        return ((ha, _unbroadcast(g * db, da.shape)),
+                (hb, _unbroadcast(g * da, db.shape)))
+    return T._result(da * db, "mul", (a, b), backward)
 
 
 def matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    ha, hb, da, db = a._handle, b._handle, a.data, b.data
+
     def backward(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
-    return T._result(a.data @ b.data, "matmul", (a, b), backward)
+        return ((ha, g @ db.T), (hb, da.T @ g))
+    return T._result(da @ db, "matmul", (a, b), backward)
 
 
 def mean(a: T.Tensor) -> T.Tensor:
+    ha, da = a._handle, a.data
+
     def backward(g):
-        return ((a, np.full_like(a.data, float(g) / a.data.size)),)
-    return T._result(np.asarray(a.data.mean()), "mean", (a,), backward)
+        return ((ha, np.full_like(da, float(g) / da.size)),)
+    return T._result(np.asarray(da.mean()), "mean", (a,), backward)
 
 
 def tensor_sum(a: T.Tensor) -> T.Tensor:
+    ha, da = a._handle, a.data
+
     def backward(g):
-        return ((a, np.full_like(a.data, float(g))),)
-    return T._result(np.asarray(a.data.sum()), "sum", (a,), backward)
+        return ((ha, np.full_like(da, float(g))),)
+    return T._result(np.asarray(da.sum()), "sum", (a,), backward)
 
 
 def finite_difference_check(loss_fn, params: dict[str, T.Tensor], n_coords: int = 50,

@@ -681,6 +681,18 @@ def test_main_eval_silent_stem_names_it(tmp_path, capsys):
     assert not (tmp_path / "work" / "metrics.csv").exists()
 
 
+def test_load_net_builds_an_untracked_net(tiny_cfg, tmp_path):
+    """transfer's net has no gradient buffers, and its forward pass records
+    no graph."""
+    net = cli._load_net(_zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"))
+    assert net.dims == latentcodec.DIMS
+    assert all(p.grad is None and not p.requires_grad for p in net.params.values())
+    assert all(p.dtype == np.float32 for p in net.params.values())
+    x = Tensor(np.ones((2, latentcodec.DIMS, 16), dtype=np.float32))
+    out = net(x, Tensor(np.array([0.25, 0.5], dtype=np.float32)))
+    assert out.shape == (2, latentcodec.DIMS, 16) and not out.requires_grad
+
+
 def test_main_transfer_checkpoint_missing_parameter_is_exit_2(tiny_cfg, tmp_path, capsys):
     net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
     ckpt = tmp_path / "headless.ckpt"

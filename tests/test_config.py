@@ -42,6 +42,16 @@ def test_config_file_overlays_defaults(tmp_path):
     assert cfg.batch_size == 64  # untouched default
 
 
+def test_percent_in_a_value_reads_as_itself(tmp_path):
+    """A flat key = value format: no %-interpolation, so neither a lone '%'
+    nor a %(key)s reference is special."""
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[paths]\nworkdir = /tmp/50%run\n")
+    assert load_config(ini).workdir == Path("/tmp/50%run")
+    ini.write_text("[paths]\nworkdir = /tmp/%(x)s%%\n")
+    assert load_config(ini).workdir == Path("/tmp/%(x)s%%")
+
+
 def test_unknown_keys_rejected(tmp_path):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[flowmatch]\nlearning = 1\n")

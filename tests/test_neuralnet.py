@@ -1,4 +1,5 @@
 import struct
+import types
 import weakref
 import zlib
 
@@ -566,8 +567,57 @@ def test_load_checkpoint_of_arbitrary_bytes(tmp_path_factory, tail):
         assert state.step == 3 and config == {"dims": 4}
 
 
-def test_no_grad_disables_graph():
-    p = T.Tensor(np.array([2.0]), requires_grad=True)
-    with nn.no_grad():
-        out = mul(p, p)
-    assert not out.requires_grad
+def test_checkpoint_repeating_a_parameter_name_is_corrupt(tmp_path):
+    """A second enc0.w would replace the first as it loads."""
+    net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
+    path = tmp_path / "twice.ckpt"
+    params = dict(net.params)
+    nn.save_checkpoint(path, params, None, {})
+    blob = path.read_bytes()
+    n_params = struct.pack("<I", len(params))
+    at = blob.index(n_params, len(nn.checkpoint.MAGIC) + 6)
+    record = blob[at + 4:blob.index(b"enc0.b", at) - 2]  # enc0.w's name and array
+    assert record.startswith(struct.pack("<H", 6) + b"enc0.w")
+    path.write_bytes(blob[:at] + struct.pack("<I", len(params) + 1) + record
+                     + blob[at + 4:])
+    with pytest.raises(DataError, match="parameter enc0.w named twice") as info:
+        nn.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_with_bytes_after_its_adam_state_is_corrupt(tmp_path):
+    net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
+    path = tmp_path / "junk.ckpt"
+    nn.save_checkpoint(path, net.params, nn.AdamState(lr=1e-3), {"dims": 4})
+    nn.load_checkpoint(path)
+    path.write_bytes(path.read_bytes() + b"\x00junk\xff\x01\x02")
+    with pytest.raises(DataError, match="8 bytes after its end") as info:
+        nn.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_package_exports_only_its_listed_names():
+    """The engine has no global mode to switch: tracking follows the leaves."""
+    public = {name for name, value in vars(nn).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(nn.__all__) == {
+        "Tensor", "VelocityNet", "param_shapes", "AdamState", "adam_step",
+        "save_checkpoint", "load_checkpoint"}
+    assert not any(isinstance(value, bool) for value in vars(T).values())
+
+
+def test_training_net_backward_fills_every_parameter_gradient():
+    net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
+    rng = np.random.default_rng(0)
+    # a nonzero head, so the gradient reaches every layer
+    net.params["out.w"].data[...] = rng.standard_normal(net.params["out.w"].shape)
+    assert all(p.requires_grad for p in net.params.values())
+    x0, x1 = rng.standard_normal((2, 3, 4, 32)).astype(np.float32)
+    t = np.array([0.2, 0.5, 0.9], dtype=np.float32)
+    tb = t[:, None, None]
+    sample = flowmatch.FlowSample(t=t, x_t=(1 - tb) * x0 + tb * x1, u=x1 - x0)
+    loss = flowmatch.cfm_loss(net, sample)
+    assert loss.requires_grad
+    loss.backward()
+    for name, p in net.params.items():
+        assert p.grad.shape == p.shape and np.any(p.grad != 0), name

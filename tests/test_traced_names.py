@@ -14,7 +14,7 @@ import numpy as np
 
 from tabflow.config import load_config
 from tabflow.latentcodec import DIMS
-from tabflow.neuralnet import VelocityNet, no_grad
+from tabflow.neuralnet import VelocityNet
 from tabflow.neuralnet import tensor as T
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,9 +59,8 @@ def test_unet_conv_keys_match_benchmark_metrics(monkeypatch):
     monkeypatch.setattr(T, "conv1d", recording)
     cfg = load_config()
     x = T.Tensor(np.zeros((2, DIMS, 352), dtype=np.float32))
-    with no_grad():
-        net = VelocityNet(DIMS, cfg.base_channels, cfg.seed)
-        net(x, T.Tensor(np.full(2, 0.5, dtype=np.float32)))
+    net = VelocityNet(DIMS, cfg.base_channels, cfg.seed)
+    net(x, T.Tensor(np.full(2, 0.5, dtype=np.float32)))
     prefix = "neuralnet.tensor.conv1d_fwd_s."
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     suffixes = [m["name"][len(prefix):] for m in metrics if m["name"].startswith(prefix)]

@@ -120,6 +120,20 @@ def test_short_fmt_chunk_is_data_error(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("second", ["fmt ", "data"])
+def test_second_fmt_or_data_chunk_is_data_error(tmp_path, second):
+    """The reader would keep the last chunk of each kind: 8 of 12 samples,
+    or a 22050 Hz rate for a file that first says 44100 Hz."""
+    fmt = (b"fmt ", struct.pack("<HHIIHH", 3, 1, 44100, 176400, 4, 32))
+    chunks = {"fmt ": [fmt, (b"fmt ", struct.pack("<HHIIHH", 3, 1, 22050, 88200, 4, 32)),
+                       (b"data", bytes(16))],
+              "data": [fmt, (b"data", bytes(16)), (b"data", bytes(32))]}[second]
+    path = tmp_path / "twice.wav"
+    path.write_bytes(_riff(*chunks))
+    with pytest.raises(DataError, match=f"twice\\.wav: second '{second}' chunk"):
+        read_wav(path)
+
+
 def test_non_utf8_comment_reads_samples(tmp_path):
     """The reader skips the comment chunk, so a comment that is not UTF-8
     does not stop the samples being read."""
