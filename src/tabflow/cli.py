@@ -387,6 +387,9 @@ def cmd_stats(cfg: PipelineConfig, ratings_csv: Path, m: int, alpha: float):
                             if not row.startswith("#"))
     if reader.fieldnames is None:
         raise DataError(f"{ratings_csv}: empty ratings CSV")
+    twice = [f for f in reader.fieldnames if reader.fieldnames.count(f) > 1]
+    if twice:  # DictReader would keep the last column of the name
+        raise DataError(f"{ratings_csv}: header names column {twice[0]!r} twice")
     required = {"rater", "item", "system", "score"}
     if not required.issubset(set(reader.fieldnames)):
         raise DataError(f"{ratings_csv}: header must contain {sorted(required)}")

@@ -128,6 +128,8 @@ def load_config(path: str | Path | None = None,
             raise UsageError(f"malformed config file {path}: {exc}") from None
         if not read:
             raise UsageError(f"cannot read config file {path}")
+        if parser.defaults():  # configparser would copy its keys into every section
+            raise UsageError("unknown config section [DEFAULT]")
     raw = _merge(_merge(_DEFAULTS, file_dict), overrides or {})
 
     try:

@@ -882,6 +882,17 @@ def test_main_stats_duplicate_rating_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "mos_summary.csv").exists()
 
 
+def test_main_stats_repeated_header_column_is_exit_2(tmp_path, capsys):
+    """The first score column is not dropped for the second: a header that
+    names a column twice is refused before any row is read."""
+    ratings = tmp_path / "dup.csv"
+    ratings.write_text("rater,item,system,score,score\nr0,i0,a,1,5\nr0,i0,b,2,4\n"
+                       "r1,i0,a,1,5\nr1,i0,b,2,4\n")
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert f"{ratings}: header names column 'score' twice" in capsys.readouterr().err
+    assert not (tmp_path / "mos_summary.csv").exists()
+
+
 def test_main_stats_non_utf8_ratings_is_exit_2(tmp_path, capsys):
     ratings = tmp_path / "latin1.csv"
     ratings.write_bytes("rater,item,system,score\nRen\u00e9,i0,a,3\n".encode("latin-1"))

@@ -65,6 +65,22 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(ini)
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 3\n",  # was dropped: epochs stayed 50
+    "[DEFAULT]\nepochs = 3\n[flowmatch]\nbatch_size = 8\n",  # was read as epochs = 3
+    "[DEFAULT]\nseed = 5\n[flowmatch]\nbatch_size = 8\n",  # was blamed on [flowmatch]
+], ids=["alone", "beside_flowmatch", "foreign_key"])
+def test_default_section_is_unknown(tmp_path, capsys, text):
+    """configparser copies [DEFAULT] keys into every section, so one key did
+    three different things; the section is refused like any unknown one."""
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(text)
+    with pytest.raises(UsageError, match=r"^unknown config section \[DEFAULT\]$"):
+        load_config(ini)
+    assert cli.main(["--config", str(ini), "stats", "ratings.csv", "--m", "1"]) == 1
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["amp_drive", "amp_tone_cutoff", "normalize_db"])
 def test_amp_condition_is_not_configurable(tmp_path, capsys, key):
     """The amp condition is cli's constants: an INI that sets one is exit 1."""

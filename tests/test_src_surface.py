@@ -4,17 +4,24 @@ An AST scan lists the top-level definitions of each module under
 src/tabflow. A name counts as used when it appears as a whole word anywhere
 under src/ or perfbench/ outside its own definition: a call, an import, an
 attribute, or a string (perfbench/tracer.py names the functions it wraps in
-strings). No name is exempt: code that only the tests run belongs under
-tests/.
+strings). A package's __init__.py does not count as a user, so a
+re-export cannot hide a definition that nothing calls. No name is exempt:
+code that only the tests run belongs under tests/.
 
 A second scan fails on a parameter or field default named after a
 config._TABLE key: each pipeline setting has its one home in the config.
+
+A third check holds the top-level package to its modules: each name is
+imported from the module that defines it, so `tabflow` re-exports nothing.
 """
 
 import ast
 import re
+import types
 from pathlib import Path
 
+import tabflow
+import tabflow.cli  # noqa: F401  (binds the submodules it imports on tabflow)
 from tabflow.config import _TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +51,7 @@ def test_every_top_level_definition_is_used_by_the_program():
                 continue
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             used = any(word.search(_without(text, node) if other == path else text)
-                       for other, text in texts.items())
+                       for other, text in texts.items() if other.name != "__init__.py")
             if not used:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined in src/ but used only by tests or not at all:\n" + \
@@ -80,3 +87,12 @@ def test_no_default_copies_a_config_setting():
               for line, name in _defaults(ast.parse(path.read_text(encoding="utf-8")))
               if name in keys]
     assert not copies, "defaults that copy a config._TABLE setting:\n" + "\n".join(copies)
+
+
+def test_package_attributes_are_its_modules():
+    public = {name: value for name, value in vars(tabflow).items()
+              if not name.startswith("_")}
+    assert public
+    not_modules = sorted(name for name, value in public.items()
+                         if not isinstance(value, types.ModuleType))
+    assert not not_modules, f"tabflow re-exports {not_modules}"

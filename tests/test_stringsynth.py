@@ -13,8 +13,8 @@ from tabflow.errors import DataError
 from tabflow.stringsynth import (PSEUDO_REAL, SYNTHETIC, AudioBuffer,
                                  RenderStyle, STYLE_PRESETS, amp_process,
                                  normalize_rms, render)
-from tabflow.tabscore import NoteEvent, Score, Technique, TechniqueKind
-from tabflow import event_pitch
+from tabflow.tabscore import (NoteEvent, Score, Technique, TechniqueKind,
+                              event_pitch)
 
 from oracles import cents_between, count_onsets, oracle_pitch, rms_db
 
