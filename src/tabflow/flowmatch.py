@@ -73,7 +73,10 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig):
     steps with a ragged final batch (the batch is clamped to N).
     Deterministic for a fixed cfg.seed and BLAS thread count: OpenBLAS picks
     its sgemm kernel by size and by thread count, so the bytes can differ
-    between thread counts. Returns (net, AdamState, history), with history
+    between thread counts. For the same reason the sample groups conv1d's
+    GEMMs run over (tensor._GROUP_BYTES) can move the last bits on another
+    BLAS kernel; under the AVX-512 SkylakeX kernel they give the bytes of one
+    GEMM over the whole batch. Returns (net, AdamState, history), with history
     rows (step, epoch, loss).
     """
     if x0.ndim != 3 or x0.shape != x1.shape or len(x0) < 1:

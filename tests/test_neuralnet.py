@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import types
 import weakref
 import zlib
@@ -263,7 +264,9 @@ def _per_tap_conv1d(x, w, b=None):
 @pytest.mark.parametrize("c_in, c_out, length, k", UNET_CONV_SHAPES)
 def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
     """The stacked-tap forward is the per-tap sum bit for bit at the training
-    batch, bias included. OpenBLAS picks its sgemm kernel by the
+    batch, bias included. At B = 64 `_tap_sum` runs its GEMMs over groups of
+    samples and the oracle over the whole buffer, so this also pins that the
+    group split moves no bit. OpenBLAS picks its sgemm kernel by the
     product's size, so at B = 1 or 2 a per-tap product can take another kernel
     than the stacked one and round differently (OpenBLAS 0.3.31 on an AVX-512
     Xeon: 64-128-88 at B = 1, 32-64-176 at B = 2); there the two agree within
@@ -290,8 +293,9 @@ def test_conv1d_forward_equals_per_tap_gemms(c_in, c_out, length, k):
 @pytest.mark.parametrize("c_in, c_out, length, k", UNET_CONV_SHAPES)
 def test_conv1d_input_gradient_equals_per_tap_gemms(c_in, c_out, length, k):
     """The input gradient is the per-tap sum over the upstream gradient with
-    the flipped, transposed kernel, bit for bit at the training batch; at
-    B = 1 and 2 within the forward test's rounding bound of K * Cout terms."""
+    the flipped, transposed kernel, bit for bit at the training batch, whose
+    grouped GEMMs the oracle runs over the whole buffer; at B = 1 and 2
+    within the forward test's rounding bound of K * Cout terms."""
     rng = np.random.default_rng(c_in * 1000 + c_out + 1)
     x = rng.standard_normal((64, c_in, length)).astype(np.float32)
     w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
@@ -317,6 +321,39 @@ def test_conv1d_input_gradient_equals_per_tap_gemms(c_in, c_out, length, k):
         scale = _per_tap_conv1d(np.abs(g[:batch]).astype(np.float64),
                                 np.abs(wt).astype(np.float64))
         assert np.all(np.abs(got.astype(np.float64) - want) <= 2 * gamma * scale)
+
+
+@pytest.mark.parametrize("c_in, c_out, length", [(512, 128, 44), (64, 32, 352)],
+                         ids=["dec3", "dec0"])
+def test_conv1d_transient_memory_is_bounded(c_in, c_out, length):
+    """One conv1d forward and one backward at a B = 64 training shape each
+    allocate at most the group budget beyond the arrays the op must hold: its
+    padded operand, its stacked kernel and what it returns (the output, or the
+    three gradients), plus 1 MiB for ufunc buffers and Python objects. A
+    stacked product over the whole batch breaks the bound: 18.1 MB in dec3's
+    input gradient, 8.7 MB in dec0's forward."""
+    batch, k = 64, 3
+    rng = np.random.default_rng(c_in)
+    x, g = (rng.standard_normal((batch, c, length)).astype(np.float32) for c in (c_in, c_out))
+    w = rng.standard_normal((c_out, c_in, k)).astype(np.float32)
+    xt, wt, bt = (T.Tensor(a, requires_grad=True)
+                  for a in (x, w, np.zeros(c_out, dtype=np.float32)))
+    channel_bytes = batch * (length + k - 1) * 4  # one channel of a padded operand
+    slack = 1 << 20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.conv1d(xt, wt, bt)
+        forward = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grads = out._backward(g)
+        backward = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert forward <= T._GROUP_BYTES + c_in * channel_bytes + w.nbytes + out.data.nbytes + slack
+    returned = sum(gp.nbytes for _, gp in grads)
+    assert backward <= T._GROUP_BYTES + c_out * channel_bytes + w.nbytes + returned + slack
 
 
 def _signed_specials(dtype):
