@@ -121,9 +121,7 @@ def _render_scores(cfg: PipelineConfig, style: str, paths: list[Path]) -> list[P
 
 
 def cmd_render(cfg: PipelineConfig, style: str) -> list[Path]:
-    """Render every score in the scores dir with one style preset."""
-    if style not in STYLE_PRESETS:
-        raise UsageError(f"unknown style {style!r}; presets: {sorted(STYLE_PRESETS)}")
+    """Render every score in the scores dir with a STYLE_PRESETS style."""
     scores_dir = _scores_dir(cfg)
     if not scores_dir.is_dir():
         raise DataError(f"scores directory not found: {scores_dir}")
@@ -345,14 +343,17 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
         # one real subsample (seed cfg.seed) serves both systems
         real_kad = _subsample(real, cfg.kad_max_frames, cfg.seed)
         for j, system in enumerate(_SYSTEMS):
-            rows.append((condition, "fad", system, audiodist.fad(real, pooled[system])))
-            system_kad = _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j)
-            # kad's bandwidth: the median heuristic over the two sets it scores
-            sigma = audiodist.median_bandwidth(real_kad, system_kad)
-            sigma_lines.append(f"kad {condition} {system}: sigma {sigma!r} over "
-                               f"{len(real_kad)} real + {len(system_kad)} {system} frames")
-            rows.append((condition, "kad", system,
-                         audiodist.kad(real_kad, system_kad, sigma)))
+            try:  # too few frames pooled (one-frame stems, say): name the sets
+                rows.append((condition, "fad", system, audiodist.fad(real, pooled[system])))
+                system_kad = _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j)
+                # kad's bandwidth: the median heuristic over the two sets it scores
+                sigma = audiodist.median_bandwidth(real_kad, system_kad)
+                sigma_lines.append(f"kad {condition} {system}: sigma {sigma!r} over "
+                                   f"{len(real_kad)} real + {len(system_kad)} {system} frames")
+                rows.append((condition, "kad", system,
+                             audiodist.kad(real_kad, system_kad, sigma)))
+            except DataError as exc:
+                raise DataError(f"{system} vs real, {condition} condition: {exc}") from None
         for system in _SYSTEMS:
             # pooled frames, so each stem weighs by its frame count
             rows.append((condition, "recon", system,

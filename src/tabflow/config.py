@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import odesolve
 from .errors import DataError, UsageError
-from .stringsynth import MAX_RENDER_SECONDS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
+from .stringsynth import MAX_RENDER_SECONDS
 
 # rules shared by several keys; NaN fails every comparison
 _POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
@@ -31,6 +31,9 @@ _PATH = (lambda v: "\0" not in str(v), "free of NUL characters")
 # Widest UNet: eight times the default, 25.2M parameters (101 MB of float32
 # weights); the weights grow with the square of the width.
 MAX_BASE_CHANNELS = 256
+MIN_SAMPLE_RATE = 8000
+# Highest render rate; a 600-s render at 192 kHz is a 922 MB float64 mix.
+MAX_SAMPLE_RATE = 192000
 
 _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("paths", "scores_dir", Path, "scores", _PATH),

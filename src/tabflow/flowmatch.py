@@ -131,8 +131,10 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
     b, _, f = states.shape
 
     def velocity(t: float, y: np.ndarray) -> np.ndarray:
-        tt = T.Tensor(np.full(b, t, dtype=net.dtype))
-        return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
+        # an overflow leaves inf or NaN, which the engine's checks name: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            tt = T.Tensor(np.full(b, t, dtype=net.dtype))
+            return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
 
     trace = odesolve.integrate(velocity, _pad_frame_axis(states, states.dtype), solver)
     return trace.final_state[:, :, :f], trace

@@ -39,17 +39,14 @@ class TestResult:
 
 
 class RatingTable:
-    """Complete block design: one row per (rater, item), one column per system."""
+    """Complete block design: one row per (rater, item), one column per
+    system; from_rows builds the [blocks, systems] grid."""
 
     def __init__(self, systems: list[str], blocks: list[tuple[str, str]],
                  values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(blocks), len(systems)):
-            raise DataError(f"values shape {values.shape} does not match "
-                            f"{len(blocks)} blocks x {len(systems)} systems")
         self.systems = list(systems)
         self.blocks = list(blocks)
-        self.values = values
+        self.values = np.asarray(values, dtype=np.float64)
 
     @classmethod
     def from_rows(cls, rows: list[tuple[str, str, str, float]]) -> "RatingTable":
@@ -142,12 +139,7 @@ def wilcoxon_signed_rank(x, y) -> TestResult:
 
     Exact for at most EXACT_LIMIT nonzero differences, the normal
     approximation above."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"paired samples must be equal-length vectors: "
-                        f"{x.shape} vs {y.shape}")
-    d = x - y
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
     zeros = int(np.sum(d == 0.0))
     d = d[d != 0.0]
     n = len(d)
@@ -163,9 +155,8 @@ def wilcoxon_signed_rank(x, y) -> TestResult:
                           zeros_dropped=zeros)
 
     mean_w = n * (n + 1) / 4.0
+    # > 0: its least value, n (n + 1)^2 / 16, is where all n differences tie
     var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
-    if var_w <= 0.0:
-        raise NumericError("degenerate sample: zero variance after ties")
     z = (abs(w_plus - mean_w) - 0.5) / np.sqrt(var_w)  # continuity corrected
     # twice the normal tail 0.5 erfc(z / sqrt(2))
     p = min(1.0, math.erfc(max(z, 0.0) / math.sqrt(2.0)))

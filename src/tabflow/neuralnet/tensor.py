@@ -5,7 +5,9 @@ scaling, channel concatenation, stride-2 down/upsampling and the MSE loss.
 Leaves and the outputs of the ops that compute new values (conv1d, scale,
 mse) are checked for NaN/Inf, aborting with the op's name when one appears;
 relu, concat and the resampling ops only copy or select values that were
-checked when made, so they skip the check.
+checked when made, so they skip the check. They are the transport's only
+finiteness guard: the leaf check catches a state that overflows its float32
+cast, and the head conv1d's a non-finite velocity.
 
 The convolution lays its input out channel-major, [Cin, B*(L+2p)] with each
 sample between its own 2p zero columns; the zeros keep every shift inside its
@@ -57,8 +59,10 @@ _GROUP_BYTES = 4 << 20
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    # one reduction; a finite array whose sum overflows falls to the full test
-    if not np.isfinite(data.sum()) and not np.all(np.isfinite(data)):
+    # one quiet reduction; a finite array whose sum overflows falls to the full test
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = data.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 

@@ -20,14 +20,11 @@ _FMT_FLOAT = 3
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int, comment: str) -> None:
-    """Write a mono WAV file of float32 samples with an ICMT comment.
+    """Write a mono WAV file of 1-D float32 samples with an ICMT comment.
 
     The samples go to the file straight from their array, so the file is
     never built in memory.
     """
-    samples = np.asarray(samples)
-    if samples.ndim != 1:
-        raise DataError(f"expected mono 1-D samples, got shape {samples.shape}")
     data = np.ascontiguousarray(samples, dtype="<f4")
     fmt_chunk = struct.pack("<HHIIHH", _FMT_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
     text = comment.encode("utf-8") + b"\x00"

@@ -170,11 +170,6 @@ def test_fad_monotone_in_mean_separation():
     assert values[0] < values[1] < values[2]
 
 
-def test_fad_dim_mismatch_rejected():
-    with pytest.raises(DataError):
-        fad(_set(np.zeros((10, 3))), _set(np.zeros((10, 4))))
-
-
 def test_fad_needs_two_vectors():
     with pytest.raises(DataError):
         fad(_set(np.zeros((1, 3))), _set(np.zeros((10, 3))))
@@ -569,30 +564,3 @@ def test_recon_triangle_inequality():
     assert recon_distance(_set(a), _set(c)) <= (
         recon_distance(_set(a), _set(b)) + recon_distance(_set(b), _set(c)) + 1e-12)
 
-
-def test_recon_frame_mismatch_rejected():
-    with pytest.raises(DataError, match="aligned"):
-        recon_distance(_set(np.zeros((3, 4))), _set(np.zeros((4, 4))))
-
-
-# --- input checks ----------------------------------------------------------------
-
-_GOOD = np.zeros((4, 3))
-
-
-def _nan_rows():
-    x = np.zeros((4, 3))
-    x[2, 1] = np.nan
-    return x
-
-
-@pytest.mark.parametrize("metric", [fad, pytest.param(lambda a, b: kad(a, b, 1.0), id="kad"),
-                                    recon_distance])
-@pytest.mark.parametrize("bad, match", [(np.zeros(12), "2-D"),
-                                        (_nan_rows(), "non-finite"),
-                                        (np.zeros((4, 5)), "dims differ")])
-def test_distances_reject_malformed_embeddings(metric, bad, match):
-    with pytest.raises(DataError, match=match):
-        metric(_GOOD, bad)
-    with pytest.raises(DataError, match=match):
-        metric(bad, _GOOD)

@@ -125,6 +125,14 @@ def test_render_command(tiny_cfg):
     assert rate == tiny_cfg.sample_rate and len(samples) > 0
 
 
+def test_main_render_unknown_style_is_exit_1(tiny_cfg, capsys):
+    """The parser's choices are the one check of a style name."""
+    cli.cmd_synthdata(tiny_cfg)
+    argv = ["--workdir", str(tiny_cfg.workdir), "render", "--style", "bright"]
+    assert cli.main(argv) == 1
+    assert "invalid choice: 'bright'" in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_cache_and_loss_history(tiny_cfg, capsys):
     cli.cmd_synthdata(tiny_cfg)
     ckpt, history = cli.cmd_train(tiny_cfg)
@@ -621,6 +629,21 @@ def _wav_22050(path):
     return path
 
 
+def test_main_transfer_stereo_wav_is_exit_2(tiny_cfg, tmp_path, capsys):
+    """read_wav refuses a second channel, so every AudioBuffer is mono."""
+    data = np.zeros((100, 2), "<f4").tobytes()
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", 16)
+            + struct.pack("<HHIIHH", 3, 2, 44100, 44100 * 8, 8, 32)
+            + b"data" + struct.pack("<I", len(data)) + data)
+    src = tmp_path / "stereo.wav"
+    src.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, src, out)) == 2
+    assert f"data error: {src}: expected mono, got 2 channels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_transfer_wrong_sample_rate_is_exit_2(tiny_cfg, tmp_path, capsys):
     ckpt = _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt")
     src = _wav_22050(tmp_path / "in.wav")
@@ -678,6 +701,22 @@ def test_main_eval_silent_stem_names_it(tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"data error: render stem {silent}, amp condition: cannot normalize silence" in err
+    assert not (tmp_path / "work" / "metrics.csv").exists()
+
+
+def test_main_eval_one_frame_stems_name_the_sets(tmp_path, capsys):
+    """Stems of one frame pool too few vectors for FAD; the error says which
+    system and condition it was scoring."""
+    dirs = {label: tmp_path / label for label in ("real", "render", "guitarflow")}
+    for d in dirs.values():
+        d.mkdir()
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, 1024).astype(np.float32)
+        wavio.write_wav(d / "a.wav", x, 44100, comment="")
+    argv = ["--workdir", str(tmp_path / "work"), "eval", "--real", str(dirs["real"]),
+            "--render", str(dirs["render"]), "--guitarflow", str(dirs["guitarflow"])]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("data error: render vs real, di condition: "
+                                       "need at least 2 vectors per set, got 1\n")
     assert not (tmp_path / "work" / "metrics.csv").exists()
 
 
@@ -783,6 +822,23 @@ def test_main_transfer_non_finite_weight_is_exit_2(tiny_cfg, tmp_path, capsys, n
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_transfer_overflowing_weights_is_exit_3(tiny_cfg, tmp_path, capsys):
+    """Finite weights whose velocity overflows float32 end in exit 3 with the
+    engine's one line naming the op, and with no numpy warning first."""
+    net = VelocityNet(latentcodec.DIMS, base_channels=tiny_cfg.base_channels, seed=0)
+    for name, p in net.params.items():
+        if name.endswith(".w"):
+            p.data *= np.float32(1e30)
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(ckpt, net.params, None, {"input_gain": 1.0})
+    out = tmp_path / "o.wav"
+    assert cli.main(_transfer_argv(tiny_cfg, ckpt, _noise_wav(tmp_path / "in.wav"), out)) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: non-finite values produced by op 'conv1d'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("settings, key", [
     ({"rtol": "nan"}, "rtol"),
     ({"atol": "inf"}, "atol"),
@@ -869,6 +925,15 @@ def test_main_stats_non_numeric_score_is_exit_2(tmp_path, capsys, last_row, show
     assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
     err = capsys.readouterr().err
     assert f"{ratings}: rating row 4 has no numeric score: {shown}" in err
+
+
+def test_main_stats_incomplete_block_is_exit_2(tmp_path, capsys):
+    """A rater and item that lack a system's rating leave no full grid to test."""
+    ratings = tmp_path / "gap.csv"
+    ratings.write_text("rater,item,system,score\nr0,i0,A,1\nr0,i0,B,2\nr1,i0,A,2\n")
+    assert cli.main(["--workdir", str(tmp_path), "stats", str(ratings), "--m", "1"]) == 2
+    assert "data error: incomplete blocks (rater/item): r1/i0" in capsys.readouterr().err
+    assert not (tmp_path / "stats_tests.csv").exists()
 
 
 def test_main_stats_duplicate_rating_is_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 import types
+import warnings
 import weakref
 import zlib
 
@@ -68,11 +69,21 @@ def test_non_finite_leaf_and_conv_weight_are_named(bad):
         T.conv1d(joined, w, T.Tensor(np.zeros(3)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_output_whose_sum_overflows_passes():
     # the sum is inf, so the check must fall back to the elementwise test
     out = add(T.Tensor(np.array([1e308, 1e308])), T.Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+
+def test_finite_check_does_not_warn_on_large_finite_values():
+    """The check's sum of a large finite float32 leaf overflows; that is not
+    the data's fault, so nothing warns, and an inf leaf is still named."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leaf = T.Tensor(np.full(10, 3e38, np.float32))
+        assert leaf.data.dtype == np.float32 and np.all(leaf.data == np.float32(3e38))
+        with pytest.raises(NumericError, match="'leaf'"):
+            T.Tensor(np.full(10, np.inf, np.float32))
 
 
 def test_gradient_accumulates_for_shared_input():
@@ -457,13 +468,6 @@ def test_unet_shape_for_all_multiples_of_16(frames):
     x = T.Tensor(np.random.default_rng(1).standard_normal((2, 4, frames)).astype(np.float32))
     t = T.Tensor(np.array([0.1, 0.9], dtype=np.float32))
     assert net(x, t).shape == (2, 4, frames)
-
-
-def test_unet_rejects_bad_frame_length():
-    net = nn.VelocityNet(dims=4, base_channels=4, seed=0)
-    x = T.Tensor(np.zeros((1, 4, 20), dtype=np.float32))
-    with pytest.raises(DataError, match="not divisible"):
-        net(x, T.Tensor(np.array([0.5], dtype=np.float32)))
 
 
 def test_zero_initialized_head_gives_zero_output():

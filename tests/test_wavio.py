@@ -39,8 +39,11 @@ def test_scipy_can_read_our_float_wav(tmp_path):
 
 
 def test_rejects_stereo_and_garbage(tmp_path):
-    with pytest.raises(DataError, match="mono"):
-        write_wav(tmp_path / "x.wav", np.zeros((10, 2)), 44100, comment="")
+    from scipy.io import wavfile
+    stereo = tmp_path / "x.wav"
+    wavfile.write(stereo, 44100, np.zeros((10, 2), np.float32))
+    with pytest.raises(DataError, match="expected mono, got 2 channels"):
+        read_wav(stereo)
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a wav file at all")
     with pytest.raises(DataError, match="RIFF"):
