@@ -177,7 +177,7 @@ def fad(a: np.ndarray, b: np.ndarray) -> float:
 
 # The pooled distance matrix is streamed in tiles of BLOCK_ROWS rows, each
 # against the columns from its own first row on: at most 64 x 4096 float32
-# (1 MB) at the default kad_max_frames, where the whole matrix would be
+# (1 MB) at cli.KAD_MAX_FRAMES per set, where the whole matrix would be
 # 67 MB. Each tile is one GEMM of the [N, E + 2] augmented operands, and its
 # 1 MB fits one core's L2 cache, so the clip and the kernel values of a tile
 # are applied in cache rather than streamed from memory (tiles of 128 and 256

@@ -9,7 +9,8 @@ CSV comment line, checkpoint config echo).
 
 eval scores each system in a DI condition (the audio as it is) and an amp
 condition: RMS-normalized to AMP_LEVEL_DB dBFS, driven into tanh with gain
-AMP_DRIVE, then through a one-pole tone filter at AMP_TONE_CUTOFF_HZ.
+AMP_DRIVE, then through a one-pole tone filter at AMP_TONE_CUTOFF_HZ. KAD
+scores seeded subsamples of at most KAD_MAX_FRAMES frames of each set.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _paired_stems(dirs: dict[str, Path]) -> list[str]:
 def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
     """[chunks, DIMS, frames] latents of one stem, in the UNet's channel layout."""
     audio = _load_audio(cfg, _audio_dir(cfg, style) / f"{stem}.wav")
-    return latentcodec.encode(latentcodec.chunk(audio, cfg.chunk_seconds))
+    return latentcodec.encode(latentcodec.chunk(audio))
 
 
 def _train_test_split(cfg: PipelineConfig, stems: list[str]) -> tuple[list[str], list[str]]:
@@ -262,18 +263,18 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     else:
         audio = _load_audio(cfg, input_path)
 
-    chunks = latentcodec.chunk(audio, cfg.chunk_seconds)
+    chunks = latentcodec.chunk(audio)
     # the flow moves the first latentcodec.DIMS coefficients of each frame;
     # decode passes the source's other bands through unchanged
     z = latentcodec.encode(chunks)
-    moved, trace = flowmatch.transfer_batch(net, z, cfg.solver())
+    moved, trace = flowmatch.transfer_batch(net, z, cfg.solver, cfg.steps)
     pieces = latentcodec.decode(moved - z, chunks)
     out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)], audio.sample_rate)
 
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     wavio.write_wav(output_path, out.samples, out.sample_rate, comment=f"cfg={cfg.hash()}")
-    print(f"ode {cfg.solver_name}: {trace.f_evals} network calls, "
+    print(f"ode {cfg.solver}: {trace.f_evals} network calls, "
           f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
     return output_path
 
@@ -284,6 +285,7 @@ _CONDITIONS = ("di", "amp")
 AMP_LEVEL_DB = -9.0
 AMP_DRIVE = 6.0
 AMP_TONE_CUTOFF_HZ = 5000.0
+KAD_MAX_FRAMES = 2048
 _SYSTEMS = ("render", "guitarflow")
 
 
@@ -295,11 +297,11 @@ def _condition_audio(audio: AudioBuffer, condition: str) -> AudioBuffer:
     return amp_process(normalized, AMP_DRIVE, AMP_TONE_CUTOFF_HZ)
 
 
-def _subsample(e: np.ndarray, limit: int, seed_key: int) -> np.ndarray:
-    if len(e) <= limit:
+def _subsample(e: np.ndarray, seed_key: int) -> np.ndarray:
+    if len(e) <= KAD_MAX_FRAMES:
         return e
-    rng = np.random.default_rng([seed_key, limit])
-    return e[np.sort(rng.choice(len(e), size=limit, replace=False))]
+    rng = np.random.default_rng([seed_key, KAD_MAX_FRAMES])
+    return e[np.sort(rng.choice(len(e), size=KAD_MAX_FRAMES, replace=False))]
 
 
 def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
@@ -341,11 +343,11 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
         pooled = {label: np.vstack(embeds[label].pop(condition)) for label in dirs}
         real = pooled["real"]
         # one real subsample (seed cfg.seed) serves both systems
-        real_kad = _subsample(real, cfg.kad_max_frames, cfg.seed)
+        real_kad = _subsample(real, cfg.seed)
         for j, system in enumerate(_SYSTEMS):
             try:  # too few frames pooled (one-frame stems, say): name the sets
                 rows.append((condition, "fad", system, audiodist.fad(real, pooled[system])))
-                system_kad = _subsample(pooled[system], cfg.kad_max_frames, cfg.seed + 1 + j)
+                system_kad = _subsample(pooled[system], cfg.seed + 1 + j)
                 # kad's bandwidth: the median heuristic over the two sets it scores
                 sigma = audiodist.median_bandwidth(real_kad, system_kad)
                 sigma_lines.append(f"kad {condition} {system}: sigma {sigma!r} over "

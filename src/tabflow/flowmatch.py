@@ -76,8 +76,9 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig):
     between thread counts. For the same reason the sample groups conv1d's
     GEMMs run over (tensor._GROUP_BYTES) can move the last bits on another
     BLAS kernel; under the AVX-512 SkylakeX kernel they give the bytes of one
-    GEMM over the whole batch. Returns (net, AdamState, history), with history
-    rows (step, epoch, loss).
+    GEMM over the whole batch. A fit that leaves a parameter NaN or infinite
+    is a NumericError. Returns (net, AdamState, history), with history rows
+    (step, epoch, loss).
     """
     if x0.ndim != 3 or x0.shape != x1.shape or len(x0) < 1:
         raise DataError(f"bad endpoint arrays: {x0.shape} vs {x1.shape}")
@@ -93,21 +94,27 @@ def train(x0: np.ndarray, x1: np.ndarray, cfg: PipelineConfig):
     x0, x1 = _pad_frame_axis(x0, net.dtype), _pad_frame_axis(x1, net.dtype)
 
     history: list[tuple[int, int, float]] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for b in range(steps_per_epoch):
-            idx = order[b * batch:(b + 1) * batch]
-            t = rng.uniform(size=len(idx)).astype(net.dtype)
-            sample = make_sample(x0[idx], x1[idx], t)
-            for p in params.values():
-                p.zero_grad()
-            try:
-                loss = cfm_loss(net, sample)
-            except NumericError as exc:
-                raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from exc
-            loss.backward()
-            nn.adam_step(params, state)
-            history.append((len(history), epoch, loss.item()))
+    # an overflow leaves inf or NaN for the checks to name, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for b in range(steps_per_epoch):
+                idx = order[b * batch:(b + 1) * batch]
+                t = rng.uniform(size=len(idx)).astype(net.dtype)
+                sample = make_sample(x0[idx], x1[idx], t)
+                for p in params.values():
+                    p.zero_grad()
+                try:
+                    loss = cfm_loss(net, sample)
+                except NumericError as exc:
+                    raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from exc
+                loss.backward()
+                nn.adam_step(params, state)
+                history.append((len(history), epoch, loss.item()))
+    # the last step's update is read by no forward pass
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"parameter {name} holds NaN or Inf values after training")
     return net, state, history
 
 
@@ -117,9 +124,10 @@ def input_gain_for(x0: np.ndarray, x1: np.ndarray) -> float:
     return 1.0 / rms if rms > 0 else 1.0
 
 
-def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
+def transfer_batch(net, states: np.ndarray, solver: str, steps: int
                    ) -> tuple[np.ndarray, odesolve.OdeTrace]:
-    """Transport a [B, D, F] batch jointly.
+    """Transport a [B, D, F] batch jointly with the named solver of
+    odesolve.SOLVERS (steps sets euler's and rk4's step count).
 
     Returns the transported batch, of the input's shape, and the solver's
     OdeTrace with its network-call and step counts (its final_state is the
@@ -136,5 +144,6 @@ def transfer_batch(net, states: np.ndarray, solver: odesolve.SolverKind
             tt = T.Tensor(np.full(b, t, dtype=net.dtype))
             return net(T.Tensor(y.astype(net.dtype)), tt).data.astype(y.dtype)
 
-    trace = odesolve.integrate(velocity, _pad_frame_axis(states, states.dtype), solver)
+    trace = odesolve.integrate(velocity, _pad_frame_axis(states, states.dtype),
+                               solver, steps)
     return trace.final_state[:, :, :f], trace

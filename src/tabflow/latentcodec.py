@@ -6,9 +6,9 @@ The first DIMS = 64 coefficients of each frame are the compact space the
 flow model trains in.
 
 The codec works on plain arrays, in the layout the velocity net reads:
-chunk cuts audio into an [N, size] sample array, encode maps [..., n]
-samples to [..., DIMS, F] latents (coefficient d of frame k in row d,
-column k; frame k starts at sample k * FRAME_HOP), and decode maps a
+chunk cuts audio into an [N, size] array of CHUNK_SECONDS rows, encode maps
+[..., n] samples to [..., DIMS, F] latents (coefficient d of frame k in row
+d, column k; frame k starts at sample k * FRAME_HOP), and decode maps a
 [..., DIMS, F] latent change and its [..., n] source samples back to
 [..., n] samples. windowed_frames slices and windows the same frames for
 audiodist.embed, so the latent and embedding frame grids always match.
@@ -37,11 +37,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .stringsynth import MAX_RENDER_SECONDS, AudioBuffer
+from .stringsynth import AudioBuffer
 
 FRAME_LEN = 1024
 FRAME_HOP = 512
 DIMS = 64
+CHUNK_SECONDS = 4.0
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -144,16 +145,10 @@ def _synthesize(dz: np.ndarray) -> np.ndarray:
     return segments.reshape(*lead, -1)
 
 
-def chunk(audio: AudioBuffer, seconds: float) -> np.ndarray:
+def chunk(audio: AudioBuffer) -> np.ndarray:
     """[N, size] consecutive non-overlapping chunks of the samples, size being
-    seconds at the audio's rate; the last row is zero-padded."""
-    # no render is longer than MAX_RENDER_SECONDS, so a longer chunk would only
-    # hold padding; the bound keeps the [N, size] array from asking for TiBs
-    ok = 0 < seconds <= MAX_RENDER_SECONDS  # NaN fails too
-    size = int(round(seconds * audio.sample_rate)) if ok else 0
-    if size < 1:
-        raise DataError(f"[latentcodec] chunk_seconds must span at least one sample "
-                        f"and at most {MAX_RENDER_SECONDS:g} s, got {seconds}")
+    CHUNK_SECONDS at the audio's rate; the last row is zero-padded."""
+    size = int(round(CHUNK_SECONDS * audio.sample_rate))
     x = audio.samples
     out = np.zeros((max(1, -(-len(x) // size)), size), dtype=x.dtype)
     out.reshape(-1)[:len(x)] = x

@@ -42,10 +42,8 @@ class RatingTable:
     """Complete block design: one row per (rater, item), one column per
     system; from_rows builds the [blocks, systems] grid."""
 
-    def __init__(self, systems: list[str], blocks: list[tuple[str, str]],
-                 values: np.ndarray):
+    def __init__(self, systems: list[str], values: np.ndarray):
         self.systems = list(systems)
-        self.blocks = list(blocks)
         self.values = np.asarray(values, dtype=np.float64)
 
     @classmethod
@@ -67,7 +65,7 @@ class RatingTable:
             names = ", ".join(f"{r}/{i}" for r, i in incomplete[:5])
             raise DataError(f"incomplete blocks (rater/item): {names}")
         values = np.array([[cells[b][s] for s in systems] for b in blocks])
-        return cls(systems, blocks, values)
+        return cls(systems, values)
 
     def column(self, system: str) -> np.ndarray:
         return self.values[:, self.systems.index(system)]

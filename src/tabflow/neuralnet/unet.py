@@ -60,7 +60,6 @@ class VelocityNet:
     dtype = np.dtype(np.float32)
 
     def __init__(self, dims: int, base_channels: int, seed: int, input_gain: float = 1.0):
-        self.dims = dims
         self.input_gain = float(input_gain)
         rng = np.random.default_rng(seed)
         self.params: dict[str, T.Tensor] = {}
@@ -76,10 +75,8 @@ class VelocityNet:
         """A float32 net for inference whose parameters are arrays, in their
         order, as untracked leaves: no weights are drawn, no gradient buffers
         allocated, and its forward pass builds no graph. The caller has
-        checked their names and shapes against param_shapes; the latent
-        width is the head's output channels."""
+        checked their names and shapes against param_shapes."""
         net = cls.__new__(cls)
-        net.dims = arrays["out.w"].shape[0]
         net.input_gain = float(input_gain)
         net.params = {name: T.Tensor(np.asarray(arr, dtype=net.dtype))
                       for name, arr in arrays.items()}

@@ -1,10 +1,13 @@
 """Fixed-step Euler and RK4 plus adaptive Dormand-Prince 5(4) integration.
 
-The solver integrates over t in [0, 1], the time span of rectified flow's
-transport. States are arbitrary-shape numpy arrays; the derivative callback
-receives (t, state) and returns an array of the same shape, not re-checked
-here: flowmatch's velocity raises through the tensor engine's checks.
-Dormand-Prince uses the standard 7-stage tableau, reusing first-same-as-last.
+A solver is a name in SOLVERS. "euler" and "rk4" take a given number of
+equal steps; "dopri5" adapts its step to the tolerances RTOL and ATOL and
+fails past MAX_STEPS accepted and rejected steps. The solver integrates over
+t in [0, 1], the time span of rectified flow's transport. States are
+arbitrary-shape numpy arrays; the derivative callback receives (t, state)
+and returns an array of the same shape, not re-checked here: flowmatch's
+velocity raises through the tensor engine's checks. Dormand-Prince uses the
+standard 7-stage tableau, reusing first-same-as-last.
 """
 
 from __future__ import annotations
@@ -15,31 +18,15 @@ import numpy as np
 
 from .errors import NumericError
 
-
-@dataclass(frozen=True)
-class Euler:
-    steps: int
-
-
-@dataclass(frozen=True)
-class RK4:
-    steps: int
-
-
-@dataclass(frozen=True)
-class Dopri5:
-    rtol: float
-    atol: float
-    max_steps: int
-
-
-SolverKind = Euler | RK4 | Dopri5
+SOLVERS = ("euler", "rk4", "dopri5")
+RTOL = ATOL = 1e-4
+MAX_STEPS = 10000
 
 
 @dataclass
 class OdeTrace:
-    """Integration record. f_evals counts the calls of f: Euler = steps, RK4 =
-    4*steps, Dopri5 = 2 (initial-step probe) + 6 per accepted or rejected step."""
+    """Integration record. f_evals counts the calls of f: euler = steps, rk4 =
+    4*steps, dopri5 = 2 (initial-step probe) + 6 per accepted or rejected step."""
 
     final_state: np.ndarray
     accepted_steps: int
@@ -69,32 +56,33 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def integrate(f, state0, solver: SolverKind) -> OdeTrace:
-    """Integrate dy/dt = f(t, y) from t = 0 to t = 1 and return the state at 1."""
+def integrate(f, state0, solver: str, steps: int) -> OdeTrace:
+    """Integrate dy/dt = f(t, y) from t = 0 to t = 1 with the named solver of
+    SOLVERS and return the state at 1; dopri5 ignores steps."""
     y = np.array(state0, copy=True)
 
-    if isinstance(solver, Euler):
-        h = 1.0 / solver.steps
-        for i in range(solver.steps):
+    if solver == "euler":
+        h = 1.0 / steps
+        for i in range(steps):
             y = y + h * f(i * h, y)
-        return OdeTrace(y, solver.steps, 0, solver.steps)
+        return OdeTrace(y, steps, 0, steps)
 
-    if isinstance(solver, RK4):
-        h = 1.0 / solver.steps
-        for i in range(solver.steps):
+    if solver == "rk4":
+        h = 1.0 / steps
+        for i in range(steps):
             t = i * h
             k1 = f(t, y)
             k2 = f(t + h / 2, y + (h / 2) * k1)
             k3 = f(t + h / 2, y + (h / 2) * k2)
             k4 = f(t + h, y + h * k3)
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return OdeTrace(y, solver.steps, 0, 4 * solver.steps)
+        return OdeTrace(y, steps, 0, 4 * steps)
 
-    return _dopri5(f, y, solver)
+    return _dopri5(f, y)
 
 
-def _initial_step(f, y0, f0, rtol, atol) -> float:
-    sc = atol + rtol * np.abs(y0)
+def _initial_step(f, y0, f0) -> float:
+    sc = ATOL + RTOL * np.abs(y0)
     d0 = _rms(y0 / sc)
     d1 = _rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -108,11 +96,10 @@ def _initial_step(f, y0, f0, rtol, atol) -> float:
     return min(100 * h0, h1, 1.0)
 
 
-def _dopri5(f, y, solver: Dopri5) -> OdeTrace:
-    rtol, atol = solver.rtol, solver.atol
+def _dopri5(f, y) -> OdeTrace:
     t = 0.0
     k1 = f(t, y)
-    h = _initial_step(f, y, k1, rtol, atol)
+    h = _initial_step(f, y, k1)
     accepted = rejected = 0
     k = [k1] + [None] * 6
 
@@ -125,7 +112,7 @@ def _dopri5(f, y, solver: Dopri5) -> OdeTrace:
         # stage's state is the step's solution, summed in the same order
         y_new = yi
         err_vec = h * sum(e * k[j] for j, e in enumerate(_ERR) if e != 0.0)
-        scale_ = atol + rtol * np.maximum(np.abs(y_new), np.abs(y_new - err_vec))
+        scale_ = ATOL + RTOL * np.maximum(np.abs(y_new), np.abs(y_new - err_vec))
         err = _rms(err_vec / scale_)
 
         if err <= 1.0:
@@ -135,8 +122,8 @@ def _dopri5(f, y, solver: Dopri5) -> OdeTrace:
             k[0] = k[6]  # first-same-as-last
         else:
             rejected += 1
-        if accepted + rejected > solver.max_steps:
-            raise NumericError(f"dopri5 exceeded {solver.max_steps} steps at t={t:.6g}")
+        if accepted + rejected > MAX_STEPS:
+            raise NumericError(f"dopri5 exceeded {MAX_STEPS} steps at t={t:.6g}")
         factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_ORDER_EXP)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 

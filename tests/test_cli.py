@@ -15,7 +15,6 @@ from tabflow.config import load_config
 from tabflow.neuralnet import VelocityNet, AdamState, Tensor, save_checkpoint
 from tabflow.tabscore import parse_score
 
-from test_config import with_updates
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,18 +147,6 @@ def test_train_writes_checkpoint_cache_and_loss_history(tiny_cfg, capsys):
     assert "steps/s" in out
 
 
-def test_train_after_chunk_length_change_matches_fresh_workdir(tiny_cfg):
-    cli.cmd_synthdata(tiny_cfg)
-    cli.cmd_train(tiny_cfg)
-    eight = with_updates(tiny_cfg, latentcodec={"chunk_seconds": "8.0"})
-    cli.cmd_train(eight)
-    reused = (eight.workdir / "loss_history.csv").read_bytes()
-    shutil.rmtree(eight.workdir)
-    cli.cmd_synthdata(eight)
-    cli.cmd_train(eight)
-    assert (eight.workdir / "loss_history.csv").read_bytes() == reused
-
-
 def test_train_missing_audio_dir_names_it(tiny_cfg):
     from tabflow.errors import DataError
     with pytest.raises(DataError, match="synthetic"):
@@ -238,9 +225,9 @@ def test_transfer_moves_the_latents_train_encodes(tiny_cfg, tmp_path, monkeypatc
     seen = []
     real = flowmatch.transfer_batch
 
-    def spy(net, states, solver):
+    def spy(net, states, solver, steps):
         seen.append(states.copy())
-        return real(net, states, solver)
+        return real(net, states, solver, steps)
 
     monkeypatch.setattr(flowmatch, "transfer_batch", spy)
     cli.cmd_transfer(tiny_cfg, _zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"),
@@ -527,10 +514,6 @@ def test_main_train_nonpositive_setting_is_exit_2(tiny_cfg, tmp_path, capsys, ke
 @pytest.mark.parametrize("section, key, value, command, code", [
     ("cli", "train_split", "nan", "train", 2),
     ("cli", "train_split", "-1", "train", 2),
-    ("latentcodec", "chunk_seconds", "nan", "train", 2),
-    ("latentcodec", "chunk_seconds", "inf", "train", 2),
-    ("latentcodec", "chunk_seconds", "1e9", "train", 2),
-    ("audiodist", "kad_max_frames", "-5", "eval", 2),
     ("flowmatch", "base_channels", "0", "train", 2),
     ("flowmatch", "lr", "nan", "train", 2),
 ])
@@ -540,13 +523,9 @@ def test_main_bad_config_value_names_key(tiny_cfg, tmp_path, capsys,
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[{section}]\n{key} = {value}\n")
     argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), command]
-    if command == "eval":
-        real = str(cli._audio_dir(tiny_cfg, "pseudo_real"))
-        argv += ["--real", real, "--render", real, "--guitarflow", real]
     assert cli.main(argv) == code
     assert key in capsys.readouterr().err
     assert not (tiny_cfg.workdir / "model.ckpt").exists()
-    assert not (tiny_cfg.workdir / "metrics.csv").exists()
 
 
 def _score_file(cfg, events, tempo, tuning="40 45 50 55 59 64"):
@@ -724,7 +703,7 @@ def test_load_net_builds_an_untracked_net(tiny_cfg, tmp_path):
     """transfer's net has no gradient buffers, and its forward pass records
     no graph."""
     net = cli._load_net(_zero_checkpoint(tiny_cfg, tmp_path / "zero.ckpt"))
-    assert net.dims == latentcodec.DIMS
+    assert net.params["out.w"].shape[0] == latentcodec.DIMS
     assert all(p.grad is None and not p.requires_grad for p in net.params.values())
     assert all(p.dtype == np.float32 for p in net.params.values())
     x = Tensor(np.ones((2, latentcodec.DIMS, 16), dtype=np.float32))
@@ -823,6 +802,28 @@ def test_main_transfer_non_finite_weight_is_exit_2(tiny_cfg, tmp_path, capsys, n
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lr, epochs, message", [
+    # the one step's update overflows float32: no forward pass reads it
+    ("1e39", 1, "parameter enc0.w holds NaN or Inf values after training"),
+    # the second epoch's forward pass meets the diverged weights
+    ("1e30", 3, "non-finite values produced by op 'mse' (epoch 1, batch 0)"),
+], ids=["last_step", "mid_fit"])
+def test_main_train_diverging_fit_is_exit_3(tiny_cfg, capsys, lr, epochs, message):
+    """A fit that leaves non-finite weights ends in exit 3 with one line and
+    no numpy warning, and writes neither the checkpoint nor the history."""
+    cli.cmd_synthdata(tiny_cfg)
+    ini = tiny_cfg.workdir / "diverge.ini"
+    ini.write_text(f"[flowmatch]\nbatch_size = 4\nbase_channels = 8\n"
+                   f"epochs = {epochs}\nlr = {lr}\n")
+    capsys.readouterr()
+    argv = ["--config", str(ini), "--workdir", str(tiny_cfg.workdir), "train"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"numeric error: {message}\n"
+    assert not (tiny_cfg.workdir / "model.ckpt").exists()
+    assert not (tiny_cfg.workdir / "loss_history.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_main_transfer_overflowing_weights_is_exit_3(tiny_cfg, tmp_path, capsys):
     """Finite weights whose velocity overflows float32 end in exit 3 with the
     engine's one line naming the op, and with no numpy warning first."""
@@ -839,25 +840,17 @@ def test_main_transfer_overflowing_weights_is_exit_3(tiny_cfg, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("settings, key", [
-    ({"rtol": "nan"}, "rtol"),
-    ({"atol": "inf"}, "atol"),
-    ({"max_steps": "0"}, "max_steps"),
-    ({"solver": "euler", "steps": "0"}, "steps"),
-    ({"rtol": "-1"}, "rtol"),
-])
-def test_main_transfer_bad_odesolve_value_names_key(tiny_cfg, tmp_path, capsys,
-                                                    settings, key):
+def test_main_transfer_bad_odesolve_value_names_key(tiny_cfg, tmp_path, capsys):
     """Checked before the checkpoint is read: this one is not a checkpoint."""
     ini = tmp_path / "bad.ini"
-    ini.write_text("[odesolve]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    ini.write_text("[odesolve]\nsolver = euler\nsteps = 0\n")
     ckpt = tmp_path / "junk.ckpt"
     ckpt.write_bytes(b"not a checkpoint")
     out = tmp_path / "o.wav"
     argv = ["--config", str(ini)] + _transfer_argv(tiny_cfg, ckpt,
                                                    _noise_wav(tmp_path / "in.wav"), out)
     assert cli.main(argv) == 2
-    assert f"[odesolve] {key} must be finite and > 0" in capsys.readouterr().err
+    assert "[odesolve] steps must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

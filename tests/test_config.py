@@ -4,30 +4,26 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tabflow import cli
+from tabflow import cli, odesolve
 from tabflow.config import _TABLE, MAX_BASE_CHANNELS, load_config
 from tabflow.errors import DataError, TabflowError, UsageError
-from tabflow.odesolve import Dopri5, Euler, RK4
 
 
 def test_defaults_match_pipeline_settings():
     cfg = load_config()
-    assert cfg.chunk_seconds == 4.0
     assert cfg.batch_size == 64
     assert cfg.lr == pytest.approx(1e-4)
     assert cfg.epochs == 50
     assert cfg.steps == 100
     assert cfg.sample_rate == 44100
-    assert isinstance(cfg.solver(), Dopri5)
+    assert cfg.solver == "dopri5"
     expected = {
         "scores_dir": Path("scores"), "audio_dir": Path("audio"), "workdir": Path("work"),
-        "chunk_seconds": 4.0,
         "batch_size": 64, "lr": 0.0001, "epochs": 50, "base_channels": 32,
-        "solver_name": "dopri5", "steps": 100, "rtol": 0.0001, "atol": 0.0001,
-        "max_steps": 10000, "sample_rate": 44100, "kad_max_frames": 2048,
+        "solver": "dopri5", "steps": 100, "sample_rate": 44100,
         "n_scores": 10, "score_seconds": 60.0, "seed": 0, "train_split": 0.9,
     }
-    assert len(expected) == len(_TABLE) == 19
+    assert len(expected) == len(_TABLE) == 14
     for name, value in expected.items():
         got = getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
@@ -38,7 +34,7 @@ def test_config_file_overlays_defaults(tmp_path):
     ini.write_text("[flowmatch]\nepochs = 7\n\n[odesolve]\nsolver = euler\nsteps = 12\n")
     cfg = load_config(ini)
     assert cfg.epochs == 7
-    assert cfg.solver() == Euler(12)
+    assert (cfg.solver, cfg.steps) == ("euler", 12)
     assert cfg.batch_size == 64  # untouched default
 
 
@@ -61,7 +57,7 @@ def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(UsageError, match="unknown config section"):
         load_config(ini)
     ini.write_text("[latentcodec]\ndims = 64\n")  # the latent width is a constant
-    with pytest.raises(UsageError, match="unknown config key"):
+    with pytest.raises(UsageError, match=r"unknown config section \[latentcodec\]"):
         load_config(ini)
 
 
@@ -92,6 +88,25 @@ def test_amp_condition_is_not_configurable(tmp_path, capsys, key):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("latentcodec", "chunk_seconds"), ("odesolve", "rtol"), ("odesolve", "atol"),
+    ("odesolve", "max_steps"), ("audiodist", "kad_max_frames"),
+], ids=lambda v: v)
+def test_constant_setting_is_not_configurable(tmp_path, monkeypatch, capsys, section, key):
+    """The chunk length, dopri5's tolerances and step budget and KAD's
+    subsample cap are module constants: an INI that sets one is exit 1 and
+    writes nothing."""
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(UsageError, match="unknown config (key|section)"):
+        load_config(ini)
+    monkeypatch.chdir(tmp_path)  # the default workdir is relative
+    assert cli.main(["--config", str(ini), "stats", "ratings.csv", "--m", "1"]) == 1
+    assert re.fullmatch(rf"usage error: unknown config (key '{key}' in \[{section}\]|"
+                        rf"section \[{section}\])\n", capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.ini"]
+
+
 @pytest.mark.parametrize("value", ["257", "100000"])
 def test_base_channels_ceiling(value):
     """A UNet wider than MAX_BASE_CHANNELS is refused before numpy is asked
@@ -119,7 +134,7 @@ def test_bad_values_rejected(tmp_path):
 
 def test_solver_construction():
     cfg = load_config(None, {"odesolve": {"solver": "rk4", "steps": "25"}})
-    assert cfg.solver() == RK4(25)
+    assert (cfg.solver, cfg.steps) == ("rk4", 25)
 
 
 def test_hash_stable_and_sensitive():
@@ -129,7 +144,7 @@ def test_hash_stable_and_sensitive():
     c = load_config(None, {"flowmatch": {"epochs": "49"}})
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
-    assert load_config().hash() == "20cb366f3d9f55a1"
+    assert load_config().hash() == "4970ab1a0049c9f9"
 
 
 def with_updates(cfg, **sections):
@@ -152,9 +167,8 @@ def test_with_updates_rederives():
 # one value outside the rule of each row that has one
 _OUT_OF_RANGE = {
     "scores_dir": "sc\0ores", "audio_dir": "au\0dio", "workdir": "wo\0rk",
-    "chunk_seconds": "0", "batch_size": "0", "lr": "-0.0001",
-    "epochs": "0", "base_channels": "-8", "steps": "0", "rtol": "nan", "atol": "-1",
-    "max_steps": "0", "sample_rate": "7999", "kad_max_frames": "1", "n_scores": "0",
+    "batch_size": "0", "lr": "-0.0001", "epochs": "0", "base_channels": "-8",
+    "steps": "0", "sample_rate": "7999", "n_scores": "0",
     "score_seconds": "inf", "seed": "-1", "train_split": "1.5",
 }
 
@@ -203,7 +217,7 @@ def test_load_config_returns_valid_config_or_raises_tabflow_error(tmp_path_facto
     except TabflowError:
         return
     for _, key, typ, _, rule in _TABLE:
-        value = getattr(cfg, "solver_name" if key == "solver" else key)
+        value = getattr(cfg, key)
         assert isinstance(value, typ), key
         assert rule is None or rule[0](value), (key, value)
-    cfg.solver()
+    assert cfg.solver in odesolve.SOLVERS

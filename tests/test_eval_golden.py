@@ -1,7 +1,7 @@
 """Golden metrics of a tiny eval: both conditions, KAD subsampling active.
 
 Two 6-s seed-0 scores give 580 + 666 = 1246 pooled frames per system, above
-kad_max_frames = 300, so both KAD rows are taken on random subsamples. The
+cli.KAD_MAX_FRAMES patched to 300, so both KAD rows are taken on random subsamples. The
 guitarflow directory holds the mean of the real and render samples, so the
 two systems score apart. Every row of metrics.csv below its config-hash line
 is pinned by its exact repr; the KAD rows are those of audiodist's float32
@@ -35,7 +35,6 @@ def eval_run(tmp_path_factory):
     cfg = load_config(None, {
         "paths": {"workdir": str(root / "work")},
         "synthdata": {"n_scores": "2", "score_seconds": "6.0"},
-        "audiodist": {"kad_max_frames": "300"},
     })
     cli.cmd_synthdata(cfg)
     real = cli._audio_dir(cfg, "pseudo_real")
@@ -46,7 +45,9 @@ def eval_run(tmp_path_factory):
         a, _ = wavio.read_wav(path)
         b, _ = wavio.read_wav(render / path.name)
         wavio.write_wav(flow / path.name, 0.5 * a + 0.5 * b, cfg.sample_rate, comment="")
-    rows = cli.cmd_eval(cfg, real, render, flow, ("di", "amp"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "KAD_MAX_FRAMES", 300)
+        rows = cli.cmd_eval(cfg, real, render, flow, ("di", "amp"))
     return cfg, rows
 
 

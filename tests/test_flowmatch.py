@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tabflow.neuralnet as nn
-from tabflow import flowmatch, odesolve
+from tabflow import flowmatch
 from tabflow.config import load_config
 from tabflow.errors import DataError
 from tabflow.flowmatch import cfm_loss, make_sample, train, transfer_batch
@@ -214,8 +214,8 @@ def test_transfer_identity_with_zero_net():
     net = nn.VelocityNet(dims=64, base_channels=4, seed=0)
     rng = np.random.default_rng(6)
     states = rng.standard_normal((1, 64, 40))
-    for solver, nfe in ((odesolve.Euler(10), 10), (load_config().solver(), None)):
-        out, trace = transfer_batch(net, states, solver)
+    for solver, nfe in (("euler", 10), ("dopri5", None)):
+        out, trace = transfer_batch(net, states, solver, 10)
         assert out.shape == states.shape
         np.testing.assert_array_equal(out, states)
         if nfe is not None:
@@ -231,8 +231,8 @@ def test_transfer_constant_velocity_closed_form():
 
     rng = np.random.default_rng(7)
     states = rng.standard_normal((2, 3, 8))
-    for solver in (odesolve.Euler(100), odesolve.RK4(10), load_config().solver()):
-        out, trace = transfer_batch(ConstField(), states, solver)
+    for solver, steps in (("euler", 100), ("rk4", 10), ("dopri5", 100)):
+        out, trace = transfer_batch(ConstField(), states, solver, steps)
         assert trace.final_state.size == states.size * 2  # F = 8 padded to 16
         np.testing.assert_allclose(out, states + 0.75, atol=1e-6)
 
@@ -241,8 +241,8 @@ def test_transfer_solver_agreement_on_trained_toy_net():
     x0, x1 = map(_frames, gaussian_2d_pairs(256, seed=10))
     net, _, _ = train(x0, x1, _cfg(4, 5e-3, 40, 3))
     states = x0[:2]
-    euler, _ = transfer_batch(net, states, odesolve.Euler(100))
-    dopri, _ = transfer_batch(net, states, load_config().solver())
+    euler, _ = transfer_batch(net, states, "euler", 100)
+    dopri, _ = transfer_batch(net, states, "dopri5", 100)
     assert np.abs(euler - dopri).max() < 0.05
 
 
@@ -260,7 +260,7 @@ def test_two_dimensional_transport_sanity():
     x0, x1 = map(_frames, gaussian_2d_pairs(2048, seed=42))
     net, _, hist = train(x0, x1, _cfg(32, 3e-3, 150, 1))
     assert len(hist) <= 2000
-    out, _ = transfer_batch(net, x0, load_config().solver())
+    out, _ = transfer_batch(net, x0, "dopri5", 100)
     moved = _points(out)
     assert np.linalg.norm(moved.mean(axis=0) - 3.0) < 0.3
     assert np.all(moved.var(axis=0) > 0.25 / 2) and np.all(moved.var(axis=0) < 0.25 * 2)

@@ -195,7 +195,7 @@ def test_encode_linearity():
 
 def test_chunk_arithmetic():
     ten_sec = AudioBuffer(_noise(10 * FS), FS)
-    chunks = chunk(ten_sec, 4.0)
+    chunks = chunk(ten_sec)
     assert chunks.shape == (3, 4 * FS)
     assert np.array_equal(chunks.reshape(-1)[:10 * FS], ten_sec.samples)
     assert np.array_equal(chunks[2, 2 * FS:], np.zeros(2 * FS))
@@ -203,7 +203,7 @@ def test_chunk_arithmetic():
 
 def test_exact_multiple_needs_no_padding():
     four = AudioBuffer(_noise(4 * FS, seed=1), FS)
-    chunks = chunk(four, 4.0)
+    chunks = chunk(four)
     assert chunks.shape == (1, 4 * FS)
     assert np.array_equal(chunks[0], four.samples)
 

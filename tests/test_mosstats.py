@@ -15,8 +15,7 @@ from tabflow.mosstats import (RatingTable, bonferroni, friedman,
 def _table(values, systems=None):
     values = np.asarray(values, dtype=float)
     systems = systems or [f"s{j}" for j in range(values.shape[1])]
-    blocks = [(f"r{i}", "item") for i in range(values.shape[0])]
-    return RatingTable(systems, blocks, values)
+    return RatingTable(systems, values)
 
 
 def _oracle_friedman_stat(values):
