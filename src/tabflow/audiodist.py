@@ -13,8 +13,9 @@ difference norm averaged over time.
 embed streams its frames in blocks of about EMBED_BLOCK frames into the
 one output array, so its temporary memory does not grow with the file's
 length. It takes the magnitude spectrum and the filterbank product only up
-to the bank's last nonzero bin (186 of 513 at 44.1 kHz): the bins above
-8000 Hz carry zero weights, and the rows keep the full product's bytes.
+to the bank's last nonzero bin (186 of 513 at stringsynth.SAMPLE_RATE):
+the bins above 8000 Hz carry zero weights, and the rows keep the full
+product's bytes.
 
 Neither median_bandwidth nor kad holds the pooled N x N distance matrix.
 The distances are streamed in row tiles of the upper triangle, rebuilt on
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .latentcodec import FRAME_HOP, FRAME_LEN, frame_count, windowed_frames
-from .stringsynth import AudioBuffer
+from .stringsynth import SAMPLE_RATE, AudioBuffer
 
 EMBED_DIMS = 64
 # embed's frames per block: about 4 MB of windowed frames and spectrum at a
@@ -73,9 +74,9 @@ def band_edges() -> np.ndarray:
     return _mel_inv(np.linspace(_mel(FMIN_HZ), _mel(FMAX_HZ), EMBED_DIMS + 2))
 
 
-def _filterbank(sample_rate: int) -> np.ndarray:
+def _filterbank() -> np.ndarray:
     """[EMBED_DIMS, n_bins] triangular weights over the rFFT bin grid."""
-    freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(FRAME_LEN, d=1.0 / SAMPLE_RATE)
     edges = band_edges()
     bank = np.zeros((EMBED_DIMS, len(freqs)))
     for i in range(EMBED_DIMS):
@@ -87,22 +88,15 @@ def _filterbank(sample_rate: int) -> np.ndarray:
 
 
 # OpenBLAS's Haswell dgemm sums a 513-bin inner product in a leading panel of
-# 256 bins, then the rest. A cut inside that panel drops only trailing zero
-# terms of its sums, so the cut product has the full product's bytes; a cut
-# beyond it would regroup the sums (as at 22050 Hz, 372 bins).
-_PANEL_BINS = 256
-
-
+# 256 bins, then the rest. The cut at 186 bins lies inside that panel and
+# drops only trailing zero terms of its sums, so the cut product has the full
+# product's bytes; a cut beyond the panel would regroup the sums.
 @functools.cache
-def _band_limited_bank(sample_rate: int) -> np.ndarray:
-    """[EMBED_DIMS, bins] weights: the filterbank cut after its last nonzero
-    column (no columns if it has none), or whole when that column lies past
-    _PANEL_BINS; built once per sample rate."""
-    bank = _filterbank(sample_rate)
-    used = np.flatnonzero(bank.any(axis=0))
-    bins = int(used[-1]) + 1 if len(used) else 0
-    if bins > _PANEL_BINS:
-        bins = bank.shape[1]
+def _band_limited_bank() -> np.ndarray:
+    """[EMBED_DIMS, 186] weights: the filterbank cut after its last nonzero
+    column, the last bin below FMAX_HZ; built once."""
+    bank = _filterbank()
+    bins = int(np.flatnonzero(bank.any(axis=0))[-1]) + 1
     bank = bank[:, :bins].copy()
     bank.flags.writeable = False
     return bank
@@ -114,7 +108,7 @@ def embed(audio: AudioBuffer) -> np.ndarray:
     samples = audio.samples
     if samples.dtype != np.float32:
         samples = np.asarray(samples, dtype=np.float64)
-    bank = _band_limited_bank(audio.sample_rate)
+    bank = _band_limited_bank()
     out = np.empty((frame_count(len(samples)), EMBED_DIMS))
     cuts = list(range(0, len(out) - EMBED_BLOCK // 2, EMBED_BLOCK)) or [0]
     cuts.append(len(out))

@@ -1,11 +1,10 @@
 """Pipeline command-line interface.
 
 Subcommands: synthdata, render, train, transfer, eval, stats. Global flags
---config/--seed/--workdir; synthdata's --n sets [synthdata] n_scores. Exit
-codes: 0 success, 1 usage, 2 data error (a config value out of range exits 2
-naming its [section] key, before any file is read or written), 3 numeric
-failure. Every written artifact embeds the config hash (WAV comment chunk,
-CSV comment line, checkpoint config echo).
+--config/--seed/--workdir. Exit codes: 0 success, 1 usage, 2 data error (a
+config value out of range exits 2 naming its [section] key, before any file
+is read or written), 3 numeric failure. Every written artifact embeds the
+config hash (WAV comment chunk, CSV comment line, checkpoint config echo).
 
 eval scores each system in a DI condition (the audio as it is) and an amp
 condition: RMS-normalized to AMP_LEVEL_DB dBFS, driven into tanh with gain
@@ -32,7 +31,7 @@ from . import neuralnet as nn
 from .config import PipelineConfig, load_config
 from .errors import DataError, NumericError, UsageError
 from .fixtures import toy_corpus
-from .stringsynth import (STYLE_PRESETS, AudioBuffer, amp_process,
+from .stringsynth import (SAMPLE_RATE, STYLE_PRESETS, AudioBuffer, amp_process,
                           normalize_rms, render)
 from .tabscore import Score, parse_score, serialize_score
 
@@ -60,13 +59,13 @@ def _read_score(path: Path) -> Score:
     return parse_score(text)
 
 
-def _load_audio(cfg: PipelineConfig, path: Path) -> AudioBuffer:
+def _load_audio(path: Path) -> AudioBuffer:
     samples, rate = wavio.read_wav(path)
-    if rate != cfg.sample_rate:
-        raise DataError(f"{path}: sample rate {rate} Hz does not match "
-                        f"config sample_rate {cfg.sample_rate} Hz")
+    if rate != SAMPLE_RATE:
+        raise DataError(f"{path}: sample rate {rate} Hz is not the pipeline's "
+                        f"{SAMPLE_RATE} Hz")
     try:
-        return AudioBuffer(samples, rate)
+        return AudioBuffer(samples)
     except DataError as exc:  # a NaN sample, say: name the file
         raise DataError(f"{path}: {exc}") from None
 
@@ -114,9 +113,9 @@ def _render_scores(cfg: PipelineConfig, style: str, paths: list[Path]) -> list[P
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for path in paths:
-        audio = render(_read_score(path), STYLE_PRESETS[style], cfg.sample_rate)
+        audio = render(_read_score(path), STYLE_PRESETS[style])
         out = out_dir / f"{path.stem}.wav"
-        wavio.write_wav(out, audio.samples, audio.sample_rate, comment=f"cfg={cfg.hash()}")
+        wavio.write_wav(out, audio.samples, SAMPLE_RATE, comment=f"cfg={cfg.hash()}")
         written.append(out)
     return written
 
@@ -156,7 +155,7 @@ def _paired_stems(dirs: dict[str, Path]) -> list[str]:
 
 def _encode_stem(cfg: PipelineConfig, style: str, stem: str) -> np.ndarray:
     """[chunks, DIMS, frames] latents of one stem, in the UNet's channel layout."""
-    audio = _load_audio(cfg, _audio_dir(cfg, style) / f"{stem}.wav")
+    audio = _load_audio(_audio_dir(cfg, style) / f"{stem}.wav")
     return latentcodec.encode(latentcodec.chunk(audio))
 
 
@@ -258,10 +257,9 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     net = _load_net(checkpoint)
 
     if input_path.suffix == ".gftab":
-        audio = render(_read_score(input_path),
-                       STYLE_PRESETS[SOURCE_STYLE], cfg.sample_rate)
+        audio = render(_read_score(input_path), STYLE_PRESETS[SOURCE_STYLE])
     else:
-        audio = _load_audio(cfg, input_path)
+        audio = _load_audio(input_path)
 
     chunks = latentcodec.chunk(audio)
     # the flow moves the first latentcodec.DIMS coefficients of each frame;
@@ -269,11 +267,11 @@ def cmd_transfer(cfg: PipelineConfig, checkpoint: Path, input_path: Path,
     z = latentcodec.encode(chunks)
     moved, trace = flowmatch.transfer_batch(net, z, cfg.solver, cfg.steps)
     pieces = latentcodec.decode(moved - z, chunks)
-    out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)], audio.sample_rate)
+    out = AudioBuffer(pieces.reshape(-1)[:len(audio.samples)])
 
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    wavio.write_wav(output_path, out.samples, out.sample_rate, comment=f"cfg={cfg.hash()}")
+    wavio.write_wav(output_path, out.samples, SAMPLE_RATE, comment=f"cfg={cfg.hash()}")
     print(f"ode {cfg.solver}: {trace.f_evals} network calls, "
           f"{trace.accepted_steps} accepted and {trace.rejected_steps} rejected steps")
     return output_path
@@ -325,7 +323,7 @@ def cmd_eval(cfg: PipelineConfig, real_dir: Path, render_dir: Path,
     for label, d in dirs.items():
         for k, stem in enumerate(stems):
             path = d / f"{stem}.wav"
-            audio = _load_audio(cfg, path)
+            audio = _load_audio(path)
             for c in conditions:
                 # a silent stem, which has no RMS level to set, is named
                 try:
@@ -472,8 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", type=Path, default=None, help="override workdir")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synthdata", help="generate paired toy scores and renders")
-    p.add_argument("--n", type=int, default=None, help="number of scores")
+    sub.add_parser("synthdata", help="generate paired toy scores and renders")
 
     p = sub.add_parser("render", help="render scores with one style preset")
     p.add_argument("--style", default=SOURCE_STYLE, choices=sorted(STYLE_PRESETS))
@@ -504,8 +501,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         overrides = {}
         for section, key, value in (("cli", "seed", args.seed),
-                                    ("paths", "workdir", args.workdir),
-                                    ("synthdata", "n_scores", getattr(args, "n", None))):
+                                    ("paths", "workdir", args.workdir)):
             if value is not None:
                 overrides.setdefault(section, {})[key] = str(value)
         cfg = load_config(args.config, overrides)

@@ -2,7 +2,7 @@
 module, every key defaulted to the pipeline's standard settings. The config
 hash (sha256 of the canonical text) is embedded in every output artifact.
 
-_TABLE is the one listing of the 14 keys: each row is (section, key, type,
+_TABLE is the one listing of the 13 keys: each row is (section, key, type,
 default text, rule), the type being Path, int, float or str, applied to the
 text as typ(text), and the rule a (predicate, condition) pair. The defaults,
 the PipelineConfig fields, the parsing and the checks all derive from it.
@@ -10,8 +10,8 @@ load_config is the one place a value is checked; one that breaks its rule is
 a DataError "[section] key must be <condition>, got <text>". Defaults stay
 text exactly as written (for example "0.0001"), because the canonical text,
 and so the hash, is built from the raw strings. A value no caller varies is
-a module constant instead, such as latentcodec.CHUNK_SECONDS, odesolve.RTOL
-or cli.KAD_MAX_FRAMES.
+a module constant instead, such as stringsynth.SAMPLE_RATE,
+latentcodec.CHUNK_SECONDS, odesolve.RTOL or cli.KAD_MAX_FRAMES.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ _PATH = (lambda v: "\0" not in str(v), "free of NUL characters")
 # Widest UNet: eight times the default, 25.2M parameters (101 MB of float32
 # weights); the weights grow with the square of the width.
 MAX_BASE_CHANNELS = 256
-MIN_SAMPLE_RATE = 8000
-# Highest render rate; a 600-s render at 192 kHz is a 922 MB float64 mix.
-MAX_SAMPLE_RATE = 192000
 
 _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
     ("paths", "scores_dir", Path, "scores", _PATH),
@@ -47,9 +44,6 @@ _TABLE: tuple[tuple[str, str, type, str, tuple | None], ...] = (
      (lambda v: 0 < v <= MAX_BASE_CHANNELS, f"in [1, {MAX_BASE_CHANNELS}]")),
     ("odesolve", "solver", str, "dopri5", None),  # load_config checks the name
     ("odesolve", "steps", int, "100", _POSITIVE),
-    ("stringsynth", "sample_rate", int, "44100",
-     (lambda v: MIN_SAMPLE_RATE <= v <= MAX_SAMPLE_RATE,
-      f"in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}]")),
     ("synthdata", "n_scores", int, "10", _POSITIVE),
     ("synthdata", "score_seconds", float, "60.0",
      (lambda v: 0 < v <= MAX_RENDER_SECONDS, f"in (0, {MAX_RENDER_SECONDS:g}]")),

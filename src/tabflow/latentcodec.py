@@ -6,12 +6,13 @@ The first DIMS = 64 coefficients of each frame are the compact space the
 flow model trains in.
 
 The codec works on plain arrays, in the layout the velocity net reads:
-chunk cuts audio into an [N, size] array of CHUNK_SECONDS rows, encode maps
-[..., n] samples to [..., DIMS, F] latents (coefficient d of frame k in row
-d, column k; frame k starts at sample k * FRAME_HOP), and decode maps a
-[..., DIMS, F] latent change and its [..., n] source samples back to
-[..., n] samples. windowed_frames slices and windows the same frames for
-audiodist.embed, so the latent and embedding frame grids always match.
+chunk cuts audio into an [N, size] array of CHUNK_SECONDS rows (176400
+samples at stringsynth.SAMPLE_RATE), encode maps [..., n] samples to
+[..., DIMS, F] latents (coefficient d of frame k in row d, column k; frame k
+starts at sample k * FRAME_HOP), and decode maps a [..., DIMS, F] latent
+change and its [..., n] source samples back to [..., n] samples.
+windowed_frames slices and windows the same frames for audiodist.embed, so
+the latent and embedding frame grids always match.
 
 encode skips the frame copy and the full DCT: frame k is the hop-long
 segments k and k + 1, so one GEMM of the [..., F + 1, FRAME_HOP] segment
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .stringsynth import AudioBuffer
+from .stringsynth import SAMPLE_RATE, AudioBuffer
 
 FRAME_LEN = 1024
 FRAME_HOP = 512
@@ -147,8 +148,8 @@ def _synthesize(dz: np.ndarray) -> np.ndarray:
 
 def chunk(audio: AudioBuffer) -> np.ndarray:
     """[N, size] consecutive non-overlapping chunks of the samples, size being
-    CHUNK_SECONDS at the audio's rate; the last row is zero-padded."""
-    size = int(round(CHUNK_SECONDS * audio.sample_rate))
+    CHUNK_SECONDS at SAMPLE_RATE; the last row is zero-padded."""
+    size = int(round(CHUNK_SECONDS * SAMPLE_RATE))
     x = audio.samples
     out = np.zeros((max(1, -(-len(x) // size)), size), dtype=x.dtype)
     out.reshape(-1)[:len(x)] = x

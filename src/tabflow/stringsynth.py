@@ -7,6 +7,10 @@ a per-trip loss), so b=1 rings bright and b=0 damps highs quickly. Two named
 style presets render the same score with identical musical content but a
 different sound, which is what the flow model trains on.
 
+All audio is mono at the pipeline's one rate, SAMPLE_RATE (44.1 kHz):
+render writes it, amp_process filters at it, and AudioBuffer holds only the
+samples.
+
 render runs the string loops of consecutive events together: the notes of a
 group advance in lockstep over note-local time as rows of one float64
 buffer, whose size GROUP_SAMPLES bounds the working set (8 MB), so the
@@ -43,6 +47,8 @@ import numpy as np
 from .errors import DataError
 from .tabscore import Score, TechniqueKind, event_pitch, midi_hz
 
+# The pipeline's one audio rate: every render, WAV and embedding runs at it.
+SAMPLE_RATE = 44100
 RELEASE_TAIL_SEC = 1.0
 CHORD_STAGGER_SEC = 0.008
 VIBRATO_RATE_HZ = 5.5
@@ -66,11 +72,10 @@ SCAN_BLOCK = 32
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio: 1-D float samples plus their sample rate. The one rule
-    kept is finite samples, since a WAV file may hold NaN or Inf."""
+    """Mono audio: 1-D float samples at SAMPLE_RATE. The one rule kept is
+    finite samples, since a WAV file may hold NaN or Inf."""
 
     samples: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.samples)):
@@ -78,7 +83,7 @@ class AudioBuffer:
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,12 @@ STYLE_PRESETS = {s.name: s for s in (SYNTHETIC, PSEUDO_REAL)}
 _PITCH_CURVES = (TechniqueKind.BEND, TechniqueKind.SLIDE, TechniqueKind.VIBRATO)
 
 
-def _pitch_curve(f0: float, n: int, dur_samples: int, technique, target_f: float | None,
-                 sample_rate: int) -> np.ndarray:
+def _pitch_curve(f0: float, n: int, dur_samples: int, technique,
+                 target_f: float | None) -> np.ndarray:
     """Per-sample fundamental over the note buffer of a bend, slide or
     vibrato (a bend or slide holds its end value through the tail)."""
     if technique.kind is TechniqueKind.VIBRATO:
-        t = np.arange(n, dtype=np.float64) / sample_rate
+        t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
         return f0 * 2.0 ** ((VIBRATO_CENTS / 1200.0) * np.sin(2 * np.pi * VIBRATO_RATE_HZ * t))
     # t_frac = min(i / d, 1) reaches 1 at i = d: the samples after it repeat
     # that sample's value
@@ -300,7 +305,7 @@ def _one_pole_scan(x: np.ndarray, b: float, c: float,
     return y
 
 
-def _notes(score: Score, style: RenderStyle, sample_rate: int,
+def _notes(score: Score, style: RenderStyle,
            total: int) -> Iterator[tuple[_Note, float | np.ndarray]]:
     """Each event's note and loop delay, in event order: one float for a
     note of constant pitch, else one per sample.
@@ -309,7 +314,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
     one unused value, excitation, pick noise. Events starting at or after
     sample `total` are skipped.
     """
-    fs = float(sample_rate)
+    fs = float(SAMPLE_RATE)
     spt = score.seconds_per_tick()
     seeds = np.random.SeedSequence(EXCITATION_SEED).spawn(len(score.events))
     events = list(score.events)
@@ -340,14 +345,14 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
             target_f = None
             if ev.technique.kind is TechniqueKind.SLIDE:
                 target_f = midi_hz(score.string_pitch(ev.string) + ev.technique.slide_to_fret)
-            freq = _pitch_curve(f0, n, dur_samples, ev.technique, target_f, sample_rate)
+            freq = _pitch_curve(f0, n, dur_samples, ev.technique, target_f)
             top = freq.max()
         else:
             freq = top = f0
         if top > fs / 4.0:
             raise DataError(
                 f"event pitch {top:.1f} Hz exceeds {fs / 4:.0f} Hz "
-                f"(string {ev.string}, fret {ev.fret} at rate {sample_rate})"
+                f"(string {ev.string}, fret {ev.fret})"
             )
         b = style.brightness
         delay = fs / freq - (1.0 - b) / 2.0  # loop filter adds (1-b)/2 samples
@@ -375,7 +380,7 @@ def _notes(score: Score, style: RenderStyle, sample_rate: int,
         yield _Note(s0, n, rho, excitation, pick), delay
 
 
-def render(score: Score, style: RenderStyle, sample_rate: int) -> AudioBuffer:
+def render(score: Score, style: RenderStyle) -> AudioBuffer:
     """Render a score deterministically; same length for every style so that
     two renders of one score stay sample-aligned.
 
@@ -395,11 +400,11 @@ def render(score: Score, style: RenderStyle, sample_rate: int) -> AudioBuffer:
     if not seconds <= MAX_RENDER_SECONDS:
         raise DataError(f"score renders to {seconds:.6g} s, longer than the "
                         f"{MAX_RENDER_SECONDS:g} s limit")
-    total = int(round(seconds * sample_rate))
+    total = int(round(seconds * SAMPLE_RATE))
     out = np.zeros(total)
     b = style.brightness
     a1, a2 = (1.0 + b) / 2.0, (1.0 - b) / 2.0
-    for note, samples in _synth_notes(_notes(score, style, sample_rate, total), a1, a2):
+    for note, samples in _synth_notes(_notes(score, style, total), a1, a2):
         if note.pick is not None:
             samples[:len(note.pick)] += note.pick
         out[note.s0:note.s0 + len(samples)] += samples
@@ -407,26 +412,22 @@ def render(score: Score, style: RenderStyle, sample_rate: int) -> AudioBuffer:
     peak = np.max(np.abs(out))
     if peak > 0.995:
         out *= 0.995 / peak
-    return AudioBuffer(out.astype(np.float32), sample_rate)
+    return AudioBuffer(out.astype(np.float32))
 
 
 def amp_process(audio: AudioBuffer, drive: float, tone_cutoff: float) -> AudioBuffer:
-    """Memoryless tanh drive followed by a one-pole lowpass; peak kept <= 1.
-
-    Only a cutoff at or above Nyquist bypasses the filter.
-    """
+    """Memoryless tanh drive followed by a one-pole lowpass; peak kept <= 1."""
     # drive, tanh and the tone filter in place on the one float64 copy
     y = audio.samples.astype(np.float64)
     y *= drive
     np.tanh(y, out=y)
-    if tone_cutoff < audio.sample_rate / 2.0:
-        a = 1.0 - np.exp(-2.0 * np.pi * tone_cutoff / audio.sample_rate)
-        _one_pole_scan(y, a, 1.0 - a, out=y)
+    a = 1.0 - np.exp(-2.0 * np.pi * tone_cutoff / SAMPLE_RATE)
+    _one_pole_scan(y, a, 1.0 - a, out=y)
     # max |y| without an array of |y|
     peak = max(y.max(), -y.min()) if len(y) else 0.0
     if peak > 1.0:
         y /= peak
-    return AudioBuffer(y.astype(np.float32), audio.sample_rate)
+    return AudioBuffer(y.astype(np.float32))
 
 
 def normalize_rms(audio: AudioBuffer, target_db: float) -> AudioBuffer:
@@ -438,4 +439,4 @@ def normalize_rms(audio: AudioBuffer, target_db: float) -> AudioBuffer:
         raise DataError("cannot normalize silence")
     gain = 10.0 ** (target_db / 20.0) / rms
     np.multiply(audio.samples, gain, out=x, dtype=np.float64)
-    return AudioBuffer(x.astype(np.float32), audio.sample_rate)
+    return AudioBuffer(x.astype(np.float32))

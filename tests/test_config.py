@@ -15,15 +15,14 @@ def test_defaults_match_pipeline_settings():
     assert cfg.lr == pytest.approx(1e-4)
     assert cfg.epochs == 50
     assert cfg.steps == 100
-    assert cfg.sample_rate == 44100
     assert cfg.solver == "dopri5"
     expected = {
         "scores_dir": Path("scores"), "audio_dir": Path("audio"), "workdir": Path("work"),
         "batch_size": 64, "lr": 0.0001, "epochs": 50, "base_channels": 32,
-        "solver": "dopri5", "steps": 100, "sample_rate": 44100,
+        "solver": "dopri5", "steps": 100,
         "n_scores": 10, "score_seconds": 60.0, "seed": 0, "train_split": 0.9,
     }
-    assert len(expected) == len(_TABLE) == 14
+    assert len(expected) == len(_TABLE) == 13
     for name, value in expected.items():
         got = getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
@@ -79,23 +78,25 @@ def test_default_section_is_unknown(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("key", ["amp_drive", "amp_tone_cutoff", "normalize_db"])
 def test_amp_condition_is_not_configurable(tmp_path, capsys, key):
-    """The amp condition is cli's constants: an INI that sets one is exit 1."""
+    """The amp condition is cli's constants: an INI that sets one is exit 1.
+    [stringsynth] has no key left, so the section itself is unknown."""
     ini = tmp_path / "cfg.ini"
     ini.write_text(f"[stringsynth]\n{key} = 1.0\n")
-    with pytest.raises(UsageError, match=f"unknown config key '{key}' in \\[stringsynth\\]"):
+    with pytest.raises(UsageError, match=r"unknown config section \[stringsynth\]"):
         load_config(ini)
     assert cli.main(["--config", str(ini), "stats", "ratings.csv", "--m", "1"]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    assert "unknown config section [stringsynth]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key", [
     ("latentcodec", "chunk_seconds"), ("odesolve", "rtol"), ("odesolve", "atol"),
     ("odesolve", "max_steps"), ("audiodist", "kad_max_frames"),
+    ("stringsynth", "sample_rate"),
 ], ids=lambda v: v)
 def test_constant_setting_is_not_configurable(tmp_path, monkeypatch, capsys, section, key):
-    """The chunk length, dopri5's tolerances and step budget and KAD's
-    subsample cap are module constants: an INI that sets one is exit 1 and
-    writes nothing."""
+    """The chunk length, dopri5's tolerances and step budget, KAD's
+    subsample cap and the sample rate are module constants: an INI that sets
+    one is exit 1 and writes nothing."""
     ini = tmp_path / "cfg.ini"
     ini.write_text(f"[{section}]\n{key} = 1\n")
     with pytest.raises(UsageError, match="unknown config (key|section)"):
@@ -144,7 +145,7 @@ def test_hash_stable_and_sensitive():
     c = load_config(None, {"flowmatch": {"epochs": "49"}})
     assert c.hash() != a.hash()
     assert len(a.hash()) == 16
-    assert load_config().hash() == "4970ab1a0049c9f9"
+    assert load_config().hash() == "494163c6112a78d0"
 
 
 def with_updates(cfg, **sections):
@@ -168,7 +169,7 @@ def test_with_updates_rederives():
 _OUT_OF_RANGE = {
     "scores_dir": "sc\0ores", "audio_dir": "au\0dio", "workdir": "wo\0rk",
     "batch_size": "0", "lr": "-0.0001", "epochs": "0", "base_channels": "-8",
-    "steps": "0", "sample_rate": "7999", "n_scores": "0",
+    "steps": "0", "n_scores": "0",
     "score_seconds": "inf", "seed": "-1", "train_split": "1.5",
 }
 

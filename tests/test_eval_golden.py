@@ -12,6 +12,7 @@ import pytest
 
 from tabflow import cli, wavio
 from tabflow.config import load_config
+from tabflow.stringsynth import SAMPLE_RATE
 
 ROWS = [
     ("di", "fad", "render", 255.75468727023554),
@@ -44,7 +45,7 @@ def eval_run(tmp_path_factory):
     for path in sorted(real.glob("*.wav")):
         a, _ = wavio.read_wav(path)
         b, _ = wavio.read_wav(render / path.name)
-        wavio.write_wav(flow / path.name, 0.5 * a + 0.5 * b, cfg.sample_rate, comment="")
+        wavio.write_wav(flow / path.name, 0.5 * a + 0.5 * b, SAMPLE_RATE, comment="")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "KAD_MAX_FRAMES", 300)
         rows = cli.cmd_eval(cfg, real, render, flow, ("di", "amp"))

@@ -79,8 +79,8 @@ def _defaults(tree: ast.AST):
 
 def test_no_default_copies_a_config_setting():
     """config._TABLE is the one home of each pipeline setting: a default
-    named after one of its keys (steps, sample_rate, seed, lr, ...) is a
-    second copy that can drift from it, so every caller passes the value."""
+    named after one of its keys (steps, seed, lr, ...) is a second copy that
+    can drift from it, so every caller passes the value."""
     keys = {key for _, key, _, _, _ in _TABLE}
     copies = [f"{path.relative_to(ROOT)}:{line} {name}"
               for path in sorted(PACKAGE.rglob("*.py"))

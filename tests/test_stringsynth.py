@@ -45,15 +45,15 @@ def test_every_style_field_differs_between_the_presets():
 
 def test_open_low_e_fundamental_within_10_cents():
     score = one_note_score(6, 0)
-    audio = render(score, SYNTHETIC, FS)
+    audio = render(score, SYNTHETIC)
     f = oracle_pitch(steady(audio.samples), FS)
     assert abs(cents_between(f, event_pitch(score, score.events[0]))) < 10.0
     assert f == pytest.approx(82.4069, rel=0.01)
 
 
 def test_fret_12_doubles_fundamental():
-    f_open = oracle_pitch(steady(render(one_note_score(6, 0), SYNTHETIC, FS).samples), FS)
-    f_12 = oracle_pitch(steady(render(one_note_score(6, 12), SYNTHETIC, FS).samples), FS)
+    f_open = oracle_pitch(steady(render(one_note_score(6, 0), SYNTHETIC).samples), FS)
+    f_12 = oracle_pitch(steady(render(one_note_score(6, 12), SYNTHETIC).samples), FS)
     assert f_12 / f_open == pytest.approx(2.0, abs=0.02)
 
 
@@ -63,23 +63,23 @@ def test_all_strings_in_tune_for_both_styles(string, fret):
     score = one_note_score(string, fret)
     reference = event_pitch(score, score.events[0])
     for style in (SYNTHETIC, PSEUDO_REAL):
-        audio = render(score, style, FS)
+        audio = render(score, style)
         f = oracle_pitch(steady(audio.samples), FS)
         assert abs(cents_between(f, reference)) < 10.0
 
 
 def test_palm_mute_decays_at_least_6_db_faster():
-    plain = render(one_note_score(6, 0), SYNTHETIC, FS).samples
+    plain = render(one_note_score(6, 0), SYNTHETIC).samples
     muted = render(one_note_score(6, 0, Technique(TechniqueKind.PALM_MUTE)),
-                   SYNTHETIC, FS).samples
+                   SYNTHETIC).samples
     window = slice(int(0.4 * FS), int(0.6 * FS))
     assert rms_db(muted[window]) <= rms_db(plain[window]) - 6.0
 
 
 def test_render_is_deterministic():
     score = one_note_score(4, 7)
-    a = render(score, PSEUDO_REAL, FS).samples
-    b = render(score, PSEUDO_REAL, FS).samples
+    a = render(score, PSEUDO_REAL).samples
+    b = render(score, PSEUDO_REAL).samples
     assert np.array_equal(a, b)
 
 
@@ -87,20 +87,20 @@ def test_render_length_is_last_offset_plus_tail_for_both_styles():
     score = Score(events=(NoteEvent(0, 960, 6, 0), NoteEvent(960, 960, 5, 2)))
     n_expected = int(round((1920 * score.seconds_per_tick() + 1.0) * FS))
     for style in (SYNTHETIC, PSEUDO_REAL):
-        assert len(render(score, style, FS).samples) == n_expected
+        assert len(render(score, style).samples) == n_expected
 
 
 def test_content_pairing_equal_onset_counts():
     score = Score(events=tuple(NoteEvent(3840 * i, 960, 6, i) for i in range(4)))
-    a = render(score, SYNTHETIC, FS)
-    b = render(score, PSEUDO_REAL, FS)
+    a = render(score, SYNTHETIC)
+    b = render(score, PSEUDO_REAL)
     assert count_onsets(a.samples, FS) == count_onsets(b.samples, FS) == 4
 
 
 def test_chord_stagger_is_8ms_per_ascending_string():
     score = Score(events=(NoteEvent(0, 1920, 6, 0), NoteEvent(0, 1920, 5, 0),
                           NoteEvent(0, 1920, 4, 0)))
-    samples = render(score, SYNTHETIC, FS).samples
+    samples = render(score, SYNTHETIC).samples
     # strings start at 0 / 8 / 16 ms; energy before 8 ms comes from string 6 only
     first = np.flatnonzero(np.abs(samples) > 1e-6)[0]
     assert first < int(0.002 * FS)
@@ -109,7 +109,7 @@ def test_chord_stagger_is_8ms_per_ascending_string():
 def test_bend_glides_pitch_to_target():
     technique = Technique(TechniqueKind.BEND, bend_semitones=2.0)
     score = one_note_score(6, 5, technique, duration=3840)  # 2 s at 120 bpm
-    samples = render(score, SYNTHETIC, FS).samples
+    samples = render(score, SYNTHETIC).samples
     f_ref = event_pitch(score, score.events[0])
     f_start = oracle_pitch(samples[int(0.05 * FS):int(0.35 * FS)], FS)
     f_end = oracle_pitch(samples[int(1.75 * FS):int(2.0 * FS)], FS)
@@ -120,48 +120,50 @@ def test_bend_glides_pitch_to_target():
 def test_slide_reaches_target_fret():
     technique = Technique(TechniqueKind.SLIDE, slide_to_fret=7)
     score = one_note_score(6, 3, technique, duration=3840)
-    samples = render(score, SYNTHETIC, FS).samples
+    samples = render(score, SYNTHETIC).samples
     target = event_pitch(score, NoteEvent(0, 1, 6, 7))
     f_end = oracle_pitch(samples[int(1.8 * FS):int(2.05 * FS)], FS)
     assert abs(cents_between(f_end, target)) < 25.0
 
 
 def test_legato_reexcites_quieter():
-    plain = render(one_note_score(5, 5), SYNTHETIC, FS).samples
+    plain = render(one_note_score(5, 5), SYNTHETIC).samples
     hammered = render(one_note_score(5, 5, Technique(TechniqueKind.HAMMER_ON)),
-                      SYNTHETIC, FS).samples
+                      SYNTHETIC).samples
     early = slice(0, int(0.1 * FS))
     assert rms_db(hammered[early]) == pytest.approx(rms_db(plain[early]) - 6.0, abs=1.5)
 
 
 def test_empty_score_rejected():
     with pytest.raises(DataError, match="empty"):
-        render(Score(), SYNTHETIC, FS)
+        render(Score(), SYNTHETIC)
+
+
+# open string 1 at MIDI 103, so its frets reach MIDI 127
+HIGH_TUNING = tuple(p + 39 for p in Score().tuning)
 
 
 def test_pitch_above_quarter_rate_rejected():
-    high_tuning = tuple(p + 14 for p in Score().tuning)  # open string 1 at MIDI 78
-    score = Score(tuning=high_tuning,
-                  events=(NoteEvent(0, 1920, 1, 24),))  # MIDI 102 ~ 2960 Hz
-    with pytest.raises(DataError, match="exceeds"):
-        render(score, SYNTHETIC, 8000)  # limit is 2 kHz at 8 kHz rate
+    score = Score(tuning=HIGH_TUNING,
+                  events=(NoteEvent(0, 1920, 1, 24),))  # MIDI 127 ~ 12544 Hz
+    with pytest.raises(DataError, match="exceeds 11025 Hz"):
+        render(score, SYNTHETIC)  # limit is FS / 4
 
 
 def test_bend_past_quarter_rate_rejected():
     """A note that starts under the fs/4 bound but bends past it fails on
     its per-sample pitch."""
-    high_tuning = tuple(p + 14 for p in Score().tuning)
-    plain = Score(tuning=high_tuning, events=(NoteEvent(0, 1920, 1, 17),))  # MIDI 95 ~ 1976 Hz
-    render(plain, SYNTHETIC, 8000)
-    bent = Score(tuning=high_tuning, events=(
-        NoteEvent(0, 1920, 1, 17, technique=Technique(TechniqueKind.BEND, bend_semitones=1.0)),))
-    with pytest.raises(DataError, match="event pitch 2093.0 Hz exceeds 2000 Hz"):
-        render(bent, SYNTHETIC, 8000)
+    plain = Score(tuning=HIGH_TUNING, events=(NoteEvent(0, 240, 1, 21),))  # MIDI 124 ~ 10548 Hz
+    render(plain, SYNTHETIC)
+    bent = Score(tuning=HIGH_TUNING, events=(
+        NoteEvent(0, 240, 1, 21, technique=Technique(TechniqueKind.BEND, bend_semitones=1.0)),))
+    with pytest.raises(DataError, match="event pitch 11175.3 Hz exceeds 11025 Hz"):
+        render(bent, SYNTHETIC)
 
 
 def test_render_stays_in_unit_range():
     events = tuple(NoteEvent(0, 1920, s, 0, velocity=127) for s in range(1, 7))
-    audio = render(Score(events=events), PSEUDO_REAL, FS)
+    audio = render(Score(events=events), PSEUDO_REAL)
     assert np.abs(audio.samples).max() <= 1.0
 
 
@@ -186,27 +188,20 @@ GOLDEN_SCORE = Score(tempo_bpm=150.0, events=(
 ))
 CUSTOM = RenderStyle("custom", brightness=0.4, decay_scale=0.8, pick_noise_gain=0.5,
                      excitation_cutoff=3000.0)
-# sha256 of render(GOLDEN_SCORE, style, rate).samples as a loop over one note
-# at a time (one_note_loop below) renders them.
+# sha256 of render(GOLDEN_SCORE, style).samples at 44.1 kHz as a loop over
+# one note at a time (one_note_loop below) renders them.
 GOLDEN_DIGESTS = {
-    ("synthetic", 22050): "78a381c2ca133a97915d33088eed470fba7a54df8854cf109b1b69bcccca226e",
     ("synthetic", 44100): "f925796b3183dd557142c5c82400c3768672472f9354c3b936091c9a60484a0c",
-    ("synthetic", 48000): "cca556e0e47c2767211f2dddb5a8bf99a90f1512a399decd3cb244c085eb907c",
-    ("pseudo_real", 22050): "9e9a448775cebd4f7f9120b3c22672fe34e6d2fdf19f2fb8157fef8365776b2b",
     ("pseudo_real", 44100): "2364a9d9f512619c2897f5e40fef45242fdc667007e9a1964283f0688925ec65",
-    ("pseudo_real", 48000): "ef35de783463743b19f8a3fabef7fd69b8ba1616021c6ec978b60c595b7d9923",
-    ("custom", 22050): "333ca4fc1e0c4b70a3418e034b892957e3dd3bfe3044a61de35de7b5cd6da828",
     ("custom", 44100): "13da20ab8aa5b2d75accec778280748408d4dcd82d12632f74b7f58ef748aab6",
-    ("custom", 48000): "b5c8f26c720050598f59522c203c1f70a914476f8067c21b58ddd7964527f561",
 }
 
 
 def test_render_golden_digests():
     got = {}
     for style in (SYNTHETIC, PSEUDO_REAL, CUSTOM):
-        for rate in (22050, 44100, 48000):
-            samples = render(GOLDEN_SCORE, style, rate).samples
-            got[style.name, rate] = hashlib.sha256(samples.tobytes()).hexdigest()
+        samples = render(GOLDEN_SCORE, style).samples
+        got[style.name, stringsynth.SAMPLE_RATE] = hashlib.sha256(samples.tobytes()).hexdigest()
     assert got == GOLDEN_DIGESTS
 
 
@@ -309,37 +304,55 @@ def test_lockstep_matches_one_note_loop(seed, count, brightness, fill, window):
 # --- amplifier ---------------------------------------------------------------
 
 def test_amp_zero_in_zero_out():
-    out = amp_process(AudioBuffer(np.zeros(256), FS), drive=6.0, tone_cutoff=5000.0)
+    out = amp_process(AudioBuffer(np.zeros(256)), drive=6.0, tone_cutoff=5000.0)
     assert np.array_equal(out.samples, np.zeros(256, dtype=np.float32))
 
 
+def _tone_filter(x, cutoff):
+    """The tone filter at the pipeline rate, by scipy."""
+    from scipy.signal import lfilter
+    a = 1.0 - np.exp(-2.0 * np.pi * cutoff / FS)
+    return lfilter([a], [1.0, -(1.0 - a)], x)
+
+
 def test_amp_small_signal_linearity():
+    """At a small drive tanh is the identity, so the amp is the tone filter
+    of the scaled input."""
     rng = np.random.default_rng(0)
     x = (0.1 * rng.uniform(-1, 1, 4096))
     drive = 1e-2
-    out = amp_process(AudioBuffer(x, FS), drive=drive, tone_cutoff=FS / 2).samples
-    assert np.max(np.abs(out - drive * x)) < 1e-4
+    out = amp_process(AudioBuffer(x), drive=drive, tone_cutoff=5000.0).samples
+    assert np.max(np.abs(out - _tone_filter(drive * x, 5000.0))) < 1e-8
 
 
 def test_amp_constant_one_drive_two_is_tanh_two():
+    """The tone filter passes DC whole: a constant input settles at its
+    tanh."""
     x = np.ones(64)
-    out = amp_process(AudioBuffer(x, FS), drive=2.0, tone_cutoff=FS / 2).samples
-    assert out[0] == pytest.approx(np.tanh(2.0), abs=1e-6)
-    assert out[0] == pytest.approx(0.9640, abs=1e-4)
+    out = amp_process(AudioBuffer(x), drive=2.0, tone_cutoff=5000.0).samples
+    assert out[-1] == pytest.approx(np.tanh(2.0), abs=1e-6)
+    assert out[-1] == pytest.approx(0.9640, abs=1e-4)
 
 
 def test_amp_never_exceeds_unit_range():
     rng = np.random.default_rng(1)
     x = rng.uniform(-3, 3, 8192)
-    out = amp_process(AudioBuffer(x, FS), drive=10.0, tone_cutoff=2000.0).samples
+    out = amp_process(AudioBuffer(x), drive=10.0, tone_cutoff=2000.0).samples
     assert np.abs(out).max() <= 1.0
     assert len(out) == len(x)
 
 
-def test_amp_is_monotone_memoryless_before_filter():
-    x = np.linspace(-1, 1, 101)
-    out = amp_process(AudioBuffer(x, FS), drive=4.0, tone_cutoff=FS / 2).samples
-    assert np.all(np.diff(out) > 0)
+def test_amp_equals_tanh_then_lfilter_at_the_amp_condition():
+    """eval's amp condition is np.tanh of the driven input, scipy's lfilter
+    of the tone filter and the peak rescale, to float32 rounding."""
+    from tabflow.cli import AMP_DRIVE, AMP_TONE_CUTOFF_HZ
+    x = (0.5 * np.random.default_rng(9).standard_normal(20000)).astype(np.float32)
+    want = _tone_filter(np.tanh(AMP_DRIVE * x.astype(np.float64)), AMP_TONE_CUTOFF_HZ)
+    want /= max(1.0, np.max(np.abs(want)))
+    out = amp_process(AudioBuffer(x), AMP_DRIVE, AMP_TONE_CUTOFF_HZ).samples
+    assert out.dtype == np.float32
+    # float32 rounding moves a value under 1 by at most eps / 4
+    np.testing.assert_allclose(out, want, rtol=0, atol=np.finfo(np.float32).eps / 2)
 
 
 _SCAN_CASES = [(cutoff, rate) for rate in (8000, 44100, 192000)
@@ -378,7 +391,7 @@ def test_amp_condition_peak_memory():
     one float64 copy, plus the scan's blocks: about 21 bytes per sample,
     where a new float64 array per step took 36."""
     x = 0.3 * np.random.default_rng(9).standard_normal(30 * FS)
-    audio = AudioBuffer(x.astype(np.float32), FS)
+    audio = AudioBuffer(x.astype(np.float32))
     tracemalloc.start()
     try:
         amp_process(normalize_rms(audio, -18.0), drive=4.0, tone_cutoff=5000.0)
@@ -395,7 +408,7 @@ def test_amp_process_within_one_float32_ulp_of_lfilter():
     from tabflow.cli import AMP_DRIVE, AMP_LEVEL_DB, AMP_TONE_CUTOFF_HZ
     from tabflow.fixtures import toy_corpus
     score = toy_corpus(1, seed=0, target_seconds=6.0)[0]
-    audio = normalize_rms(render(score, PSEUDO_REAL, FS), AMP_LEVEL_DB)
+    audio = normalize_rms(render(score, PSEUDO_REAL), AMP_LEVEL_DB)
     got = amp_process(audio, AMP_DRIVE, AMP_TONE_CUTOFF_HZ).samples
 
     a = 1.0 - np.exp(-2.0 * np.pi * AMP_TONE_CUTOFF_HZ / FS)
@@ -410,7 +423,7 @@ def test_amp_process_within_one_float32_ulp_of_lfilter():
 
 def test_normalize_sine_to_minus_9_db():
     t = np.arange(FS) / FS
-    sine = AudioBuffer(np.sin(2 * np.pi * 220.0 * t), FS)
+    sine = AudioBuffer(np.sin(2 * np.pi * 220.0 * t))
     out = normalize_rms(sine, -9.0)
     gain = out.samples[1000] / sine.samples[1000]
     assert gain == pytest.approx(10 ** (-9 / 20) * np.sqrt(2), abs=1e-4)
@@ -422,20 +435,20 @@ def test_normalize_sine_to_minus_9_db():
 def test_normalize_fixed_point():
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.5, 0.5, 10000)
-    once = normalize_rms(AudioBuffer(x, FS), -9.0)
+    once = normalize_rms(AudioBuffer(x), -9.0)
     twice = normalize_rms(once, -9.0)
     np.testing.assert_allclose(twice.samples, once.samples, rtol=1e-6)
 
 
 def test_normalize_silence_rejected():
     with pytest.raises(DataError, match="silence"):
-        normalize_rms(AudioBuffer(np.zeros(100), FS), -9.0)
+        normalize_rms(AudioBuffer(np.zeros(100)), -9.0)
 
 
 def test_normalize_preserves_shape():
     rng = np.random.default_rng(3)
     x = rng.uniform(-0.2, 0.2, 5000)
-    out = normalize_rms(AudioBuffer(x, FS), -9.0).samples.astype(np.float64)
+    out = normalize_rms(AudioBuffer(x), -9.0).samples.astype(np.float64)
     ratio = out[np.abs(x) > 0.01] / x[np.abs(x) > 0.01]
     assert ratio.std() / ratio.mean() < 1e-6
 
